@@ -6,7 +6,6 @@ from .attack import (
     AttackResult,
     Bounds,
     bounds_for_token,
-    derive_key,
     recover_preimages,
     recover_shared_key,
 )
@@ -45,6 +44,7 @@ from .protocol import (
     ExchangeTranscript,
     ProtocolParams,
     classify,
+    derive_key,
     dump_params,
     exchange,
     gen_params,

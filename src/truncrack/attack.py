@@ -14,15 +14,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, NoCandidates
-from .lattice2d import (
-    IVec2,
-    WeightedForm,
-    coefficient_box,
-    gauss_reduce,
-    rect_search,
-    solution_basis,
-)
-from .protocol import truncate
+from .lattice2d import WeightedForm, gauss_reduce, rect_search, solution_basis
+from .protocol import derive_key, truncate
 
 
 @dataclass(frozen=True)
@@ -31,7 +24,9 @@ class AttackInput:
 
     ``token`` is the token value u by default; with ``token_is_scaled``
     the caller passed 2^q * u (the pre-division value) and u is recovered
-    as floor(token / 2^q).
+    as floor(token / 2^q).  recover_preimages rejects a scaled token whose
+    low q bits are not zero, and any u >= 2^(p-q), since neither can come
+    from the token map.
     """
 
     z: int
@@ -86,7 +81,11 @@ def recover_preimages(inp: AttackInput) -> AttackResult:
         raise DegenerateInput(f"p must be at least q, got p={inp.p} q={inp.q}")
     if inp.token < 0:
         raise DegenerateInput(f"token must be nonnegative, got {inp.token}")
+    if inp.token_is_scaled and inp.token & ((1 << inp.q) - 1):
+        raise DegenerateInput(f"scaled token {inp.token} is not a multiple of 2^q (q={inp.q})")
     u = inp.token_value()
+    if u >> (inp.p - inp.q):
+        raise DegenerateInput(f"token must be below 2^(p-q) (p-q={inp.p - inp.q}), got {u}")
     family = solution_basis(inp.z, inp.p, inp.q, u)
     bounds = bounds_for_token(u, inp.q, inp.m)
     form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
@@ -94,11 +93,9 @@ def recover_preimages(inp: AttackInput) -> AttackResult:
     t0 = time.perf_counter_ns()
     reduced, passes = gauss_reduce(family.basis(), form)
     t1 = time.perf_counter_ns()
-    hits = rect_search(reduced, family.v0, bounds.b1, bounds.b2)
+    hits, searched = rect_search(reduced, family.v0, bounds.b1, bounds.b2)
     t2 = time.perf_counter_ns()
 
-    lo1, hi1, lo2, hi2 = coefficient_box(reduced, family.v0, bounds.b1, bounds.b2)
-    searched = (hi1 - lo1 + 1) * (hi2 - lo2 + 1)
     candidates = tuple(
         (s.x, s.y) for s in hits if truncate(s.x, inp.z, inp.p, inp.q) == u
     )
@@ -111,11 +108,6 @@ def recover_preimages(inp: AttackInput) -> AttackResult:
         reduce_time_ns=t1 - t0,
         search_time_ns=t2 - t1,
     )
-
-
-def derive_key(x: int, other_token: int, p: int, q: int, r: int, m: int) -> int:
-    """The key a party with secret x derives from the peer token."""
-    return ((x * other_token) & ((1 << (p - q)) - 1)) >> (r + m)
 
 
 def recover_shared_key(

@@ -77,13 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_params(args) -> int:
-    if args.l < 1:
-        raise ConstraintViolated("l>=1", f"l={args.l}")
-    derived_p = args.l + args.m - args.q
-    probe = protocol.ProtocolParams(
-        l=args.l, m=args.m, p=derived_p, q=args.q, r=args.r, z=1 << (args.l - 1)
-    )
-    protocol.validate_params(probe)
+    protocol.check_shape(args.l, args.m, args.q, args.r)
     if args.seed is None:
         print("error: --seed is required to generate z", file=sys.stderr)
         return EXIT_USAGE
@@ -119,8 +113,9 @@ def _cmd_attack(args) -> int:
         token=args.token, token_is_scaled=args.token_scaled,
     )
     result = attack_mod.recover_preimages(inp)
+    flagged = attack_mod.flag_nonpositive(result)
     for x, y in result.candidates:
-        suffix = " flag=nonpositive" if x < 1 else ""
+        suffix = " flag=nonpositive" if x in flagged else ""
         print(f"x={x} y={y}{suffix}")
     print(f"unique={1 if result.unique else 0}")
     if not result.candidates:

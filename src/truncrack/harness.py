@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass, field
 
 from .attack import AttackInput, bounds_for_token, recover_preimages, recover_shared_key
-from .errors import ConstraintViolated, NoCandidates, OracleTooLarge, ToolkitError
-from .protocol import ProtocolParams, exchange, gen_params, validate_params
+from .errors import NoCandidates, OracleTooLarge, ToolkitError
+from .protocol import check_shape, exchange, gen_params, trunc_remainder
 
 MODES = ("attack", "exchange", "oracle-check")
 
@@ -93,14 +93,7 @@ def _validate_config(cfg: TrialConfig) -> None:
         raise ValueError(f"trials must be at least 1, got {cfg.trials}")
     if cfg.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.l < 1:
-        raise ConstraintViolated("l>=1", f"l={cfg.l}")
-    # Probe the derived p against the parameter constraints; the z range
-    # holds for any l-bit z, so a placeholder exposes exactly the others.
-    probe = ProtocolParams(
-        l=cfg.l, m=cfg.m, p=cfg.l + cfg.m - cfg.q, q=cfg.q, r=cfg.r, z=1 << (cfg.l - 1)
-    )
-    validate_params(probe)
+    check_shape(cfg.l, cfg.m, cfg.q, cfg.r)
 
 
 def _run_trial(cfg: TrialConfig, seed: int) -> TrialRecord:
@@ -131,11 +124,10 @@ def _run_trial(cfg: TrialConfig, seed: int) -> TrialRecord:
 
         if cfg.mode == "oracle-check":
             bounds = bounds_for_token(transcript.u, params.q, params.m)
-            mask = (1 << params.p) - 1
             expected = [
                 x
                 for x in brute_force_preimages(params.z, params.p, params.q, transcript.u, params.m)
-                if ((x * params.z) & mask) & ((1 << params.q) - 1) < bounds.b2
+                if trunc_remainder(x, params)[1] < bounds.b2
             ]
             got = [x for x, _ in result.candidates]
             if got != expected:

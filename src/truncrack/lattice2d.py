@@ -8,17 +8,17 @@ a rank-2 sublattice of Z^2 with determinant 2^p.  Recovering a token
 preimage means finding the solutions of the inhomogeneous congruence
 x*z = 2^q*u + y (mod 2^p) inside a small rectangle, which this module
 does with a particular solution plus L, a weighted Lagrange (Gauss)
-reduction of a basis of L, exact rational coefficient solving, rounding,
-and a bounded enumeration of the rectangle's coefficient box.
+reduction of a basis of L, rounding, and a bounded enumeration of the
+rectangle's coefficient box.
 
-Everything is exact: integers and fractions only, no floating point.
-Decimal strings shown to humans are truncated from exact rationals.
-All functions are pure.
+Everything is exact, with no floating point.  The attack path (reduction,
+coefficient box, enumeration) runs on integers alone; exact rationals
+appear only in solve_coeffs, nearest_lattice_point and the decimal strings
+shown to humans.  All functions are pure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -132,16 +132,14 @@ class ReductionStep:
     u2: IVec2
 
 
-def solution_basis(z: int, p: int, q: int, u: int, *, proof_variant: bool = False) -> SolutionFamily:
+def solution_basis(z: int, p: int, q: int, u: int) -> SolutionFamily:
     """Particular solution and lattice generators for the token congruence.
 
     v0 = (ceil(2^q*u / z), z*x0 - 2^q*u) solves the congruence with
     0 <= y0 < z.  The generators are the consecutive pair
     g_i = (t + i, z*(t + i) - 2^p) for i in {0, 1}, which both satisfy the
     homogeneous congruence and span a determinant-2^p sublattice, i.e. all
-    of L.  By default t = floor(2^q*u / z); with ``proof_variant`` the
-    anchor t = floor(2^p / z) is used instead (a diagnostic alternative
-    that generates the same lattice).
+    of L, with t = floor(2^q*u / z).
     """
     if z <= 0:
         raise DegenerateInput(f"z must be positive, got {z}")
@@ -152,7 +150,7 @@ def solution_basis(z: int, p: int, q: int, u: int, *, proof_variant: bool = Fals
     shifted = u << q
     x0 = -(-shifted // z)
     v0 = IVec2(x0, z * x0 - shifted)
-    anchor = ((1 << p) // z) if proof_variant else (shifted // z)
+    anchor = shifted // z
     modulus = 1 << p
     g1 = IVec2(anchor, z * anchor - modulus)
     g2 = IVec2(anchor + 1, z * (anchor + 1) - modulus)
@@ -254,13 +252,7 @@ def solve_coeffs(basis: LatticeBasis, v: IVec2) -> tuple[Fraction, Fraction]:
 _NEIGHBOURHOOD = [(0, 0)] + [(e1, e2) for e1 in (-1, 0, 1) for e2 in (-1, 0, 1) if (e1, e2) != (0, 0)]
 
 
-def nearest_lattice_point(
-    basis: LatticeBasis,
-    v: IVec2,
-    form: WeightedForm,
-    *,
-    mode: str = "round",
-) -> tuple[int, int]:
+def nearest_lattice_point(basis: LatticeBasis, v: IVec2, form: WeightedForm) -> tuple[int, int]:
     """Integer coefficients (a1, a2) whose lattice point is nearest v.
 
     ``basis`` must be reduced under ``form``.  The coefficients are the
@@ -271,15 +263,8 @@ def nearest_lattice_point(
     reduced basis the true closest point always lies in that
     neighbourhood, so the result attains the exact minimum of the form
     norm over the coset v + L.
-
-    ``mode="floor"`` skips rounding and refinement and returns the floored
-    coefficients unchanged (a diagnostic, deliberately not minimal).
     """
     a1, a2 = solve_coeffs(basis, v)
-    if mode == "floor":
-        return math.floor(a1), math.floor(a2)
-    if mode != "round":
-        raise ValueError(f"unknown mode {mode!r}")
     r1 = _round_quotient_half_to_zero(a1.numerator, a1.denominator)
     r2 = _round_quotient_half_to_zero(a2.numerator, a2.denominator)
     best = None
@@ -298,24 +283,24 @@ def coefficient_box(
 ) -> tuple[int, int, int, int]:
     """Inclusive integer coefficient ranges covering the target rectangle.
 
-    Solves the four corners v, v-(b1,0), v-(0,b2), v-(b1,b2) exactly and
-    returns the bounding box of their coefficients, padded by 1 on each
-    side to absorb the half-open edges of the rectangle.
+    Takes the Cramer numerators of the four corners v, v-(b1,0), v-(0,b2),
+    v-(b1,b2) and returns the bounding box of their coefficients
+    numerator/det, padded by 1 on each side to absorb the half-open edges
+    of the rectangle.  Floor and ceiling come from integer division by det,
+    which is exact for either sign of det, so no rational is built.
     """
-    corners = [
-        v,
-        IVec2(v.x - b1, v.y),
-        IVec2(v.x, v.y - b2),
-        IVec2(v.x - b1, v.y - b2),
-    ]
-    coeffs = [solve_coeffs(basis, corner) for corner in corners]
-    a1s = [c[0] for c in coeffs]
-    a2s = [c[1] for c in coeffs]
+    x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
+    det = x1 * y2 - y1 * x2
+    if det == 0:
+        raise SingularBasis("cannot bound coefficients: determinant is 0")
+    corners = [(x, y) for x in (v.x, v.x - b1) for y in (v.y, v.y - b2)]
+    nums1 = [x * y2 - x2 * y for x, y in corners]
+    nums2 = [x1 * y - x * y1 for x, y in corners]
     return (
-        math.floor(min(a1s)) - 1,
-        math.ceil(max(a1s)) + 1,
-        math.floor(min(a2s)) - 1,
-        math.ceil(max(a2s)) + 1,
+        min(n // det for n in nums1) - 1,
+        max(-(-n // det) for n in nums1) + 1,
+        min(n // det for n in nums2) - 1,
+        max(-(-n // det) for n in nums2) + 1,
     )
 
 
@@ -325,8 +310,8 @@ def rect_search(
     b1: int,
     b2: int,
     cap: int = 1 << 20,
-) -> list[IVec2]:
-    """All points of the coset v + L inside [0, b1) x [0, b2), sorted by x.
+) -> tuple[list[IVec2], int]:
+    """Points of the coset v + L inside [0, b1) x [0, b2), and the box size.
 
     Enumerates every integer coefficient pair in the padded corner box and
     keeps s = v - a1*u1 - a2*u2 whenever s lands in the rectangle.  The
@@ -334,6 +319,7 @@ def rect_search(
     that box, so no in-rectangle point can be missed.  ``basis`` should be
     reduced; an unreduced basis only makes the box larger.
 
+    Returns the hits sorted by x and the number of pairs enumerated.
     Raises SearchSpaceExceeded when the box holds more than ``cap`` pairs.
     """
     if b1 < 1 or b2 < 1:
@@ -342,15 +328,16 @@ def rect_search(
     pairs = (hi1 - lo1 + 1) * (hi2 - lo2 + 1)
     if pairs > cap:
         raise SearchSpaceExceeded(f"coefficient box holds {pairs} pairs (cap {cap})")
+    x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
     hits: list[IVec2] = []
     for a1 in range(lo1, hi1 + 1):
-        base = v - basis.u1.scaled(a1)
+        base_x, base_y = v.x - a1 * x1, v.y - a1 * y1
         for a2 in range(lo2, hi2 + 1):
-            s = base - basis.u2.scaled(a2)
-            if 0 <= s.x < b1 and 0 <= s.y < b2:
-                hits.append(s)
+            sx, sy = base_x - a2 * x2, base_y - a2 * y2
+            if 0 <= sx < b1 and 0 <= sy < b2:
+                hits.append(IVec2(sx, sy))
     hits.sort(key=lambda s: s.x)
-    return hits
+    return hits, pairs
 
 
 def truncate_decimal(value: Fraction, places: int = 3) -> str:

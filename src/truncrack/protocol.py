@@ -86,19 +86,29 @@ def validate_params(params: ProtocolParams) -> str:
     return classify(params)
 
 
+def check_shape(l: int, m: int, q: int, r: int) -> int:
+    """Check every constraint that does not involve z; return p = l + m - q.
+
+    Raises ConstraintViolated as validate_params does.  The z range holds
+    for any l-bit z, so an l-bit placeholder exposes exactly the others.
+    """
+    if l < 1:
+        raise ConstraintViolated("l>=1", f"l={l}")
+    p = l + m - q
+    validate_params(ProtocolParams(l=l, m=m, p=p, q=q, r=r, z=1 << (l - 1)))
+    return p
+
+
 def gen_params(seed: int, l: int, m: int, q: int, r: int) -> ProtocolParams:
     """Derive p = l + m - q and draw z uniformly from [2^(l-1), 2^l).
 
     The draw is deterministic in ``seed``; the result always passes
     validate_params or the constraint error is raised.
     """
-    if l < 1:
-        raise ConstraintViolated("l>=1", f"l={l}")
+    p = check_shape(l, m, q, r)
     rng = random.Random(seed)
     z = (1 << (l - 1)) | rng.getrandbits(l - 1)
-    params = ProtocolParams(l=l, m=m, p=l + m - q, q=q, r=r, z=z)
-    validate_params(params)
-    return params
+    return ProtocolParams(l=l, m=m, p=p, q=q, r=r, z=z)
 
 
 def truncate(x: int, z: int, p: int, q: int) -> int:
@@ -119,10 +129,15 @@ def trunc_remainder(x: int, params: ProtocolParams) -> tuple[int, int]:
     return masked >> params.q, masked & ((1 << params.q) - 1)
 
 
+def derive_key(x: int, other_token: int, p: int, q: int, r: int, m: int) -> int:
+    """floor((x * v mod 2^(p-q)) / 2^(r+m)): the key a party with secret x
+    derives from the peer's token v."""
+    return ((x * other_token) & ((1 << (p - q)) - 1)) >> (r + m)
+
+
 def shared_key(x: int, other_token: int, params: ProtocolParams) -> int:
-    """floor((x * v mod 2^(p-q)) / 2^(r+m)) where v is the peer's token."""
-    mask = (1 << (params.p - params.q)) - 1
-    return ((x * other_token) & mask) >> (params.r + params.m)
+    """derive_key with the agreed parameters."""
+    return derive_key(x, other_token, params.p, params.q, params.r, params.m)
 
 
 def sample_secret(rng: random.Random, m: int) -> int:
@@ -158,7 +173,8 @@ def dump_params(params: ProtocolParams) -> str:
 
 def parse_params(text: str) -> ProtocolParams:
     """Parse the key=value format: decimal values, no spaces, keys exactly
-    l,m,p,q,r,z each once.  Unknown keys are rejected."""
+    l,m,p,q,r,z each once.  Unknown keys are rejected, and the parameters
+    must pass validate_params (ConstraintViolated otherwise)."""
     values: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         match = _PARAM_LINE.match(line)
@@ -173,7 +189,9 @@ def parse_params(text: str) -> ProtocolParams:
     missing = [key for key in PARAM_KEYS if key not in values]
     if missing:
         raise ValueError(f"missing keys: {', '.join(missing)}")
-    return ProtocolParams(**values)
+    params = ProtocolParams(**values)
+    validate_params(params)
+    return params
 
 
 def save_params(params: ProtocolParams, path: str) -> None:

@@ -43,7 +43,7 @@ def test_criterion_1_golden_example():
     fam = solution_basis(6173, 22, 5, 22131)
     form = WeightedForm.for_rectangle(B1, B2)
     reduced, _ = gauss_reduce(fam.basis(), form)
-    hits = rect_search(reduced, fam.v0, B1, B2)
+    hits, _ = rect_search(reduced, fam.v0, B1, B2)
     elapsed_ns = time.perf_counter_ns() - t0
 
     if fam.v0 != IVec2(115, 1703):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import truncrack.lattice2d
 from truncrack import (
     AttackInput,
     DegenerateInput,
@@ -81,6 +82,26 @@ class TestRecoverPreimages:
     def test_rejects_degenerate(self, kwargs):
         with pytest.raises(DegenerateInput):
             recover_preimages(AttackInput(**kwargs))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(token=1 << 17),  # u = 2^(p-q), past the token map's range
+            dict(token=708193, token_is_scaled=True),  # nonzero low q bits
+        ],
+    )
+    def test_rejects_token_outside_image(self, kwargs):
+        with pytest.raises(DegenerateInput):
+            recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, **kwargs))
+
+    def test_builds_no_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fraction built on the attack path")
+
+        monkeypatch.setattr(truncrack.lattice2d, "Fraction", refuse)
+        result = recover_preimages(GOLDEN)
+        assert result.candidates == ((12345, 21),)
+        assert result.searched == 25
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(606)

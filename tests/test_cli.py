@@ -115,6 +115,31 @@ class TestAttackCommand:
         out = capsys.readouterr().out
         assert "key=" in out and "candidates=1" in out
 
+    @pytest.mark.parametrize(
+        "token_args",
+        [
+            ["--token", "131072"],  # u = 2^(p-q)
+            ["--token", "708193", "--token-scaled"],  # nonzero low q bits
+        ],
+    )
+    def test_token_outside_image_exit_2(self, tmp_path, capsys, token_args):
+        path = tmp_path / "g.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        rc = main(["attack", "--params", str(path), *token_args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_invalid_params_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "z.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=5\n")
+        rc = main(["attack", "--params", str(path), "--token", "22131"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "constraint violated: 2^(l-1)<=z<2^l" in captured.err
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.params"
         path.write_text("l=13\nm=14\nbogus=1\n")

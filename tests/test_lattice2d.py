@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -77,21 +78,6 @@ class TestSolutionBasis:
             assert basis.contains(fam.g2)
             assert 0 <= fam.v0.y < fam.z
             assert abs(basis.det()) == modulus
-
-    def test_proof_variant_spans_same_lattice(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            p = rng.randint(4, 14)
-            z = rng.randint(1, (1 << p) - 1)
-            q = rng.randint(0, p // 2)
-            u = rng.randint(0, (1 << (p - q)) - 1)
-            form = WeightedForm(wx=1, wy=1)
-            red_a, _ = gauss_reduce(solution_basis(z, p, q, u).basis(), form)
-            red_b, _ = gauss_reduce(
-                solution_basis(z, p, q, u, proof_variant=True).basis(), form
-            )
-            got = {red_a.u1, -red_a.u1, red_a.u2, -red_a.u2}
-            assert red_b.u1 in got and red_b.u2 in got
 
 
 class TestRounding:
@@ -262,10 +248,6 @@ class TestNearestPoint:
         a1, a2 = nearest_lattice_point(reduced, v, FORM)
         assert v - reduced.u1.scaled(a1) - reduced.u2.scaled(a2) == IVec2(0, 0)
 
-    def test_floor_mode(self):
-        basis = LatticeBasis(IVec2(-25140, 28), IVec2(-33973, -129), modulus_exp=22, z=Z)
-        assert nearest_lattice_point(basis, IVec2(115, 1703), FORM, mode="floor") == (13, -11)
-
     def test_rounding_alone_can_miss_minimum(self):
         # Frozen instance where a coefficient lands exactly on a half
         # integer: plain rounding (ties toward zero) keeps norm 25 while
@@ -308,12 +290,12 @@ class TestNearestPoint:
 class TestRectSearch:
     def test_worked_answer(self):
         reduced = worked_reduced()
-        hits = rect_search(reduced, IVec2(115, 1703), B1, B2)
+        hits, _ = rect_search(reduced, IVec2(115, 1703), B1, B2)
         assert hits == [IVec2(12345, 21)]
 
     def test_zero_target(self):
         reduced = worked_reduced()
-        hits = rect_search(reduced, IVec2(0, 0), B1, B2)
+        hits, _ = rect_search(reduced, IVec2(0, 0), B1, B2)
         assert IVec2(0, 0) in hits
 
     def test_rejects_bad_bounds(self):
@@ -336,7 +318,7 @@ class TestRectSearch:
             b1, b2 = 1 << m, 1 << q
             form = WeightedForm.for_rectangle(b1, b2)
             reduced, _ = gauss_reduce(fam.basis(), form)
-            hits = rect_search(reduced, fam.v0, b1, b2)
+            hits, _ = rect_search(reduced, fam.v0, b1, b2)
             modulus = 1 << p
             expected = [
                 (x, y)
@@ -353,7 +335,7 @@ class TestRectSearch:
             b1, b2 = 1 << 6, 1 << 4
             form = WeightedForm.for_rectangle(b1, b2)
             reduced, _ = gauss_reduce(fam.basis(), form)
-            hits = rect_search(reduced, fam.v0, b1, b2)
+            hits, _ = rect_search(reduced, fam.v0, b1, b2)
             assert [s.x for s in hits] == sorted(s.x for s in hits)
 
     def test_scaling_invariance(self):
@@ -379,6 +361,45 @@ class TestCoefficientBox:
         lo1, hi1, lo2, hi2 = coefficient_box(reduced, IVec2(115, 1703), B1, B2)
         a1, a2 = nearest_lattice_point(reduced, IVec2(115, 1703), FORM)
         assert lo1 <= a1 <= hi1 and lo2 <= a2 <= hi2
+
+    @given(
+        coords=st.lists(st.integers(-(1 << 40), 1 << 40), min_size=6, max_size=6),
+        b1=st.integers(1, 1 << 30),
+        b2=st.integers(1, 1 << 30),
+    )
+    def test_matches_exact_rational_box(self, coords, b1, b2):
+        u1x, u1y, u2x, u2y, vx, vy = coords
+        basis = LatticeBasis(IVec2(u1x, u1y), IVec2(u2x, u2y), modulus_exp=1, z=0)
+        v = IVec2(vx, vy)
+        if basis.det() == 0:
+            with pytest.raises(SingularBasis):
+                coefficient_box(basis, v, b1, b2)
+            return
+        # The same box from solve_coeffs' exact rationals; swapping u1 and
+        # u2 flips the sign of det, so both signs are checked every time.
+        for b in (basis, LatticeBasis(basis.u2, basis.u1, modulus_exp=1, z=0)):
+            corners = [v, v - IVec2(b1, 0), v - IVec2(0, b2), v - IVec2(b1, b2)]
+            a1s, a2s = zip(*(solve_coeffs(b, corner) for corner in corners))
+            expected = (
+                math.floor(min(a1s)) - 1,
+                math.ceil(max(a1s)) + 1,
+                math.floor(min(a2s)) - 1,
+                math.ceil(max(a2s)) + 1,
+            )
+            assert coefficient_box(b, v, b1, b2) == expected
+
+    def test_rect_search_reports_box_size(self):
+        rng = random.Random(12)
+        cases = [(worked_reduced(), IVec2(115, 1703), B1, B2)]
+        for _ in range(30):
+            fam = random_family(rng, max_p=12)
+            b1, b2 = 1 << rng.randint(1, 8), 1 << rng.randint(1, 5)
+            reduced, _ = gauss_reduce(fam.basis(), WeightedForm.for_rectangle(b1, b2))
+            cases.append((reduced, fam.v0, b1, b2))
+        for basis, v, b1, b2 in cases:
+            lo1, hi1, lo2, hi2 = coefficient_box(basis, v, b1, b2)
+            _, pairs = rect_search(basis, v, b1, b2)
+            assert pairs == (hi1 - lo1 + 1) * (hi2 - lo2 + 1)
 
 
 class TestDecimalFormatting:
