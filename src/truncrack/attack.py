@@ -24,9 +24,11 @@ class AttackInput:
 
     ``token`` is the token value u by default; with ``token_is_scaled``
     the caller passed 2^q * u (the pre-division value) and u is recovered
-    as floor(token / 2^q).  recover_preimages rejects a scaled token whose
-    low q bits are not zero, and any u >= 2^(p-q), since neither can come
-    from the token map.
+    as floor(token / 2^q).  recover_preimages rejects p <= q (every x
+    would be a preimage of the only token, 0), a scaled token whose low q
+    bits are not zero, and any u >= 2^(p-q), since none of these can come
+    from an exchange.  z >= 2^p is accepted: valid parameters with m < q
+    have p < l, so their l-bit z is at least 2^p.
     """
 
     z: int
@@ -77,8 +79,8 @@ def recover_preimages(inp: AttackInput) -> AttackResult:
     """
     if inp.z < 1:
         raise DegenerateInput(f"z must be positive, got {inp.z}")
-    if inp.p < inp.q:
-        raise DegenerateInput(f"p must be at least q, got p={inp.p} q={inp.q}")
+    if inp.p <= inp.q:
+        raise DegenerateInput(f"p must exceed q, got p={inp.p} q={inp.q}")
     if inp.token < 0:
         raise DegenerateInput(f"token must be nonnegative, got {inp.token}")
     if inp.token_is_scaled and inp.token & ((1 << inp.q) - 1):

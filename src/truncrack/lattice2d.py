@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional
 
 from .errors import (
@@ -180,6 +181,15 @@ def round_half_to_zero(value: Fraction | int) -> int:
     return _round_quotient_half_to_zero(value.numerator, value.denominator)
 
 
+def _gram(wx: int, wy: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]:
+    """(|u1|^2, |u2|^2, <u1, u2>) under the weights (wx, wy)."""
+    return (
+        wx * x1 * x1 + wy * y1 * y1,
+        wx * x2 * x2 + wy * y2 * y2,
+        wx * x1 * x2 + wy * y1 * y2,
+    )
+
+
 def gauss_reduce(
     basis: LatticeBasis,
     form: WeightedForm,
@@ -192,6 +202,14 @@ def gauss_reduce(
     c = Round(<ui, uj> / <uj, uj>) (halves toward zero) until a pass leaves
     both coefficients zero.  On exit |<u1,u2>| <= min(|u1|^2, |u2|^2) / 2.
 
+    The loop runs on plain ints.  The weights lose their common factor
+    gcd(wx, wy), which scales every Gram entry alike and so changes no
+    quotient or comparison.  The Gram entries n1 = |u1|^2, n2 = |u2|^2 and
+    d = <u1, u2> are computed once and then updated exactly from the
+    quotient alone: u1 <- u1 - c*u2 gives n1 <- n1 - c*(2d - c*n2) and
+    d <- d - c*n2, and likewise for u2.  On exit the tracked entries are
+    asserted equal to a fresh recomputation.
+
     Returns the reduced basis and the number of passes, counting the final
     all-zero pass.  Each half-step preserves the determinant and, whenever
     c != 0, strictly shrinks the replaced vector's norm; both facts are
@@ -199,10 +217,13 @@ def gauss_reduce(
     half-step.  The pass count is capped at 64 * modulus_exp as a safety
     net; reduction converges orders of magnitude faster.
     """
-    u1, u2 = basis.u1, basis.u2
-    det = basis.det()
+    det = abs(basis.det())
     if det == 0:
         raise DegenerateInput("basis is degenerate (determinant 0)")
+    x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
+    g = gcd(form.wx, form.wy)
+    wx, wy = form.wx // g, form.wy // g
+    n1, n2, d = _gram(wx, wy, x1, y1, x2, y2)
     cap = 64 * basis.modulus_exp
     passes = 0
     while True:
@@ -211,25 +232,36 @@ def gauss_reduce(
             raise IterationCapExceeded(
                 f"reduction exceeded {cap} passes (modulus_exp={basis.modulus_exp})"
             )
-        old_norm1 = form.norm_sq(u1)
-        c1 = _round_quotient_half_to_zero(form.inner(u1, u2), form.norm_sq(u2))
-        u1 = u1 - u2.scaled(c1)
-        assert abs(u1.x * u2.y - u1.y * u2.x) == abs(det)
-        assert c1 == 0 or form.norm_sq(u1) < old_norm1
+        c1 = _round_quotient_half_to_zero(d, n2)
+        if c1:
+            x1 -= c1 * x2
+            y1 -= c1 * y2
+            shrunk = n1 - c1 * (2 * d - c1 * n2)
+            assert shrunk < n1
+            n1 = shrunk
+            d -= c1 * n2
+        assert abs(x1 * y2 - y1 * x2) == det
         if on_step is not None:
-            on_step(ReductionStep(target="u1", c=c1, u1=u1, u2=u2))
+            on_step(ReductionStep(target="u1", c=c1, u1=IVec2(x1, y1), u2=IVec2(x2, y2)))
 
-        old_norm2 = form.norm_sq(u2)
-        c2 = _round_quotient_half_to_zero(form.inner(u1, u2), form.norm_sq(u1))
-        u2 = u2 - u1.scaled(c2)
-        assert abs(u1.x * u2.y - u1.y * u2.x) == abs(det)
-        assert c2 == 0 or form.norm_sq(u2) < old_norm2
+        c2 = _round_quotient_half_to_zero(d, n1)
+        if c2:
+            x2 -= c2 * x1
+            y2 -= c2 * y1
+            shrunk = n2 - c2 * (2 * d - c2 * n1)
+            assert shrunk < n2
+            n2 = shrunk
+            d -= c2 * n1
+        assert abs(x1 * y2 - y1 * x2) == det
         if on_step is not None:
-            on_step(ReductionStep(target="u2", c=c2, u1=u1, u2=u2))
+            on_step(ReductionStep(target="u2", c=c2, u1=IVec2(x1, y1), u2=IVec2(x2, y2)))
 
         if c1 == 0 and c2 == 0:
             break
-    reduced = LatticeBasis(u1=u1, u2=u2, modulus_exp=basis.modulus_exp, z=basis.z)
+    assert (n1, n2, d) == _gram(wx, wy, x1, y1, x2, y2)
+    reduced = LatticeBasis(
+        u1=IVec2(x1, y1), u2=IVec2(x2, y2), modulus_exp=basis.modulus_exp, z=basis.z
+    )
     assert reduced.is_reduced(form)
     return reduced, passes
 

@@ -77,11 +77,22 @@ class TestRecoverPreimages:
             dict(z=0, p=15, q=3, m=8, token=1),
             dict(z=7, p=3, q=5, m=8, token=1),
             dict(z=7, p=15, q=3, m=8, token=-1),
+            dict(z=6173, p=5, q=5, m=14, token=0),  # p == q: every x is a preimage
         ],
     )
     def test_rejects_degenerate(self, kwargs):
         with pytest.raises(DegenerateInput):
             recover_preimages(AttackInput(**kwargs))
+
+    def test_accepts_multiplier_at_least_modulus(self):
+        # m < q gives p = l + m - q < l, so a valid l-bit z is >= 2^p
+        params = gen_params(4, 13, 3, 5, 1)
+        assert (params.p, params.z) == (11, 5062) and params.z >= 1 << params.p
+        t = exchange(4, params)
+        result = recover_preimages(
+            AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
+        )
+        assert t.x in [x for x, _ in result.candidates]
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -124,6 +124,16 @@ class TestCsv:
         assert cells[-1] == ""
         assert text.endswith("\n") and "\r" not in text
 
+    def test_full_scale_golden_rows(self):
+        # timings zeroed, these rows pin the full-scale CSV bytes: a change
+        # in the reduction's path shows in reduce_iterations
+        cfg = TrialConfig(seed_base=1, trials=5, l=2048, m=512, q=512, r=129)
+        rows = _zero_timings(format_csv(run_trials(cfg))).splitlines()[1:]
+        assert rows == [
+            f"{seed},2048,512,2048,512,129,1,1,1,1,{passes},0,0,0,"
+            for seed, passes in [(1, 205), (2, 211), (3, 205), (4, 198), (5, 219)]
+        ]
+
     def test_reproducible_modulo_timing(self):
         cfg = TrialConfig(seed_base=3, trials=12, **TOY_CFG)
         a = _zero_timings(format_csv(run_trials(cfg)))

@@ -14,6 +14,7 @@ from truncrack import (
     SearchSpaceExceeded,
     SingularBasis,
     WeightedForm,
+    bounds_for_token,
     gauss_reduce,
     nearest_lattice_point,
     rect_search,
@@ -22,7 +23,9 @@ from truncrack import (
     solve_coeffs,
     truncate_decimal,
 )
-from truncrack.lattice2d import coefficient_box
+from truncrack.lattice2d import ReductionStep, _round_quotient_half_to_zero, coefficient_box
+from truncrack.protocol import check_shape
+from test_acceptance import SIZE_LADDER
 
 # The worked toy instance used throughout: z=6173, p=22, q=5, u=22131.
 Z, P, Q, U = 6173, 22, 5, 22131
@@ -180,6 +183,94 @@ class TestGaussReduce:
             for g in (fam.g1, fam.g2):
                 a1, a2 = solve_coeffs(reduced, g)
                 assert a1.denominator == 1 and a2.denominator == 1
+
+
+def _textbook_gauss_reduce(basis, form, *, on_step=None):
+    """The textbook loop: every half-step recomputes the norms and the inner
+    product on IVec2s under the unscaled form.  gauss_reduce must match it
+    step for step."""
+    u1, u2 = basis.u1, basis.u2
+    det = basis.det()
+    if det == 0:
+        raise DegenerateInput("basis is degenerate (determinant 0)")
+    cap = 64 * basis.modulus_exp
+    passes = 0
+    while True:
+        passes += 1
+        if passes > cap:
+            raise IterationCapExceeded(
+                f"reduction exceeded {cap} passes (modulus_exp={basis.modulus_exp})"
+            )
+        old_norm1 = form.norm_sq(u1)
+        c1 = _round_quotient_half_to_zero(form.inner(u1, u2), form.norm_sq(u2))
+        u1 = u1 - u2.scaled(c1)
+        assert abs(u1.x * u2.y - u1.y * u2.x) == abs(det)
+        assert c1 == 0 or form.norm_sq(u1) < old_norm1
+        if on_step is not None:
+            on_step(ReductionStep(target="u1", c=c1, u1=u1, u2=u2))
+
+        old_norm2 = form.norm_sq(u2)
+        c2 = _round_quotient_half_to_zero(form.inner(u1, u2), form.norm_sq(u1))
+        u2 = u2 - u1.scaled(c2)
+        assert abs(u1.x * u2.y - u1.y * u2.x) == abs(det)
+        assert c2 == 0 or form.norm_sq(u2) < old_norm2
+        if on_step is not None:
+            on_step(ReductionStep(target="u2", c=c2, u1=u1, u2=u2))
+
+        if c1 == 0 and c2 == 0:
+            break
+    reduced = LatticeBasis(u1=u1, u2=u2, modulus_exp=basis.modulus_exp, z=basis.z)
+    assert reduced.is_reduced(form)
+    return reduced, passes
+
+
+def _assert_matches_textbook(basis, form):
+    """gauss_reduce gives the textbook loop's basis, pass count and steps."""
+    fast_steps, ref_steps = [], []
+    fast = gauss_reduce(basis, form, on_step=fast_steps.append)
+    ref = _textbook_gauss_reduce(basis, form, on_step=ref_steps.append)
+    assert fast == ref
+    assert fast_steps == ref_steps
+    assert gauss_reduce(basis, form) == ref  # no hook: same result
+
+
+class TestMatchesTextbookLoop:
+    def test_size_ladder_plain_and_scaled_forms(self):
+        rng = random.Random(4040)
+        for l, m, q, r in SIZE_LADDER:
+            p = l + m - q
+            for k in range(4):
+                z = (1 << (l - 1)) | rng.getrandbits(l - 1)
+                if k < 3:
+                    x = rng.randint(1, (1 << m) - 1)
+                    u = ((x * z) & ((1 << p) - 1)) >> q
+                else:
+                    u = rng.randint(0, (1 << (p - q)) - 1)
+                fam = solution_basis(z, p, q, u)
+                bounds = bounds_for_token(u, q, m)
+                form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+                _assert_matches_textbook(fam.basis(), form)
+                _assert_matches_textbook(fam.basis(), WeightedForm(wx=7 * form.wx, wy=7 * form.wy))
+
+    def test_corner_case_bounds(self):
+        # 0 < 2^m - 2^q*u < 2^q: reachable only with u = 0 and m < q
+        rng = random.Random(4141)
+        for l, m, q, r in [(13, 3, 5, 1), (40, 6, 12, 4), (160, 32, 48, 16), (2048, 256, 512, 129)]:
+            p = check_shape(l, m, q, r)
+            bounds = bounds_for_token(0, q, m)
+            assert 0 < bounds.b2 < 1 << q
+            form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+            for _ in range(5):
+                z = (1 << (l - 1)) | rng.getrandbits(l - 1)
+                _assert_matches_textbook(solution_basis(z, p, q, 0).basis(), form)
+
+    def test_non_square_and_common_factor_weights(self):
+        rng = random.Random(4242)
+        for i in range(400):
+            fam = random_family(rng, max_p=24 if i % 2 else 12)
+            wx, wy = rng.randint(1, 10**6), rng.randint(1, 10**6)
+            k = rng.choice([1, 7, 2**20, 3 * 5 * 11])
+            _assert_matches_textbook(fam.basis(), WeightedForm(wx=k * wx, wy=k * wy))
 
 
 class TestSolveCoeffs:
