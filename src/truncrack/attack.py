@@ -24,9 +24,9 @@ class AttackInput:
 
     ``token`` is the token value u by default; with ``token_is_scaled``
     the caller passed 2^q * u (the pre-division value) and u is recovered
-    as floor(token / 2^q).  recover_preimages rejects p <= q (every x
-    would be a preimage of the only token, 0), a scaled token whose low q
-    bits are not zero, and any u >= 2^(p-q), since none of these can come
+    as floor(token / 2^q).  recover_preimages rejects a scaled token whose
+    low q bits are not zero and what check_observables rejects (z < 1,
+    p <= q, m < 1, u outside [0, 2^(p-q))), since none of these can come
     from an exchange.  z >= 2^p is accepted: valid parameters with m < q
     have p < l, so their l-bit z is at least 2^p.
     """
@@ -69,6 +69,26 @@ def bounds_for_token(u: int, q: int, m: int) -> Bounds:
     return Bounds(b1=b1, b2=b2)
 
 
+def check_observables(
+    z: int, p: int, q: int, m: int, token: int | None = None, name: str = "token"
+) -> None:
+    """Reject public values that no exchange can produce.
+
+    Raises DegenerateInput for z < 1, for p <= q (every x would be a
+    preimage of the only token, 0), for m < 1 (no secret space) and, when
+    a token is given, for one outside [0, 2^(p-q)), the range of the token
+    map.  ``name`` names the token in the message.
+    """
+    if z < 1:
+        raise DegenerateInput(f"z must be positive, got {z}")
+    if p <= q:
+        raise DegenerateInput(f"p must exceed q, got p={p} q={q}")
+    if m < 1:
+        raise DegenerateInput(f"m must be at least 1, got {m}")
+    if token is not None and not 0 <= token < 1 << (p - q):
+        raise DegenerateInput(f"{name} must be in [0, 2^(p-q)) (p-q={p - q}), got {token}")
+
+
 def recover_preimages(inp: AttackInput) -> AttackResult:
     """Recover every preimage of the token inside the feasible rectangle.
 
@@ -77,17 +97,10 @@ def recover_preimages(inp: AttackInput) -> AttackResult:
     candidate.  Candidates with x = 0 are kept (x = 0 is never a valid
     secret; callers that care should flag it).
     """
-    if inp.z < 1:
-        raise DegenerateInput(f"z must be positive, got {inp.z}")
-    if inp.p <= inp.q:
-        raise DegenerateInput(f"p must exceed q, got p={inp.p} q={inp.q}")
-    if inp.token < 0:
-        raise DegenerateInput(f"token must be nonnegative, got {inp.token}")
     if inp.token_is_scaled and inp.token & ((1 << inp.q) - 1):
         raise DegenerateInput(f"scaled token {inp.token} is not a multiple of 2^q (q={inp.q})")
     u = inp.token_value()
-    if u >> (inp.p - inp.q):
-        raise DegenerateInput(f"token must be below 2^(p-q) (p-q={inp.p - inp.q}), got {u}")
+    check_observables(inp.z, inp.p, inp.q, inp.m, u)
     family = solution_basis(inp.z, inp.p, inp.q, u)
     bounds = bounds_for_token(u, inp.q, inp.m)
     form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
@@ -123,8 +136,11 @@ def recover_shared_key(
     Returns (candidate x, key) pairs in candidate order; distinct
     candidates can collapse to the same key.  ``result`` may carry an
     already-computed recover_preimages output to avoid repeating the
-    lattice work.  Raises NoCandidates when the candidate list is empty.
+    lattice work.  Raises DegenerateInput when check_observables rejects
+    the observables or ``other_token``, and NoCandidates when the
+    candidate list is empty.
     """
+    check_observables(inp.z, inp.p, inp.q, inp.m, other_token, name="peer token")
     if result is None:
         result = recover_preimages(inp)
     if not result.candidates:

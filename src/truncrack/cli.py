@@ -112,6 +112,10 @@ def _cmd_attack(args) -> int:
         z=params.z, p=params.p, q=params.q, m=m,
         token=args.token, token_is_scaled=args.token_scaled,
     )
+    if args.other_token is not None:
+        attack_mod.check_observables(
+            params.z, params.p, params.q, m, args.other_token, name="peer token"
+        )
     result = attack_mod.recover_preimages(inp)
     flagged = attack_mod.flag_nonpositive(result)
     for x, y in result.candidates:
@@ -132,6 +136,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    attack_mod.check_observables(args.z, args.p, args.q, args.m, args.u)
     for x in harness.brute_force_preimages(args.z, args.p, args.q, args.u, args.m):
         print(x)
     return EXIT_OK

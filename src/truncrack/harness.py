@@ -12,7 +12,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .attack import AttackInput, bounds_for_token, recover_preimages, recover_shared_key
+from .attack import (
+    AttackInput,
+    bounds_for_token,
+    check_observables,
+    recover_preimages,
+    recover_shared_key,
+)
 from .errors import NoCandidates, OracleTooLarge, ToolkitError
 from .protocol import check_shape, exchange, gen_params, trunc_remainder
 
@@ -80,24 +86,29 @@ class TrialRecord:
 def brute_force_preimages(z: int, p: int, q: int, u: int, m: int) -> list[int]:
     """Exhaustive scan: every x in [0, 2^m) with floor((xz mod 2^p)/2^q) = u.
 
-    Independent of the lattice machinery on purpose.  Guarded to m <= 24.
+    Independent of the lattice machinery on purpose.  Rejects the (z, p, q,
+    m) that the attack rejects, with DegenerateInput (check_observables);
+    a token outside the map's range simply has no preimage.  Guarded to
+    m <= 24.
     """
+    check_observables(z, p, q, m)
     if m > ORACLE_MAX_BITS:
         raise OracleTooLarge(f"oracle limited to m <= {ORACLE_MAX_BITS}, got m={m}")
     mask = (1 << p) - 1
     return [x for x in range(1 << m) if ((x * z) & mask) >> q == u]
 
 
-def _validate_config(cfg: TrialConfig) -> None:
+def _validate_config(cfg: TrialConfig) -> int:
+    """Check the config; return p = l + m - q."""
     if cfg.trials < 1:
         raise ValueError(f"trials must be at least 1, got {cfg.trials}")
     if cfg.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    check_shape(cfg.l, cfg.m, cfg.q, cfg.r)
+    return check_shape(cfg.l, cfg.m, cfg.q, cfg.r)
 
 
-def _run_trial(cfg: TrialConfig, seed: int) -> TrialRecord:
-    record = TrialRecord(seed=seed, l=cfg.l, m=cfg.m, p=cfg.l + cfg.m - cfg.q, q=cfg.q, r=cfg.r)
+def _run_trial(cfg: TrialConfig, p: int, seed: int) -> TrialRecord:
+    record = TrialRecord(seed=seed, l=cfg.l, m=cfg.m, p=p, q=cfg.q, r=cfg.r)
     try:
         params = gen_params(seed, cfg.l, cfg.m, cfg.q, cfg.r)
         transcript = exchange(seed, params)
@@ -144,8 +155,8 @@ def run_trials(cfg: TrialConfig) -> list[TrialRecord]:
     aborts.  An invalid config (bad trials count or parameter constraints)
     raises before any trial runs.
     """
-    _validate_config(cfg)
-    return [_run_trial(cfg, cfg.seed_base + i) for i in range(cfg.trials)]
+    p = _validate_config(cfg)
+    return [_run_trial(cfg, p, cfg.seed_base + i) for i in range(cfg.trials)]
 
 
 def _csv_value(record: TrialRecord, column: str) -> str:

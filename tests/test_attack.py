@@ -84,6 +84,10 @@ class TestRecoverPreimages:
         with pytest.raises(DegenerateInput):
             recover_preimages(AttackInput(**kwargs))
 
+    def test_rejects_empty_secret_space(self):
+        with pytest.raises(DegenerateInput):
+            recover_preimages(AttackInput(z=6173, p=22, q=5, m=0, token=22131))
+
     def test_accepts_multiplier_at_least_modulus(self):
         # m < q gives p = l + m - q < l, so a valid l-bit z is >= 2^p
         params = gen_params(4, 13, 3, 5, 1)
@@ -168,6 +172,14 @@ class TestRecoverSharedKey:
     def test_no_candidates(self):
         with pytest.raises(NoCandidates):
             recover_shared_key(AttackInput(z=677, p=15, q=3, m=8, token=1), 5, 1)
+
+    @pytest.mark.parametrize("other_token", [1 << 17, 99999999999, -1])
+    def test_rejects_peer_token_outside_image(self, other_token):
+        # the peer's token must lie in [0, 2^(p-q)) = [0, 2^17), like ours
+        with pytest.raises(DegenerateInput):
+            recover_shared_key(GOLDEN, other_token, 2)
+        with pytest.raises(DegenerateInput):
+            recover_shared_key(GOLDEN, other_token, 2, result=recover_preimages(GOLDEN))
 
     def test_reuses_precomputed_result(self):
         result = recover_preimages(GOLDEN)

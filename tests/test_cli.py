@@ -131,6 +131,24 @@ class TestAttackCommand:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize(
+        "extra_args",
+        [
+            ["--other-token", "99999999999"],  # peer token >= 2^(p-q)
+            ["--other-token", "131072"],  # peer token = 2^(p-q)
+            ["--m", "0"],  # no secret space
+        ],
+    )
+    def test_degenerate_attack_input_exit_2(self, tmp_path, capsys, extra_args):
+        path = tmp_path / "g.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        rc = main(["attack", "--params", str(path), "--token", "708192", "--token-scaled",
+                   *extra_args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     def test_invalid_params_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "z.params"
         path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=5\n")
@@ -152,6 +170,23 @@ class TestOracleCommand:
                    "--u", "22131", "--m", "14"])
         assert rc == 0
         assert capsys.readouterr().out == "12345\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--z", "6173", "--p", "0", "--q", "5", "--u", "1", "--m", "3"],  # p <= q
+            ["--z", "0", "--p", "22", "--q", "5", "--u", "1", "--m", "3"],  # z = 0
+            ["--z", "6173", "--p", "22", "--q", "30", "--u", "1", "--m", "3"],  # p <= q
+            ["--z", "6173", "--p", "22", "--q", "5", "--u", "131072", "--m", "3"],  # u = 2^(p-q)
+            ["--z", "6173", "--p", "22", "--q", "5", "--u", "1", "--m", "0"],  # m = 0
+        ],
+    )
+    def test_rejects_what_the_attack_rejects(self, capsys, args):
+        rc = main(["oracle", *args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_guard_exit_2(self, capsys):
         rc = main(["oracle", "--z", "3", "--p", "30", "--q", "1", "--u", "1", "--m", "25"])

@@ -2,6 +2,7 @@ import pytest
 
 from truncrack import (
     ConstraintViolated,
+    DegenerateInput,
     OracleTooLarge,
     TrialConfig,
     brute_force_preimages,
@@ -30,6 +31,20 @@ class TestBruteForceOracle:
     def test_guard(self):
         with pytest.raises(OracleTooLarge):
             brute_force_preimages(3, 30, 1, 1, 25)
+
+    @pytest.mark.parametrize(
+        "z, p, q, m",
+        [
+            (0, 22, 5, 3),  # z = 0
+            (6173, 0, 5, 3),  # p <= q
+            (6173, 22, 30, 3),  # p <= q
+            (6173, 5, 5, 3),  # p == q: every x maps to the only token, 0
+            (6173, 22, 5, 0),  # no secret space
+        ],
+    )
+    def test_rejects_what_the_attack_rejects(self, z, p, q, m):
+        with pytest.raises(DegenerateInput):
+            brute_force_preimages(z, p, q, 0, m)
 
     def test_ascending(self):
         xs = brute_force_preimages(677, 15, 3, 0, 8)
@@ -79,6 +94,10 @@ class TestRunTrials:
         )
         agree = sum(rec.agree for rec in records)
         assert 0 < agree < 200  # r=2 is a toy guard: both outcomes occur
+
+    def test_record_p_is_checked_shape(self):
+        (record,) = run_trials(TrialConfig(seed_base=1, trials=1, l=13, m=3, q=5, r=1))
+        assert (record.p, record.error) == (11, "")
 
     def test_invalid_config_rejected_upfront(self):
         with pytest.raises(ConstraintViolated):

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import truncrack.lattice2d
 from truncrack import (
     DegenerateInput,
     IterationCapExceeded,
@@ -23,7 +24,14 @@ from truncrack import (
     solve_coeffs,
     truncate_decimal,
 )
-from truncrack.lattice2d import ReductionStep, _round_quotient_half_to_zero, coefficient_box
+from truncrack.lattice2d import (
+    _LEAD_BITS,
+    ReductionStep,
+    _certified_quotient,
+    _gram,
+    _round_quotient_half_to_zero,
+    coefficient_box,
+)
 from truncrack.protocol import check_shape
 from test_acceptance import SIZE_LADDER
 
@@ -271,6 +279,98 @@ class TestMatchesTextbookLoop:
             wx, wy = rng.randint(1, 10**6), rng.randint(1, 10**6)
             k = rng.choice([1, 7, 2**20, 3 * 5 * 11])
             _assert_matches_textbook(fam.basis(), WeightedForm(wx=k * wx, wy=k * wy))
+
+
+@st.composite
+def truncated_path_cases(draw):
+    """A congruence basis with l in [128, 2048] under a rectangle form, the
+    same form times 7, or arbitrary positive weights, whose Gram entries
+    exceed _LEAD_BITS so that gauss_reduce quotients on truncated entries."""
+    l = draw(st.sampled_from([128, 256, 512, 1024, 2048]) | st.integers(128, 2048))
+    m = draw(st.integers(1, l // 2))
+    q = draw(st.integers(1, m))
+    p = l + m - q
+    z = draw(st.integers(1 << (l - 1), (1 << l) - 1))
+    if draw(st.booleans()):
+        x = draw(st.integers(1, (1 << m) - 1))
+        u = ((x * z) & ((1 << p) - 1)) >> q
+    else:
+        u = draw(st.integers(0, (1 << (p - q)) - 1))
+    basis = solution_basis(z, p, q, u).basis()
+    bounds = bounds_for_token(u, q, m)
+    rect = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+    kind = draw(st.sampled_from(["rectangle", "rectangle x 7", "arbitrary"]))
+    if kind == "rectangle":
+        form = rect
+    elif kind == "rectangle x 7":
+        form = WeightedForm(wx=7 * rect.wx, wy=7 * rect.wy)
+    else:
+        weights = st.integers(1, 1 << draw(st.integers(1, 2 * l)))
+        form = WeightedForm(wx=draw(weights), wy=draw(weights))
+    g = math.gcd(form.wx, form.wy)
+    grams = _gram(form.wx // g, form.wy // g, basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y)
+    assume(max(grams[:2]).bit_length() > _LEAD_BITS)
+    return basis, form
+
+
+class TestTruncatedQuotients:
+    @settings(max_examples=60, deadline=None)
+    @given(case=truncated_path_cases())
+    def test_matches_textbook_loop(self, case):
+        _assert_matches_textbook(*case)
+
+    @pytest.mark.parametrize(
+        "u1, u2, c1",
+        [
+            ((1, 1), (2, 0), 0),  # d/n2 = 1/2
+            ((-1, -1), (2, 0), 0),  # d/n2 = -1/2
+            ((3, 1), (2, 0), 1),  # d/n2 = 3/2
+        ],
+    )
+    def test_exact_tie_takes_exact_step(self, u1, u2, c1, monkeypatch):
+        scale = 1 << 300
+        basis = LatticeBasis(
+            IVec2(u1[0] * scale, u1[1] * scale), IVec2(u2[0] * scale, u2[1] * scale),
+            modulus_exp=601, z=0,
+        )
+        form = WeightedForm(wx=1, wy=1)
+        n1, n2, d = _gram(1, 1, basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y)
+        s = max(n1, n2).bit_length() - _LEAD_BITS
+        assert s > 0
+        # the truncated entries hold the tie exactly, yet cannot certify it
+        assert _certified_quotient(d >> s, n2 >> s, 1, 1) is None
+        exact_dens = []
+
+        def spy(num, den):
+            exact_dens.append(den)
+            return _round_quotient_half_to_zero(num, den)
+
+        monkeypatch.setattr(truncrack.lattice2d, "_round_quotient_half_to_zero", spy)
+        steps = []
+        gauss_reduce(basis, form, on_step=steps.append)
+        assert (steps[0].target, steps[0].c) == ("u1", c1)  # halves toward zero
+        assert exact_dens[0] == n2  # the exact step ran on the full entries
+        monkeypatch.undo()
+        _assert_matches_textbook(basis, form)
+
+    @given(
+        num=st.integers(-(1 << 40), 1 << 40),
+        den=st.integers(1, 1 << 40),
+        err_num=st.integers(1, 1 << 10),
+        err_den=st.integers(1, 1 << 10),
+        off_num=st.fractions(min_value=-1, max_value=1),
+        off_den=st.fractions(min_value=-1, max_value=1),
+    )
+    def test_certified_quotient_is_exact_rounding(
+        self, num, den, err_num, err_den, off_num, off_den
+    ):
+        # exact values strictly within the stated errors of the truncated ones
+        assume(abs(off_num) < 1 and abs(off_den) < 1)
+        exact_num, exact_den = num + off_num * err_num, den + off_den * err_den
+        assume(exact_den > 0)
+        k = _certified_quotient(num, den, err_num, err_den)
+        if k is not None:
+            assert k == round_half_to_zero(exact_num / exact_den)
 
 
 class TestSolveCoeffs:
