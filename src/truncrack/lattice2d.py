@@ -9,7 +9,9 @@ preimage means finding the solutions of the inhomogeneous congruence
 x*z = 2^q*u + y (mod 2^p) inside a small rectangle, which this module
 does with a particular solution plus L, a weighted Lagrange (Gauss)
 reduction of a basis of L, rounding, and a bounded enumeration of the
-rectangle's coefficient box.
+rectangle's coefficient box.  Reducing L is the continued-fraction
+expansion of z / 2^p (Vallée, "Gauss' algorithm revisited", 1991), so
+the attack starts from euclid_basis and gauss_reduce finishes the job.
 
 Everything is exact, with no floating point.  The attack path (reduction,
 coefficient box, enumeration) runs on integers alone; exact rationals
@@ -158,6 +160,33 @@ def solution_basis(z: int, p: int, q: int, u: int) -> SolutionFamily:
     return SolutionFamily(v0=v0, g1=g1, g2=g2, modulus_exp=p, z=z)
 
 
+def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[LatticeBasis, int]:
+    """A basis of L nearly reduced for the rectangle [0, b1) x [0, b2), and
+    the number of Euclid quotients taken to reach it.
+
+    Runs the extended Euclid on (2^p, z mod 2^p) from the basis (0, 2^p),
+    (1, z mod 2^p) of L.  Each step maps the pair (v0, v1) to
+    (v1, v0 - k*v1), a unimodular change, so every consecutive pair is a
+    basis of L wherever the loop stops: the stop point cannot affect
+    correctness, only how much work gauss_reduce has left.  It stops once
+    x1 has as many bits as r1 plus those of b1/b2, or when r1 == 0.  The
+    remainders strictly decrease, so it terminates.  Asserted on exit:
+    |det| = 2^p, and Lamé's bound (k quotients need z mod 2^p >= F(k+1),
+    so k - 1 < 13/9 * bits(z mod 2^p)).
+    """
+    shift = b1.bit_length() - b2.bit_length()
+    first = z % (1 << p)
+    x0, r0, x1, r1 = 0, 1 << p, 1, first
+    quotients = 0
+    while r1 and x1.bit_length() < r1.bit_length() + shift:
+        k, rem = divmod(r0, r1)
+        x0, r0, x1, r1 = x1, r1, x0 - k * x1, rem
+        quotients += 1
+    assert 9 * (quotients - 1) < 13 * first.bit_length()
+    assert abs(x0 * r1 - r0 * x1) == 1 << p
+    return LatticeBasis(u1=IVec2(x0, r0), u2=IVec2(x1, r1), modulus_exp=p, z=z), quotients
+
+
 def _round_quotient_half_to_zero(num: int, den: int) -> int:
     """Nearest integer to num/den (den > 0); exact halves go toward zero."""
     quot, rem = divmod(num, den)
@@ -190,30 +219,6 @@ def _gram(wx: int, wy: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, in
     )
 
 
-# Bits of the larger tracked norm that gauss_reduce keeps when it computes
-# quotients on truncated Gram entries.
-_LEAD_BITS = 256
-
-
-def _certified_quotient(num: int, den: int, err_num: int, err_den: int) -> Optional[int]:
-    """Round(N/D) for the exact N, D > 0 behind truncated num, den, or None.
-
-    |N - num| < err_num and |D - den| < err_den.  Take k, rem =
-    divmod(2*num + den, 2*den).  The exact remainder 2*N + D - 2*k*D
-    differs from rem, and its gap to 2*D differs from 2*den - rem, by less
-    than margin = 2*err_num + (2|k|+1)*err_den.  So margin < rem <
-    2*den - margin puts N/D strictly between k - 1/2 and k + 1/2: k is its
-    nearest integer, and no tie is decided on truncated data.
-    """
-    if den <= 0:
-        return None
-    k, rem = divmod(2 * num + den, 2 * den)
-    margin = 2 * err_num + (2 * abs(k) + 1) * err_den
-    if margin < rem < 2 * den - margin:
-        return k
-    return None
-
-
 def gauss_reduce(
     basis: LatticeBasis,
     form: WeightedForm,
@@ -229,35 +234,18 @@ def gauss_reduce(
     The loop runs on plain ints.  The weights lose their common factor
     gcd(wx, wy), which scales every Gram entry alike and so changes no
     quotient or comparison.  The Gram entries n1 = |u1|^2, n2 = |u2|^2 and
-    d = <u1, u2> are computed once and then updated from the quotient
-    alone: u1 <- u1 - c*u2 gives n1 <- n1 - c*(2d - c*n2) and
-    d <- d - c*n2, and likewise for u2.
-
-    Quotients are taken Lehmer-style, on the entries shifted right by s,
-    the bits of the larger norm beyond _LEAD_BITS, and collected into a
-    unimodular transform (a, b; c, e) with u1' = a*u1 + b*u2 and
-    u2' = c*u1 + e*u2.  The truncated entries are then off by less than
-    (|a|+|b|)^2, (|c|+|e|)^2 and (|a|+|b|)(|c|+|e|) units of 2^s, and a
-    quotient is used only when that error cannot change it
-    (_certified_quotient).  At the first one that is not certified the
-    batch is flushed: the transform is applied to the four coordinates and
-    to the exact Gram entries.  If not even the first quotient after a
-    flush is certified, one exact step is taken on the full entries.  When
-    s == 0 (norms below 2^_LEAD_BITS, as at every toy size) the tracked
-    entries are exact: the quotients update the vectors directly, and the
-    tracked entries become the Gram entries as they are.  So the
-    quotients, passes and result are exactly those of the step-by-step
-    loop.
+    d = <u1, u2> are computed once and then updated exactly from the
+    quotient alone: u1 <- u1 - c*u2 gives n1 <- n1 - c*(2d - c*n2) and
+    d <- d - c*n2, and likewise for u2.  On exit the tracked entries are
+    asserted equal to a fresh recomputation.
 
     Returns the reduced basis and the number of passes, counting the final
-    all-zero pass.  Each half-step with c != 0 strictly shrinks the
-    tracked norm it replaces, and every flush (every time the vectors
-    change) preserves |det|; both are asserted, as are, on exit, the
-    tracked entries against a fresh recomputation and the reduction bound.
-    ``on_step`` (if given) observes the state after every half-step, each
-    of which is then a flush of its own.  The pass count is capped at
-    64 * modulus_exp as a safety net; reduction converges orders of
-    magnitude faster.
+    all-zero pass.  Each half-step preserves the determinant and, whenever
+    c != 0, strictly shrinks the replaced vector's norm; both facts are
+    asserted.  ``on_step`` (if given) observes the state after every
+    half-step.  The pass count is capped at 64 * modulus_exp as a safety
+    net; reduction converges orders of magnitude faster, and from
+    euclid_basis's start it takes a pass or two.
     """
     det = abs(basis.det())
     if det == 0:
@@ -268,86 +256,38 @@ def gauss_reduce(
     n1, n2, d = _gram(wx, wy, x1, y1, x2, y2)
     cap = 64 * basis.modulus_exp
     passes = 0
-    replace_u1 = True  # which half-step comes next
-    c1 = 0  # the quotient of this pass's u1 half-step
-    exact_step = False  # the next batch is one exact step on the full entries
-    done = False
-    while not done:
-        s = 0 if exact_step else (n1 if n1 > n2 else n2).bit_length() - _LEAD_BITS
-        if s > 0:
-            # the row operations build the transform, applied at the flush
-            t1, t2, td = n1 >> s, n2 >> s, d >> s
-            a, b, c, e = 1, 0, 0, 1
-            err1 = err2 = 1  # |a| + |b| and |c| + |e|
-        else:
-            # exact entries: the row operations act on the vectors themselves
-            s = 0
-            t1, t2, td = n1, n2, d
-            a, b, c, e = x1, y1, x2, y2
-        one_step = exact_step or on_step is not None
-        steps = 0
-        while True:
-            if replace_u1:
-                if s:
-                    k = _certified_quotient(td, t2, err1 * err2, err2 * err2)
-                    if k is None:
-                        break
-                else:
-                    k = _round_quotient_half_to_zero(td, t2)
-                passes += 1
-                if passes > cap:
-                    raise IterationCapExceeded(
-                        f"reduction exceeded {cap} passes (modulus_exp={basis.modulus_exp})"
-                    )
-                if k:
-                    shrunk = t1 - k * (2 * td - k * t2)
-                    assert shrunk < t1
-                    t1 = shrunk
-                    td -= k * t2
-                    a -= k * c
-                    b -= k * e
-                    if s:
-                        err1 = abs(a) + abs(b)
-                c1 = k
-            else:
-                if s:
-                    k = _certified_quotient(td, t1, err1 * err2, err1 * err1)
-                    if k is None:
-                        break
-                else:
-                    k = _round_quotient_half_to_zero(td, t1)
-                if k:
-                    shrunk = t2 - k * (2 * td - k * t1)
-                    assert shrunk < t2
-                    t2 = shrunk
-                    td -= k * t1
-                    c -= k * a
-                    e -= k * b
-                    if s:
-                        err2 = abs(c) + abs(e)
-                done = c1 == 0 and k == 0
-            replace_u1 = not replace_u1
-            steps += 1
-            if done or one_step:
-                break
-        exact_step = steps == 0
-        if exact_step:
-            continue
-        if s:
-            n1, n2, d = (
-                a * a * n1 + 2 * a * b * d + b * b * n2,
-                c * c * n1 + 2 * c * e * d + e * e * n2,
-                a * c * n1 + (a * e + b * c) * d + b * e * n2,
+    while True:
+        passes += 1
+        if passes > cap:
+            raise IterationCapExceeded(
+                f"reduction exceeded {cap} passes (modulus_exp={basis.modulus_exp})"
             )
-            x1, y1, x2, y2 = a * x1 + b * x2, a * y1 + b * y2, c * x1 + e * x2, c * y1 + e * y2
-        else:
-            n1, n2, d = t1, t2, td
-            x1, y1, x2, y2 = a, b, c, e
+        c1 = _round_quotient_half_to_zero(d, n2)
+        if c1:
+            x1 -= c1 * x2
+            y1 -= c1 * y2
+            shrunk = n1 - c1 * (2 * d - c1 * n2)
+            assert shrunk < n1
+            n1 = shrunk
+            d -= c1 * n2
         assert abs(x1 * y2 - y1 * x2) == det
         if on_step is not None:
-            on_step(ReductionStep(
-                target="u2" if replace_u1 else "u1", c=k, u1=IVec2(x1, y1), u2=IVec2(x2, y2)
-            ))
+            on_step(ReductionStep(target="u1", c=c1, u1=IVec2(x1, y1), u2=IVec2(x2, y2)))
+
+        c2 = _round_quotient_half_to_zero(d, n1)
+        if c2:
+            x2 -= c2 * x1
+            y2 -= c2 * y1
+            shrunk = n2 - c2 * (2 * d - c2 * n1)
+            assert shrunk < n2
+            n2 = shrunk
+            d -= c2 * n1
+        assert abs(x1 * y2 - y1 * x2) == det
+        if on_step is not None:
+            on_step(ReductionStep(target="u2", c=c2, u1=IVec2(x1, y1), u2=IVec2(x2, y2)))
+
+        if c1 == 0 and c2 == 0:
+            break
     assert (n1, n2, d) == _gram(wx, wy, x1, y1, x2, y2)
     reduced = LatticeBasis(
         u1=IVec2(x1, y1), u2=IVec2(x2, y2), modulus_exp=basis.modulus_exp, z=basis.z

@@ -19,7 +19,8 @@ class TestBruteForceOracle:
         assert brute_force_preimages(6173, 22, 5, 22131, 14) == [12345]
 
     def test_unreachable_token(self):
-        # larger than any token the map can emit on the scanned range
+        # 2^(p-q) = 4096 = top + 1 lies outside the token map's whole range
+        # [0, 2^(p-q)), not only past the tokens of the scanned x
         top = max(((x * 677) & ((1 << 15) - 1)) >> 3 for x in range(1 << 8))
         assert brute_force_preimages(677, 15, 3, top + 1, 8) == []
 
@@ -145,12 +146,14 @@ class TestCsv:
 
     def test_full_scale_golden_rows(self):
         # timings zeroed, these rows pin the full-scale CSV bytes: a change
-        # in the reduction's path shows in reduce_iterations
+        # in the reduction's path shows in reduce_iterations, which counts
+        # the Euclid quotients of euclid_basis plus gauss_reduce's finishing
+        # passes (566+1, 616+1, 588+1, 571+2, 627+2)
         cfg = TrialConfig(seed_base=1, trials=5, l=2048, m=512, q=512, r=129)
         rows = _zero_timings(format_csv(run_trials(cfg))).splitlines()[1:]
         assert rows == [
-            f"{seed},2048,512,2048,512,129,1,1,1,1,{passes},0,0,0,"
-            for seed, passes in [(1, 205), (2, 211), (3, 205), (4, 198), (5, 219)]
+            f"{seed},2048,512,2048,512,129,1,1,1,1,{iterations},0,0,0,"
+            for seed, iterations in [(1, 567), (2, 617), (3, 589), (4, 573), (5, 629)]
         ]
 
     def test_reproducible_modulo_timing(self):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import truncrack.lattice2d
 from truncrack import (
     DegenerateInput,
     IterationCapExceeded,
@@ -25,12 +24,11 @@ from truncrack import (
     truncate_decimal,
 )
 from truncrack.lattice2d import (
-    _LEAD_BITS,
     ReductionStep,
-    _certified_quotient,
     _gram,
     _round_quotient_half_to_zero,
     coefficient_box,
+    euclid_basis,
 )
 from truncrack.protocol import check_shape
 from test_acceptance import SIZE_LADDER
@@ -281,11 +279,15 @@ class TestMatchesTextbookLoop:
             _assert_matches_textbook(fam.basis(), WeightedForm(wx=k * wx, wy=k * wy))
 
 
+# Gram entries above this many bits exercise gauss_reduce on big ints.
+_LARGE_ENTRY_BITS = 256
+
+
 @st.composite
-def truncated_path_cases(draw):
+def large_entry_cases(draw):
     """A congruence basis with l in [128, 2048] under a rectangle form, the
     same form times 7, or arbitrary positive weights, whose Gram entries
-    exceed _LEAD_BITS so that gauss_reduce quotients on truncated entries."""
+    exceed _LARGE_ENTRY_BITS."""
     l = draw(st.sampled_from([128, 256, 512, 1024, 2048]) | st.integers(128, 2048))
     m = draw(st.integers(1, l // 2))
     q = draw(st.integers(1, m))
@@ -309,13 +311,13 @@ def truncated_path_cases(draw):
         form = WeightedForm(wx=draw(weights), wy=draw(weights))
     g = math.gcd(form.wx, form.wy)
     grams = _gram(form.wx // g, form.wy // g, basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y)
-    assume(max(grams[:2]).bit_length() > _LEAD_BITS)
+    assume(max(grams[:2]).bit_length() > _LARGE_ENTRY_BITS)
     return basis, form
 
 
-class TestTruncatedQuotients:
+class TestLargeEntries:
     @settings(max_examples=60, deadline=None)
-    @given(case=truncated_path_cases())
+    @given(case=large_entry_cases())
     def test_matches_textbook_loop(self, case):
         _assert_matches_textbook(*case)
 
@@ -327,50 +329,98 @@ class TestTruncatedQuotients:
             ((3, 1), (2, 0), 1),  # d/n2 = 3/2
         ],
     )
-    def test_exact_tie_takes_exact_step(self, u1, u2, c1, monkeypatch):
+    def test_exact_tie_rounds_toward_zero(self, u1, u2, c1):
         scale = 1 << 300
         basis = LatticeBasis(
             IVec2(u1[0] * scale, u1[1] * scale), IVec2(u2[0] * scale, u2[1] * scale),
             modulus_exp=601, z=0,
         )
         form = WeightedForm(wx=1, wy=1)
-        n1, n2, d = _gram(1, 1, basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y)
-        s = max(n1, n2).bit_length() - _LEAD_BITS
-        assert s > 0
-        # the truncated entries hold the tie exactly, yet cannot certify it
-        assert _certified_quotient(d >> s, n2 >> s, 1, 1) is None
-        exact_dens = []
-
-        def spy(num, den):
-            exact_dens.append(den)
-            return _round_quotient_half_to_zero(num, den)
-
-        monkeypatch.setattr(truncrack.lattice2d, "_round_quotient_half_to_zero", spy)
         steps = []
         gauss_reduce(basis, form, on_step=steps.append)
         assert (steps[0].target, steps[0].c) == ("u1", c1)  # halves toward zero
-        assert exact_dens[0] == n2  # the exact step ran on the full entries
-        monkeypatch.undo()
         _assert_matches_textbook(basis, form)
 
-    @given(
-        num=st.integers(-(1 << 40), 1 << 40),
-        den=st.integers(1, 1 << 40),
-        err_num=st.integers(1, 1 << 10),
-        err_den=st.integers(1, 1 << 10),
-        off_num=st.fractions(min_value=-1, max_value=1),
-        off_den=st.fractions(min_value=-1, max_value=1),
+
+@st.composite
+def euclid_cases(draw):
+    """Small (z, p, q, m, u) with the attack's bounds: l-bit, even or
+    arbitrary z (z = 0 mod 2^p and z >= 2^p included), m < q included,
+    honest and uniform tokens, and u = 0 for the corner-case b2."""
+    m = draw(st.integers(1, 12))
+    q = draw(st.integers(0, 12))
+    p = draw(st.integers(q + 1, q + 24))
+    l = draw(st.integers(1, 20))
+    z = draw(
+        st.integers(1 << (l - 1), (1 << l) - 1)
+        | st.integers(1, 1 << (p + 2))
+        | st.integers(1, 40).map(lambda k: k << p)
+        | st.integers(1, 1 << 20).map(lambda k: 2 * k)
     )
-    def test_certified_quotient_is_exact_rounding(
-        self, num, den, err_num, err_den, off_num, off_den
-    ):
-        # exact values strictly within the stated errors of the truncated ones
-        assume(abs(off_num) < 1 and abs(off_den) < 1)
-        exact_num, exact_den = num + off_num * err_num, den + off_den * err_den
-        assume(exact_den > 0)
-        k = _certified_quotient(num, den, err_num, err_den)
-        if k is not None:
-            assert k == round_half_to_zero(exact_num / exact_den)
+    kind = draw(st.sampled_from(["honest", "uniform", "zero"]))
+    if kind == "honest":
+        x = draw(st.integers(1, (1 << m) - 1))
+        u = ((x * z) & ((1 << p) - 1)) >> q
+    elif kind == "uniform":
+        u = draw(st.integers(0, (1 << (p - q)) - 1))
+    else:
+        u = 0
+    return z, p, q, m, u
+
+
+def _assert_euclid_start_matches(z, p, q, m, u):
+    """The Euclid start is a basis of L, and its reduction searches the
+    rectangle exactly as the reduction of solution_basis's pair does."""
+    bounds = bounds_for_token(u, q, m)
+    form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+    fam = solution_basis(z, p, q, u)
+    start, _ = euclid_basis(z, p, bounds.b1, bounds.b2)
+    assert fam.basis().contains(start.u1) and fam.basis().contains(start.u2)
+    assert abs(start.det()) == 1 << p
+    ours, _ = gauss_reduce(start, form)
+    theirs, _ = gauss_reduce(fam.basis(), form)
+    assert ours.is_reduced(form)
+    norms = sorted(form.norm_sq(v) for v in (ours.u1, ours.u2))
+    assert norms == sorted(form.norm_sq(v) for v in (theirs.u1, theirs.u2))
+    args = (fam.v0, bounds.b1, bounds.b2)
+    assert rect_search(ours, *args) == rect_search(theirs, *args)
+
+
+class TestEuclidBasis:
+    @settings(max_examples=300, deadline=None)
+    @given(case=euclid_cases())
+    def test_matches_solution_basis_start(self, case):
+        _assert_euclid_start_matches(*case)
+
+    @pytest.mark.parametrize(
+        "z, p, q, m, u",
+        [
+            (4096, 11, 5, 3, 0),  # l=13 m=3 q=5: z = 0 mod 2^p, r1 == 0 at once
+            (5062, 11, 5, 3, 0),  # m < q with u = 0: the corner-case b2 = 2^m
+            (6174, 22, 5, 14, 22131),  # even z
+            (Z, P, Q, 14, U),  # the worked instance
+        ],
+    )
+    def test_edge_cases(self, z, p, q, m, u):
+        _assert_euclid_start_matches(z, p, q, m, u)
+
+    def test_zero_remainder_stops_at_once(self):
+        start, quotients = euclid_basis(4096, 11, 1 << 3, 1 << 3)
+        assert quotients == 0
+        assert (start.u1, start.u2) == (IVec2(0, 1 << 11), IVec2(1, 0))
+
+    def test_size_ladder(self):
+        rng = random.Random(5050)
+        for l, m, q, r in SIZE_LADDER:
+            p = l + m - q
+            for k in range(2):
+                z = (1 << (l - 1)) | rng.getrandbits(l - 1)
+                if k == 0:
+                    x = rng.randint(1, (1 << m) - 1)
+                    u = ((x * z) & ((1 << p) - 1)) >> q
+                else:
+                    u = rng.randint(0, (1 << (p - q)) - 1)
+                _assert_euclid_start_matches(z, p, q, m, u)
 
 
 class TestSolveCoeffs:
