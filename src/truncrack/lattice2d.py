@@ -169,15 +169,45 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[LatticeBasis, int]:
     (v1, v0 - k*v1), a unimodular change, so every consecutive pair is a
     basis of L wherever the loop stops: the stop point cannot affect
     correctness, only how much work gauss_reduce has left.  It stops once
-    x1 has as many bits as r1 plus those of b1/b2, or when r1 == 0.  The
-    remainders strictly decrease, so it terminates.  Asserted on exit:
-    |det| = 2^p, and Lamé's bound (k quotients need z mod 2^p >= F(k+1),
-    so k - 1 < 13/9 * bits(z mod 2^p)).
+    bits(x1) >= bits(r1) + shift, with shift = bits(b1) - bits(b2), or
+    when r1 == 0.  The remainders strictly decrease, so it terminates.
+
+    The stop test cannot fire while r1 is large.  The cofactors alternate
+    in sign and satisfy |x1|*r0 + |x0|*r1 = 2^p, so |x1|*r0 <= 2^p, and as
+    r0 > r1, bits(x1) <= p - bits(r1) + 1.  While r1 >= 2^f, with
+    f = max((p + 1 - shift) // 2, 0), that is below bits(r1) + shift.  A
+    first phase therefore takes quotients with no bit_length test until a
+    remainder falls below 2^f, so it cannot pass the stop point: two
+    half-steps per iteration, the quotient 1 (the commonest) by a single
+    subtraction and divmod only for larger ones.  The plain loop then takes
+    the last few quotients, so the pair and the quotient count are those
+    of the plain loop alone.  Asserted on exit: |det| = 2^p, and Lamé's
+    bound (k quotients need z mod 2^p >= F(k+1), so
+    k - 1 < 13/9 * bits(z mod 2^p)).
     """
     shift = b1.bit_length() - b2.bit_length()
     first = z % (1 << p)
+    phase_floor = 1 << max((p + 1 - shift) // 2, 0)
     x0, r0, x1, r1 = 0, 1 << p, 1, first
     quotients = 0
+    while r1 >= phase_floor:
+        r0 -= r1
+        if r0 < r1:
+            x0 -= x1
+        else:
+            k, r0 = divmod(r0, r1)
+            x0 -= (k + 1) * x1
+        quotients += 1
+        if r0 < phase_floor:
+            x0, r0, x1, r1 = x1, r1, x0, r0
+            break
+        r1 -= r0
+        if r1 < r0:
+            x1 -= x0
+        else:
+            k, r1 = divmod(r1, r0)
+            x1 -= (k + 1) * x0
+        quotients += 1
     while r1 and x1.bit_length() < r1.bit_length() + shift:
         k, rem = divmod(r0, r1)
         x0, r0, x1, r1 = x1, r1, x0 - k * x1, rem
@@ -237,7 +267,9 @@ def gauss_reduce(
     d = <u1, u2> are computed once and then updated exactly from the
     quotient alone: u1 <- u1 - c*u2 gives n1 <- n1 - c*(2d - c*n2) and
     d <- d - c*n2, and likewise for u2.  On exit the tracked entries are
-    asserted equal to a fresh recomputation.
+    asserted equal to a fresh recomputation, and the exit bound is asserted
+    on those verified entries as 2*|d| <= min(n1, n2): that is
+    LatticeBasis.is_reduced under the form, divided through by gcd(wx, wy).
 
     Returns the reduced basis and the number of passes, counting the final
     all-zero pass.  Each half-step preserves the determinant and, whenever
@@ -289,10 +321,10 @@ def gauss_reduce(
         if c1 == 0 and c2 == 0:
             break
     assert (n1, n2, d) == _gram(wx, wy, x1, y1, x2, y2)
+    assert 2 * abs(d) <= min(n1, n2)
     reduced = LatticeBasis(
         u1=IVec2(x1, y1), u2=IVec2(x2, y2), modulus_exp=basis.modulus_exp, z=basis.z
     )
-    assert reduced.is_reduced(form)
     return reduced, passes
 
 
@@ -345,25 +377,37 @@ def coefficient_box(
 ) -> tuple[int, int, int, int]:
     """Inclusive integer coefficient ranges covering the target rectangle.
 
-    Takes the Cramer numerators of the four corners v, v-(b1,0), v-(0,b2),
-    v-(b1,b2) and returns the bounding box of their coefficients
-    numerator/det, padded by 1 on each side to absorb the half-open edges
-    of the rectangle.  Floor and ceiling come from integer division by det,
-    which is exact for either sign of det, so no rational is built.
+    The bounding box of the coefficients of the four corners v, v-(b1,0),
+    v-(0,b2), v-(b1,b2), padded by 1 on each side to absorb the half-open
+    edges of the rectangle.  The Cramer numerators of v are computed once.
+    Moving the corner by b1 in x or by b2 in y adds -b1*y2 or b2*x2 to the
+    a1 numerator and b1*y1 or -b2*x1 to the a2 numerator, so the smallest
+    corner numerator adds the negative moves and the largest the positive
+    ones.
+
+    The basis must have |det| = 2^modulus_exp = 2^p, as every basis of L
+    does.  When det < 0 the signs of both vectors are flipped, which
+    negates both numerators and leaves det as it is; the division by 2^p
+    is then a shift, floor n >> p and ceiling -(-n >> p), and no rational
+    is built.  Raises SingularBasis for any other determinant, 0 included,
+    since a shift by the wrong p would give a wrong box.
     """
     x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
     det = x1 * y2 - y1 * x2
-    if det == 0:
-        raise SingularBasis("cannot bound coefficients: determinant is 0")
-    corners = [(x, y) for x in (v.x, v.x - b1) for y in (v.y, v.y - b2)]
-    nums1 = [x * y2 - x2 * y for x, y in corners]
-    nums2 = [x1 * y - x * y1 for x, y in corners]
-    return (
-        min(n // det for n in nums1) - 1,
-        max(-(-n // det) for n in nums1) + 1,
-        min(n // det for n in nums2) - 1,
-        max(-(-n // det) for n in nums2) + 1,
-    )
+    p = basis.modulus_exp
+    if abs(det) != 1 << p:
+        raise SingularBasis(f"cannot bound coefficients: determinant {det} is not +-2^{p}")
+    if det < 0:
+        x1, y1, x2, y2 = -x1, -y1, -x2, -y2
+    n1 = v.x * y2 - x2 * v.y
+    n2 = x1 * v.y - v.x * y1
+    dx1, dy1 = -b1 * y2, b2 * x2
+    dx2, dy2 = b1 * y1, -b2 * x1
+    lo1 = n1 + min(dx1, 0) + min(dy1, 0)
+    hi1 = n1 + max(dx1, 0) + max(dy1, 0)
+    lo2 = n2 + min(dx2, 0) + min(dy2, 0)
+    hi2 = n2 + max(dx2, 0) + max(dy2, 0)
+    return (lo1 >> p) - 1, -(-hi1 >> p) + 1, (lo2 >> p) - 1, -(-hi2 >> p) + 1
 
 
 def rect_search(
@@ -375,29 +419,39 @@ def rect_search(
 ) -> tuple[list[IVec2], int]:
     """Points of the coset v + L inside [0, b1) x [0, b2), and the box size.
 
-    Enumerates every integer coefficient pair in the padded corner box and
-    keeps s = v - a1*u1 - a2*u2 whenever s lands in the rectangle.  The
-    rectangle's image in coefficient space is a parallelogram contained in
-    that box, so no in-rectangle point can be missed.  ``basis`` should be
-    reduced; an unreduced basis only makes the box larger.
+    Visits every integer coefficient pair (a1, a2) of coefficient_box's
+    padded box and keeps s = v - a1*u1 - a2*u2 whenever s lands in the
+    rectangle.  The rectangle's image in coefficient space is a
+    parallelogram contained in that box, so no in-rectangle point can be
+    missed.  The points are stepped, not multiplied out: the walk starts
+    at v - lo1*u1 - lo2*u2 and subtracts u2 along a row and u1 between
+    rows.  ``basis`` should be reduced; an unreduced basis only makes the
+    box larger.
 
     Returns the hits sorted by x and the number of pairs enumerated.
-    Raises SearchSpaceExceeded when the box holds more than ``cap`` pairs.
+    Raises SearchSpaceExceeded when the box holds more than ``cap`` pairs,
+    and SingularBasis as coefficient_box does.
     """
     if b1 < 1 or b2 < 1:
         raise ValueError("rectangle bounds must be at least 1")
     lo1, hi1, lo2, hi2 = coefficient_box(basis, v, b1, b2)
-    pairs = (hi1 - lo1 + 1) * (hi2 - lo2 + 1)
+    rows, cols = hi1 - lo1 + 1, hi2 - lo2 + 1
+    pairs = rows * cols
     if pairs > cap:
         raise SearchSpaceExceeded(f"coefficient box holds {pairs} pairs (cap {cap})")
     x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
+    row_x = v.x - lo1 * x1 - lo2 * x2
+    row_y = v.y - lo1 * y1 - lo2 * y2
     hits: list[IVec2] = []
-    for a1 in range(lo1, hi1 + 1):
-        base_x, base_y = v.x - a1 * x1, v.y - a1 * y1
-        for a2 in range(lo2, hi2 + 1):
-            sx, sy = base_x - a2 * x2, base_y - a2 * y2
+    for _ in range(rows):
+        sx, sy = row_x, row_y
+        for _ in range(cols):
             if 0 <= sx < b1 and 0 <= sy < b2:
                 hits.append(IVec2(sx, sy))
+            sx -= x2
+            sy -= y2
+        row_x -= x1
+        row_y -= y1
     hits.sort(key=lambda s: s.x)
     return hits, pairs
 

@@ -368,6 +368,21 @@ def euclid_cases(draw):
     return z, p, q, m, u
 
 
+def _ladder_tokens(rng):
+    """(z, p, q, m, u) for two tokens per SIZE_LADDER size, up to l=2048:
+    an honest one and a uniform one."""
+    for l, m, q, r in SIZE_LADDER:
+        p = l + m - q
+        for honest in (True, False):
+            z = (1 << (l - 1)) | rng.getrandbits(l - 1)
+            if honest:
+                x = rng.randint(1, (1 << m) - 1)
+                u = ((x * z) & ((1 << p) - 1)) >> q
+            else:
+                u = rng.randint(0, (1 << (p - q)) - 1)
+            yield z, p, q, m, u
+
+
 def _assert_euclid_start_matches(z, p, q, m, u):
     """The Euclid start is a basis of L, and its reduction searches the
     rectangle exactly as the reduction of solution_basis's pair does."""
@@ -384,6 +399,39 @@ def _assert_euclid_start_matches(z, p, q, m, u):
     assert norms == sorted(form.norm_sq(v) for v in (theirs.u1, theirs.u2))
     args = (fam.v0, bounds.b1, bounds.b2)
     assert rect_search(ours, *args) == rect_search(theirs, *args)
+
+
+def _reference_euclid_basis(z, p, b1, b2):
+    """The plain extended-Euclid loop, testing the stop condition before
+    every quotient.  euclid_basis must return its pair and quotient count."""
+    shift = b1.bit_length() - b2.bit_length()
+    first = z % (1 << p)
+    x0, r0, x1, r1 = 0, 1 << p, 1, first
+    quotients = 0
+    while r1 and x1.bit_length() < r1.bit_length() + shift:
+        k, rem = divmod(r0, r1)
+        x0, r0, x1, r1 = x1, r1, x0 - k * x1, rem
+        quotients += 1
+    assert 9 * (quotients - 1) < 13 * first.bit_length()
+    assert abs(x0 * r1 - r0 * x1) == 1 << p
+    return LatticeBasis(u1=IVec2(x0, r0), u2=IVec2(x1, r1), modulus_exp=p, z=z), quotients
+
+
+@st.composite
+def euclid_loop_cases(draw):
+    """(z, p, b1, b2) for euclid_basis alone: p in [1, 80]; z arbitrary,
+    a multiple of 2^p, at least 2^p, or even; b1 and b2 independent, so
+    shift = bits(b1) - bits(b2) runs from negative to above p."""
+    p = draw(st.integers(1, 80))
+    z = draw(
+        st.integers(1, (1 << p) - 1)
+        | st.integers(0, 40).map(lambda k: k << p)
+        | st.integers(1 << p, 1 << (p + 8))
+        | st.integers(1, 1 << p).map(lambda k: 2 * k)
+    )
+    b1 = draw(st.integers(1, 1 << draw(st.integers(0, p + 4))))
+    b2 = draw(st.integers(1, 1 << draw(st.integers(0, p + 4))))
+    return z, p, b1, b2
 
 
 class TestEuclidBasis:
@@ -404,23 +452,25 @@ class TestEuclidBasis:
     def test_edge_cases(self, z, p, q, m, u):
         _assert_euclid_start_matches(z, p, q, m, u)
 
+    @settings(max_examples=600, deadline=None)
+    @given(case=euclid_loop_cases())
+    def test_matches_reference_loop(self, case):
+        assert euclid_basis(*case) == _reference_euclid_basis(*case)
+
+    def test_matches_reference_loop_size_ladder(self):
+        for z, p, q, m, u in _ladder_tokens(random.Random(6060)):
+            bounds = bounds_for_token(u, q, m)
+            args = (z, p, bounds.b1, bounds.b2)
+            assert euclid_basis(*args) == _reference_euclid_basis(*args)
+
     def test_zero_remainder_stops_at_once(self):
         start, quotients = euclid_basis(4096, 11, 1 << 3, 1 << 3)
         assert quotients == 0
         assert (start.u1, start.u2) == (IVec2(0, 1 << 11), IVec2(1, 0))
 
     def test_size_ladder(self):
-        rng = random.Random(5050)
-        for l, m, q, r in SIZE_LADDER:
-            p = l + m - q
-            for k in range(2):
-                z = (1 << (l - 1)) | rng.getrandbits(l - 1)
-                if k == 0:
-                    x = rng.randint(1, (1 << m) - 1)
-                    u = ((x * z) & ((1 << p) - 1)) >> q
-                else:
-                    u = rng.randint(0, (1 << (p - q)) - 1)
-                _assert_euclid_start_matches(z, p, q, m, u)
+        for case in _ladder_tokens(random.Random(5050)):
+            _assert_euclid_start_matches(*case)
 
 
 class TestSolveCoeffs:
@@ -528,6 +578,55 @@ class TestNearestPoint:
             assert got == best
 
 
+def _reference_coefficient_box(basis, v, b1, b2):
+    """The corner box by four Cramer solves, each divided by det."""
+    x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
+    det = x1 * y2 - y1 * x2
+    if det == 0:
+        raise SingularBasis("cannot bound coefficients: determinant is 0")
+    corners = [(x, y) for x in (v.x, v.x - b1) for y in (v.y, v.y - b2)]
+    nums1 = [x * y2 - x2 * y for x, y in corners]
+    nums2 = [x1 * y - x * y1 for x, y in corners]
+    return (
+        min(n // det for n in nums1) - 1,
+        max(-(-n // det) for n in nums1) + 1,
+        min(n // det for n in nums2) - 1,
+        max(-(-n // det) for n in nums2) + 1,
+    )
+
+
+def _reference_rect_search(basis, v, b1, b2, cap=1 << 20):
+    """The enumeration with every point multiplied out from v.
+    rect_search must return its hits and pair count."""
+    if b1 < 1 or b2 < 1:
+        raise ValueError("rectangle bounds must be at least 1")
+    lo1, hi1, lo2, hi2 = _reference_coefficient_box(basis, v, b1, b2)
+    pairs = (hi1 - lo1 + 1) * (hi2 - lo2 + 1)
+    if pairs > cap:
+        raise SearchSpaceExceeded(f"coefficient box holds {pairs} pairs (cap {cap})")
+    x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
+    hits = []
+    for a1 in range(lo1, hi1 + 1):
+        base_x, base_y = v.x - a1 * x1, v.y - a1 * y1
+        for a2 in range(lo2, hi2 + 1):
+            sx, sy = base_x - a2 * x2, base_y - a2 * y2
+            if 0 <= sx < b1 and 0 <= sy < b2:
+                hits.append(IVec2(sx, sy))
+    hits.sort(key=lambda s: s.x)
+    return hits, pairs
+
+
+def _assert_rect_search_matches_reference(basis, v, b1, b2, cap=1 << 20):
+    """Same hits and pair count as the reference, or the same exception."""
+    try:
+        expected = _reference_rect_search(basis, v, b1, b2, cap)
+    except SearchSpaceExceeded:
+        with pytest.raises(SearchSpaceExceeded):
+            rect_search(basis, v, b1, b2, cap)
+        return
+    assert rect_search(basis, v, b1, b2, cap) == expected
+
+
 class TestRectSearch:
     def test_worked_answer(self):
         reduced = worked_reduced()
@@ -546,6 +645,29 @@ class TestRectSearch:
     def test_cap(self):
         with pytest.raises(SearchSpaceExceeded):
             rect_search(worked_reduced(), IVec2(115, 1703), B1, B2, cap=3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=euclid_cases(), swap=st.booleans(), mix=st.integers(-3, 3))
+    def test_matches_reference_loop(self, case, swap, mix):
+        # The reduced basis, in either order and optionally skewed by a
+        # unimodular step (which only widens the box), against the token's
+        # particular solution and rectangle, corner-case b2 included.
+        z, p, q, m, u = case
+        bounds = bounds_for_token(u, q, m)
+        fam = solution_basis(z, p, q, u)
+        basis, _ = gauss_reduce(fam.basis(), WeightedForm.for_rectangle(bounds.b1, bounds.b2))
+        a, b = (basis.u2, basis.u1) if swap else (basis.u1, basis.u2)
+        basis = LatticeBasis(a, b + a.scaled(mix), modulus_exp=p, z=z)
+        _assert_rect_search_matches_reference(basis, fam.v0, bounds.b1, bounds.b2, cap=1 << 12)
+
+    def test_matches_reference_loop_size_ladder(self):
+        for z, p, q, m, u in _ladder_tokens(random.Random(7070)):
+            bounds = bounds_for_token(u, q, m)
+            form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+            start, _ = euclid_basis(z, p, bounds.b1, bounds.b2)
+            reduced, _ = gauss_reduce(start, form)
+            v0 = solution_basis(z, p, q, u).v0
+            _assert_rect_search_matches_reference(reduced, v0, bounds.b1, bounds.b2)
 
     def test_matches_membership_scan(self):
         rng = random.Random(404)
@@ -596,6 +718,24 @@ class TestRectSearch:
             )
 
 
+def _assert_box_matches_rationals(basis, v, b1, b2):
+    """coefficient_box equals the padded corner box of solve_coeffs' exact
+    rationals, for the basis and for its swap, whose det has the other
+    sign."""
+    swapped = LatticeBasis(basis.u2, basis.u1, modulus_exp=basis.modulus_exp, z=basis.z)
+    assert abs(basis.det()) == 1 << basis.modulus_exp
+    for b in (basis, swapped):
+        corners = [v, v - IVec2(b1, 0), v - IVec2(0, b2), v - IVec2(b1, b2)]
+        a1s, a2s = zip(*(solve_coeffs(b, corner) for corner in corners))
+        expected = (
+            math.floor(min(a1s)) - 1,
+            math.ceil(max(a1s)) + 1,
+            math.floor(min(a2s)) - 1,
+            math.ceil(max(a2s)) + 1,
+        )
+        assert coefficient_box(b, v, b1, b2) == expected
+
+
 class TestCoefficientBox:
     def test_contains_winning_pair(self):
         reduced = worked_reduced()
@@ -603,31 +743,56 @@ class TestCoefficientBox:
         a1, a2 = nearest_lattice_point(reduced, IVec2(115, 1703), FORM)
         assert lo1 <= a1 <= hi1 and lo2 <= a2 <= hi2
 
+    @settings(max_examples=300, deadline=None)
     @given(
-        coords=st.lists(st.integers(-(1 << 40), 1 << 40), min_size=6, max_size=6),
-        b1=st.integers(1, 1 << 30),
-        b2=st.integers(1, 1 << 30),
+        z=st.integers(1, 1 << 70),
+        p=st.integers(1, 64),
+        steps=st.lists(st.tuples(st.booleans(), st.integers(-(1 << 20), 1 << 20)), max_size=6),
+        v=st.tuples(st.integers(-(1 << 80), 1 << 80), st.integers(-(1 << 80), 1 << 80)),
+        b1=st.integers(1, 1 << 40),
+        b2=st.integers(1, 1 << 40),
     )
-    def test_matches_exact_rational_box(self, coords, b1, b2):
-        u1x, u1y, u2x, u2y, vx, vy = coords
-        basis = LatticeBasis(IVec2(u1x, u1y), IVec2(u2x, u2y), modulus_exp=1, z=0)
-        v = IVec2(vx, vy)
-        if basis.det() == 0:
-            with pytest.raises(SingularBasis):
-                coefficient_box(basis, v, b1, b2)
-            return
-        # The same box from solve_coeffs' exact rationals; swapping u1 and
-        # u2 flips the sign of det, so both signs are checked every time.
-        for b in (basis, LatticeBasis(basis.u2, basis.u1, modulus_exp=1, z=0)):
-            corners = [v, v - IVec2(b1, 0), v - IVec2(0, b2), v - IVec2(b1, b2)]
-            a1s, a2s = zip(*(solve_coeffs(b, corner) for corner in corners))
-            expected = (
-                math.floor(min(a1s)) - 1,
-                math.ceil(max(a1s)) + 1,
-                math.floor(min(a2s)) - 1,
-                math.ceil(max(a2s)) + 1,
-            )
-            assert coefficient_box(b, v, b1, b2) == expected
+    def test_matches_exact_rational_box(self, z, p, steps, v, b1, b2):
+        # A basis of L (|det| = 2^p, as LatticeBasis documents) mixed by
+        # random unimodular steps.
+        u1, u2 = IVec2(0, 1 << p), IVec2(1, z % (1 << p))
+        for on_u1, k in steps:
+            if on_u1:
+                u1 = u1 - u2.scaled(k)
+            else:
+                u2 = u2 - u1.scaled(k)
+        _assert_box_matches_rationals(LatticeBasis(u1, u2, modulus_exp=p, z=z), IVec2(*v), b1, b2)
+
+    def test_matches_exact_rational_box_full_scale(self):
+        rng = random.Random(2048)
+        l, m, q = 2048, 512, 512
+        p = l + m - q
+        for _ in range(8):
+            z = (1 << (l - 1)) | rng.getrandbits(l - 1)
+            x = rng.randint(1, (1 << m) - 1)
+            u = ((x * z) & ((1 << p) - 1)) >> q
+            bounds = bounds_for_token(u, q, m)
+            fam = solution_basis(z, p, q, u)
+            start, _ = euclid_basis(z, p, bounds.b1, bounds.b2)
+            reduced, _ = gauss_reduce(start, WeightedForm.for_rectangle(bounds.b1, bounds.b2))
+            for basis in (start, reduced, fam.basis()):
+                _assert_box_matches_rationals(basis, fam.v0, bounds.b1, bounds.b2)
+
+    @pytest.mark.parametrize(
+        "u1, u2, modulus_exp",
+        [
+            ((2, 4), (1, 2), 4),  # det == 0
+            ((1, 0), (0, 3), 1),  # det == 3: not a power of two
+            ((1, 0), (0, 4), 3),  # det == 4: the power of two of another modulus
+            ((-2, 0), (0, 4), 2),  # det == -8
+        ],
+    )
+    def test_determinant_off_contract_raises(self, u1, u2, modulus_exp):
+        basis = LatticeBasis(IVec2(*u1), IVec2(*u2), modulus_exp=modulus_exp, z=0)
+        with pytest.raises(SingularBasis):
+            coefficient_box(basis, IVec2(0, 0), 4, 4)
+        with pytest.raises(SingularBasis):
+            rect_search(basis, IVec2(0, 0), 4, 4)
 
     def test_rect_search_reports_box_size(self):
         rng = random.Random(12)
