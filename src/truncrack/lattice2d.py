@@ -168,29 +168,25 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[LatticeBasis, int]:
     (1, z mod 2^p) of L.  Each step maps the pair (v0, v1) to
     (v1, v0 - k*v1), a unimodular change, so every consecutive pair is a
     basis of L wherever the loop stops: the stop point cannot affect
-    correctness, only how much work gauss_reduce has left.  It stops once
-    bits(x1) >= bits(r1) + shift, with shift = bits(b1) - bits(b2), or
-    when r1 == 0.  The remainders strictly decrease, so it terminates.
+    correctness, only how much work gauss_reduce has left.
 
-    The stop test cannot fire while r1 is large.  The cofactors alternate
-    in sign and satisfy |x1|*r0 + |x0|*r1 = 2^p, so |x1|*r0 <= 2^p, and as
-    r0 > r1, bits(x1) <= p - bits(r1) + 1.  While r1 >= 2^f, with
-    f = max((p + 1 - shift) // 2, 0), that is below bits(r1) + shift.  A
-    first phase therefore takes quotients with no bit_length test until a
-    remainder falls below 2^f, so it cannot pass the stop point: two
-    half-steps per iteration, the quotient 1 (the commonest) by a single
-    subtraction and divmod only for larger ones.  The plain loop then takes
-    the last few quotients, so the pair and the quotient count are those
-    of the plain loop alone.  Asserted on exit: |det| = 2^p, and Lamé's
-    bound (k quotients need z mod 2^p >= F(k+1), so
-    k - 1 < 13/9 * bits(z mod 2^p)).
+    It stops at the first remainder below the floor 2^f, with
+    f = max((p + 1 - shift) // 2, 0) and shift = bits(b1) - bits(b2), or
+    at r1 == 0.  The floor marks where the rectangle-weighted cofactor and
+    remainder meet: the cofactors satisfy |x1|*r0 + |x0|*r1 = 2^p, so
+    |x1| is about 2^p / r, and b2*|x1| reaches b1*r1 as r1 falls through
+    2^((p - shift) / 2).  The remainders strictly decrease, so it
+    terminates.  Each iteration takes two half-steps, the quotient 1 (the
+    commonest) by a single subtraction and divmod only for larger ones.
+    Asserted on exit: |det| = 2^p, and Lamé's bound (k quotients need
+    z mod 2^p >= F(k+1), so k - 1 < 13/9 * bits(z mod 2^p)).
     """
     shift = b1.bit_length() - b2.bit_length()
     first = z % (1 << p)
-    phase_floor = 1 << max((p + 1 - shift) // 2, 0)
+    floor = 1 << max((p + 1 - shift) // 2, 0)
     x0, r0, x1, r1 = 0, 1 << p, 1, first
     quotients = 0
-    while r1 >= phase_floor:
+    while r1 >= floor:
         r0 -= r1
         if r0 < r1:
             x0 -= x1
@@ -198,7 +194,7 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[LatticeBasis, int]:
             k, r0 = divmod(r0, r1)
             x0 -= (k + 1) * x1
         quotients += 1
-        if r0 < phase_floor:
+        if r0 < floor:
             x0, r0, x1, r1 = x1, r1, x0, r0
             break
         r1 -= r0
@@ -207,10 +203,6 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[LatticeBasis, int]:
         else:
             k, r1 = divmod(r1, r0)
             x1 -= (k + 1) * x0
-        quotients += 1
-    while r1 and x1.bit_length() < r1.bit_length() + shift:
-        k, rem = divmod(r0, r1)
-        x0, r0, x1, r1 = x1, r1, x0 - k * x1, rem
         quotients += 1
     assert 9 * (quotients - 1) < 13 * first.bit_length()
     assert abs(x0 * r1 - r0 * x1) == 1 << p
@@ -240,15 +232,6 @@ def round_half_to_zero(value: Fraction | int) -> int:
     return _round_quotient_half_to_zero(value.numerator, value.denominator)
 
 
-def _gram(wx: int, wy: int, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]:
-    """(|u1|^2, |u2|^2, <u1, u2>) under the weights (wx, wy)."""
-    return (
-        wx * x1 * x1 + wy * y1 * y1,
-        wx * x2 * x2 + wy * y2 * y2,
-        wx * x1 * x2 + wy * y1 * y2,
-    )
-
-
 def gauss_reduce(
     basis: LatticeBasis,
     form: WeightedForm,
@@ -261,15 +244,10 @@ def gauss_reduce(
     c = Round(<ui, uj> / <uj, uj>) (halves toward zero) until a pass leaves
     both coefficients zero.  On exit |<u1,u2>| <= min(|u1|^2, |u2|^2) / 2.
 
-    The loop runs on plain ints.  The weights lose their common factor
-    gcd(wx, wy), which scales every Gram entry alike and so changes no
-    quotient or comparison.  The Gram entries n1 = |u1|^2, n2 = |u2|^2 and
-    d = <u1, u2> are computed once and then updated exactly from the
-    quotient alone: u1 <- u1 - c*u2 gives n1 <- n1 - c*(2d - c*n2) and
-    d <- d - c*n2, and likewise for u2.  On exit the tracked entries are
-    asserted equal to a fresh recomputation, and the exit bound is asserted
-    on those verified entries as 2*|d| <= min(n1, n2): that is
-    LatticeBasis.is_reduced under the form, divided through by gcd(wx, wy).
+    The loop runs on plain ints, under the weights divided by their
+    common factor gcd(wx, wy), which changes no quotient or comparison.
+    Each inner product, and the norm of each replaced vector, is computed
+    fresh from the coordinates; the exit bound is asserted on those values.
 
     Returns the reduced basis and the number of passes, counting the final
     all-zero pass.  Each half-step preserves the determinant and, whenever
@@ -285,7 +263,8 @@ def gauss_reduce(
     x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
     g = gcd(form.wx, form.wy)
     wx, wy = form.wx // g, form.wy // g
-    n1, n2, d = _gram(wx, wy, x1, y1, x2, y2)
+    n1 = wx * x1 * x1 + wy * y1 * y1
+    n2 = wx * x2 * x2 + wy * y2 * y2
     cap = 64 * basis.modulus_exp
     passes = 0
     while True:
@@ -294,33 +273,32 @@ def gauss_reduce(
             raise IterationCapExceeded(
                 f"reduction exceeded {cap} passes (modulus_exp={basis.modulus_exp})"
             )
+        d = wx * x1 * x2 + wy * y1 * y2
         c1 = _round_quotient_half_to_zero(d, n2)
         if c1:
             x1 -= c1 * x2
             y1 -= c1 * y2
-            shrunk = n1 - c1 * (2 * d - c1 * n2)
+            shrunk = wx * x1 * x1 + wy * y1 * y1
             assert shrunk < n1
             n1 = shrunk
-            d -= c1 * n2
         assert abs(x1 * y2 - y1 * x2) == det
         if on_step is not None:
             on_step(ReductionStep(target="u1", c=c1, u1=IVec2(x1, y1), u2=IVec2(x2, y2)))
 
+        d = wx * x1 * x2 + wy * y1 * y2
         c2 = _round_quotient_half_to_zero(d, n1)
         if c2:
             x2 -= c2 * x1
             y2 -= c2 * y1
-            shrunk = n2 - c2 * (2 * d - c2 * n1)
+            shrunk = wx * x2 * x2 + wy * y2 * y2
             assert shrunk < n2
             n2 = shrunk
-            d -= c2 * n1
         assert abs(x1 * y2 - y1 * x2) == det
         if on_step is not None:
             on_step(ReductionStep(target="u2", c=c2, u1=IVec2(x1, y1), u2=IVec2(x2, y2)))
 
         if c1 == 0 and c2 == 0:
             break
-    assert (n1, n2, d) == _gram(wx, wy, x1, y1, x2, y2)
     assert 2 * abs(d) <= min(n1, n2)
     reduced = LatticeBasis(
         u1=IVec2(x1, y1), u2=IVec2(x2, y2), modulus_exp=basis.modulus_exp, z=basis.z

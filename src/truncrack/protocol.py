@@ -195,8 +195,9 @@ def parse_params(text: str) -> ProtocolParams:
 
 
 def save_params(params: ProtocolParams, path: str) -> None:
+    text = dump_params(params)  # serialise first: a failure leaves the file alone
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_params(params))
+        fh.write(text)
 
 
 def load_params(path: str) -> ProtocolParams:

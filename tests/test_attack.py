@@ -2,23 +2,52 @@ import random
 
 import pytest
 
+import truncrack.attack
 import truncrack.lattice2d
 from truncrack import (
     AttackInput,
     DegenerateInput,
     NoCandidates,
+    WeightedForm,
     bounds_for_token,
     derive_key,
     exchange,
+    gauss_reduce,
     gen_params,
     recover_preimages,
     recover_shared_key,
     shared_key,
+    solution_basis,
 )
 from truncrack.attack import flag_nonpositive
 from truncrack.harness import brute_force_preimages
 
 GOLDEN = AttackInput(z=6173, p=22, q=5, m=14, token=708192, token_is_scaled=True)
+
+
+def _small_instances(max_p=5, max_m=5):
+    """Every (z, p, q, m, u) with p <= max_p, q < p, m <= max_m, z in
+    [1, 2^(p+1)) and u in [0, 2^(p-q)): even z, z = 0 mod 2^p, z >= 2^p
+    and m < q all occur."""
+    for p in range(1, max_p + 1):
+        for q in range(p):
+            for m in range(1, max_m + 1):
+                for z in range(1, 1 << (p + 1)):
+                    for u in range(1 << (p - q)):
+                        yield z, p, q, m, u
+
+
+def _assert_same_reduced_basis(ours, theirs, form):
+    """Equal up to sign and order, which a reduced basis is unique up to
+    unless 2|<u1,u2>| = min(|u1|^2, |u2|^2); on that tie both must be
+    reduced with the same norms."""
+    norms = [form.norm_sq(v) for v in (theirs.u1, theirs.u2)]
+    if 2 * abs(form.inner(theirs.u1, theirs.u2)) < min(norms):
+        up_to_sign = lambda b: sorted(max((v.x, v.y), (-v.x, -v.y)) for v in (b.u1, b.u2))
+        assert up_to_sign(ours) == up_to_sign(theirs)
+    else:
+        assert ours.is_reduced(form) and theirs.is_reduced(form)
+        assert sorted(form.norm_sq(v) for v in (ours.u1, ours.u2)) == sorted(norms)
 
 
 class TestBounds:
@@ -142,6 +171,28 @@ class TestRecoverPreimages:
                 if ((x * params.z) & mask) & ((1 << params.q) - 1) < bounds.b2
             ]
             assert [x for x, _ in result.candidates] == expected
+
+    def test_exhaustive_small_sweep(self, monkeypatch):
+        reduced = []
+
+        def keep_reduced(basis, form):
+            result = gauss_reduce(basis, form)
+            reduced.append(result[0])
+            return result
+
+        monkeypatch.setattr(truncrack.attack, "gauss_reduce", keep_reduced)
+        for z, p, q, m, u in _small_instances():
+            result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
+            bounds = bounds_for_token(u, q, m)
+            expected = [
+                x
+                for x in brute_force_preimages(z, p, q, u, m)
+                if (x * z) & ((1 << q) - 1) < bounds.b2
+            ]
+            assert [x for x, _ in result.candidates] == expected
+            form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+            theirs, _ = gauss_reduce(solution_basis(z, p, q, u).basis(), form)
+            _assert_same_reduced_basis(reduced.pop(), theirs, form)
 
     def test_candidates_lie_in_region_and_solve_congruence(self):
         result = recover_preimages(GOLDEN)

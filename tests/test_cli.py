@@ -1,6 +1,12 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncrack.cli import main
+from truncrack.harness import MODES
 from truncrack.protocol import load_params
 
 
@@ -46,6 +52,17 @@ class TestParamsCommand:
         rc = main(["params", "--l", "13", "--m", "14", "--q", "5", "--r", "2"])
         assert rc == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_serialise_failure_keeps_out_file(self, tmp_path, capsys):
+        # a 16000-bit z has more than 4,300 decimal digits, Python's
+        # int-to-string limit, so serialising fails
+        path = tmp_path / "big.params"
+        path.write_text("keep me\n")
+        rc = main(["params", "--l", "16000", "--m", "512", "--q", "512", "--r", "129",
+                   "--seed", "1", "--out", str(path)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert path.read_text() == "keep me\n"
 
     def test_hex_rejected(self, capsys):
         rc = main(["params", "--l", "0xd", "--m", "14", "--q", "5", "--r", "2", "--seed", "1"])
@@ -239,3 +256,126 @@ class TestUsage:
 
     def test_no_subcommand(self):
         assert main([]) == 2
+
+
+# Fuzzing: every drawn value is bounded so that no call does more than
+# toy-size work (numbers below 2^16, bit lengths at most 64, m at most 16
+# for the attack and 12 wherever the oracle scans 2^m values, and bench
+# with at most 2 trials at l <= 16).  No garbage value is all ASCII
+# digits, so none of them can name a large size.
+_NUMBER = st.integers(0, (1 << 16) - 1).map(str)
+_GARBAGE = st.sampled_from(["", "-1", "0x10", "1.5", "1e3", " 7", "\uff11", "abc", "-", "--"])
+
+
+def _small(top):
+    return st.integers(0, top).map(str)
+
+
+@st.composite
+def _param_texts(draw):
+    """Parameter-file text: mostly a small valid file, shuffled and often
+    mutated; otherwise arbitrary text or bytes."""
+    kind = draw(st.sampled_from(["file"] * 4 + ["text", "bytes"]))
+    if kind == "text":
+        return draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=60)).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    q, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    l = draw(st.integers(2 * q + r + 1, 16))
+    m = draw(st.integers(1, 16))
+    values = {"l": l, "m": m, "p": l + m - q, "q": q, "r": r,
+              "z": draw(st.integers(1 << (l - 1), (1 << l) - 1))}
+    lines = draw(st.permutations([f"{key}={value}" for key, value in values.items()]))
+    mutation = draw(st.sampled_from(["none"] * 3 + ["drop", "repeat", "revalue", "garbage"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if mutation == "drop":
+        del lines[at]
+    elif mutation == "repeat":
+        lines.append(lines[at])
+    elif mutation == "revalue":
+        key = lines[at].split("=")[0]
+        lines[at] = f"{key}={draw(_small(64) | _NUMBER | _GARBAGE)}"
+    elif mutation == "garbage":
+        lines.insert(at, draw(st.sampled_from(["bogus=1", "l = 13", "", "#", "z=-5", "=3"])))
+    end = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return ("\n".join(lines) + end).encode()
+
+
+def _command_options(params_paths, out_paths):
+    """Each subcommand's options, None for a flag, else a value strategy.
+    Small q and r are drawn often enough for the constraints to hold, and
+    tokens are often multiples of 2^5, which --token-scaled needs on the
+    q=5 toy file."""
+    low = _small(4)
+    token = _NUMBER | st.integers(0, 2047).map(lambda k: str(k << 5))
+    return {
+        "params": {"--l": _small(64), "--m": _small(64), "--q": low | _small(64),
+                   "--r": low | _small(64), "--seed": _NUMBER, "--out": out_paths},
+        "exchange": {"--params": params_paths, "--seed": _NUMBER},
+        "attack": {"--params": params_paths, "--token": token, "--token-scaled": None,
+                   "--m": _small(16), "--other-token": _NUMBER},
+        "oracle": {"--z": _NUMBER, "--p": _NUMBER, "--q": _NUMBER, "--u": _NUMBER,
+                   "--m": _small(12)},
+        "bench": {"--l": _small(16), "--m": _small(12), "--q": low | _small(16),
+                  "--r": low | _small(16), "--trials": _small(2), "--seed": _NUMBER,
+                  "--out": out_paths, "--mode": st.sampled_from(MODES) | _GARBAGE},
+    }
+
+
+@st.composite
+def _argvs(draw, params_paths, out_paths):
+    """Mostly a subcommand with most of its options in random order, the
+    odd one repeated, each with a bounded value or now and then a garbage
+    one; sometimes a garbage command or a stray argument."""
+    options = _command_options(params_paths, out_paths)
+    if draw(st.integers(0, 9)):
+        command = draw(st.sampled_from(sorted(options)))
+    else:
+        command = draw(_GARBAGE | st.just("--help"))
+    spec = options.get(command, {})
+    names = draw(st.permutations([name for name in spec if draw(st.integers(0, 9))]))
+    if spec and not draw(st.integers(0, 4)):
+        names.append(draw(st.sampled_from(sorted(spec))))
+    argv = [command]
+    for name in names:
+        argv.append(name)
+        if spec[name] is not None and draw(st.integers(0, 19)):
+            argv.append(draw(spec[name] if draw(st.integers(0, 9)) else _GARBAGE))
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_GARBAGE | _NUMBER | st.just("-h")))
+    return argv
+
+
+def _run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_main_never_raises_on_fuzzed_argv(self, tmp_path_factory, data):
+        tmp = tmp_path_factory.getbasetemp() / "argv"
+        tmp.mkdir(exist_ok=True)
+        good = tmp / "good.params"
+        assert _run_quietly(["params", "--l", "13", "--m", "14", "--q", "5", "--r", "2",
+                             "--seed", "1", "--out", str(good)]) == 0
+        params_paths = st.sampled_from([str(good), str(tmp / "missing"), str(tmp)])
+        out_paths = st.sampled_from([str(tmp / "out"), str(tmp), str(tmp / "no" / "dir")])
+        argv = data.draw(_argvs(params_paths, out_paths))
+        assert _run_quietly(argv) in (0, 1, 2, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_param_texts(), command=st.sampled_from(["exchange", "attack", "attack-key"]),
+           seed=st.integers(0, (1 << 16) - 1), token=st.integers(0, (1 << 16) - 1))
+    def test_main_never_raises_on_fuzzed_params_file(self, tmp_path_factory, text, command,
+                                                     seed, token):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.params"
+        path.write_bytes(text)
+        if command == "exchange":
+            argv = ["exchange", "--params", str(path), "--seed", str(seed)]
+        else:
+            argv = ["attack", "--params", str(path), "--token", str(token)]
+            if command == "attack-key":
+                argv += ["--other-token", str(seed)]
+        assert _run_quietly(argv) in (0, 1, 2, 3)

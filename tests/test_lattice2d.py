@@ -25,7 +25,6 @@ from truncrack import (
 )
 from truncrack.lattice2d import (
     ReductionStep,
-    _gram,
     _round_quotient_half_to_zero,
     coefficient_box,
     euclid_basis,
@@ -310,8 +309,9 @@ def large_entry_cases(draw):
         weights = st.integers(1, 1 << draw(st.integers(1, 2 * l)))
         form = WeightedForm(wx=draw(weights), wy=draw(weights))
     g = math.gcd(form.wx, form.wy)
-    grams = _gram(form.wx // g, form.wy // g, basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y)
-    assume(max(grams[:2]).bit_length() > _LARGE_ENTRY_BITS)
+    wx, wy = form.wx // g, form.wy // g
+    norms = [wx * v.x * v.x + wy * v.y * v.y for v in (basis.u1, basis.u2)]
+    assume(max(norms).bit_length() > _LARGE_ENTRY_BITS)
     return basis, form
 
 
@@ -402,18 +402,17 @@ def _assert_euclid_start_matches(z, p, q, m, u):
 
 
 def _reference_euclid_basis(z, p, b1, b2):
-    """The plain extended-Euclid loop, testing the stop condition before
-    every quotient.  euclid_basis must return its pair and quotient count."""
+    """The plain extended-Euclid loop, divmod for every quotient, stopping
+    at the first remainder below 2^max((p + 1 - shift) // 2, 0).
+    euclid_basis must return its pair and quotient count."""
     shift = b1.bit_length() - b2.bit_length()
-    first = z % (1 << p)
-    x0, r0, x1, r1 = 0, 1 << p, 1, first
+    floor = 1 << max((p + 1 - shift) // 2, 0)
+    x0, r0, x1, r1 = 0, 1 << p, 1, z % (1 << p)
     quotients = 0
-    while r1 and x1.bit_length() < r1.bit_length() + shift:
+    while r1 >= floor:
         k, rem = divmod(r0, r1)
         x0, r0, x1, r1 = x1, r1, x0 - k * x1, rem
         quotients += 1
-    assert 9 * (quotients - 1) < 13 * first.bit_length()
-    assert abs(x0 * r1 - r0 * x1) == 1 << p
     return LatticeBasis(u1=IVec2(x0, r0), u2=IVec2(x1, r1), modulus_exp=p, z=z), quotients
 
 
