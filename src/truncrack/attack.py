@@ -71,7 +71,7 @@ def bounds_for_token(u: int, q: int, m: int) -> Bounds:
     b1 = 1 << m
     slack = b1 - (u << q)
     b2 = slack if 0 < slack < (1 << q) else (1 << q)
-    return Bounds(b1=b1, b2=b2)
+    return Bounds(b1, b2)
 
 
 def check_observables(

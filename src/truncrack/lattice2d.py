@@ -11,7 +11,9 @@ does with a particular solution plus L, a weighted Lagrange (Gauss)
 reduction of a basis of L, rounding, and a bounded enumeration of the
 rectangle's coefficient box.  Reducing L is the continued-fraction
 expansion of z / 2^p (Vallée, "Gauss' algorithm revisited", 1991), so
-the attack starts from euclid_basis and gauss_reduce finishes the job.
+the attack starts from euclid_basis, which runs Euclid on the remainders
+alone and rebuilds the two cofactors at its stop from one 2-adic
+inverse, and gauss_reduce finishes the job.
 
 Everything is exact, with no floating point.  The attack path (reduction,
 coefficient box, enumeration) runs on integers alone; exact rationals
@@ -73,7 +75,7 @@ class WeightedForm:
 
     @classmethod
     def for_rectangle(cls, b1: int, b2: int) -> "WeightedForm":
-        return cls(wx=b2 * b2, wy=b1 * b1)
+        return cls(b2 * b2, b1 * b1)
 
     def inner(self, a: IVec2, b: IVec2) -> int:
         return self.wx * a.x * b.x + self.wy * a.y * b.y
@@ -157,18 +159,20 @@ def solution_basis(z: int, p: int, q: int, u: int) -> SolutionFamily:
     modulus = 1 << p
     g1 = IVec2(anchor, z * anchor - modulus)
     g2 = IVec2(anchor + 1, z * (anchor + 1) - modulus)
-    return SolutionFamily(v0=v0, g1=g1, g2=g2, modulus_exp=p, z=z)
+    return SolutionFamily(v0, g1, g2, p, z)
 
 
 def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[LatticeBasis, int]:
     """A basis of L nearly reduced for the rectangle [0, b1) x [0, b2), and
     the number of Euclid quotients taken to reach it.
 
-    Runs the extended Euclid on (2^p, z mod 2^p) from the basis (0, 2^p),
-    (1, z mod 2^p) of L.  Each step maps the pair (v0, v1) to
-    (v1, v0 - k*v1), a unimodular change, so every consecutive pair is a
-    basis of L wherever the loop stops: the stop point cannot affect
-    correctness, only how much work gauss_reduce has left.
+    Runs Euclid's algorithm on the remainders (2^p, z mod 2^p) of the
+    basis (0, 2^p), (1, z mod 2^p) of L.  Each step maps the pair
+    (v0, v1) to (v1, v0 - c*v1), a unimodular change, so every
+    consecutive pair is a basis of L wherever the loop stops: the stop
+    point cannot affect correctness, only how much work gauss_reduce has
+    left.  The loop carries the remainders alone; the cofactors x of the
+    two vectors (x, r) at the stop are rebuilt afterwards, as below.
 
     It stops at the first remainder below the floor 2^f, with
     f = max((p + 1 - shift) // 2, 0) and shift = bits(b1) - bits(b2), or
@@ -177,36 +181,71 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[LatticeBasis, int]:
     |x1| is about 2^p / r, and b2*|x1| reaches b1*r1 as r1 falls through
     2^((p - shift) / 2).  The remainders strictly decrease, so it
     terminates.  Each iteration takes two half-steps, the quotient 1 (the
-    commonest) by a single subtraction and divmod only for larger ones.
-    Asserted on exit: |det| = 2^p, and Lamé's bound (k quotients need
-    z mod 2^p >= F(k+1), so k - 1 < 13/9 * bits(z mod 2^p)).
+    commonest) by a single subtraction and a remainder only for larger
+    ones.
+
+    Rebuilding the cofactors.  After j quotients c_1..c_j the pair is
+    (x_j, r0), (x_(j+1), r1), with x_0 = 0, x_1 = 1 and
+    x_(i+1) = x_(i-1) - c_i*x_i.  So for i >= 1, x_i has the sign
+    (-1)^(i+1) and |x_i| never decreases, and |x_(j+1)|*r0 + |x_j|*r1 = 2^p
+    gives 1 <= |x_j| <= |x_(j+1)| <= 2^p/r0 <= 2^e for j >= 1, with
+    e = p + 1 - bits(r0).  Both vectors lie in L, x*z = r (mod 2^p).
+    Write z mod 2^p = 2^k * odd (k = p when it is 0): every remainder is a
+    multiple of 2^k, so x = (r >> k) * odd^-1 (mod 2^(p-k)), and e <= p - k
+    because r0 >= 2^k.  That fixes x modulo 2^e, and the sign picks its one
+    value in [1, 2^e] or [-2^e, -1]: a residue of 0 means +-2^e, which only
+    x_(j+1) reaches, at r0 = 2^k and r1 = 0.  j = 0 leaves the start pair,
+    x_0 = 0 and x_1 = 1.  odd^-1 modulo 2^e comes from one Hensel lift:
+    (3*odd) XOR 2 is the inverse modulo 2^5, and each step doubles the
+    bits that are right.
+
+    Asserted on exit, since the loop no longer builds the vectors step by
+    step: both lie in L ((x*z - r) mod 2^p == 0) and |det| = 2^p, so they
+    are a basis of L; and Lamé's bound (n quotients need
+    z mod 2^p >= F(n+1), so n - 1 < 13/9 * bits(z mod 2^p)).
     """
     shift = b1.bit_length() - b2.bit_length()
-    first = z % (1 << p)
+    modmask = (1 << p) - 1
+    first = z & modmask
     floor = 1 << max((p + 1 - shift) // 2, 0)
-    x0, r0, x1, r1 = 0, 1 << p, 1, first
+    r0, r1 = 1 << p, first
     quotients = 0
     while r1 >= floor:
         r0 -= r1
-        if r0 < r1:
-            x0 -= x1
-        else:
-            k, r0 = divmod(r0, r1)
-            x0 -= (k + 1) * x1
+        if r0 >= r1:
+            r0 %= r1
         quotients += 1
         if r0 < floor:
-            x0, r0, x1, r1 = x1, r1, x0, r0
+            r0, r1 = r1, r0
             break
         r1 -= r0
-        if r1 < r0:
-            x1 -= x0
-        else:
-            k, r1 = divmod(r1, r0)
-            x1 -= (k + 1) * x0
+        if r1 >= r0:
+            r1 %= r0
         quotients += 1
+    low = first | 1 << p  # its 2-adic valuation is k, or p when first == 0
+    k = (low & -low).bit_length() - 1
+    e = p + 1 - r0.bit_length()
+    top = 1 << e
+    emask = top - 1
+    odd = low >> k & emask
+    inv, bits = (3 * odd ^ 2) & 31, 5
+    while bits < e:
+        # odd*inv = 1 + 2^bits*c; adding 2^bits*(-inv*c mod 2^bits) cancels c.
+        mask = (1 << bits) - 1
+        inv |= (-inv * (odd * inv >> bits) & mask) << bits
+        bits *= 2
+    x0 = (r0 >> k) * inv & emask
+    x1 = (r1 >> k) * inv & emask
+    if quotients & 1:
+        x0, x1 = x0 or top, x1 - top
+    elif quotients:
+        x0, x1 = x0 - top, x1 or top
+    else:
+        x0, x1 = 0, 1
+    assert (x0 * z - r0) & modmask == 0 and (x1 * z - r1) & modmask == 0
+    assert abs(x0 * r1 - r0 * x1) == modmask + 1
     assert 9 * (quotients - 1) < 13 * first.bit_length()
-    assert abs(x0 * r1 - r0 * x1) == 1 << p
-    return LatticeBasis(u1=IVec2(x0, r0), u2=IVec2(x1, r1), modulus_exp=p, z=z), quotients
+    return LatticeBasis(IVec2(x0, r0), IVec2(x1, r1), p, z), quotients
 
 
 def _round_quotient_half_to_zero(num: int, den: int) -> int:
@@ -300,9 +339,7 @@ def gauss_reduce(
         if c1 == 0 and c2 == 0:
             break
     assert 2 * abs(d) <= min(n1, n2)
-    reduced = LatticeBasis(
-        u1=IVec2(x1, y1), u2=IVec2(x2, y2), modulus_exp=basis.modulus_exp, z=basis.z
-    )
+    reduced = LatticeBasis(IVec2(x1, y1), IVec2(x2, y2), basis.modulus_exp, basis.z)
     return reduced, passes
 
 

@@ -462,6 +462,42 @@ class TestEuclidBasis:
             args = (z, p, bounds.b1, bounds.b2)
             assert euclid_basis(*args) == _reference_euclid_basis(*args)
 
+    def test_exhaustive_small_sweep(self):
+        # Every z in [1, 2^(p+1)) for p <= 7, so even z, z = 0 mod 2^p and
+        # z >= 2^p all occur; b1 = 2^e for e in [0, p+1] and several b2, so
+        # the floor runs down to 1, where the loop runs until r1 == 0.
+        reached = {"r1 == 0": 0, "floor 1": 0, "k > 0": 0}
+        for p in range(1, 8):
+            for z in range(1, 1 << (p + 1)):
+                for e in range(p + 2):
+                    for b2 in (1, 3, 1 << (p // 2), 1 << p, 1 << (p + 1)):
+                        args = (z, p, 1 << e, b2)
+                        got = euclid_basis(*args)
+                        assert got == _reference_euclid_basis(*args), args
+                        reached["r1 == 0"] += got[0].u2.y == 0
+                        reached["floor 1"] += e + 1 - b2.bit_length() >= p
+                        reached["k > 0"] += z % 2 == 0 and z % (1 << p) != 0
+        assert all(reached.values()), reached
+
+    @pytest.mark.parametrize("l", [2048, 4096])
+    def test_power_of_two_multiples_full_scale(self, l):
+        # z = odd * 2^k at full scale (m = q = l/4, so p = l and the floor
+        # exponent is f = (p + 1) // 2).  From k = f up, every nonzero
+        # remainder is a multiple of 2^k >= 2^f, so the loop ends on r1 == 0
+        # with r0 = 2^k: e = p - k, and x1 = +-2^e has residue 0.
+        rng = random.Random(7070 + l)
+        m = q = l // 4
+        p = l + m - q
+        b1 = b2 = 1 << m
+        f = (p + 1) // 2
+        for k in (0, 1, f - 2, f - 1, f, f + 1, p - 1):
+            odd = (1 << (l - k - 1)) | rng.getrandbits(l - k - 1) | 1
+            z = odd << k
+            got = euclid_basis(z, p, b1, b2)
+            assert got == _reference_euclid_basis(z, p, b1, b2), k
+            if k >= f:
+                assert got[0].u2.y == 0 and got[0].u1.y == 1 << k
+
     def test_zero_remainder_stops_at_once(self):
         start, quotients = euclid_basis(4096, 11, 1 << 3, 1 << 3)
         assert quotients == 0
