@@ -4,9 +4,9 @@ Given the public observables (z, p, q, m) and one token u, every preimage
 x corresponds to a point (x, y) of the congruence coset inside the
 rectangle 0 <= x < 2^m, 0 <= y < B2.  The attack reduces a basis of the
 congruence lattice under a form weighted to make that rectangle roughly
-square (an extended Euclid, finished by Gauss reduction), enumerates the
-rectangle's coefficient box, and keeps exactly the points whose x maps
-back to the observed token.
+square (an extended Euclid, finished by Gauss reduction), walks the
+rectangle's exact coefficient box from the coset point (0, -2^q*u), and
+returns every point it finds, each a preimage by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, NoCandidates
-from .lattice2d import WeightedForm, euclid_basis, gauss_reduce, rect_search, solution_basis
+from .lattice2d import IVec2, WeightedForm, euclid_basis, gauss_reduce, rect_search
 from .protocol import derive_key, truncate
 
 
@@ -97,16 +97,16 @@ def check_observables(
 def recover_preimages(inp: AttackInput) -> AttackResult:
     """Recover every preimage of the token inside the feasible rectangle.
 
-    Deterministic in its input.  Every returned (x, y) satisfies
-    truncate(x) == u exactly; ``unique`` is set when there is exactly one
-    candidate.  Candidates with x = 0 are kept (x = 0 is never a valid
-    secret; callers that care should flag it).
+    Deterministic in its input.  The candidates are the walk's hits as
+    they are: x*z = 2^q*u + y (mod 2^p) with 0 <= y < b2 <= 2^q and
+    u < 2^(p-q) gives 2^q*u + y < 2^p, so truncate(x) == u, which is
+    asserted.  ``unique`` is set when there is exactly one candidate.
+    Candidates with x = 0 are kept (x = 0 is never a valid secret).
     """
     if inp.token_is_scaled and inp.token & ((1 << inp.q) - 1):
         raise DegenerateInput(f"scaled token {inp.token} is not a multiple of 2^q (q={inp.q})")
     u = inp.token_value()
     check_observables(inp.z, inp.p, inp.q, inp.m, u)
-    family = solution_basis(inp.z, inp.p, inp.q, u)
     bounds = bounds_for_token(u, inp.q, inp.m)
     form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
 
@@ -114,12 +114,10 @@ def recover_preimages(inp: AttackInput) -> AttackResult:
     start, quotients = euclid_basis(inp.z, inp.p, bounds.b1, bounds.b2)
     reduced, passes = gauss_reduce(start, form)
     t1 = time.perf_counter_ns()
-    hits, searched = rect_search(reduced, family.v0, bounds.b1, bounds.b2)
+    hits, searched = rect_search(reduced, IVec2(0, -(u << inp.q)), bounds.b1, bounds.b2)
     t2 = time.perf_counter_ns()
 
-    candidates = tuple(
-        (s.x, s.y) for s in hits if truncate(s.x, inp.z, inp.p, inp.q) == u
-    )
+    candidates = tuple((s.x, s.y) for s in hits)
     assert all(truncate(x, inp.z, inp.p, inp.q) == u for x, _ in candidates)
     return AttackResult(
         candidates=candidates,
@@ -156,7 +154,3 @@ def recover_shared_key(
         for x, _ in result.candidates
     ]
 
-
-def flag_nonpositive(result: AttackResult) -> list[int]:
-    """Candidate x values that can never be honest secrets (x < 1)."""
-    return [x for x, _ in result.candidates if x < 1]

@@ -117,9 +117,9 @@ def _cmd_attack(args) -> int:
             params.z, params.p, params.q, m, args.other_token, name="peer token"
         )
     result = attack_mod.recover_preimages(inp)
-    flagged = attack_mod.flag_nonpositive(result)
     for x, y in result.candidates:
-        suffix = " flag=nonpositive" if x in flagged else ""
+        # candidates have 0 <= x < 2^m, so x = 0 is the only nonpositive one
+        suffix = " flag=nonpositive" if x == 0 else ""
         print(f"x={x} y={y}{suffix}")
     print(f"unique={1 if result.unique else 0}")
     if not result.candidates:

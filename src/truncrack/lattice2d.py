@@ -7,13 +7,13 @@ The congruence lattice for a public multiplier z and modulus 2^p is
 a rank-2 sublattice of Z^2 with determinant 2^p.  Recovering a token
 preimage means finding the solutions of the inhomogeneous congruence
 x*z = 2^q*u + y (mod 2^p) inside a small rectangle, which this module
-does with a particular solution plus L, a weighted Lagrange (Gauss)
-reduction of a basis of L, rounding, and a bounded enumeration of the
-rectangle's coefficient box.  Reducing L is the continued-fraction
-expansion of z / 2^p (Vallée, "Gauss' algorithm revisited", 1991), so
-the attack starts from euclid_basis, which runs Euclid on the remainders
-alone and rebuilds the two cofactors at its stop from one 2-adic
-inverse, and gauss_reduce finishes the job.
+does with a weighted Lagrange (Gauss) reduction of a basis of L and a
+walk over the rectangle's exact coefficient box from a point of the
+coset.  Reducing L is the continued-fraction expansion of z / 2^p
+(Vallée, "Gauss' algorithm revisited", 1991), so the attack starts from
+euclid_basis, which runs Euclid on the remainders alone and rebuilds the
+two cofactors at its stop from one 2-adic inverse, and gauss_reduce
+finishes the job.
 
 Everything is exact, with no floating point.  The attack path (reduction,
 coefficient box, enumeration) runs on integers alone; exact rationals
@@ -390,20 +390,23 @@ def nearest_lattice_point(basis: LatticeBasis, v: IVec2, form: WeightedForm) -> 
 def coefficient_box(
     basis: LatticeBasis, v: IVec2, b1: int, b2: int
 ) -> tuple[int, int, int, int]:
-    """Inclusive integer coefficient ranges covering the target rectangle.
+    """Exact inclusive coefficient ranges of the rectangle [0, b1) x [0, b2).
 
-    The bounding box of the coefficients of the four corners v, v-(b1,0),
-    v-(0,b2), v-(b1,b2), padded by 1 on each side to absorb the half-open
-    edges of the rectangle.  The Cramer numerators of v are computed once.
-    Moving the corner by b1 in x or by b2 in y adds -b1*y2 or b2*x2 to the
-    a1 numerator and b1*y1 or -b2*x1 to the a2 numerator, so the smallest
-    corner numerator adds the negative moves and the largest the positive
-    ones.
+    Ceiling of the smallest to floor of the largest coefficient of the
+    corners of the closed rectangle [0, b1-1] x [0, b2-1], which holds the
+    same integer points; a linear map takes its extremes over a
+    parallelogram at its corners, so no point s = v - a1*u1 - a2*u2 inside
+    is lost.  A range may be empty (hi = lo - 1, never less, as
+    floor(max) >= ceil(min) - 1).  The Cramer numerators of v are computed
+    once.  Moving the corner by b1-1 in x or b2-1 in y adds (1-b1)*y2 or
+    (b2-1)*x2 to the a1 numerator and (b1-1)*y1 or (1-b2)*x1 to the a2
+    one, so the smallest corner numerator adds the negative moves and the
+    largest the positive ones.
 
     The basis must have |det| = 2^modulus_exp = 2^p, as every basis of L
     does.  When det < 0 the signs of both vectors are flipped, which
     negates both numerators and leaves det as it is; the division by 2^p
-    is then a shift, floor n >> p and ceiling -(-n >> p), and no rational
+    is then a shift, ceiling -(-n >> p) and floor n >> p, and no rational
     is built.  Raises SingularBasis for any other determinant, 0 included,
     since a shift by the wrong p would give a wrong box.
     """
@@ -416,13 +419,13 @@ def coefficient_box(
         x1, y1, x2, y2 = -x1, -y1, -x2, -y2
     n1 = v.x * y2 - x2 * v.y
     n2 = x1 * v.y - v.x * y1
-    dx1, dy1 = -b1 * y2, b2 * x2
-    dx2, dy2 = b1 * y1, -b2 * x1
+    dx1, dy1 = (1 - b1) * y2, (b2 - 1) * x2
+    dx2, dy2 = (b1 - 1) * y1, (1 - b2) * x1
     lo1 = n1 + min(dx1, 0) + min(dy1, 0)
     hi1 = n1 + max(dx1, 0) + max(dy1, 0)
     lo2 = n2 + min(dx2, 0) + min(dy2, 0)
     hi2 = n2 + max(dx2, 0) + max(dy2, 0)
-    return (lo1 >> p) - 1, -(-hi1 >> p) + 1, (lo2 >> p) - 1, -(-hi2 >> p) + 1
+    return -(-lo1 >> p), hi1 >> p, -(-lo2 >> p), hi2 >> p
 
 
 def rect_search(
@@ -435,13 +438,12 @@ def rect_search(
     """Points of the coset v + L inside [0, b1) x [0, b2), and the box size.
 
     Visits every integer coefficient pair (a1, a2) of coefficient_box's
-    padded box and keeps s = v - a1*u1 - a2*u2 whenever s lands in the
-    rectangle.  The rectangle's image in coefficient space is a
-    parallelogram contained in that box, so no in-rectangle point can be
-    missed.  The points are stepped, not multiplied out: the walk starts
-    at v - lo1*u1 - lo2*u2 and subtracts u2 along a row and u1 between
-    rows.  ``basis`` should be reduced; an unreduced basis only makes the
-    box larger.
+    exact box and keeps s = v - a1*u1 - a2*u2 whenever s lands in the
+    rectangle, so no in-rectangle point is missed; an empty range gives
+    ([], 0).  Any point of the coset as v gives the same hits.  The points
+    are stepped, not multiplied out: the walk starts at v - lo1*u1 -
+    lo2*u2 and subtracts u2 along a row and u1 between rows.  ``basis``
+    should be reduced; an unreduced basis only makes the box larger.
 
     Returns the hits sorted by x and the number of pairs enumerated.
     Raises SearchSpaceExceeded when the box holds more than ``cap`` pairs,

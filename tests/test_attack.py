@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import truncrack.attack
 import truncrack.lattice2d
 from truncrack import (
     AttackInput,
     DegenerateInput,
+    IVec2,
     NoCandidates,
     WeightedForm,
     bounds_for_token,
@@ -14,13 +17,14 @@ from truncrack import (
     exchange,
     gauss_reduce,
     gen_params,
+    rect_search,
     recover_preimages,
     recover_shared_key,
     shared_key,
     solution_basis,
 )
-from truncrack.attack import flag_nonpositive
 from truncrack.harness import brute_force_preimages
+from truncrack.lattice2d import coefficient_box, euclid_basis
 
 GOLDEN = AttackInput(z=6173, p=22, q=5, m=14, token=708192, token_is_scaled=True)
 
@@ -35,6 +39,29 @@ def _small_instances(max_p=5, max_m=5):
                 for z in range(1, 1 << (p + 1)):
                     for u in range(1 << (p - q)):
                         yield z, p, q, m, u
+
+
+@st.composite
+def small_attack_cases(draw):
+    """Arbitrary small (z, p, q, m, u): p <= 12, q < p, m <= 10, z in
+    [1, 2^(p+1)), and an honest or a uniform token."""
+    p = draw(st.integers(1, 12))
+    q = draw(st.integers(0, p - 1))
+    m = draw(st.integers(1, 10))
+    z = draw(st.integers(1, (1 << (p + 1)) - 1))
+    if draw(st.booleans()):
+        x = draw(st.integers(0, (1 << m) - 1))
+        u = ((x * z) & ((1 << p) - 1)) >> q
+    else:
+        u = draw(st.integers(0, (1 << (p - q)) - 1))
+    return z, p, q, m, u
+
+
+def _oracle_pairs(z, p, q, m, u):
+    """The brute-force preimages as (x, y) pairs, restricted to y < b2."""
+    b2 = bounds_for_token(u, q, m).b2
+    pairs = [(x, (x * z) & ((1 << q) - 1)) for x in brute_force_preimages(z, p, q, u, m)]
+    return [(x, y) for x, y in pairs if y < b2]
 
 
 def _assert_same_reduced_basis(ours, theirs, form):
@@ -84,7 +111,22 @@ class TestRecoverPreimages:
     def test_zero_token_keeps_flagged_zero(self):
         result = recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, token=0))
         assert (0, 0) in result.candidates
-        assert flag_nonpositive(result) == [0]
+
+    def test_empty_box(self):
+        # An instance of the small sweep whose exact box has no row: the
+        # walk visits no pair, and the attack returns no candidate.
+        z, p, q, m, u = 11, 5, 2, 3, 1
+        assert (z, p, q, m, u) in _small_instances()
+        bounds = bounds_for_token(u, q, m)
+        start, _ = euclid_basis(z, p, bounds.b1, bounds.b2)
+        reduced, _ = gauss_reduce(start, WeightedForm.for_rectangle(bounds.b1, bounds.b2))
+        v = IVec2(0, -(u << q))
+        lo1, hi1, lo2, hi2 = coefficient_box(reduced, v, bounds.b1, bounds.b2)
+        assert (hi1 - lo1 + 1, hi2 - lo2 + 1) == (0, 2)
+        assert rect_search(reduced, v, bounds.b1, bounds.b2) == ([], 0)
+        result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
+        assert (result.candidates, result.searched) == ((), 0)
+        assert brute_force_preimages(z, p, q, u, m) == []
 
     def test_empty_region(self):
         # u=1 is outside the image of the map for this z (checked by scan)
@@ -145,7 +187,8 @@ class TestRecoverPreimages:
         monkeypatch.setattr(truncrack.lattice2d, "Fraction", refuse)
         result = recover_preimages(GOLDEN)
         assert result.candidates == ((12345, 21),)
-        assert result.searched == 25
+        # the exact box holds the one winning pair
+        assert result.searched == 1
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(606)
@@ -193,6 +236,15 @@ class TestRecoverPreimages:
             form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
             theirs, _ = gauss_reduce(solution_basis(z, p, q, u).basis(), form)
             _assert_same_reduced_basis(reduced.pop(), theirs, form)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=small_attack_cases())
+    def test_sound_and_complete_on_small_instances(self, case):
+        # Nothing filters the walk's hits, so an unsound hit would show
+        # here as well as a missed one.
+        z, p, q, m, u = case
+        result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
+        assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
 
     def test_candidates_lie_in_region_and_solve_congruence(self):
         result = recover_preimages(GOLDEN)

@@ -614,19 +614,21 @@ class TestNearestPoint:
 
 
 def _reference_coefficient_box(basis, v, b1, b2):
-    """The corner box by four Cramer solves, each divided by det."""
+    """The exact corner box by four Cramer solves, each divided by det:
+    ceil of the smallest and floor of the largest coefficient over the
+    corners of the closed rectangle [0, b1-1] x [0, b2-1]."""
     x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
     det = x1 * y2 - y1 * x2
     if det == 0:
         raise SingularBasis("cannot bound coefficients: determinant is 0")
-    corners = [(x, y) for x in (v.x, v.x - b1) for y in (v.y, v.y - b2)]
+    corners = [(x, y) for x in (v.x, v.x - (b1 - 1)) for y in (v.y, v.y - (b2 - 1))]
     nums1 = [x * y2 - x2 * y for x, y in corners]
     nums2 = [x1 * y - x * y1 for x, y in corners]
     return (
-        min(n // det for n in nums1) - 1,
-        max(-(-n // det) for n in nums1) + 1,
-        min(n // det for n in nums2) - 1,
-        max(-(-n // det) for n in nums2) + 1,
+        min(-(-n // det) for n in nums1),
+        max(n // det for n in nums1),
+        min(-(-n // det) for n in nums2),
+        max(n // det for n in nums2),
     )
 
 
@@ -678,8 +680,10 @@ class TestRectSearch:
             rect_search(worked_reduced(), IVec2(0, 0), 0, 32)
 
     def test_cap(self):
+        # the worked box is exact: one pair, so only cap=0 refuses it
+        assert rect_search(worked_reduced(), IVec2(115, 1703), B1, B2, cap=1)[1] == 1
         with pytest.raises(SearchSpaceExceeded):
-            rect_search(worked_reduced(), IVec2(115, 1703), B1, B2, cap=3)
+            rect_search(worked_reduced(), IVec2(115, 1703), B1, B2, cap=0)
 
     @settings(max_examples=300, deadline=None)
     @given(case=euclid_cases(), swap=st.booleans(), mix=st.integers(-3, 3))
@@ -754,19 +758,19 @@ class TestRectSearch:
 
 
 def _assert_box_matches_rationals(basis, v, b1, b2):
-    """coefficient_box equals the padded corner box of solve_coeffs' exact
-    rationals, for the basis and for its swap, whose det has the other
-    sign."""
+    """coefficient_box equals the exact corner box of solve_coeffs' exact
+    rationals over the closed rectangle [0, b1-1] x [0, b2-1], for the
+    basis and for its swap, whose det has the other sign."""
     swapped = LatticeBasis(basis.u2, basis.u1, modulus_exp=basis.modulus_exp, z=basis.z)
     assert abs(basis.det()) == 1 << basis.modulus_exp
     for b in (basis, swapped):
-        corners = [v, v - IVec2(b1, 0), v - IVec2(0, b2), v - IVec2(b1, b2)]
+        corners = [v, v - IVec2(b1 - 1, 0), v - IVec2(0, b2 - 1), v - IVec2(b1 - 1, b2 - 1)]
         a1s, a2s = zip(*(solve_coeffs(b, corner) for corner in corners))
         expected = (
-            math.floor(min(a1s)) - 1,
-            math.ceil(max(a1s)) + 1,
-            math.floor(min(a2s)) - 1,
-            math.ceil(max(a2s)) + 1,
+            math.ceil(min(a1s)),
+            math.floor(max(a1s)),
+            math.ceil(min(a2s)),
+            math.floor(max(a2s)),
         )
         assert coefficient_box(b, v, b1, b2) == expected
 
