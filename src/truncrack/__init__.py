@@ -4,8 +4,6 @@ exact rank-2 lattice attack that recovers its secrets."""
 from .attack import (
     AttackInput,
     AttackResult,
-    Bounds,
-    bounds_for_token,
     recover_preimages,
     recover_shared_key,
 )

@@ -2,11 +2,12 @@
 
 Given the public observables (z, p, q, m) and one token u, every preimage
 x corresponds to a point (x, y) of the congruence coset inside the
-rectangle 0 <= x < 2^m, 0 <= y < B2.  The attack reduces a basis of the
-congruence lattice under a form weighted to make that rectangle roughly
-square (an extended Euclid, finished by Gauss reduction), walks the
-rectangle's exact coefficient box from the coset point (0, -2^q*u), and
-returns every point it finds, each a preimage by construction.
+rectangle [0, 2^m) x [0, 2^q), the same for every token of a deployment.
+The attack reduces a basis of the congruence lattice under a form weighted
+to make that rectangle square (an extended Euclid, finished by Gauss
+reduction), walks the rectangle's exact coefficient box from the coset
+point (0, -2^q*u), and returns every point it finds, each a preimage by
+construction.  The whole path runs on plain ints and tuples.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, NoCandidates
-from .lattice2d import IVec2, WeightedForm, euclid_basis, gauss_reduce, rect_search
+from .lattice2d import euclid_basis, gauss_reduce, rect_search
 from .protocol import derive_key, truncate
 
 
@@ -44,14 +45,6 @@ class AttackInput:
 
 
 @dataclass(frozen=True)
-class Bounds:
-    """The feasible rectangle [0, b1) x [0, b2) for preimage points."""
-
-    b1: int
-    b2: int
-
-
-@dataclass(frozen=True)
 class AttackResult:
     """``reduce_iterations`` counts euclid_basis's quotients plus the
     finishing passes of gauss_reduce (its final all-zero pass included);
@@ -63,15 +56,6 @@ class AttackResult:
     searched: int
     reduce_time_ns: int
     search_time_ns: int
-
-
-def bounds_for_token(u: int, q: int, m: int) -> Bounds:
-    """Rectangle bounds: b1 = 2^m always; b2 = 2^q except in the corner
-    case 0 < 2^m - 2^q*u < 2^q, where the tighter slack applies."""
-    b1 = 1 << m
-    slack = b1 - (u << q)
-    b2 = slack if 0 < slack < (1 << q) else (1 << q)
-    return Bounds(b1, b2)
 
 
 def check_observables(
@@ -95,30 +79,33 @@ def check_observables(
 
 
 def recover_preimages(inp: AttackInput) -> AttackResult:
-    """Recover every preimage of the token inside the feasible rectangle.
+    """Recover every preimage of the token inside [0, 2^m) x [0, 2^q).
 
     Deterministic in its input.  The candidates are the walk's hits as
-    they are: x*z = 2^q*u + y (mod 2^p) with 0 <= y < b2 <= 2^q and
+    they are: x*z = 2^q*u + y (mod 2^p) with 0 <= y < 2^q and
     u < 2^(p-q) gives 2^q*u + y < 2^p, so truncate(x) == u, which is
-    asserted.  ``unique`` is set when there is exactly one candidate.
-    Candidates with x = 0 are kept (x = 0 is never a valid secret).
+    asserted.  The rectangle's form (b2^2, b1^2) over its gcd is
+    (2^(2(q-m)), 1) or (1, 2^(2(m-q))).  ``unique`` is set when there is
+    exactly one candidate.  Candidates with x = 0 are kept (x = 0 is never
+    a valid secret).
     """
     if inp.token_is_scaled and inp.token & ((1 << inp.q) - 1):
         raise DegenerateInput(f"scaled token {inp.token} is not a multiple of 2^q (q={inp.q})")
     u = inp.token_value()
-    check_observables(inp.z, inp.p, inp.q, inp.m, u)
-    bounds = bounds_for_token(u, inp.q, inp.m)
-    form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+    z, p, q, m = inp.z, inp.p, inp.q, inp.m
+    check_observables(z, p, q, m, u)
+    b1, b2 = 1 << m, 1 << q
+    wx, wy = (1 << 2 * (q - m), 1) if q > m else (1, 1 << 2 * (m - q))
 
     t0 = time.perf_counter_ns()
-    start, quotients = euclid_basis(inp.z, inp.p, bounds.b1, bounds.b2)
-    reduced, passes = gauss_reduce(start, form)
+    start, quotients = euclid_basis(z, p, b1, b2)
+    reduced, passes = gauss_reduce(start, p, wx, wy)
     t1 = time.perf_counter_ns()
-    hits, searched = rect_search(reduced, IVec2(0, -(u << inp.q)), bounds.b1, bounds.b2)
+    hits, searched = rect_search(reduced, p, (0, -(u << q)), b1, b2)
     t2 = time.perf_counter_ns()
 
-    candidates = tuple((s.x, s.y) for s in hits)
-    assert all(truncate(x, inp.z, inp.p, inp.q) == u for x, _ in candidates)
+    candidates = tuple(hits)
+    assert all(truncate(x, z, p, q) == u for x, _ in candidates)
     return AttackResult(
         candidates=candidates,
         unique=len(candidates) == 1,

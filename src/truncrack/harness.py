@@ -12,15 +12,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .attack import (
-    AttackInput,
-    bounds_for_token,
-    check_observables,
-    recover_preimages,
-    recover_shared_key,
-)
+from .attack import AttackInput, check_observables, recover_preimages, recover_shared_key
 from .errors import NoCandidates, OracleTooLarge, ToolkitError
-from .protocol import check_shape, exchange, gen_params, trunc_remainder
+from .protocol import check_shape, exchange, gen_params
 
 MODES = ("attack", "exchange", "oracle-check")
 
@@ -134,12 +128,7 @@ def _run_trial(cfg: TrialConfig, p: int, seed: int) -> TrialRecord:
         record.key_matched = any(key == transcript.w_b for _, key in keys)
 
         if cfg.mode == "oracle-check":
-            bounds = bounds_for_token(transcript.u, params.q, params.m)
-            expected = [
-                x
-                for x in brute_force_preimages(params.z, params.p, params.q, transcript.u, params.m)
-                if trunc_remainder(x, params)[1] < bounds.b2
-            ]
+            expected = brute_force_preimages(params.z, params.p, params.q, transcript.u, params.m)
             got = [x for x, _ in result.candidates]
             if got != expected:
                 record.error = f"oracle mismatch: got {got} expected {expected}"

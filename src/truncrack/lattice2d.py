@@ -15,17 +15,20 @@ euclid_basis, which runs Euclid on the remainders alone and rebuilds the
 two cofactors at its stop from one 2-adic inverse, and gauss_reduce
 finishes the job.
 
-Everything is exact, with no floating point.  The attack path (reduction,
-coefficient box, enumeration) runs on integers alone; exact rationals
-appear only in solve_coeffs, nearest_lattice_point and the decimal strings
-shown to humans.  All functions are pure.
+Everything is exact, with no floating point.  The attack path runs on
+plain ints: a basis is the tuple (x1, y1, x2, y2) of u1 = (x1, y1) and
+u2 = (x2, y2), a point is (x, y), and a form is its two weights.  IVec2,
+LatticeBasis and WeightedForm serve only the API edges (solution_basis,
+solve_coeffs, nearest_lattice_point, is_reduced and on_step's
+ReductionStep); exact rationals appear only in solve_coeffs,
+nearest_lattice_point and the decimal strings shown to humans.  All
+functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Optional
 
 from .errors import (
@@ -62,8 +65,9 @@ class WeightedForm:
 
     For rectangle bounds (B1, B2) the weights are wx = B2^2, wy = B1^2:
     this is the inner product with y scaled by (B1/B2)^2, multiplied
-    through by B2^2 so every value stays an exact integer.  The common
-    scaling changes no ratio, rounding, or argmin computed from the form.
+    through by B2^2 so every value stays an exact integer.  A common
+    factor of the weights changes no ratio, rounding, or argmin computed
+    from the form.
     """
 
     wx: int
@@ -162,9 +166,9 @@ def solution_basis(z: int, p: int, q: int, u: int) -> SolutionFamily:
     return SolutionFamily(v0, g1, g2, p, z)
 
 
-def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[LatticeBasis, int]:
-    """A basis of L nearly reduced for the rectangle [0, b1) x [0, b2), and
-    the number of Euclid quotients taken to reach it.
+def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int, int], int]:
+    """A basis (x1, y1, x2, y2) of L nearly reduced for the rectangle
+    [0, b1) x [0, b2), and the number of Euclid quotients taken to reach it.
 
     Runs Euclid's algorithm on the remainders (2^p, z mod 2^p) of the
     basis (0, 2^p), (1, z mod 2^p) of L.  Each step maps the pair
@@ -245,7 +249,7 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[LatticeBasis, int]:
     assert (x0 * z - r0) & modmask == 0 and (x1 * z - r1) & modmask == 0
     assert abs(x0 * r1 - r0 * x1) == modmask + 1
     assert 9 * (quotients - 1) < 13 * first.bit_length()
-    return LatticeBasis(IVec2(x0, r0), IVec2(x1, r1), p, z), quotients
+    return (x0, r0, x1, r1), quotients
 
 
 def _round_quotient_half_to_zero(num: int, den: int) -> int:
@@ -272,46 +276,49 @@ def round_half_to_zero(value: Fraction | int) -> int:
 
 
 def gauss_reduce(
-    basis: LatticeBasis,
-    form: WeightedForm,
+    basis: tuple[int, int, int, int],
+    p: int,
+    wx: int,
+    wy: int,
     *,
     on_step: Optional[Callable[[ReductionStep], None]] = None,
-) -> tuple[LatticeBasis, int]:
-    """Lagrange-reduce the basis under the weighted form.
+) -> tuple[tuple[int, int, int, int], int]:
+    """Lagrange-reduce the basis (x1, y1, x2, y2) under the form
+    <a, b> = wx*ax*bx + wy*ay*by.
 
     Alternately replaces u1 <- u1 - c1*u2 and u2 <- u2 - c2*u1 with
     c = Round(<ui, uj> / <uj, uj>) (halves toward zero) until a pass leaves
     both coefficients zero.  On exit |<u1,u2>| <= min(|u1|^2, |u2|^2) / 2.
 
-    The loop runs on plain ints, under the weights divided by their
-    common factor gcd(wx, wy), which changes no quotient or comparison.
-    Each inner product, and the norm of each replaced vector, is computed
-    fresh from the coordinates; the exit bound is asserted on those values.
+    A common factor of wx and wy changes no quotient or comparison, so
+    the caller may divide it out first, as the attack does.  Each inner
+    product, and the norm of each replaced vector, is computed fresh from
+    the coordinates; the exit bound is asserted on those values.
 
-    Returns the reduced basis and the number of passes, counting the final
-    all-zero pass.  Each half-step preserves the determinant and, whenever
-    c != 0, strictly shrinks the replaced vector's norm; both facts are
-    asserted.  ``on_step`` (if given) observes the state after every
-    half-step.  The pass count is capped at 64 * modulus_exp as a safety
-    net; reduction converges orders of magnitude faster, and from
-    euclid_basis's start it takes a pass or two.
+    Returns the reduced basis as (x1, y1, x2, y2) and the number of
+    passes, counting the final all-zero pass.  Each half-step preserves
+    the determinant and, whenever c != 0, strictly shrinks the replaced
+    vector's norm; both facts are asserted.  ``on_step`` (if given)
+    observes the state after every half-step.  The pass count is capped at
+    64 * p as a safety net; reduction converges orders of magnitude
+    faster, and from euclid_basis's start it takes a pass or two.  Raises
+    ValueError for a weight below 1 and DegenerateInput for a basis of
+    determinant 0.
     """
-    det = abs(basis.det())
+    if wx <= 0 or wy <= 0:
+        raise ValueError("form weights must be positive")
+    x1, y1, x2, y2 = basis
+    det = abs(x1 * y2 - y1 * x2)
     if det == 0:
         raise DegenerateInput("basis is degenerate (determinant 0)")
-    x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
-    g = gcd(form.wx, form.wy)
-    wx, wy = form.wx // g, form.wy // g
     n1 = wx * x1 * x1 + wy * y1 * y1
     n2 = wx * x2 * x2 + wy * y2 * y2
-    cap = 64 * basis.modulus_exp
+    cap = 64 * p
     passes = 0
     while True:
         passes += 1
         if passes > cap:
-            raise IterationCapExceeded(
-                f"reduction exceeded {cap} passes (modulus_exp={basis.modulus_exp})"
-            )
+            raise IterationCapExceeded(f"reduction exceeded {cap} passes (p={p})")
         d = wx * x1 * x2 + wy * y1 * y2
         c1 = _round_quotient_half_to_zero(d, n2)
         if c1:
@@ -339,8 +346,7 @@ def gauss_reduce(
         if c1 == 0 and c2 == 0:
             break
     assert 2 * abs(d) <= min(n1, n2)
-    reduced = LatticeBasis(IVec2(x1, y1), IVec2(x2, y2), basis.modulus_exp, basis.z)
-    return reduced, passes
+    return (x1, y1, x2, y2), passes
 
 
 def solve_coeffs(basis: LatticeBasis, v: IVec2) -> tuple[Fraction, Fraction]:
@@ -388,7 +394,7 @@ def nearest_lattice_point(basis: LatticeBasis, v: IVec2, form: WeightedForm) -> 
 
 
 def coefficient_box(
-    basis: LatticeBasis, v: IVec2, b1: int, b2: int
+    basis: tuple[int, int, int, int], p: int, v: tuple[int, int], b1: int, b2: int
 ) -> tuple[int, int, int, int]:
     """Exact inclusive coefficient ranges of the rectangle [0, b1) x [0, b2).
 
@@ -397,28 +403,28 @@ def coefficient_box(
     same integer points; a linear map takes its extremes over a
     parallelogram at its corners, so no point s = v - a1*u1 - a2*u2 inside
     is lost.  A range may be empty (hi = lo - 1, never less, as
-    floor(max) >= ceil(min) - 1).  The Cramer numerators of v are computed
-    once.  Moving the corner by b1-1 in x or b2-1 in y adds (1-b1)*y2 or
-    (b2-1)*x2 to the a1 numerator and (b1-1)*y1 or (1-b2)*x1 to the a2
-    one, so the smallest corner numerator adds the negative moves and the
-    largest the positive ones.
+    floor(max) >= ceil(min) - 1).  The Cramer numerators of v = (vx, vy)
+    are computed once.  Moving the corner by b1-1 in x or b2-1 in y adds
+    (1-b1)*y2 or (b2-1)*x2 to the a1 numerator and (b1-1)*y1 or (1-b2)*x1
+    to the a2 one, so the smallest corner numerator adds the negative
+    moves and the largest the positive ones.
 
-    The basis must have |det| = 2^modulus_exp = 2^p, as every basis of L
+    The basis (x1, y1, x2, y2) must have |det| = 2^p, as every basis of L
     does.  When det < 0 the signs of both vectors are flipped, which
     negates both numerators and leaves det as it is; the division by 2^p
     is then a shift, ceiling -(-n >> p) and floor n >> p, and no rational
     is built.  Raises SingularBasis for any other determinant, 0 included,
     since a shift by the wrong p would give a wrong box.
     """
-    x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
+    x1, y1, x2, y2 = basis
+    vx, vy = v
     det = x1 * y2 - y1 * x2
-    p = basis.modulus_exp
     if abs(det) != 1 << p:
         raise SingularBasis(f"cannot bound coefficients: determinant {det} is not +-2^{p}")
     if det < 0:
         x1, y1, x2, y2 = -x1, -y1, -x2, -y2
-    n1 = v.x * y2 - x2 * v.y
-    n2 = x1 * v.y - v.x * y1
+    n1 = vx * y2 - x2 * vy
+    n2 = x1 * vy - vx * y1
     dx1, dy1 = (1 - b1) * y2, (b2 - 1) * x2
     dx2, dy2 = (b1 - 1) * y1, (1 - b2) * x1
     lo1 = n1 + min(dx1, 0) + min(dy1, 0)
@@ -429,12 +435,13 @@ def coefficient_box(
 
 
 def rect_search(
-    basis: LatticeBasis,
-    v: IVec2,
+    basis: tuple[int, int, int, int],
+    p: int,
+    v: tuple[int, int],
     b1: int,
     b2: int,
     cap: int = 1 << 20,
-) -> tuple[list[IVec2], int]:
+) -> tuple[list[tuple[int, int]], int]:
     """Points of the coset v + L inside [0, b1) x [0, b2), and the box size.
 
     Visits every integer coefficient pair (a1, a2) of coefficient_box's
@@ -443,33 +450,34 @@ def rect_search(
     ([], 0).  Any point of the coset as v gives the same hits.  The points
     are stepped, not multiplied out: the walk starts at v - lo1*u1 -
     lo2*u2 and subtracts u2 along a row and u1 between rows.  ``basis``
-    should be reduced; an unreduced basis only makes the box larger.
+    (x1, y1, x2, y2) should be reduced; an unreduced basis only makes the
+    box larger.
 
-    Returns the hits sorted by x and the number of pairs enumerated.
-    Raises SearchSpaceExceeded when the box holds more than ``cap`` pairs,
-    and SingularBasis as coefficient_box does.
+    Returns the hits as sorted (x, y) tuples and the number of pairs
+    enumerated.  Raises SearchSpaceExceeded when the box holds more than
+    ``cap`` pairs, and SingularBasis as coefficient_box does.
     """
     if b1 < 1 or b2 < 1:
         raise ValueError("rectangle bounds must be at least 1")
-    lo1, hi1, lo2, hi2 = coefficient_box(basis, v, b1, b2)
+    lo1, hi1, lo2, hi2 = coefficient_box(basis, p, v, b1, b2)
     rows, cols = hi1 - lo1 + 1, hi2 - lo2 + 1
     pairs = rows * cols
     if pairs > cap:
         raise SearchSpaceExceeded(f"coefficient box holds {pairs} pairs (cap {cap})")
-    x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
-    row_x = v.x - lo1 * x1 - lo2 * x2
-    row_y = v.y - lo1 * y1 - lo2 * y2
-    hits: list[IVec2] = []
+    x1, y1, x2, y2 = basis
+    row_x = v[0] - lo1 * x1 - lo2 * x2
+    row_y = v[1] - lo1 * y1 - lo2 * y2
+    hits: list[tuple[int, int]] = []
     for _ in range(rows):
         sx, sy = row_x, row_y
         for _ in range(cols):
             if 0 <= sx < b1 and 0 <= sy < b2:
-                hits.append(IVec2(sx, sy))
+                hits.append((sx, sy))
             sx -= x2
             sy -= y2
         row_x -= x1
         row_y -= y1
-    hits.sort(key=lambda s: s.x)
+    hits.sort()
     return hits, pairs
 
 

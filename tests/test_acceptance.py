@@ -15,7 +15,6 @@ from truncrack import (
     LatticeBasis,
     TrialConfig,
     WeightedForm,
-    bounds_for_token,
     brute_force_preimages,
     gauss_reduce,
     nearest_lattice_point,
@@ -34,6 +33,17 @@ def _report(num: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
 
 
+def basis_ints(basis: LatticeBasis) -> tuple[int, int, int, int]:
+    """The four ints (x1, y1, x2, y2) in which the attack path takes a basis."""
+    return basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
+
+
+def lattice_basis(ints, p: int, z: int) -> LatticeBasis:
+    """The LatticeBasis of four ints (x1, y1, x2, y2), for the API edges."""
+    x1, y1, x2, y2 = ints
+    return LatticeBasis(IVec2(x1, y1), IVec2(x2, y2), modulus_exp=p, z=z)
+
+
 def test_criterion_1_golden_example():
     failures = []
     # The rectangle of solutions [0, 2^m) x [0, 2^q) with m=14, q=5.
@@ -42,9 +52,10 @@ def test_criterion_1_golden_example():
     t0 = time.perf_counter_ns()
     fam = solution_basis(6173, 22, 5, 22131)
     form = WeightedForm.for_rectangle(B1, B2)
-    reduced, _ = gauss_reduce(fam.basis(), form)
-    hits, _ = rect_search(reduced, fam.v0, B1, B2)
+    reduced, _ = gauss_reduce(basis_ints(fam.basis()), 22, form.wx, form.wy)
+    hits, _ = rect_search(reduced, 22, (fam.v0.x, fam.v0.y), B1, B2)
     elapsed_ns = time.perf_counter_ns() - t0
+    reduced = lattice_basis(reduced, 22, 6173)
 
     if fam.v0 != IVec2(115, 1703):
         failures.append(f"particular solution {fam.v0}")
@@ -97,7 +108,7 @@ def test_criterion_1_golden_example():
                     f"corner {corner.x},{corner.y}: got {truncate_decimal(value)} want {want}"
                 )
 
-    if [(s.x, s.y) for s in hits] != [(12345, 21)]:
+    if hits != [(12345, 21)]:
         failures.append(f"final answer {hits}")
 
     result = recover_preimages(
@@ -133,13 +144,7 @@ def test_criterion_2_oracle_equivalence():
         else:
             token = rng.randint(0, (1 << (p - q)) - 1)
         result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=token))
-        bounds = bounds_for_token(token, q, m)
-        mask = (1 << p) - 1
-        expected = [
-            x
-            for x in brute_force_preimages(z, p, q, token, m)
-            if ((x * z) & mask) & ((1 << q) - 1) < bounds.b2
-        ]
+        expected = brute_force_preimages(z, p, q, token, m)
         matched += [x for x, _ in result.candidates] == expected
     elapsed = time.perf_counter() - t0
     ok = matched == total and elapsed < 60
@@ -159,7 +164,8 @@ def test_criterion_3_cvp_optimality():
         u = rng.randint(0, (1 << max(1, p - q)) - 1)
         fam = solution_basis(z, p, q, u)
         form = WeightedForm(wx=rng.randint(1, 4) ** 2, wy=rng.randint(1, 4) ** 2)
-        reduced, _ = gauss_reduce(fam.basis(), form)
+        reduced, _ = gauss_reduce(basis_ints(fam.basis()), p, form.wx, form.wy)
+        reduced = lattice_basis(reduced, p, z)
         a1t, a2t = rng.randint(-30, 30), rng.randint(-30, 30)
         v = reduced.u1.scaled(a1t) + reduced.u2.scaled(a2t) + IVec2(
             rng.randint(-3, 3), rng.randint(-3, 3)
@@ -222,8 +228,7 @@ def test_criterion_4_reduction_invariants():
         x = rng.randint(1, (1 << m) - 1)
         u = ((x * z) & ((1 << p) - 1)) >> q
         fam = solution_basis(z, p, q, u)
-        bounds = bounds_for_token(u, q, m)
-        form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+        form = WeightedForm.for_rectangle(1 << m, 1 << q)
 
         target_det = 1 << p
         state = {"u1": fam.g1, "u2": fam.g2}
@@ -238,7 +243,10 @@ def test_criterion_4_reduction_invariants():
                 violations.append("norm")
             state["u1"], state["u2"] = step.u1, step.u2
 
-        reduced, passes = gauss_reduce(fam.basis(), form, on_step=watch)
+        reduced, passes = gauss_reduce(
+            basis_ints(fam.basis()), p, form.wx, form.wy, on_step=watch
+        )
+        reduced = lattice_basis(reduced, p, z)
         cross = abs(form.inner(reduced.u1, reduced.u2))
         if 2 * cross > min(form.norm_sq(reduced.u1), form.norm_sq(reduced.u2)):
             violations.append("exit-bound")
@@ -302,18 +310,20 @@ def test_criterion_7_scaling_invariance():
         x = rng.randint(1, (1 << m) - 1)
         u = ((x * z) & ((1 << p) - 1)) >> q
         fam = solution_basis(z, p, q, u)
-        bounds = bounds_for_token(u, q, m)
-        form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+        b1, b2 = 1 << m, 1 << q
+        form = WeightedForm.for_rectangle(b1, b2)
         scaled = WeightedForm(wx=7 * form.wx, wy=7 * form.wy)
-        red_a, it_a = gauss_reduce(fam.basis(), form)
-        red_b, it_b = gauss_reduce(fam.basis(), scaled)
-        hits_a = rect_search(red_a, fam.v0, bounds.b1, bounds.b2)
-        hits_b = rect_search(red_b, fam.v0, bounds.b1, bounds.b2)
+        start = basis_ints(fam.basis())
+        red_a, it_a = gauss_reduce(start, p, form.wx, form.wy)
+        red_b, it_b = gauss_reduce(start, p, scaled.wx, scaled.wy)
+        v0 = (fam.v0.x, fam.v0.y)
+        hits_a = rect_search(red_a, p, v0, b1, b2)
+        hits_b = rect_search(red_b, p, v0, b1, b2)
         identical += (
-            (red_a.u1, red_a.u2, it_a) == (red_b.u1, red_b.u2, it_b)
+            (red_a, it_a) == (red_b, it_b)
             and hits_a == hits_b
-            and nearest_lattice_point(red_a, fam.v0, form)
-            == nearest_lattice_point(red_b, fam.v0, scaled)
+            and nearest_lattice_point(lattice_basis(red_a, p, z), fam.v0, form)
+            == nearest_lattice_point(lattice_basis(red_b, p, z), fam.v0, scaled)
         )
     ok = identical == total
     _report(7, ok, f"weight scaling changes nothing: {identical}/{total}")

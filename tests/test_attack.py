@@ -9,10 +9,8 @@ import truncrack.lattice2d
 from truncrack import (
     AttackInput,
     DegenerateInput,
-    IVec2,
     NoCandidates,
     WeightedForm,
-    bounds_for_token,
     derive_key,
     exchange,
     gauss_reduce,
@@ -25,6 +23,7 @@ from truncrack import (
 )
 from truncrack.harness import brute_force_preimages
 from truncrack.lattice2d import coefficient_box, euclid_basis
+from test_acceptance import basis_ints, lattice_basis
 
 GOLDEN = AttackInput(z=6173, p=22, q=5, m=14, token=708192, token_is_scaled=True)
 
@@ -58,10 +57,8 @@ def small_attack_cases(draw):
 
 
 def _oracle_pairs(z, p, q, m, u):
-    """The brute-force preimages as (x, y) pairs, restricted to y < b2."""
-    b2 = bounds_for_token(u, q, m).b2
-    pairs = [(x, (x * z) & ((1 << q) - 1)) for x in brute_force_preimages(z, p, q, u, m)]
-    return [(x, y) for x, y in pairs if y < b2]
+    """The brute-force preimages as (x, y) pairs, y their low q bits."""
+    return [(x, (x * z) & ((1 << q) - 1)) for x in brute_force_preimages(z, p, q, u, m)]
 
 
 def _assert_same_reduced_basis(ours, theirs, form):
@@ -75,22 +72,6 @@ def _assert_same_reduced_basis(ours, theirs, form):
     else:
         assert ours.is_reduced(form) and theirs.is_reduced(form)
         assert sorted(form.norm_sq(v) for v in (ours.u1, ours.u2)) == sorted(norms)
-
-
-class TestBounds:
-    def test_generic_token(self):
-        b = bounds_for_token(22131, q=5, m=14)
-        assert (b.b1, b.b2) == (1 << 14, 1 << 5)
-
-    def test_small_token_wide_slack(self):
-        # 2^14 - 2^5*192 = 10240 >= 2^5, so the full 2^q applies
-        b = bounds_for_token(192, q=5, m=14)
-        assert b.b2 == 1 << 5
-
-    def test_zero_token_narrow_secret_space(self):
-        # only reachable squeeze: u=0 with m < q
-        b = bounds_for_token(0, q=5, m=3)
-        assert (b.b1, b.b2) == (8, 8)
 
 
 class TestRecoverPreimages:
@@ -112,18 +93,31 @@ class TestRecoverPreimages:
         result = recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, token=0))
         assert (0, 0) in result.candidates
 
+    def test_zero_token_with_m_below_q(self):
+        # An honest exchange whose token is 0, with m < q: the low q bits
+        # of x*z mod 2^p range over all of [0, 2^q), not [0, 2^m).
+        params = gen_params(416, 13, 3, 5, 1)
+        t = exchange(416, params)
+        assert (t.u, params.m, params.q) == (0, 3, 5)
+        result = recover_preimages(
+            AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
+        )
+        candidates = [x for x, _ in result.candidates]
+        assert t.x in candidates
+        assert candidates == brute_force_preimages(params.z, params.p, params.q, t.u, params.m)
+
     def test_empty_box(self):
         # An instance of the small sweep whose exact box has no row: the
         # walk visits no pair, and the attack returns no candidate.
         z, p, q, m, u = 11, 5, 2, 3, 1
         assert (z, p, q, m, u) in _small_instances()
-        bounds = bounds_for_token(u, q, m)
-        start, _ = euclid_basis(z, p, bounds.b1, bounds.b2)
-        reduced, _ = gauss_reduce(start, WeightedForm.for_rectangle(bounds.b1, bounds.b2))
-        v = IVec2(0, -(u << q))
-        lo1, hi1, lo2, hi2 = coefficient_box(reduced, v, bounds.b1, bounds.b2)
+        b1, b2 = 1 << m, 1 << q
+        start, _ = euclid_basis(z, p, b1, b2)
+        reduced, _ = gauss_reduce(start, p, 1, 1 << 2 * (m - q))
+        v = (0, -(u << q))
+        lo1, hi1, lo2, hi2 = coefficient_box(reduced, p, v, b1, b2)
         assert (hi1 - lo1 + 1, hi2 - lo2 + 1) == (0, 2)
-        assert rect_search(reduced, v, bounds.b1, bounds.b2) == ([], 0)
+        assert rect_search(reduced, p, v, b1, b2) == ([], 0)
         result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
         assert (result.candidates, result.searched) == ((), 0)
         assert brute_force_preimages(z, p, q, u, m) == []
@@ -190,6 +184,23 @@ class TestRecoverPreimages:
         # the exact box holds the one winning pair
         assert result.searched == 1
 
+    def test_builds_no_vector_basis_or_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("API edge type built on the attack path")
+
+        for module in (truncrack.lattice2d, truncrack.attack):
+            for name in ("IVec2", "LatticeBasis", "WeightedForm"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert recover_preimages(GOLDEN).candidates == ((12345, 21),)
+        params = gen_params(9, 2048, 512, 512, 129)
+        t = exchange(9, params)
+        result = recover_preimages(
+            AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
+        )
+        assert t.x in [x for x, _ in result.candidates]
+        empty = recover_preimages(AttackInput(z=11, p=5, q=2, m=3, token=1))
+        assert (empty.candidates, empty.searched) == ((), 0)
+
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(606)
         for _ in range(40):
@@ -206,36 +217,28 @@ class TestRecoverPreimages:
             result = recover_preimages(
                 AttackInput(z=params.z, p=params.p, q=params.q, m=m, token=token)
             )
-            bounds = bounds_for_token(token, params.q, m)
-            mask = (1 << params.p) - 1
-            expected = [
-                x
-                for x in brute_force_preimages(params.z, params.p, params.q, token, m)
-                if ((x * params.z) & mask) & ((1 << params.q) - 1) < bounds.b2
-            ]
+            expected = brute_force_preimages(params.z, params.p, params.q, token, m)
             assert [x for x, _ in result.candidates] == expected
 
     def test_exhaustive_small_sweep(self, monkeypatch):
         reduced = []
 
-        def keep_reduced(basis, form):
-            result = gauss_reduce(basis, form)
+        def keep_reduced(basis, p, wx, wy):
+            result = gauss_reduce(basis, p, wx, wy)
             reduced.append(result[0])
             return result
 
         monkeypatch.setattr(truncrack.attack, "gauss_reduce", keep_reduced)
         for z, p, q, m, u in _small_instances():
             result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
-            bounds = bounds_for_token(u, q, m)
-            expected = [
-                x
-                for x in brute_force_preimages(z, p, q, u, m)
-                if (x * z) & ((1 << q) - 1) < bounds.b2
-            ]
+            expected = brute_force_preimages(z, p, q, u, m)
             assert [x for x, _ in result.candidates] == expected
-            form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
-            theirs, _ = gauss_reduce(solution_basis(z, p, q, u).basis(), form)
-            _assert_same_reduced_basis(reduced.pop(), theirs, form)
+            form = WeightedForm.for_rectangle(1 << m, 1 << q)
+            fam = solution_basis(z, p, q, u)
+            theirs, _ = gauss_reduce(basis_ints(fam.basis()), p, form.wx, form.wy)
+            _assert_same_reduced_basis(
+                lattice_basis(reduced.pop(), p, z), lattice_basis(theirs, p, z), form
+            )
 
     @settings(max_examples=300, deadline=None)
     @given(case=small_attack_cases())

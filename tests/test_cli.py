@@ -240,6 +240,19 @@ class TestBenchCommand:
         for line in out.read_text().splitlines()[1:]:
             assert line.endswith(",")  # empty error column
 
+    def test_oracle_check_zero_tokens_with_m_below_q(self, tmp_path):
+        # m < q: the exchanges with token 0 (seeds 416, 467, 614, 627 among
+        # these) must recover the secret and match the unfiltered oracle.
+        out = tmp_path / "oc.csv"
+        rc = main(["bench", "--l", "13", "--m", "3", "--q", "5", "--r", "1",
+                   "--trials", "700", "--seed", "0", "--mode", "oracle-check",
+                   "--out", str(out)])
+        assert rc == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert len(rows) == 700
+        for row in map(dict, (zip(header, row) for row in rows)):
+            assert (row["error"], row["secret_recovered"]) == ("", "1"), row["seed"]
+
     def test_full_scale_rows(self, tmp_path):
         out = tmp_path / "full.csv"
         rc = main(["bench", "--l", "2048", "--m", "512", "--q", "512", "--r", "129",

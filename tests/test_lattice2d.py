@@ -14,7 +14,6 @@ from truncrack import (
     SearchSpaceExceeded,
     SingularBasis,
     WeightedForm,
-    bounds_for_token,
     gauss_reduce,
     nearest_lattice_point,
     rect_search,
@@ -30,12 +29,13 @@ from truncrack.lattice2d import (
     euclid_basis,
 )
 from truncrack.protocol import check_shape
-from test_acceptance import SIZE_LADDER
+from test_acceptance import SIZE_LADDER, basis_ints, lattice_basis
 
 # The worked toy instance used throughout: z=6173, p=22, q=5, u=22131.
 Z, P, Q, U = 6173, 22, 5, 22131
 B1, B2 = 1 << 14, 1 << 5
 FORM = WeightedForm.for_rectangle(B1, B2)
+V0 = (115, 1703)
 
 
 def worked_family():
@@ -43,8 +43,15 @@ def worked_family():
 
 
 def worked_reduced():
-    reduced, _ = gauss_reduce(worked_family().basis(), FORM)
-    return reduced
+    reduced, _ = gauss_reduce(basis_ints(worked_family().basis()), P, FORM.wx, FORM.wy)
+    return lattice_basis(reduced, P, Z)
+
+
+def reduce_family(fam, form):
+    """gauss_reduce of the family's generators under ``form``, as a
+    LatticeBasis, and the pass count."""
+    reduced, passes = gauss_reduce(basis_ints(fam.basis()), fam.modulus_exp, form.wx, form.wy)
+    return lattice_basis(reduced, fam.modulus_exp, fam.z), passes
 
 
 def random_family(rng, max_p=16):
@@ -125,21 +132,27 @@ class TestGaussReduce:
         assert reduced.is_reduced(FORM)
 
     def test_fixed_point(self):
-        reduced = worked_reduced()
-        again, passes = gauss_reduce(reduced, FORM)
-        assert (again.u1, again.u2) == (reduced.u1, reduced.u2)
+        reduced = basis_ints(worked_reduced())
+        again, passes = gauss_reduce(reduced, P, FORM.wx, FORM.wy)
+        assert again == reduced
         assert passes == 1
 
     def test_orthogonal_basis_unchanged(self):
-        basis = LatticeBasis(IVec2(1, 0), IVec2(0, 1 << 8), modulus_exp=8, z=0)
-        reduced, passes = gauss_reduce(basis, WeightedForm(wx=1, wy=1))
-        assert (reduced.u1, reduced.u2) == (basis.u1, basis.u2)
+        basis = (1, 0, 0, 1 << 8)
+        reduced, passes = gauss_reduce(basis, 8, 1, 1)
+        assert reduced == basis
         assert passes == 1
 
     def test_degenerate_rejected(self):
-        basis = LatticeBasis(IVec2(2, 4), IVec2(1, 2), modulus_exp=4, z=1)
         with pytest.raises(DegenerateInput):
-            gauss_reduce(basis, WeightedForm(wx=1, wy=1))
+            gauss_reduce((2, 4, 1, 2), 4, 1, 1)
+
+    @pytest.mark.parametrize("wx, wy", [(0, 1), (1, 0), (-1, 4)])
+    def test_nonpositive_weights_rejected(self, wx, wy):
+        with pytest.raises(ValueError):
+            gauss_reduce((1, 0, 0, 1 << 8), 8, wx, wy)
+        with pytest.raises(ValueError):
+            WeightedForm(wx=wx, wy=wy)
 
     def test_iteration_cap(self):
         # A Fibonacci-skewed basis needs ~one pass per index; with
@@ -147,9 +160,8 @@ class TestGaussReduce:
         a, b = 1, 1
         for _ in range(400):
             a, b = b, a + b
-        basis = LatticeBasis(IVec2(b, a), IVec2(a, b - a), modulus_exp=1, z=0)
         with pytest.raises(IterationCapExceeded):
-            gauss_reduce(basis, WeightedForm(wx=1, wy=1))
+            gauss_reduce((b, a, a, b - a), 1, 1, 1)
 
     def test_per_step_invariants_random(self):
         rng = random.Random(99)
@@ -165,7 +177,10 @@ class TestGaussReduce:
                 if step.c != 0:
                     assert form.norm_sq(replaced) < form.norm_sq(state[step.target])
                 state["u1"], state["u2"] = step.u1, step.u2
-            reduced, passes = gauss_reduce(fam.basis(), form, on_step=check)
+            reduced, passes = gauss_reduce(
+                basis_ints(fam.basis()), fam.modulus_exp, form.wx, form.wy, on_step=check
+            )
+            reduced = lattice_basis(reduced, fam.modulus_exp, fam.z)
             assert passes <= 64 * fam.modulus_exp
             cross = abs(form.inner(reduced.u1, reduced.u2))
             assert 2 * cross <= min(form.norm_sq(reduced.u1), form.norm_sq(reduced.u2))
@@ -184,7 +199,7 @@ class TestGaussReduce:
         for _ in range(40):
             fam = random_family(rng)
             form = WeightedForm(wx=1, wy=rng.randint(1, 16))
-            reduced, _ = gauss_reduce(fam.basis(), form)
+            reduced, _ = reduce_family(fam, form)
             for g in (fam.g1, fam.g2):
                 a1, a2 = solve_coeffs(reduced, g)
                 assert a1.denominator == 1 and a2.denominator == 1
@@ -232,11 +247,13 @@ def _textbook_gauss_reduce(basis, form, *, on_step=None):
 def _assert_matches_textbook(basis, form):
     """gauss_reduce gives the textbook loop's basis, pass count and steps."""
     fast_steps, ref_steps = [], []
-    fast = gauss_reduce(basis, form, on_step=fast_steps.append)
-    ref = _textbook_gauss_reduce(basis, form, on_step=ref_steps.append)
+    args = (basis_ints(basis), basis.modulus_exp, form.wx, form.wy)
+    fast = gauss_reduce(*args, on_step=fast_steps.append)
+    ref_basis, ref_passes = _textbook_gauss_reduce(basis, form, on_step=ref_steps.append)
+    ref = (basis_ints(ref_basis), ref_passes)
     assert fast == ref
     assert fast_steps == ref_steps
-    assert gauss_reduce(basis, form) == ref  # no hook: same result
+    assert gauss_reduce(*args) == ref  # no hook: same result
 
 
 class TestMatchesTextbookLoop:
@@ -252,19 +269,18 @@ class TestMatchesTextbookLoop:
                 else:
                     u = rng.randint(0, (1 << (p - q)) - 1)
                 fam = solution_basis(z, p, q, u)
-                bounds = bounds_for_token(u, q, m)
-                form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+                form = WeightedForm.for_rectangle(1 << m, 1 << q)
                 _assert_matches_textbook(fam.basis(), form)
                 _assert_matches_textbook(fam.basis(), WeightedForm(wx=7 * form.wx, wy=7 * form.wy))
 
     def test_corner_case_bounds(self):
-        # 0 < 2^m - 2^q*u < 2^q: reachable only with u = 0 and m < q
+        # u = 0 with m < q, where 2^m - 2^q*u lies in (0, 2^q): the
+        # rectangle is still [0, 2^m) x [0, 2^q), under the skew form.
         rng = random.Random(4141)
         for l, m, q, r in [(13, 3, 5, 1), (40, 6, 12, 4), (160, 32, 48, 16), (2048, 256, 512, 129)]:
             p = check_shape(l, m, q, r)
-            bounds = bounds_for_token(0, q, m)
-            assert 0 < bounds.b2 < 1 << q
-            form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+            assert 0 < (1 << m) < 1 << q
+            form = WeightedForm.for_rectangle(1 << m, 1 << q)
             for _ in range(5):
                 z = (1 << (l - 1)) | rng.getrandbits(l - 1)
                 _assert_matches_textbook(solution_basis(z, p, q, 0).basis(), form)
@@ -298,8 +314,7 @@ def large_entry_cases(draw):
     else:
         u = draw(st.integers(0, (1 << (p - q)) - 1))
     basis = solution_basis(z, p, q, u).basis()
-    bounds = bounds_for_token(u, q, m)
-    rect = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+    rect = WeightedForm.for_rectangle(1 << m, 1 << q)
     kind = draw(st.sampled_from(["rectangle", "rectangle x 7", "arbitrary"]))
     if kind == "rectangle":
         form = rect
@@ -337,16 +352,17 @@ class TestLargeEntries:
         )
         form = WeightedForm(wx=1, wy=1)
         steps = []
-        gauss_reduce(basis, form, on_step=steps.append)
+        gauss_reduce(basis_ints(basis), 601, 1, 1, on_step=steps.append)
         assert (steps[0].target, steps[0].c) == ("u1", c1)  # halves toward zero
         _assert_matches_textbook(basis, form)
 
 
 @st.composite
 def euclid_cases(draw):
-    """Small (z, p, q, m, u) with the attack's bounds: l-bit, even or
+    """Small (z, p, q, m, u) for the attack's rectangle: l-bit, even or
     arbitrary z (z = 0 mod 2^p and z >= 2^p included), m < q included,
-    honest and uniform tokens, and u = 0 for the corner-case b2."""
+    honest and uniform tokens, and u = 0, which with m < q is the token
+    whose low bits y still range over all of [0, 2^q)."""
     m = draw(st.integers(1, 12))
     q = draw(st.integers(0, 12))
     p = draw(st.integers(q + 1, q + 24))
@@ -386,18 +402,20 @@ def _ladder_tokens(rng):
 def _assert_euclid_start_matches(z, p, q, m, u):
     """The Euclid start is a basis of L, and its reduction searches the
     rectangle exactly as the reduction of solution_basis's pair does."""
-    bounds = bounds_for_token(u, q, m)
-    form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
+    b1, b2 = 1 << m, 1 << q
+    form = WeightedForm.for_rectangle(b1, b2)
     fam = solution_basis(z, p, q, u)
-    start, _ = euclid_basis(z, p, bounds.b1, bounds.b2)
-    assert fam.basis().contains(start.u1) and fam.basis().contains(start.u2)
-    assert abs(start.det()) == 1 << p
-    ours, _ = gauss_reduce(start, form)
-    theirs, _ = gauss_reduce(fam.basis(), form)
-    assert ours.is_reduced(form)
-    norms = sorted(form.norm_sq(v) for v in (ours.u1, ours.u2))
-    assert norms == sorted(form.norm_sq(v) for v in (theirs.u1, theirs.u2))
-    args = (fam.v0, bounds.b1, bounds.b2)
+    start, _ = euclid_basis(z, p, b1, b2)
+    start_basis = lattice_basis(start, p, z)
+    assert fam.basis().contains(start_basis.u1) and fam.basis().contains(start_basis.u2)
+    assert abs(start_basis.det()) == 1 << p
+    ours, _ = gauss_reduce(start, p, form.wx, form.wy)
+    theirs, _ = gauss_reduce(basis_ints(fam.basis()), p, form.wx, form.wy)
+    ours_basis, theirs_basis = lattice_basis(ours, p, z), lattice_basis(theirs, p, z)
+    assert ours_basis.is_reduced(form)
+    norms = sorted(form.norm_sq(v) for v in (ours_basis.u1, ours_basis.u2))
+    assert norms == sorted(form.norm_sq(v) for v in (theirs_basis.u1, theirs_basis.u2))
+    args = (p, (fam.v0.x, fam.v0.y), b1, b2)
     assert rect_search(ours, *args) == rect_search(theirs, *args)
 
 
@@ -413,7 +431,7 @@ def _reference_euclid_basis(z, p, b1, b2):
         k, rem = divmod(r0, r1)
         x0, r0, x1, r1 = x1, r1, x0 - k * x1, rem
         quotients += 1
-    return LatticeBasis(u1=IVec2(x0, r0), u2=IVec2(x1, r1), modulus_exp=p, z=z), quotients
+    return (x0, r0, x1, r1), quotients
 
 
 @st.composite
@@ -458,8 +476,7 @@ class TestEuclidBasis:
 
     def test_matches_reference_loop_size_ladder(self):
         for z, p, q, m, u in _ladder_tokens(random.Random(6060)):
-            bounds = bounds_for_token(u, q, m)
-            args = (z, p, bounds.b1, bounds.b2)
+            args = (z, p, 1 << m, 1 << q)
             assert euclid_basis(*args) == _reference_euclid_basis(*args)
 
     def test_exhaustive_small_sweep(self):
@@ -474,7 +491,7 @@ class TestEuclidBasis:
                         args = (z, p, 1 << e, b2)
                         got = euclid_basis(*args)
                         assert got == _reference_euclid_basis(*args), args
-                        reached["r1 == 0"] += got[0].u2.y == 0
+                        reached["r1 == 0"] += got[0][3] == 0
                         reached["floor 1"] += e + 1 - b2.bit_length() >= p
                         reached["k > 0"] += z % 2 == 0 and z % (1 << p) != 0
         assert all(reached.values()), reached
@@ -496,12 +513,12 @@ class TestEuclidBasis:
             got = euclid_basis(z, p, b1, b2)
             assert got == _reference_euclid_basis(z, p, b1, b2), k
             if k >= f:
-                assert got[0].u2.y == 0 and got[0].u1.y == 1 << k
+                assert got[0][3] == 0 and got[0][1] == 1 << k
 
     def test_zero_remainder_stops_at_once(self):
         start, quotients = euclid_basis(4096, 11, 1 << 3, 1 << 3)
         assert quotients == 0
-        assert (start.u1, start.u2) == (IVec2(0, 1 << 11), IVec2(1, 0))
+        assert start == (0, 1 << 11, 1, 0)
 
     def test_size_ladder(self):
         for case in _ladder_tokens(random.Random(5050)):
@@ -598,7 +615,7 @@ class TestNearestPoint:
         for _ in range(60):
             fam = random_family(rng, max_p=8)
             form = WeightedForm(wx=rng.randint(1, 4) ** 2, wy=rng.randint(1, 4) ** 2)
-            reduced, _ = gauss_reduce(fam.basis(), form)
+            reduced, _ = reduce_family(fam, form)
             a1t, a2t = rng.randint(-30, 30), rng.randint(-30, 30)
             v = reduced.u1.scaled(a1t) + reduced.u2.scaled(a2t) + IVec2(
                 rng.randint(-3, 3), rng.randint(-3, 3)
@@ -617,11 +634,12 @@ def _reference_coefficient_box(basis, v, b1, b2):
     """The exact corner box by four Cramer solves, each divided by det:
     ceil of the smallest and floor of the largest coefficient over the
     corners of the closed rectangle [0, b1-1] x [0, b2-1]."""
-    x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
+    x1, y1, x2, y2 = basis
+    vx, vy = v
     det = x1 * y2 - y1 * x2
     if det == 0:
         raise SingularBasis("cannot bound coefficients: determinant is 0")
-    corners = [(x, y) for x in (v.x, v.x - (b1 - 1)) for y in (v.y, v.y - (b2 - 1))]
+    corners = [(x, y) for x in (vx, vx - (b1 - 1)) for y in (vy, vy - (b2 - 1))]
     nums1 = [x * y2 - x2 * y for x, y in corners]
     nums2 = [x1 * y - x * y1 for x, y in corners]
     return (
@@ -633,80 +651,83 @@ def _reference_coefficient_box(basis, v, b1, b2):
 
 
 def _reference_rect_search(basis, v, b1, b2, cap=1 << 20):
-    """The enumeration with every point multiplied out from v.
-    rect_search must return its hits and pair count."""
+    """The enumeration with every point multiplied out from v, its hits
+    stably sorted by x.  rect_search must return its hits and pair count."""
     if b1 < 1 or b2 < 1:
         raise ValueError("rectangle bounds must be at least 1")
     lo1, hi1, lo2, hi2 = _reference_coefficient_box(basis, v, b1, b2)
     pairs = (hi1 - lo1 + 1) * (hi2 - lo2 + 1)
     if pairs > cap:
         raise SearchSpaceExceeded(f"coefficient box holds {pairs} pairs (cap {cap})")
-    x1, y1, x2, y2 = basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
+    x1, y1, x2, y2 = basis
     hits = []
     for a1 in range(lo1, hi1 + 1):
-        base_x, base_y = v.x - a1 * x1, v.y - a1 * y1
+        base_x, base_y = v[0] - a1 * x1, v[1] - a1 * y1
         for a2 in range(lo2, hi2 + 1):
             sx, sy = base_x - a2 * x2, base_y - a2 * y2
             if 0 <= sx < b1 and 0 <= sy < b2:
-                hits.append(IVec2(sx, sy))
-    hits.sort(key=lambda s: s.x)
+                hits.append((sx, sy))
+    hits.sort(key=lambda s: s[0])
     return hits, pairs
 
 
-def _assert_rect_search_matches_reference(basis, v, b1, b2, cap=1 << 20):
+def _assert_rect_search_matches_reference(basis, p, v, b1, b2, cap=1 << 20):
     """Same hits and pair count as the reference, or the same exception."""
     try:
         expected = _reference_rect_search(basis, v, b1, b2, cap)
     except SearchSpaceExceeded:
         with pytest.raises(SearchSpaceExceeded):
-            rect_search(basis, v, b1, b2, cap)
+            rect_search(basis, p, v, b1, b2, cap)
         return
-    assert rect_search(basis, v, b1, b2, cap) == expected
+    assert rect_search(basis, p, v, b1, b2, cap) == expected
 
 
 class TestRectSearch:
     def test_worked_answer(self):
-        reduced = worked_reduced()
-        hits, _ = rect_search(reduced, IVec2(115, 1703), B1, B2)
-        assert hits == [IVec2(12345, 21)]
+        reduced = basis_ints(worked_reduced())
+        hits, _ = rect_search(reduced, P, V0, B1, B2)
+        assert hits == [(12345, 21)]
 
     def test_zero_target(self):
-        reduced = worked_reduced()
-        hits, _ = rect_search(reduced, IVec2(0, 0), B1, B2)
-        assert IVec2(0, 0) in hits
+        reduced = basis_ints(worked_reduced())
+        hits, _ = rect_search(reduced, P, (0, 0), B1, B2)
+        assert (0, 0) in hits
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
-            rect_search(worked_reduced(), IVec2(0, 0), 0, 32)
+            rect_search(basis_ints(worked_reduced()), P, (0, 0), 0, 32)
 
     def test_cap(self):
         # the worked box is exact: one pair, so only cap=0 refuses it
-        assert rect_search(worked_reduced(), IVec2(115, 1703), B1, B2, cap=1)[1] == 1
+        reduced = basis_ints(worked_reduced())
+        assert rect_search(reduced, P, V0, B1, B2, cap=1)[1] == 1
         with pytest.raises(SearchSpaceExceeded):
-            rect_search(worked_reduced(), IVec2(115, 1703), B1, B2, cap=0)
+            rect_search(reduced, P, V0, B1, B2, cap=0)
 
     @settings(max_examples=300, deadline=None)
     @given(case=euclid_cases(), swap=st.booleans(), mix=st.integers(-3, 3))
     def test_matches_reference_loop(self, case, swap, mix):
         # The reduced basis, in either order and optionally skewed by a
         # unimodular step (which only widens the box), against the token's
-        # particular solution and rectangle, corner-case b2 included.
+        # particular solution and rectangle, u = 0 with m < q included.
         z, p, q, m, u = case
-        bounds = bounds_for_token(u, q, m)
+        b1, b2 = 1 << m, 1 << q
         fam = solution_basis(z, p, q, u)
-        basis, _ = gauss_reduce(fam.basis(), WeightedForm.for_rectangle(bounds.b1, bounds.b2))
+        basis, _ = reduce_family(fam, WeightedForm.for_rectangle(b1, b2))
         a, b = (basis.u2, basis.u1) if swap else (basis.u1, basis.u2)
-        basis = LatticeBasis(a, b + a.scaled(mix), modulus_exp=p, z=z)
-        _assert_rect_search_matches_reference(basis, fam.v0, bounds.b1, bounds.b2, cap=1 << 12)
+        basis = basis_ints(LatticeBasis(a, b + a.scaled(mix), modulus_exp=p, z=z))
+        _assert_rect_search_matches_reference(
+            basis, p, (fam.v0.x, fam.v0.y), b1, b2, cap=1 << 12
+        )
 
     def test_matches_reference_loop_size_ladder(self):
         for z, p, q, m, u in _ladder_tokens(random.Random(7070)):
-            bounds = bounds_for_token(u, q, m)
-            form = WeightedForm.for_rectangle(bounds.b1, bounds.b2)
-            start, _ = euclid_basis(z, p, bounds.b1, bounds.b2)
-            reduced, _ = gauss_reduce(start, form)
+            b1, b2 = 1 << m, 1 << q
+            form = WeightedForm.for_rectangle(b1, b2)
+            start, _ = euclid_basis(z, p, b1, b2)
+            reduced, _ = gauss_reduce(start, p, form.wx, form.wy)
             v0 = solution_basis(z, p, q, u).v0
-            _assert_rect_search_matches_reference(reduced, v0, bounds.b1, bounds.b2)
+            _assert_rect_search_matches_reference(reduced, p, (v0.x, v0.y), b1, b2)
 
     def test_matches_membership_scan(self):
         rng = random.Random(404)
@@ -719,8 +740,8 @@ class TestRectSearch:
             fam = solution_basis(z, p, q, u)
             b1, b2 = 1 << m, 1 << q
             form = WeightedForm.for_rectangle(b1, b2)
-            reduced, _ = gauss_reduce(fam.basis(), form)
-            hits, _ = rect_search(reduced, fam.v0, b1, b2)
+            reduced, _ = gauss_reduce(basis_ints(fam.basis()), p, form.wx, form.wy)
+            hits, _ = rect_search(reduced, p, (fam.v0.x, fam.v0.y), b1, b2)
             modulus = 1 << p
             expected = [
                 (x, y)
@@ -728,7 +749,7 @@ class TestRectSearch:
                 for y in range(b2)
                 if ((fam.v0.x - x) * z - (fam.v0.y - y)) % modulus == 0
             ]
-            assert [(s.x, s.y) for s in hits] == sorted(expected)
+            assert hits == sorted(expected)
 
     def test_sorted_by_x(self):
         rng = random.Random(8)
@@ -736,9 +757,9 @@ class TestRectSearch:
             fam = random_family(rng, max_p=10)
             b1, b2 = 1 << 6, 1 << 4
             form = WeightedForm.for_rectangle(b1, b2)
-            reduced, _ = gauss_reduce(fam.basis(), form)
-            hits, _ = rect_search(reduced, fam.v0, b1, b2)
-            assert [s.x for s in hits] == sorted(s.x for s in hits)
+            reduced, _ = gauss_reduce(basis_ints(fam.basis()), fam.modulus_exp, form.wx, form.wy)
+            hits, _ = rect_search(reduced, fam.modulus_exp, (fam.v0.x, fam.v0.y), b1, b2)
+            assert [x for x, _ in hits] == sorted(x for x, _ in hits)
 
     def test_scaling_invariance(self):
         rng = random.Random(70)
@@ -748,10 +769,11 @@ class TestRectSearch:
             b2 = 1 << rng.randint(1, 5)
             form = WeightedForm.for_rectangle(b1, b2)
             scaled = WeightedForm(wx=7 * form.wx, wy=7 * form.wy)
-            red_a, it_a = gauss_reduce(fam.basis(), form)
-            red_b, it_b = gauss_reduce(fam.basis(), scaled)
+            red_a, it_a = reduce_family(fam, form)
+            red_b, it_b = reduce_family(fam, scaled)
             assert (red_a.u1, red_a.u2, it_a) == (red_b.u1, red_b.u2, it_b)
-            assert rect_search(red_a, fam.v0, b1, b2) == rect_search(red_b, fam.v0, b1, b2)
+            args = (fam.modulus_exp, (fam.v0.x, fam.v0.y), b1, b2)
+            assert rect_search(basis_ints(red_a), *args) == rect_search(basis_ints(red_b), *args)
             assert nearest_lattice_point(red_a, fam.v0, form) == nearest_lattice_point(
                 red_b, fam.v0, scaled
             )
@@ -772,13 +794,13 @@ def _assert_box_matches_rationals(basis, v, b1, b2):
             math.ceil(min(a2s)),
             math.floor(max(a2s)),
         )
-        assert coefficient_box(b, v, b1, b2) == expected
+        assert coefficient_box(basis_ints(b), b.modulus_exp, (v.x, v.y), b1, b2) == expected
 
 
 class TestCoefficientBox:
     def test_contains_winning_pair(self):
         reduced = worked_reduced()
-        lo1, hi1, lo2, hi2 = coefficient_box(reduced, IVec2(115, 1703), B1, B2)
+        lo1, hi1, lo2, hi2 = coefficient_box(basis_ints(reduced), P, V0, B1, B2)
         a1, a2 = nearest_lattice_point(reduced, IVec2(115, 1703), FORM)
         assert lo1 <= a1 <= hi1 and lo2 <= a2 <= hi2
 
@@ -810,12 +832,13 @@ class TestCoefficientBox:
             z = (1 << (l - 1)) | rng.getrandbits(l - 1)
             x = rng.randint(1, (1 << m) - 1)
             u = ((x * z) & ((1 << p) - 1)) >> q
-            bounds = bounds_for_token(u, q, m)
+            b1, b2 = 1 << m, 1 << q
             fam = solution_basis(z, p, q, u)
-            start, _ = euclid_basis(z, p, bounds.b1, bounds.b2)
-            reduced, _ = gauss_reduce(start, WeightedForm.for_rectangle(bounds.b1, bounds.b2))
-            for basis in (start, reduced, fam.basis()):
-                _assert_box_matches_rationals(basis, fam.v0, bounds.b1, bounds.b2)
+            form = WeightedForm.for_rectangle(b1, b2)
+            start, _ = euclid_basis(z, p, b1, b2)
+            reduced, _ = gauss_reduce(start, p, form.wx, form.wy)
+            for basis in (lattice_basis(start, p, z), lattice_basis(reduced, p, z), fam.basis()):
+                _assert_box_matches_rationals(basis, fam.v0, b1, b2)
 
     @pytest.mark.parametrize(
         "u1, u2, modulus_exp",
@@ -827,23 +850,23 @@ class TestCoefficientBox:
         ],
     )
     def test_determinant_off_contract_raises(self, u1, u2, modulus_exp):
-        basis = LatticeBasis(IVec2(*u1), IVec2(*u2), modulus_exp=modulus_exp, z=0)
+        basis = (*u1, *u2)
         with pytest.raises(SingularBasis):
-            coefficient_box(basis, IVec2(0, 0), 4, 4)
+            coefficient_box(basis, modulus_exp, (0, 0), 4, 4)
         with pytest.raises(SingularBasis):
-            rect_search(basis, IVec2(0, 0), 4, 4)
+            rect_search(basis, modulus_exp, (0, 0), 4, 4)
 
     def test_rect_search_reports_box_size(self):
         rng = random.Random(12)
-        cases = [(worked_reduced(), IVec2(115, 1703), B1, B2)]
+        cases = [(basis_ints(worked_reduced()), P, V0, B1, B2)]
         for _ in range(30):
             fam = random_family(rng, max_p=12)
             b1, b2 = 1 << rng.randint(1, 8), 1 << rng.randint(1, 5)
-            reduced, _ = gauss_reduce(fam.basis(), WeightedForm.for_rectangle(b1, b2))
-            cases.append((reduced, fam.v0, b1, b2))
-        for basis, v, b1, b2 in cases:
-            lo1, hi1, lo2, hi2 = coefficient_box(basis, v, b1, b2)
-            _, pairs = rect_search(basis, v, b1, b2)
+            reduced, _ = reduce_family(fam, WeightedForm.for_rectangle(b1, b2))
+            cases.append((basis_ints(reduced), fam.modulus_exp, (fam.v0.x, fam.v0.y), b1, b2))
+        for basis, p, v, b1, b2 in cases:
+            lo1, hi1, lo2, hi2 = coefficient_box(basis, p, v, b1, b2)
+            _, pairs = rect_search(basis, p, v, b1, b2)
             assert pairs == (hi1 - lo1 + 1) * (hi2 - lo2 + 1)
 
 
