@@ -26,11 +26,8 @@ from .harness import (
     write_csv,
 )
 from .lattice2d import (
-    IVec2,
-    LatticeBasis,
-    SolutionFamily,
-    WeightedForm,
     gauss_reduce,
+    is_reduced,
     nearest_lattice_point,
     rect_search,
     round_half_to_zero,

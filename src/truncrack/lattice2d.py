@@ -15,19 +15,18 @@ euclid_basis, which runs Euclid on the remainders alone and rebuilds the
 two cofactors at its stop from one 2-adic inverse, and gauss_reduce
 finishes the job.
 
-Everything is exact, with no floating point.  The attack path runs on
-plain ints: a basis is the tuple (x1, y1, x2, y2) of u1 = (x1, y1) and
-u2 = (x2, y2), a point is (x, y), and a form is its two weights.  IVec2,
-LatticeBasis and WeightedForm serve only the API edges (solution_basis,
-solve_coeffs, nearest_lattice_point, is_reduced and on_step's
-ReductionStep); exact rationals appear only in solve_coeffs,
-nearest_lattice_point and the decimal strings shown to humans.  All
-functions are pure.
+Everything is exact, with no floating point, and every function takes
+and returns plain ints: a basis is the tuple (x1, y1, x2, y2) of
+u1 = (x1, y1) and u2 = (x2, y2), a point is (x, y), and a form is its two
+positive weights (wx, wy), <a, b> = wx*ax*bx + wy*ay*by.  For the
+rectangle [0, b1) x [0, b2) the weights are (b2^2, b1^2), which make it
+square; a common factor of the weights changes no quotient, rounding or
+comparison.  Fraction appears only in solve_coeffs, nearest_lattice_point
+and truncate_decimal.  All functions are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -39,116 +38,17 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class IVec2:
-    """An exact integer column vector (x, y)."""
-
-    x: int
-    y: int
-
-    def __add__(self, other: "IVec2") -> "IVec2":
-        return IVec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "IVec2") -> "IVec2":
-        return IVec2(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "IVec2":
-        return IVec2(-self.x, -self.y)
-
-    def scaled(self, k: int) -> "IVec2":
-        return IVec2(k * self.x, k * self.y)
-
-
-@dataclass(frozen=True)
-class WeightedForm:
-    """Positive definite bilinear form  <a, b> = wx*ax*bx + wy*ay*by.
-
-    For rectangle bounds (B1, B2) the weights are wx = B2^2, wy = B1^2:
-    this is the inner product with y scaled by (B1/B2)^2, multiplied
-    through by B2^2 so every value stays an exact integer.  A common
-    factor of the weights changes no ratio, rounding, or argmin computed
-    from the form.
-    """
-
-    wx: int
-    wy: int
-
-    def __post_init__(self):
-        if self.wx <= 0 or self.wy <= 0:
-            raise ValueError("form weights must be positive")
-
-    @classmethod
-    def for_rectangle(cls, b1: int, b2: int) -> "WeightedForm":
-        return cls(b2 * b2, b1 * b1)
-
-    def inner(self, a: IVec2, b: IVec2) -> int:
-        return self.wx * a.x * b.x + self.wy * a.y * b.y
-
-    def norm_sq(self, a: IVec2) -> int:
-        return self.wx * a.x * a.x + self.wy * a.y * a.y
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    """An ordered basis (u1, u2) of the congruence lattice mod 2^modulus_exp.
-
-    Both vectors satisfy v.x*z = v.y (mod 2^modulus_exp) and the
-    determinant is +-2^modulus_exp; z is carried alongside so membership
-    stays checkable.
-    """
-
-    u1: IVec2
-    u2: IVec2
-    modulus_exp: int
-    z: int
-
-    def det(self) -> int:
-        return self.u1.x * self.u2.y - self.u1.y * self.u2.x
-
-    def contains(self, v: IVec2) -> bool:
-        return (v.x * self.z - v.y) % (1 << self.modulus_exp) == 0
-
-    def is_reduced(self, form: WeightedForm) -> bool:
-        cross = abs(form.inner(self.u1, self.u2))
-        return 2 * cross <= min(form.norm_sq(self.u1), form.norm_sq(self.u2))
-
-
-@dataclass(frozen=True)
-class SolutionFamily:
-    """All solutions of x*z = 2^q*u + y (mod 2^p): the coset v0 + L.
-
-    v0 is a particular solution; g1, g2 generate the homogeneous lattice L.
-    """
-
-    v0: IVec2
-    g1: IVec2
-    g2: IVec2
-    modulus_exp: int
-    z: int
-
-    def basis(self) -> LatticeBasis:
-        return LatticeBasis(u1=self.g1, u2=self.g2, modulus_exp=self.modulus_exp, z=self.z)
-
-
-@dataclass(frozen=True)
-class ReductionStep:
-    """State after one half-step of the reduction; target names the vector
-    that was just replaced."""
-
-    target: str
-    c: int
-    u1: IVec2
-    u2: IVec2
-
-
-def solution_basis(z: int, p: int, q: int, u: int) -> SolutionFamily:
-    """Particular solution and lattice generators for the token congruence.
+def solution_basis(
+    z: int, p: int, q: int, u: int
+) -> tuple[tuple[int, int], tuple[int, int, int, int]]:
+    """A particular solution v0 and a basis of L for the token congruence:
+    every solution of x*z = 2^q*u + y (mod 2^p) lies in the coset v0 + L.
 
     v0 = (ceil(2^q*u / z), z*x0 - 2^q*u) solves the congruence with
-    0 <= y0 < z.  The generators are the consecutive pair
+    0 <= y0 < z.  The basis is the consecutive pair
     g_i = (t + i, z*(t + i) - 2^p) for i in {0, 1}, which both satisfy the
     homogeneous congruence and span a determinant-2^p sublattice, i.e. all
-    of L, with t = floor(2^q*u / z).
+    of L, with t = floor(2^q*u / z).  Returns (v0, (x1, y1, x2, y2)).
     """
     if z <= 0:
         raise DegenerateInput(f"z must be positive, got {z}")
@@ -158,12 +58,9 @@ def solution_basis(z: int, p: int, q: int, u: int) -> SolutionFamily:
         raise DegenerateInput(f"u must be nonnegative, got {u}")
     shifted = u << q
     x0 = -(-shifted // z)
-    v0 = IVec2(x0, z * x0 - shifted)
     anchor = shifted // z
-    modulus = 1 << p
-    g1 = IVec2(anchor, z * anchor - modulus)
-    g2 = IVec2(anchor + 1, z * (anchor + 1) - modulus)
-    return SolutionFamily(v0, g1, g2, p, z)
+    y1 = z * anchor - (1 << p)
+    return (x0, z * x0 - shifted), (anchor, y1, anchor + 1, y1 + z)
 
 
 def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int, int], int]:
@@ -252,8 +149,11 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int,
     return (x0, r0, x1, r1), quotients
 
 
-def _round_quotient_half_to_zero(num: int, den: int) -> int:
-    """Nearest integer to num/den (den > 0); exact halves go toward zero."""
+def round_half_to_zero(num: int, den: int) -> int:
+    """Nearest integer to num/den (den > 0); exact halves go toward zero.
+
+    +-1/2 -> 0,  3/2 -> 1,  -3/2 -> -1.  Integer arithmetic only.
+    """
     quot, rem = divmod(num, den)
     doubled = 2 * rem
     if doubled > den:
@@ -265,23 +165,13 @@ def _round_quotient_half_to_zero(num: int, den: int) -> int:
     return quot if quot >= 0 else quot + 1
 
 
-def round_half_to_zero(value: Fraction | int) -> int:
-    """Round to the nearest integer, sending exact halves toward zero.
-
-    +-1/2 -> 0,  3/2 -> 1,  -3/2 -> -1.  Integer arithmetic only.
-    """
-    if isinstance(value, int):
-        return value
-    return _round_quotient_half_to_zero(value.numerator, value.denominator)
-
-
 def gauss_reduce(
     basis: tuple[int, int, int, int],
     p: int,
     wx: int,
     wy: int,
     *,
-    on_step: Optional[Callable[[ReductionStep], None]] = None,
+    on_step: Optional[Callable[[str, int, tuple[int, int, int, int]], None]] = None,
 ) -> tuple[tuple[int, int, int, int], int]:
     """Lagrange-reduce the basis (x1, y1, x2, y2) under the form
     <a, b> = wx*ax*bx + wy*ay*by.
@@ -298,12 +188,13 @@ def gauss_reduce(
     Returns the reduced basis as (x1, y1, x2, y2) and the number of
     passes, counting the final all-zero pass.  Each half-step preserves
     the determinant and, whenever c != 0, strictly shrinks the replaced
-    vector's norm; both facts are asserted.  ``on_step`` (if given)
-    observes the state after every half-step.  The pass count is capped at
-    64 * p as a safety net; reduction converges orders of magnitude
-    faster, and from euclid_basis's start it takes a pass or two.  Raises
-    ValueError for a weight below 1 and DegenerateInput for a basis of
-    determinant 0.
+    vector's norm; both facts are asserted.  ``on_step`` (if given) is
+    called after every half-step as on_step(target, c, (x1, y1, x2, y2)),
+    where target ("u1" or "u2") names the vector just replaced by c.  The
+    pass count is capped at 64 * p as a safety net; reduction converges
+    orders of magnitude faster, and from euclid_basis's start it takes a
+    pass or two.  Raises ValueError for a weight below 1 and
+    DegenerateInput for a basis of determinant 0.
     """
     if wx <= 0 or wy <= 0:
         raise ValueError("form weights must be positive")
@@ -320,7 +211,7 @@ def gauss_reduce(
         if passes > cap:
             raise IterationCapExceeded(f"reduction exceeded {cap} passes (p={p})")
         d = wx * x1 * x2 + wy * y1 * y2
-        c1 = _round_quotient_half_to_zero(d, n2)
+        c1 = round_half_to_zero(d, n2)
         if c1:
             x1 -= c1 * x2
             y1 -= c1 * y2
@@ -329,10 +220,10 @@ def gauss_reduce(
             n1 = shrunk
         assert abs(x1 * y2 - y1 * x2) == det
         if on_step is not None:
-            on_step(ReductionStep(target="u1", c=c1, u1=IVec2(x1, y1), u2=IVec2(x2, y2)))
+            on_step("u1", c1, (x1, y1, x2, y2))
 
         d = wx * x1 * x2 + wy * y1 * y2
-        c2 = _round_quotient_half_to_zero(d, n1)
+        c2 = round_half_to_zero(d, n1)
         if c2:
             x2 -= c2 * x1
             y2 -= c2 * y1
@@ -341,7 +232,7 @@ def gauss_reduce(
             n2 = shrunk
         assert abs(x1 * y2 - y1 * x2) == det
         if on_step is not None:
-            on_step(ReductionStep(target="u2", c=c2, u1=IVec2(x1, y1), u2=IVec2(x2, y2)))
+            on_step("u2", c2, (x1, y1, x2, y2))
 
         if c1 == 0 and c2 == 0:
             break
@@ -349,17 +240,26 @@ def gauss_reduce(
     return (x1, y1, x2, y2), passes
 
 
-def solve_coeffs(basis: LatticeBasis, v: IVec2) -> tuple[Fraction, Fraction]:
+def is_reduced(basis: tuple[int, int, int, int], wx: int, wy: int) -> bool:
+    """Whether |<u1, u2>| <= min(|u1|^2, |u2|^2) / 2 under the form (wx, wy)."""
+    x1, y1, x2, y2 = basis
+    cross = abs(wx * x1 * x2 + wy * y1 * y2)
+    return 2 * cross <= min(wx * x1 * x1 + wy * y1 * y1, wx * x2 * x2 + wy * y2 * y2)
+
+
+def solve_coeffs(
+    basis: tuple[int, int, int, int], v: tuple[int, int]
+) -> tuple[Fraction, Fraction]:
     """Exact rationals (a1, a2) with a1*u1 + a2*u2 = v (Cramer's rule).
 
-    Denominators always divide |det| = 2^modulus_exp.
+    Denominators divide |det|, which is 2^p for a basis of L.
     """
-    det = basis.det()
+    x1, y1, x2, y2 = basis
+    vx, vy = v
+    det = x1 * y2 - y1 * x2
     if det == 0:
         raise SingularBasis("cannot solve coefficients: determinant is 0")
-    a1 = Fraction(v.x * basis.u2.y - basis.u2.x * v.y, det)
-    a2 = Fraction(basis.u1.x * v.y - v.x * basis.u1.y, det)
-    return a1, a2
+    return Fraction(vx * y2 - x2 * vy, det), Fraction(x1 * vy - vx * y1, det)
 
 
 # Probe order for the local minimality fix-up: the rounded pair first,
@@ -367,27 +267,35 @@ def solve_coeffs(basis: LatticeBasis, v: IVec2) -> tuple[Fraction, Fraction]:
 _NEIGHBOURHOOD = [(0, 0)] + [(e1, e2) for e1 in (-1, 0, 1) for e2 in (-1, 0, 1) if (e1, e2) != (0, 0)]
 
 
-def nearest_lattice_point(basis: LatticeBasis, v: IVec2, form: WeightedForm) -> tuple[int, int]:
-    """Integer coefficients (a1, a2) whose lattice point is nearest v.
+def nearest_lattice_point(
+    basis: tuple[int, int, int, int], v: tuple[int, int], wx: int, wy: int
+) -> tuple[int, int]:
+    """Integer coefficients (a1, a2) whose lattice point is nearest v
+    under the form (wx, wy).
 
-    ``basis`` must be reduced under ``form``.  The coefficients are the
+    ``basis`` must be reduced under the form.  The coefficients are the
     rounded (halves toward zero) exact solve of v in the basis; because a
     coefficient sitting close to a half-integer boundary can make a
     neighbouring pair strictly closer under a skew form, the 3x3
     neighbourhood of the rounded pair is scanned and the best kept.  For a
     reduced basis the true closest point always lies in that
     neighbourhood, so the result attains the exact minimum of the form
-    norm over the coset v + L.
+    norm over the coset v + L.  Raises ValueError for a weight below 1.
     """
+    if wx <= 0 or wy <= 0:
+        raise ValueError("form weights must be positive")
     a1, a2 = solve_coeffs(basis, v)
-    r1 = _round_quotient_half_to_zero(a1.numerator, a1.denominator)
-    r2 = _round_quotient_half_to_zero(a2.numerator, a2.denominator)
+    r1 = round_half_to_zero(a1.numerator, a1.denominator)
+    r2 = round_half_to_zero(a2.numerator, a2.denominator)
+    x1, y1, x2, y2 = basis
+    vx, vy = v
     best = None
     best_norm = None
     for e1, e2 in _NEIGHBOURHOOD:
         c1, c2 = r1 + e1, r2 + e2
-        residual = v - basis.u1.scaled(c1) - basis.u2.scaled(c2)
-        norm = form.norm_sq(residual)
+        sx = vx - c1 * x1 - c2 * x2
+        sy = vy - c1 * y1 - c2 * y2
+        norm = wx * sx * sx + wy * sy * sy
         if best_norm is None or norm < best_norm:
             best, best_norm = (c1, c2), norm
     return best

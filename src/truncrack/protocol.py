@@ -123,12 +123,6 @@ def trunc_f(x: int, params: ProtocolParams) -> int:
     return truncate(x, params.z, params.p, params.q)
 
 
-def trunc_remainder(x: int, params: ProtocolParams) -> tuple[int, int]:
-    """Split x*z mod 2^p into (token u, low bits y) with 0 <= y < 2^q."""
-    masked = (x * params.z) & ((1 << params.p) - 1)
-    return masked >> params.q, masked & ((1 << params.q) - 1)
-
-
 def derive_key(x: int, other_token: int, p: int, q: int, r: int, m: int) -> int:
     """floor((x * v mod 2^(p-q)) / 2^(r+m)): the key a party with secret x
     derives from the peer's token v."""

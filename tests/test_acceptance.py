@@ -11,10 +11,7 @@ from fractions import Fraction
 
 from truncrack import (
     AttackInput,
-    IVec2,
-    LatticeBasis,
     TrialConfig,
-    WeightedForm,
     brute_force_preimages,
     gauss_reduce,
     nearest_lattice_point,
@@ -33,15 +30,9 @@ def _report(num: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
 
 
-def basis_ints(basis: LatticeBasis) -> tuple[int, int, int, int]:
-    """The four ints (x1, y1, x2, y2) in which the attack path takes a basis."""
-    return basis.u1.x, basis.u1.y, basis.u2.x, basis.u2.y
-
-
-def lattice_basis(ints, p: int, z: int) -> LatticeBasis:
-    """The LatticeBasis of four ints (x1, y1, x2, y2), for the API edges."""
-    x1, y1, x2, y2 = ints
-    return LatticeBasis(IVec2(x1, y1), IVec2(x2, y2), modulus_exp=p, z=z)
+def rect_weights(b1: int, b2: int) -> tuple[int, int]:
+    """The form weights (b2^2, b1^2) that make [0, b1) x [0, b2) square."""
+    return b2 * b2, b1 * b1
 
 
 def test_criterion_1_golden_example():
@@ -50,37 +41,29 @@ def test_criterion_1_golden_example():
     B1, B2 = 1 << 14, 1 << 5
 
     t0 = time.perf_counter_ns()
-    fam = solution_basis(6173, 22, 5, 22131)
-    form = WeightedForm.for_rectangle(B1, B2)
-    reduced, _ = gauss_reduce(basis_ints(fam.basis()), 22, form.wx, form.wy)
-    hits, _ = rect_search(reduced, 22, (fam.v0.x, fam.v0.y), B1, B2)
+    v0, basis = solution_basis(6173, 22, 5, 22131)
+    reduced, _ = gauss_reduce(basis, 22, *rect_weights(B1, B2))
+    hits, _ = rect_search(reduced, 22, v0, B1, B2)
     elapsed_ns = time.perf_counter_ns() - t0
-    reduced = lattice_basis(reduced, 22, 6173)
 
-    if fam.v0 != IVec2(115, 1703):
-        failures.append(f"particular solution {fam.v0}")
+    if v0 != (115, 1703):
+        failures.append(f"particular solution {v0}")
 
-    expected_vectors = (IVec2(-25140, 28), IVec2(-33973, -129))
+    expected_vectors = ((-25140, 28), (-33973, -129))
     allowed = set()
-    for a in expected_vectors:
-        allowed.update({a, -a})
-    if not (
-        reduced.u1 in allowed
-        and reduced.u2 in allowed
-        and reduced.u1 not in (reduced.u2, -reduced.u2)
-    ):
-        failures.append(f"reduced basis {(reduced.u1, reduced.u2)}")
-    if abs(reduced.det()) != 1 << 22:
-        failures.append(f"determinant {reduced.det()}")
+    for x, y in expected_vectors:
+        allowed.update({(x, y), (-x, -y)})
+    u1, u2 = reduced[:2], reduced[2:]
+    if not (u1 in allowed and u2 in allowed and u1 not in (u2, (-u2[0], -u2[1]))):
+        failures.append(f"reduced basis {reduced}")
+    det = u1[0] * u2[1] - u1[1] * u2[0]
+    if abs(det) != 1 << 22:
+        failures.append(f"determinant {det}")
 
     # Corner coefficients, expressed in the fixed orientation above.
-    oriented = LatticeBasis(expected_vectors[0], expected_vectors[1], modulus_exp=22, z=6173)
-    corners = [
-        fam.v0,
-        fam.v0 - IVec2(B1, 0),
-        fam.v0 - IVec2(0, B2),
-        fam.v0 - IVec2(B1, B2),
-    ]
+    oriented = (*expected_vectors[0], *expected_vectors[1])
+    vx, vy = v0
+    corners = [(vx, vy), (vx - B1, vy), (vx, vy - B2), (vx - B1, vy - B2)]
     # Exact Cramer solves, truncated at three decimals.  An earlier record
     # of this instance gave ("14.252", "-10.108") and ("13.992", "-9.916")
     # for the second and fourth corners; those are the coefficients of
@@ -96,16 +79,16 @@ def test_criterion_1_golden_example():
     for corner, expected in zip(corners, expected_corners):
         a1, a2 = solve_coeffs(oriented, corner)
         rebuilt = (
-            a1 * oriented.u1.x + a2 * oriented.u2.x,
-            a1 * oriented.u1.y + a2 * oriented.u2.y,
+            a1 * oriented[0] + a2 * oriented[2],
+            a1 * oriented[1] + a2 * oriented[3],
         )
-        if rebuilt != (corner.x, corner.y):
-            failures.append(f"corner {corner.x},{corner.y}: rebuilt as {rebuilt}")
+        if rebuilt != corner:
+            failures.append(f"corner {corner[0]},{corner[1]}: rebuilt as {rebuilt}")
         for value, want in zip((a1, a2), expected):
             truncated = Fraction(truncate_decimal(value))
             if abs(truncated - Fraction(want)) > tol:
                 failures.append(
-                    f"corner {corner.x},{corner.y}: got {truncate_decimal(value)} want {want}"
+                    f"corner {corner[0]},{corner[1]}: got {truncate_decimal(value)} want {want}"
                 )
 
     if hits != [(12345, 21)]:
@@ -162,26 +145,22 @@ def test_criterion_3_cvp_optimality():
         z = rng.randint(1, (1 << p) - 1)
         q = rng.randint(0, 2)
         u = rng.randint(0, (1 << max(1, p - q)) - 1)
-        fam = solution_basis(z, p, q, u)
-        form = WeightedForm(wx=rng.randint(1, 4) ** 2, wy=rng.randint(1, 4) ** 2)
-        reduced, _ = gauss_reduce(basis_ints(fam.basis()), p, form.wx, form.wy)
-        reduced = lattice_basis(reduced, p, z)
+        _, basis = solution_basis(z, p, q, u)
+        wx, wy = rng.randint(1, 4) ** 2, rng.randint(1, 4) ** 2
+        reduced, _ = gauss_reduce(basis, p, wx, wy)
+        u1x, u1y, u2x, u2y = reduced
         a1t, a2t = rng.randint(-30, 30), rng.randint(-30, 30)
-        v = reduced.u1.scaled(a1t) + reduced.u2.scaled(a2t) + IVec2(
-            rng.randint(-3, 3), rng.randint(-3, 3)
-        )
-        c1, c2 = nearest_lattice_point(reduced, v, form)
-        residual = v - reduced.u1.scaled(c1) - reduced.u2.scaled(c2)
-        got = form.norm_sq(residual)
+        ex, ey = rng.randint(-3, 3), rng.randint(-3, 3)
+        vx, vy = a1t * u1x + a2t * u2x + ex, a1t * u1y + a2t * u2y + ey
+        c1, c2 = nearest_lattice_point(reduced, (vx, vy), wx, wy)
+        sx, sy = vx - c1 * u1x - c2 * u2x, vy - c1 * u1y - c2 * u2y
+        got = wx * sx * sx + wy * sy * sy
 
         # independent oracle: raw-integer scan of the coefficient grid
-        u1x, u1y = reduced.u1.x, reduced.u1.y
-        u2x, u2y = reduced.u2.x, reduced.u2.y
-        wx, wy = form.wx, form.wy
         best = None
         for b1 in range(-50, 51):
-            rx = v.x - b1 * u1x
-            ry = v.y - b1 * u1y
+            rx = vx - b1 * u1x
+            ry = vy - b1 * u1y
             for b2 in range(-50, 51):
                 sx = rx - b2 * u2x
                 sy = ry - b2 * u2y
@@ -227,28 +206,30 @@ def test_criterion_4_reduction_invariants():
         z = (1 << (l - 1)) | rng.getrandbits(l - 1)
         x = rng.randint(1, (1 << m) - 1)
         u = ((x * z) & ((1 << p) - 1)) >> q
-        fam = solution_basis(z, p, q, u)
-        form = WeightedForm.for_rectangle(1 << m, 1 << q)
+        _, basis = solution_basis(z, p, q, u)
+        wx, wy = rect_weights(1 << m, 1 << q)
+
+        def norm_sq(x, y, wx=wx, wy=wy):
+            return wx * x * x + wy * y * y
 
         target_det = 1 << p
-        state = {"u1": fam.g1, "u2": fam.g2}
+        state = [basis]
         violations = []
 
-        def watch(step, state=state, form=form, target_det=target_det, violations=violations):
-            det = step.u1.x * step.u2.y - step.u1.y * step.u2.x
-            if abs(det) != target_det:
+        def watch(target, c, step, state=state, norm_sq=norm_sq, target_det=target_det,
+                  violations=violations):
+            x1, y1, x2, y2 = step
+            if abs(x1 * y2 - y1 * x2) != target_det:
                 violations.append("det")
-            replaced = step.u1 if step.target == "u1" else step.u2
-            if step.c != 0 and not form.norm_sq(replaced) < form.norm_sq(state[step.target]):
+            at = 0 if target == "u1" else 2
+            if c != 0 and not norm_sq(*step[at:at + 2]) < norm_sq(*state[0][at:at + 2]):
                 violations.append("norm")
-            state["u1"], state["u2"] = step.u1, step.u2
+            state[0] = step
 
-        reduced, passes = gauss_reduce(
-            basis_ints(fam.basis()), p, form.wx, form.wy, on_step=watch
-        )
-        reduced = lattice_basis(reduced, p, z)
-        cross = abs(form.inner(reduced.u1, reduced.u2))
-        if 2 * cross > min(form.norm_sq(reduced.u1), form.norm_sq(reduced.u2)):
+        reduced, passes = gauss_reduce(basis, p, wx, wy, on_step=watch)
+        x1, y1, x2, y2 = reduced
+        cross = abs(wx * x1 * x2 + wy * y1 * y2)
+        if 2 * cross > min(norm_sq(x1, y1), norm_sq(x2, y2)):
             violations.append("exit-bound")
         if passes > 64 * p:
             violations.append("iteration-cap")
@@ -309,21 +290,18 @@ def test_criterion_7_scaling_invariance():
         z = (1 << (l - 1)) | rng.getrandbits(l - 1)
         x = rng.randint(1, (1 << m) - 1)
         u = ((x * z) & ((1 << p) - 1)) >> q
-        fam = solution_basis(z, p, q, u)
+        v0, start = solution_basis(z, p, q, u)
         b1, b2 = 1 << m, 1 << q
-        form = WeightedForm.for_rectangle(b1, b2)
-        scaled = WeightedForm(wx=7 * form.wx, wy=7 * form.wy)
-        start = basis_ints(fam.basis())
-        red_a, it_a = gauss_reduce(start, p, form.wx, form.wy)
-        red_b, it_b = gauss_reduce(start, p, scaled.wx, scaled.wy)
-        v0 = (fam.v0.x, fam.v0.y)
+        wx, wy = rect_weights(b1, b2)
+        red_a, it_a = gauss_reduce(start, p, wx, wy)
+        red_b, it_b = gauss_reduce(start, p, 7 * wx, 7 * wy)
         hits_a = rect_search(red_a, p, v0, b1, b2)
         hits_b = rect_search(red_b, p, v0, b1, b2)
         identical += (
             (red_a, it_a) == (red_b, it_b)
             and hits_a == hits_b
-            and nearest_lattice_point(lattice_basis(red_a, p, z), fam.v0, form)
-            == nearest_lattice_point(lattice_basis(red_b, p, z), fam.v0, scaled)
+            and nearest_lattice_point(red_a, v0, wx, wy)
+            == nearest_lattice_point(red_b, v0, 7 * wx, 7 * wy)
         )
     ok = identical == total
     _report(7, ok, f"weight scaling changes nothing: {identical}/{total}")

@@ -10,7 +10,6 @@ from truncrack import (
     AttackInput,
     DegenerateInput,
     NoCandidates,
-    WeightedForm,
     derive_key,
     exchange,
     gauss_reduce,
@@ -22,8 +21,8 @@ from truncrack import (
     solution_basis,
 )
 from truncrack.harness import brute_force_preimages
-from truncrack.lattice2d import coefficient_box, euclid_basis
-from test_acceptance import basis_ints, lattice_basis
+from truncrack.lattice2d import coefficient_box, euclid_basis, is_reduced
+from test_acceptance import rect_weights
 
 GOLDEN = AttackInput(z=6173, p=22, q=5, m=14, token=708192, token_is_scaled=True)
 
@@ -61,17 +60,18 @@ def _oracle_pairs(z, p, q, m, u):
     return [(x, (x * z) & ((1 << q) - 1)) for x in brute_force_preimages(z, p, q, u, m)]
 
 
-def _assert_same_reduced_basis(ours, theirs, form):
+def _assert_same_reduced_basis(ours, theirs, wx, wy):
     """Equal up to sign and order, which a reduced basis is unique up to
     unless 2|<u1,u2>| = min(|u1|^2, |u2|^2); on that tie both must be
     reduced with the same norms."""
-    norms = [form.norm_sq(v) for v in (theirs.u1, theirs.u2)]
-    if 2 * abs(form.inner(theirs.u1, theirs.u2)) < min(norms):
-        up_to_sign = lambda b: sorted(max((v.x, v.y), (-v.x, -v.y)) for v in (b.u1, b.u2))
+    norms = lambda b: sorted(wx * x * x + wy * y * y for x, y in (b[:2], b[2:]))
+    x1, y1, x2, y2 = theirs
+    if 2 * abs(wx * x1 * x2 + wy * y1 * y2) < norms(theirs)[0]:
+        up_to_sign = lambda b: sorted(max((x, y), (-x, -y)) for x, y in (b[:2], b[2:]))
         assert up_to_sign(ours) == up_to_sign(theirs)
     else:
-        assert ours.is_reduced(form) and theirs.is_reduced(form)
-        assert sorted(form.norm_sq(v) for v in (ours.u1, ours.u2)) == sorted(norms)
+        assert is_reduced(ours, wx, wy) and is_reduced(theirs, wx, wy)
+        assert norms(ours) == norms(theirs)
 
 
 class TestRecoverPreimages:
@@ -184,22 +184,13 @@ class TestRecoverPreimages:
         # the exact box holds the one winning pair
         assert result.searched == 1
 
-    def test_builds_no_vector_basis_or_form(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("API edge type built on the attack path")
-
-        for module in (truncrack.lattice2d, truncrack.attack):
-            for name in ("IVec2", "LatticeBasis", "WeightedForm"):
-                monkeypatch.setattr(module, name, refuse, raising=False)
-        assert recover_preimages(GOLDEN).candidates == ((12345, 21),)
+    def test_full_scale_token(self):
         params = gen_params(9, 2048, 512, 512, 129)
         t = exchange(9, params)
         result = recover_preimages(
             AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
         )
         assert t.x in [x for x, _ in result.candidates]
-        empty = recover_preimages(AttackInput(z=11, p=5, q=2, m=3, token=1))
-        assert (empty.candidates, empty.searched) == ((), 0)
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(606)
@@ -233,12 +224,10 @@ class TestRecoverPreimages:
             result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
             expected = brute_force_preimages(z, p, q, u, m)
             assert [x for x, _ in result.candidates] == expected
-            form = WeightedForm.for_rectangle(1 << m, 1 << q)
-            fam = solution_basis(z, p, q, u)
-            theirs, _ = gauss_reduce(basis_ints(fam.basis()), p, form.wx, form.wy)
-            _assert_same_reduced_basis(
-                lattice_basis(reduced.pop(), p, z), lattice_basis(theirs, p, z), form
-            )
+            wx, wy = rect_weights(1 << m, 1 << q)
+            _, basis = solution_basis(z, p, q, u)
+            theirs, _ = gauss_reduce(basis, p, wx, wy)
+            _assert_same_reduced_basis(reduced.pop(), theirs, wx, wy)
 
     @settings(max_examples=300, deadline=None)
     @given(case=small_attack_cases())

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -376,7 +377,14 @@ class TestFuzz:
         params_paths = st.sampled_from([str(good), str(tmp / "missing"), str(tmp)])
         out_paths = st.sampled_from([str(tmp / "out"), str(tmp), str(tmp / "no" / "dir")])
         argv = data.draw(_argvs(params_paths, out_paths))
-        assert _run_quietly(argv) in (0, 1, 2, 3)
+        # A garbage --out value such as "-1" is a relative path: write it
+        # into the test's tmp dir, not the working directory.
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            assert _run_quietly(argv) in (0, 1, 2, 3)
+        finally:
+            os.chdir(cwd)
 
     @settings(max_examples=300, deadline=None)
     @given(text=_param_texts(), command=st.sampled_from(["exchange", "attack", "attack-key"]),

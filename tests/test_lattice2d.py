@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from truncrack import (
     DegenerateInput,
     IterationCapExceeded,
-    IVec2,
-    LatticeBasis,
     SearchSpaceExceeded,
     SingularBasis,
-    WeightedForm,
     gauss_reduce,
+    is_reduced,
     nearest_lattice_point,
     rect_search,
     round_half_to_zero,
@@ -22,62 +20,73 @@ from truncrack import (
     solve_coeffs,
     truncate_decimal,
 )
-from truncrack.lattice2d import (
-    ReductionStep,
-    _round_quotient_half_to_zero,
-    coefficient_box,
-    euclid_basis,
-)
+from truncrack.lattice2d import coefficient_box, euclid_basis
 from truncrack.protocol import check_shape
-from test_acceptance import SIZE_LADDER, basis_ints, lattice_basis
+from test_acceptance import SIZE_LADDER, rect_weights
 
 # The worked toy instance used throughout: z=6173, p=22, q=5, u=22131.
 Z, P, Q, U = 6173, 22, 5, 22131
 B1, B2 = 1 << 14, 1 << 5
-FORM = WeightedForm.for_rectangle(B1, B2)
+WX, WY = rect_weights(B1, B2)
 V0 = (115, 1703)
+# Its reduced basis in a fixed orientation.
+ORIENTED = (-25140, 28, -33973, -129)
 
 
-def worked_family():
-    return solution_basis(Z, P, Q, U)
+def _det(basis):
+    x1, y1, x2, y2 = basis
+    return x1 * y2 - y1 * x2
+
+
+def _norm(v, wx, wy):
+    return wx * v[0] * v[0] + wy * v[1] * v[1]
+
+
+def _combo(basis, a1, a2):
+    """The lattice point a1*u1 + a2*u2."""
+    x1, y1, x2, y2 = basis
+    return a1 * x1 + a2 * x2, a1 * y1 + a2 * y2
+
+
+def _residual(basis, v, a1, a2):
+    """v - a1*u1 - a2*u2."""
+    cx, cy = _combo(basis, a1, a2)
+    return v[0] - cx, v[1] - cy
+
+
+def _in_lattice(v, z, p):
+    return (v[0] * z - v[1]) % (1 << p) == 0
 
 
 def worked_reduced():
-    reduced, _ = gauss_reduce(basis_ints(worked_family().basis()), P, FORM.wx, FORM.wy)
-    return lattice_basis(reduced, P, Z)
-
-
-def reduce_family(fam, form):
-    """gauss_reduce of the family's generators under ``form``, as a
-    LatticeBasis, and the pass count."""
-    reduced, passes = gauss_reduce(basis_ints(fam.basis()), fam.modulus_exp, form.wx, form.wy)
-    return lattice_basis(reduced, fam.modulus_exp, fam.z), passes
+    _, basis = solution_basis(Z, P, Q, U)
+    reduced, _ = gauss_reduce(basis, P, WX, WY)
+    return reduced
 
 
 def random_family(rng, max_p=16):
+    """(z, p, v0, basis) of a random token congruence."""
     p = rng.randint(3, max_p)
     z = rng.randint(1, (1 << p) - 1)
     q = rng.randint(0, max(0, p // 2))
     u = rng.randint(0, (1 << (p - q)) - 1)
-    return solution_basis(z, p, q, u)
+    return (z, p, *solution_basis(z, p, q, u))
 
 
 class TestSolutionBasis:
     def test_worked_particular_solution(self):
-        fam = worked_family()
-        assert fam.v0 == IVec2(115, 1703)
+        v0, _ = solution_basis(Z, P, Q, U)
+        assert v0 == (115, 1703)
 
     def test_worked_generators(self):
-        fam = worked_family()
-        assert fam.g1 == IVec2(114, -3490582)
-        assert fam.g2 == IVec2(115, -3484409)
-        assert fam.basis().det() == 1 << 22
+        _, basis = solution_basis(Z, P, Q, U)
+        assert basis == (114, -3490582, 115, -3484409)
+        assert _det(basis) == 1 << 22
 
     def test_zero_token(self):
-        fam = solution_basis(97, 10, 3, 0)
-        assert fam.v0 == IVec2(0, 0)
-        assert fam.g1 == IVec2(0, -(1 << 10))
-        assert fam.g2 == IVec2(1, 97 - (1 << 10))
+        v0, basis = solution_basis(97, 10, 3, 0)
+        assert v0 == (0, 0)
+        assert basis == (0, -(1 << 10), 1, 97 - (1 << 10))
 
     def test_zero_multiplier_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -86,13 +95,11 @@ class TestSolutionBasis:
     def test_vectors_satisfy_congruences(self):
         rng = random.Random(7)
         for _ in range(200):
-            fam = random_family(rng)
-            modulus = 1 << fam.modulus_exp
-            basis = fam.basis()
-            assert basis.contains(fam.g1)
-            assert basis.contains(fam.g2)
-            assert 0 <= fam.v0.y < fam.z
-            assert abs(basis.det()) == modulus
+            z, p, v0, basis = random_family(rng)
+            assert _in_lattice(basis[:2], z, p)
+            assert _in_lattice(basis[2:], z, p)
+            assert 0 <= v0[1] < z
+            assert abs(_det(basis)) == 1 << p
 
 
 class TestRounding:
@@ -110,11 +117,11 @@ class TestRounding:
         ],
     )
     def test_examples(self, value, expected):
-        assert round_half_to_zero(value) == expected
+        assert round_half_to_zero(value.numerator, value.denominator) == expected
 
     @given(value=st.fractions())
     def test_nearest_with_ties_toward_zero(self, value):
-        result = round_half_to_zero(value)
+        result = round_half_to_zero(value.numerator, value.denominator)
         assert isinstance(result, int)
         assert abs(value - result) <= Fraction(1, 2)
         if abs(value - result) == Fraction(1, 2):
@@ -125,15 +132,16 @@ class TestRounding:
 class TestGaussReduce:
     def test_worked_reduction(self):
         reduced = worked_reduced()
-        expected = {IVec2(-25140, 28), IVec2(25140, -28), IVec2(-33973, -129), IVec2(33973, 129)}
-        assert reduced.u1 in expected and reduced.u2 in expected
-        assert reduced.u1 not in (reduced.u2, -reduced.u2)
-        assert abs(reduced.det()) == 1 << 22
-        assert reduced.is_reduced(FORM)
+        expected = {(-25140, 28), (25140, -28), (-33973, -129), (33973, 129)}
+        u1, u2 = reduced[:2], reduced[2:]
+        assert u1 in expected and u2 in expected
+        assert u1 not in (u2, (-u2[0], -u2[1]))
+        assert abs(_det(reduced)) == 1 << 22
+        assert is_reduced(reduced, WX, WY)
 
     def test_fixed_point(self):
-        reduced = basis_ints(worked_reduced())
-        again, passes = gauss_reduce(reduced, P, FORM.wx, FORM.wy)
+        reduced = worked_reduced()
+        again, passes = gauss_reduce(reduced, P, WX, WY)
         assert again == reduced
         assert passes == 1
 
@@ -152,11 +160,11 @@ class TestGaussReduce:
         with pytest.raises(ValueError):
             gauss_reduce((1, 0, 0, 1 << 8), 8, wx, wy)
         with pytest.raises(ValueError):
-            WeightedForm(wx=wx, wy=wy)
+            nearest_lattice_point((1, 0, 0, 1 << 8), (3, 5), wx, wy)
 
     def test_iteration_cap(self):
         # A Fibonacci-skewed basis needs ~one pass per index; with
-        # modulus_exp=1 the cap is 64 passes, far too few on purpose.
+        # p=1 the cap is 64 passes, far too few on purpose.
         a, b = 1, 1
         for _ in range(400):
             a, b = b, a + b
@@ -166,94 +174,88 @@ class TestGaussReduce:
     def test_per_step_invariants_random(self):
         rng = random.Random(99)
         for _ in range(60):
-            fam = random_family(rng)
-            form = WeightedForm(wx=rng.randint(1, 9), wy=rng.randint(1, 9))
-            target_det = abs(fam.basis().det())
-            state = {"u1": fam.g1, "u2": fam.g2}
-            def check(step, state=state, form=form, target_det=target_det):
-                det = step.u1.x * step.u2.y - step.u1.y * step.u2.x
-                assert abs(det) == target_det
-                replaced = step.u1 if step.target == "u1" else step.u2
-                if step.c != 0:
-                    assert form.norm_sq(replaced) < form.norm_sq(state[step.target])
-                state["u1"], state["u2"] = step.u1, step.u2
-            reduced, passes = gauss_reduce(
-                basis_ints(fam.basis()), fam.modulus_exp, form.wx, form.wy, on_step=check
-            )
-            reduced = lattice_basis(reduced, fam.modulus_exp, fam.z)
-            assert passes <= 64 * fam.modulus_exp
-            cross = abs(form.inner(reduced.u1, reduced.u2))
-            assert 2 * cross <= min(form.norm_sq(reduced.u1), form.norm_sq(reduced.u2))
+            z, p, _, basis = random_family(rng)
+            wx, wy = rng.randint(1, 9), rng.randint(1, 9)
+            target_det = abs(_det(basis))
+            state = [basis]
+            def check(target, c, step, state=state, wx=wx, wy=wy, target_det=target_det):
+                assert abs(_det(step)) == target_det
+                i = 0 if target == "u1" else 2
+                if c != 0:
+                    assert _norm(step[i:i + 2], wx, wy) < _norm(state[0][i:i + 2], wx, wy)
+                state[0] = step
+            reduced, passes = gauss_reduce(basis, p, wx, wy, on_step=check)
+            assert passes <= 64 * p
+            x1, y1, x2, y2 = reduced
+            cross = abs(wx * x1 * x2 + wy * y1 * y2)
+            assert 2 * cross <= min(_norm(reduced[:2], wx, wy), _norm(reduced[2:], wx, wy))
 
     def test_membership_closed_under_combinations(self):
         rng = random.Random(5)
         reduced = worked_reduced()
         for _ in range(100):
             a1, a2 = rng.randint(-50, 50), rng.randint(-50, 50)
-            combo = reduced.u1.scaled(a1) + reduced.u2.scaled(a2)
-            assert reduced.contains(combo)
+            assert _in_lattice(_combo(reduced, a1, a2), Z, P)
 
     def test_span_preserved(self):
         # Original generators must be integer combinations of the output.
         rng = random.Random(31)
         for _ in range(40):
-            fam = random_family(rng)
-            form = WeightedForm(wx=1, wy=rng.randint(1, 16))
-            reduced, _ = reduce_family(fam, form)
-            for g in (fam.g1, fam.g2):
+            z, p, _, basis = random_family(rng)
+            reduced, _ = gauss_reduce(basis, p, 1, rng.randint(1, 16))
+            for g in (basis[:2], basis[2:]):
                 a1, a2 = solve_coeffs(reduced, g)
                 assert a1.denominator == 1 and a2.denominator == 1
 
 
-def _textbook_gauss_reduce(basis, form, *, on_step=None):
+def _textbook_gauss_reduce(basis, p, wx, wy, *, on_step=None):
     """The textbook loop: every half-step recomputes the norms and the inner
-    product on IVec2s under the unscaled form.  gauss_reduce must match it
-    step for step."""
-    u1, u2 = basis.u1, basis.u2
-    det = basis.det()
+    product under the unscaled form.  gauss_reduce must match it step for
+    step."""
+    def inner(a, b):
+        return wx * a[0] * b[0] + wy * a[1] * b[1]
+
+    u1, u2 = basis[:2], basis[2:]
+    det = _det(basis)
     if det == 0:
         raise DegenerateInput("basis is degenerate (determinant 0)")
-    cap = 64 * basis.modulus_exp
+    cap = 64 * p
     passes = 0
     while True:
         passes += 1
         if passes > cap:
-            raise IterationCapExceeded(
-                f"reduction exceeded {cap} passes (modulus_exp={basis.modulus_exp})"
-            )
-        old_norm1 = form.norm_sq(u1)
-        c1 = _round_quotient_half_to_zero(form.inner(u1, u2), form.norm_sq(u2))
-        u1 = u1 - u2.scaled(c1)
-        assert abs(u1.x * u2.y - u1.y * u2.x) == abs(det)
-        assert c1 == 0 or form.norm_sq(u1) < old_norm1
+            raise IterationCapExceeded(f"reduction exceeded {cap} passes (p={p})")
+        old_norm1 = inner(u1, u1)
+        c1 = round_half_to_zero(inner(u1, u2), inner(u2, u2))
+        u1 = (u1[0] - c1 * u2[0], u1[1] - c1 * u2[1])
+        assert abs(_det((*u1, *u2))) == abs(det)
+        assert c1 == 0 or inner(u1, u1) < old_norm1
         if on_step is not None:
-            on_step(ReductionStep(target="u1", c=c1, u1=u1, u2=u2))
+            on_step("u1", c1, (*u1, *u2))
 
-        old_norm2 = form.norm_sq(u2)
-        c2 = _round_quotient_half_to_zero(form.inner(u1, u2), form.norm_sq(u1))
-        u2 = u2 - u1.scaled(c2)
-        assert abs(u1.x * u2.y - u1.y * u2.x) == abs(det)
-        assert c2 == 0 or form.norm_sq(u2) < old_norm2
+        old_norm2 = inner(u2, u2)
+        c2 = round_half_to_zero(inner(u1, u2), inner(u1, u1))
+        u2 = (u2[0] - c2 * u1[0], u2[1] - c2 * u1[1])
+        assert abs(_det((*u1, *u2))) == abs(det)
+        assert c2 == 0 or inner(u2, u2) < old_norm2
         if on_step is not None:
-            on_step(ReductionStep(target="u2", c=c2, u1=u1, u2=u2))
+            on_step("u2", c2, (*u1, *u2))
 
         if c1 == 0 and c2 == 0:
             break
-    reduced = LatticeBasis(u1=u1, u2=u2, modulus_exp=basis.modulus_exp, z=basis.z)
-    assert reduced.is_reduced(form)
+    reduced = (*u1, *u2)
+    assert is_reduced(reduced, wx, wy)
     return reduced, passes
 
 
-def _assert_matches_textbook(basis, form):
+def _assert_matches_textbook(basis, p, wx, wy):
     """gauss_reduce gives the textbook loop's basis, pass count and steps."""
     fast_steps, ref_steps = [], []
-    args = (basis_ints(basis), basis.modulus_exp, form.wx, form.wy)
-    fast = gauss_reduce(*args, on_step=fast_steps.append)
-    ref_basis, ref_passes = _textbook_gauss_reduce(basis, form, on_step=ref_steps.append)
-    ref = (basis_ints(ref_basis), ref_passes)
+    fast = gauss_reduce(basis, p, wx, wy, on_step=lambda *step: fast_steps.append(step))
+    ref = _textbook_gauss_reduce(basis, p, wx, wy, on_step=lambda *step: ref_steps.append(step))
     assert fast == ref
     assert fast_steps == ref_steps
-    assert gauss_reduce(*args) == ref  # no hook: same result
+    assert gauss_reduce(basis, p, wx, wy) == ref  # no hook: same result
 
 
 class TestMatchesTextbookLoop:
@@ -268,10 +270,10 @@ class TestMatchesTextbookLoop:
                     u = ((x * z) & ((1 << p) - 1)) >> q
                 else:
                     u = rng.randint(0, (1 << (p - q)) - 1)
-                fam = solution_basis(z, p, q, u)
-                form = WeightedForm.for_rectangle(1 << m, 1 << q)
-                _assert_matches_textbook(fam.basis(), form)
-                _assert_matches_textbook(fam.basis(), WeightedForm(wx=7 * form.wx, wy=7 * form.wy))
+                _, basis = solution_basis(z, p, q, u)
+                wx, wy = rect_weights(1 << m, 1 << q)
+                _assert_matches_textbook(basis, p, wx, wy)
+                _assert_matches_textbook(basis, p, 7 * wx, 7 * wy)
 
     def test_corner_case_bounds(self):
         # u = 0 with m < q, where 2^m - 2^q*u lies in (0, 2^q): the
@@ -280,18 +282,18 @@ class TestMatchesTextbookLoop:
         for l, m, q, r in [(13, 3, 5, 1), (40, 6, 12, 4), (160, 32, 48, 16), (2048, 256, 512, 129)]:
             p = check_shape(l, m, q, r)
             assert 0 < (1 << m) < 1 << q
-            form = WeightedForm.for_rectangle(1 << m, 1 << q)
+            wx, wy = rect_weights(1 << m, 1 << q)
             for _ in range(5):
                 z = (1 << (l - 1)) | rng.getrandbits(l - 1)
-                _assert_matches_textbook(solution_basis(z, p, q, 0).basis(), form)
+                _assert_matches_textbook(solution_basis(z, p, q, 0)[1], p, wx, wy)
 
     def test_non_square_and_common_factor_weights(self):
         rng = random.Random(4242)
         for i in range(400):
-            fam = random_family(rng, max_p=24 if i % 2 else 12)
+            z, p, _, basis = random_family(rng, max_p=24 if i % 2 else 12)
             wx, wy = rng.randint(1, 10**6), rng.randint(1, 10**6)
             k = rng.choice([1, 7, 2**20, 3 * 5 * 11])
-            _assert_matches_textbook(fam.basis(), WeightedForm(wx=k * wx, wy=k * wy))
+            _assert_matches_textbook(basis, p, k * wx, k * wy)
 
 
 # Gram entries above this many bits exercise gauss_reduce on big ints.
@@ -302,7 +304,7 @@ _LARGE_ENTRY_BITS = 256
 def large_entry_cases(draw):
     """A congruence basis with l in [128, 2048] under a rectangle form, the
     same form times 7, or arbitrary positive weights, whose Gram entries
-    exceed _LARGE_ENTRY_BITS."""
+    exceed _LARGE_ENTRY_BITS, as (basis, p, wx, wy)."""
     l = draw(st.sampled_from([128, 256, 512, 1024, 2048]) | st.integers(128, 2048))
     m = draw(st.integers(1, l // 2))
     q = draw(st.integers(1, m))
@@ -313,21 +315,20 @@ def large_entry_cases(draw):
         u = ((x * z) & ((1 << p) - 1)) >> q
     else:
         u = draw(st.integers(0, (1 << (p - q)) - 1))
-    basis = solution_basis(z, p, q, u).basis()
-    rect = WeightedForm.for_rectangle(1 << m, 1 << q)
+    _, basis = solution_basis(z, p, q, u)
+    rect = rect_weights(1 << m, 1 << q)
     kind = draw(st.sampled_from(["rectangle", "rectangle x 7", "arbitrary"]))
     if kind == "rectangle":
-        form = rect
+        wx, wy = rect
     elif kind == "rectangle x 7":
-        form = WeightedForm(wx=7 * rect.wx, wy=7 * rect.wy)
+        wx, wy = 7 * rect[0], 7 * rect[1]
     else:
         weights = st.integers(1, 1 << draw(st.integers(1, 2 * l)))
-        form = WeightedForm(wx=draw(weights), wy=draw(weights))
-    g = math.gcd(form.wx, form.wy)
-    wx, wy = form.wx // g, form.wy // g
-    norms = [wx * v.x * v.x + wy * v.y * v.y for v in (basis.u1, basis.u2)]
+        wx, wy = draw(weights), draw(weights)
+    g = math.gcd(wx, wy)
+    norms = [_norm(v, wx // g, wy // g) for v in (basis[:2], basis[2:])]
     assume(max(norms).bit_length() > _LARGE_ENTRY_BITS)
-    return basis, form
+    return basis, p, wx, wy
 
 
 class TestLargeEntries:
@@ -346,15 +347,11 @@ class TestLargeEntries:
     )
     def test_exact_tie_rounds_toward_zero(self, u1, u2, c1):
         scale = 1 << 300
-        basis = LatticeBasis(
-            IVec2(u1[0] * scale, u1[1] * scale), IVec2(u2[0] * scale, u2[1] * scale),
-            modulus_exp=601, z=0,
-        )
-        form = WeightedForm(wx=1, wy=1)
+        basis = (u1[0] * scale, u1[1] * scale, u2[0] * scale, u2[1] * scale)
         steps = []
-        gauss_reduce(basis_ints(basis), 601, 1, 1, on_step=steps.append)
-        assert (steps[0].target, steps[0].c) == ("u1", c1)  # halves toward zero
-        _assert_matches_textbook(basis, form)
+        gauss_reduce(basis, 601, 1, 1, on_step=lambda *step: steps.append(step))
+        assert steps[0][:2] == ("u1", c1)  # halves toward zero
+        _assert_matches_textbook(basis, 601, 1, 1)
 
 
 @st.composite
@@ -403,19 +400,17 @@ def _assert_euclid_start_matches(z, p, q, m, u):
     """The Euclid start is a basis of L, and its reduction searches the
     rectangle exactly as the reduction of solution_basis's pair does."""
     b1, b2 = 1 << m, 1 << q
-    form = WeightedForm.for_rectangle(b1, b2)
-    fam = solution_basis(z, p, q, u)
+    wx, wy = rect_weights(b1, b2)
+    v0, basis = solution_basis(z, p, q, u)
     start, _ = euclid_basis(z, p, b1, b2)
-    start_basis = lattice_basis(start, p, z)
-    assert fam.basis().contains(start_basis.u1) and fam.basis().contains(start_basis.u2)
-    assert abs(start_basis.det()) == 1 << p
-    ours, _ = gauss_reduce(start, p, form.wx, form.wy)
-    theirs, _ = gauss_reduce(basis_ints(fam.basis()), p, form.wx, form.wy)
-    ours_basis, theirs_basis = lattice_basis(ours, p, z), lattice_basis(theirs, p, z)
-    assert ours_basis.is_reduced(form)
-    norms = sorted(form.norm_sq(v) for v in (ours_basis.u1, ours_basis.u2))
-    assert norms == sorted(form.norm_sq(v) for v in (theirs_basis.u1, theirs_basis.u2))
-    args = (p, (fam.v0.x, fam.v0.y), b1, b2)
+    assert _in_lattice(start[:2], z, p) and _in_lattice(start[2:], z, p)
+    assert abs(_det(start)) == 1 << p
+    ours, _ = gauss_reduce(start, p, wx, wy)
+    theirs, _ = gauss_reduce(basis, p, wx, wy)
+    assert is_reduced(ours, wx, wy)
+    norms = lambda b: sorted(_norm(v, wx, wy) for v in (b[:2], b[2:]))
+    assert norms(ours) == norms(theirs)
+    args = (p, v0, b1, b2)
     assert rect_search(ours, *args) == rect_search(theirs, *args)
 
 
@@ -528,8 +523,7 @@ class TestEuclidBasis:
 class TestSolveCoeffs:
     def test_worked_coefficients(self):
         # In the orientation with u1=(-25140,28), u2=(-33973,-129).
-        basis = LatticeBasis(IVec2(-25140, 28), IVec2(-33973, -129), modulus_exp=22, z=Z)
-        a1, a2 = solve_coeffs(basis, IVec2(115, 1703))
+        a1, a2 = solve_coeffs(ORIENTED, (115, 1703))
         assert a1 == Fraction(57841184, 1 << 22)
         assert a2 == Fraction(-42816640, 1 << 22)
         assert truncate_decimal(a1) == "13.790"
@@ -538,9 +532,8 @@ class TestSolveCoeffs:
     def test_worked_corner_coefficients(self):
         # Exact Cramer solve of the four rectangle corners, truncated at
         # three decimals.  Pinned from independent hand evaluation.
-        basis = LatticeBasis(IVec2(-25140, 28), IVec2(-33973, -129), modulus_exp=22, z=Z)
-        v = IVec2(115, 1703)
-        corners = [v, v - IVec2(B1, 0), v - IVec2(0, B2), v - IVec2(B1, B2)]
+        vx, vy = V0
+        corners = [(vx, vy), (vx - B1, vy), (vx, vy - B2), (vx - B1, vy - B2)]
         expected = [
             ("13.790", "-10.208"),
             ("14.294", "-10.098"),
@@ -548,82 +541,80 @@ class TestSolveCoeffs:
             ("14.035", "-9.907"),
         ]
         for corner, (want1, want2) in zip(corners, expected):
-            a1, a2 = solve_coeffs(basis, corner)
+            a1, a2 = solve_coeffs(ORIENTED, corner)
             assert (truncate_decimal(a1), truncate_decimal(a2)) == (want1, want2)
 
     def test_identity_cases(self):
         basis = worked_reduced()
-        assert solve_coeffs(basis, basis.u1) == (1, 0)
-        assert solve_coeffs(basis, IVec2(0, 0)) == (0, 0)
+        assert solve_coeffs(basis, basis[:2]) == (1, 0)
+        assert solve_coeffs(basis, (0, 0)) == (0, 0)
 
     def test_reconstruction(self):
         rng = random.Random(17)
         basis = worked_reduced()
         for _ in range(50):
-            v = IVec2(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+            v = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
             a1, a2 = solve_coeffs(basis, v)
-            x = a1 * basis.u1.x + a2 * basis.u2.x
-            y = a1 * basis.u1.y + a2 * basis.u2.y
-            assert (x, y) == (v.x, v.y)
+            x = a1 * basis[0] + a2 * basis[2]
+            y = a1 * basis[1] + a2 * basis[3]
+            assert (x, y) == v
             assert ((1 << 22) % a1.denominator) == 0
 
     def test_singular(self):
-        basis = LatticeBasis(IVec2(2, 4), IVec2(1, 2), modulus_exp=4, z=1)
         with pytest.raises(SingularBasis):
-            solve_coeffs(basis, IVec2(1, 1))
+            solve_coeffs((2, 4, 1, 2), (1, 1))
 
 
 class TestNearestPoint:
     def test_worked_rounding(self):
-        basis = LatticeBasis(IVec2(-25140, 28), IVec2(-33973, -129), modulus_exp=22, z=Z)
-        assert nearest_lattice_point(basis, IVec2(115, 1703), FORM) == (14, -10)
+        assert nearest_lattice_point(ORIENTED, (115, 1703), WX, WY) == (14, -10)
 
     def test_worked_residual(self):
         reduced = worked_reduced()
-        v = IVec2(115, 1703)
-        a1, a2 = nearest_lattice_point(reduced, v, FORM)
-        residual = v - reduced.u1.scaled(a1) - reduced.u2.scaled(a2)
-        assert residual == IVec2(12345, 21)
+        a1, a2 = nearest_lattice_point(reduced, V0, WX, WY)
+        assert _residual(reduced, V0, a1, a2) == (12345, 21)
 
     def test_lattice_point_maps_to_zero_residual(self):
         reduced = worked_reduced()
-        v = reduced.u1.scaled(3) - reduced.u2.scaled(7)
-        a1, a2 = nearest_lattice_point(reduced, v, FORM)
-        assert v - reduced.u1.scaled(a1) - reduced.u2.scaled(a2) == IVec2(0, 0)
+        v = _combo(reduced, 3, -7)
+        a1, a2 = nearest_lattice_point(reduced, v, WX, WY)
+        assert _residual(reduced, v, a1, a2) == (0, 0)
 
     def test_rounding_alone_can_miss_minimum(self):
         # Frozen instance where a coefficient lands exactly on a half
         # integer: plain rounding (ties toward zero) keeps norm 25 while
         # the true nearest point has norm 18.  The neighbourhood scan in
         # nearest_lattice_point recovers the minimum.
-        basis = LatticeBasis(IVec2(-8, 0), IVec2(1, -2), modulus_exp=4, z=14)
-        form = WeightedForm(wx=1, wy=9)
-        assert basis.is_reduced(form)
-        v = IVec2(-5, 3)
+        basis = (-8, 0, 1, -2)
+        wx, wy = 1, 9
+        assert is_reduced(basis, wx, wy)
+        v = (-5, 3)
         a1, a2 = solve_coeffs(basis, v)
         assert (a1, a2) == (Fraction(7, 16), Fraction(-3, 2))
-        plain = (round_half_to_zero(a1), round_half_to_zero(a2))
+        plain = (
+            round_half_to_zero(a1.numerator, a1.denominator),
+            round_half_to_zero(a2.numerator, a2.denominator),
+        )
         assert plain == (0, -1)
-        plain_norm = form.norm_sq(v - basis.u1.scaled(0) - basis.u2.scaled(-1))
+        plain_norm = _norm(_residual(basis, v, 0, -1), wx, wy)
         assert plain_norm == 25
-        best = nearest_lattice_point(basis, v, form)
-        best_norm = form.norm_sq(v - basis.u1.scaled(best[0]) - basis.u2.scaled(best[1]))
+        best = nearest_lattice_point(basis, v, wx, wy)
+        best_norm = _norm(_residual(basis, v, *best), wx, wy)
         assert best == (0, -2) and best_norm == 18
 
     def test_matches_exhaustive_small(self):
         rng = random.Random(2024)
         for _ in range(60):
-            fam = random_family(rng, max_p=8)
-            form = WeightedForm(wx=rng.randint(1, 4) ** 2, wy=rng.randint(1, 4) ** 2)
-            reduced, _ = reduce_family(fam, form)
+            z, p, _, basis = random_family(rng, max_p=8)
+            wx, wy = rng.randint(1, 4) ** 2, rng.randint(1, 4) ** 2
+            reduced, _ = gauss_reduce(basis, p, wx, wy)
             a1t, a2t = rng.randint(-30, 30), rng.randint(-30, 30)
-            v = reduced.u1.scaled(a1t) + reduced.u2.scaled(a2t) + IVec2(
-                rng.randint(-3, 3), rng.randint(-3, 3)
-            )
-            c1, c2 = nearest_lattice_point(reduced, v, form)
-            got = form.norm_sq(v - reduced.u1.scaled(c1) - reduced.u2.scaled(c2))
+            cx, cy = _combo(reduced, a1t, a2t)
+            v = (cx + rng.randint(-3, 3), cy + rng.randint(-3, 3))
+            c1, c2 = nearest_lattice_point(reduced, v, wx, wy)
+            got = _norm(_residual(reduced, v, c1, c2), wx, wy)
             best = min(
-                form.norm_sq(v - reduced.u1.scaled(b1) - reduced.u2.scaled(b2))
+                _norm(_residual(reduced, v, b1, b2), wx, wy)
                 for b1 in range(-50, 51)
                 for b2 in range(-50, 51)
             )
@@ -684,22 +675,20 @@ def _assert_rect_search_matches_reference(basis, p, v, b1, b2, cap=1 << 20):
 
 class TestRectSearch:
     def test_worked_answer(self):
-        reduced = basis_ints(worked_reduced())
-        hits, _ = rect_search(reduced, P, V0, B1, B2)
+        hits, _ = rect_search(worked_reduced(), P, V0, B1, B2)
         assert hits == [(12345, 21)]
 
     def test_zero_target(self):
-        reduced = basis_ints(worked_reduced())
-        hits, _ = rect_search(reduced, P, (0, 0), B1, B2)
+        hits, _ = rect_search(worked_reduced(), P, (0, 0), B1, B2)
         assert (0, 0) in hits
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
-            rect_search(basis_ints(worked_reduced()), P, (0, 0), 0, 32)
+            rect_search(worked_reduced(), P, (0, 0), 0, 32)
 
     def test_cap(self):
         # the worked box is exact: one pair, so only cap=0 refuses it
-        reduced = basis_ints(worked_reduced())
+        reduced = worked_reduced()
         assert rect_search(reduced, P, V0, B1, B2, cap=1)[1] == 1
         with pytest.raises(SearchSpaceExceeded):
             rect_search(reduced, P, V0, B1, B2, cap=0)
@@ -712,22 +701,19 @@ class TestRectSearch:
         # particular solution and rectangle, u = 0 with m < q included.
         z, p, q, m, u = case
         b1, b2 = 1 << m, 1 << q
-        fam = solution_basis(z, p, q, u)
-        basis, _ = reduce_family(fam, WeightedForm.for_rectangle(b1, b2))
-        a, b = (basis.u2, basis.u1) if swap else (basis.u1, basis.u2)
-        basis = basis_ints(LatticeBasis(a, b + a.scaled(mix), modulus_exp=p, z=z))
-        _assert_rect_search_matches_reference(
-            basis, p, (fam.v0.x, fam.v0.y), b1, b2, cap=1 << 12
-        )
+        v0, basis = solution_basis(z, p, q, u)
+        reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
+        a, b = (reduced[2:], reduced[:2]) if swap else (reduced[:2], reduced[2:])
+        basis = (*a, b[0] + mix * a[0], b[1] + mix * a[1])
+        _assert_rect_search_matches_reference(basis, p, v0, b1, b2, cap=1 << 12)
 
     def test_matches_reference_loop_size_ladder(self):
         for z, p, q, m, u in _ladder_tokens(random.Random(7070)):
             b1, b2 = 1 << m, 1 << q
-            form = WeightedForm.for_rectangle(b1, b2)
             start, _ = euclid_basis(z, p, b1, b2)
-            reduced, _ = gauss_reduce(start, p, form.wx, form.wy)
-            v0 = solution_basis(z, p, q, u).v0
-            _assert_rect_search_matches_reference(reduced, p, (v0.x, v0.y), b1, b2)
+            reduced, _ = gauss_reduce(start, p, *rect_weights(b1, b2))
+            v0, _ = solution_basis(z, p, q, u)
+            _assert_rect_search_matches_reference(reduced, p, v0, b1, b2)
 
     def test_matches_membership_scan(self):
         rng = random.Random(404)
@@ -737,56 +723,53 @@ class TestRectSearch:
             q = rng.randint(1, p // 2)
             m = rng.randint(2, 8)
             u = rng.randint(0, (1 << (p - q)) - 1)
-            fam = solution_basis(z, p, q, u)
+            v0, basis = solution_basis(z, p, q, u)
             b1, b2 = 1 << m, 1 << q
-            form = WeightedForm.for_rectangle(b1, b2)
-            reduced, _ = gauss_reduce(basis_ints(fam.basis()), p, form.wx, form.wy)
-            hits, _ = rect_search(reduced, p, (fam.v0.x, fam.v0.y), b1, b2)
+            reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
+            hits, _ = rect_search(reduced, p, v0, b1, b2)
             modulus = 1 << p
             expected = [
                 (x, y)
                 for x in range(b1)
                 for y in range(b2)
-                if ((fam.v0.x - x) * z - (fam.v0.y - y)) % modulus == 0
+                if ((v0[0] - x) * z - (v0[1] - y)) % modulus == 0
             ]
             assert hits == sorted(expected)
 
     def test_sorted_by_x(self):
         rng = random.Random(8)
         for _ in range(20):
-            fam = random_family(rng, max_p=10)
+            z, p, v0, basis = random_family(rng, max_p=10)
             b1, b2 = 1 << 6, 1 << 4
-            form = WeightedForm.for_rectangle(b1, b2)
-            reduced, _ = gauss_reduce(basis_ints(fam.basis()), fam.modulus_exp, form.wx, form.wy)
-            hits, _ = rect_search(reduced, fam.modulus_exp, (fam.v0.x, fam.v0.y), b1, b2)
+            reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
+            hits, _ = rect_search(reduced, p, v0, b1, b2)
             assert [x for x, _ in hits] == sorted(x for x, _ in hits)
 
     def test_scaling_invariance(self):
         rng = random.Random(70)
         for _ in range(25):
-            fam = random_family(rng)
+            z, p, v0, basis = random_family(rng)
             b1 = 1 << rng.randint(2, 8)
             b2 = 1 << rng.randint(1, 5)
-            form = WeightedForm.for_rectangle(b1, b2)
-            scaled = WeightedForm(wx=7 * form.wx, wy=7 * form.wy)
-            red_a, it_a = reduce_family(fam, form)
-            red_b, it_b = reduce_family(fam, scaled)
-            assert (red_a.u1, red_a.u2, it_a) == (red_b.u1, red_b.u2, it_b)
-            args = (fam.modulus_exp, (fam.v0.x, fam.v0.y), b1, b2)
-            assert rect_search(basis_ints(red_a), *args) == rect_search(basis_ints(red_b), *args)
-            assert nearest_lattice_point(red_a, fam.v0, form) == nearest_lattice_point(
-                red_b, fam.v0, scaled
+            wx, wy = rect_weights(b1, b2)
+            red_a, it_a = gauss_reduce(basis, p, wx, wy)
+            red_b, it_b = gauss_reduce(basis, p, 7 * wx, 7 * wy)
+            assert (red_a, it_a) == (red_b, it_b)
+            args = (p, v0, b1, b2)
+            assert rect_search(red_a, *args) == rect_search(red_b, *args)
+            assert nearest_lattice_point(red_a, v0, wx, wy) == nearest_lattice_point(
+                red_b, v0, 7 * wx, 7 * wy
             )
 
 
-def _assert_box_matches_rationals(basis, v, b1, b2):
+def _assert_box_matches_rationals(basis, p, v, b1, b2):
     """coefficient_box equals the exact corner box of solve_coeffs' exact
     rationals over the closed rectangle [0, b1-1] x [0, b2-1], for the
     basis and for its swap, whose det has the other sign."""
-    swapped = LatticeBasis(basis.u2, basis.u1, modulus_exp=basis.modulus_exp, z=basis.z)
-    assert abs(basis.det()) == 1 << basis.modulus_exp
-    for b in (basis, swapped):
-        corners = [v, v - IVec2(b1 - 1, 0), v - IVec2(0, b2 - 1), v - IVec2(b1 - 1, b2 - 1)]
+    assert abs(_det(basis)) == 1 << p
+    vx, vy = v
+    corners = [(vx, vy), (vx - (b1 - 1), vy), (vx, vy - (b2 - 1)), (vx - (b1 - 1), vy - (b2 - 1))]
+    for b in (basis, basis[2:] + basis[:2]):
         a1s, a2s = zip(*(solve_coeffs(b, corner) for corner in corners))
         expected = (
             math.ceil(min(a1s)),
@@ -794,14 +777,14 @@ def _assert_box_matches_rationals(basis, v, b1, b2):
             math.ceil(min(a2s)),
             math.floor(max(a2s)),
         )
-        assert coefficient_box(basis_ints(b), b.modulus_exp, (v.x, v.y), b1, b2) == expected
+        assert coefficient_box(b, p, v, b1, b2) == expected
 
 
 class TestCoefficientBox:
     def test_contains_winning_pair(self):
         reduced = worked_reduced()
-        lo1, hi1, lo2, hi2 = coefficient_box(basis_ints(reduced), P, V0, B1, B2)
-        a1, a2 = nearest_lattice_point(reduced, IVec2(115, 1703), FORM)
+        lo1, hi1, lo2, hi2 = coefficient_box(reduced, P, V0, B1, B2)
+        a1, a2 = nearest_lattice_point(reduced, V0, WX, WY)
         assert lo1 <= a1 <= hi1 and lo2 <= a2 <= hi2
 
     @settings(max_examples=300, deadline=None)
@@ -814,15 +797,15 @@ class TestCoefficientBox:
         b2=st.integers(1, 1 << 40),
     )
     def test_matches_exact_rational_box(self, z, p, steps, v, b1, b2):
-        # A basis of L (|det| = 2^p, as LatticeBasis documents) mixed by
+        # A basis of L (|det| = 2^p, as coefficient_box requires) mixed by
         # random unimodular steps.
-        u1, u2 = IVec2(0, 1 << p), IVec2(1, z % (1 << p))
+        x1, y1, x2, y2 = 0, 1 << p, 1, z % (1 << p)
         for on_u1, k in steps:
             if on_u1:
-                u1 = u1 - u2.scaled(k)
+                x1, y1 = x1 - k * x2, y1 - k * y2
             else:
-                u2 = u2 - u1.scaled(k)
-        _assert_box_matches_rationals(LatticeBasis(u1, u2, modulus_exp=p, z=z), IVec2(*v), b1, b2)
+                x2, y2 = x2 - k * x1, y2 - k * y1
+        _assert_box_matches_rationals((x1, y1, x2, y2), p, v, b1, b2)
 
     def test_matches_exact_rational_box_full_scale(self):
         rng = random.Random(2048)
@@ -833,12 +816,11 @@ class TestCoefficientBox:
             x = rng.randint(1, (1 << m) - 1)
             u = ((x * z) & ((1 << p) - 1)) >> q
             b1, b2 = 1 << m, 1 << q
-            fam = solution_basis(z, p, q, u)
-            form = WeightedForm.for_rectangle(b1, b2)
+            v0, basis = solution_basis(z, p, q, u)
             start, _ = euclid_basis(z, p, b1, b2)
-            reduced, _ = gauss_reduce(start, p, form.wx, form.wy)
-            for basis in (lattice_basis(start, p, z), lattice_basis(reduced, p, z), fam.basis()):
-                _assert_box_matches_rationals(basis, fam.v0, b1, b2)
+            reduced, _ = gauss_reduce(start, p, *rect_weights(b1, b2))
+            for b in (start, reduced, basis):
+                _assert_box_matches_rationals(b, p, v0, b1, b2)
 
     @pytest.mark.parametrize(
         "u1, u2, modulus_exp",
@@ -858,12 +840,12 @@ class TestCoefficientBox:
 
     def test_rect_search_reports_box_size(self):
         rng = random.Random(12)
-        cases = [(basis_ints(worked_reduced()), P, V0, B1, B2)]
+        cases = [(worked_reduced(), P, V0, B1, B2)]
         for _ in range(30):
-            fam = random_family(rng, max_p=12)
+            z, p, v0, basis = random_family(rng, max_p=12)
             b1, b2 = 1 << rng.randint(1, 8), 1 << rng.randint(1, 5)
-            reduced, _ = reduce_family(fam, WeightedForm.for_rectangle(b1, b2))
-            cases.append((basis_ints(reduced), fam.modulus_exp, (fam.v0.x, fam.v0.y), b1, b2))
+            reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
+            cases.append((reduced, p, v0, b1, b2))
         for basis, p, v, b1, b2 in cases:
             lo1, hi1, lo2, hi2 = coefficient_box(basis, p, v, b1, b2)
             _, pairs = rect_search(basis, p, v, b1, b2)

@@ -16,7 +16,6 @@ from truncrack import (
     trunc_f,
     validate_params,
 )
-from truncrack.protocol import trunc_remainder
 
 TOY = ProtocolParams(l=13, m=14, p=22, q=5, r=2, z=6173)
 
@@ -101,14 +100,14 @@ class TestTruncMap:
             trunc_f(-1, TOY)
 
     def test_remainder_split(self):
-        u, y = trunc_remainder(12345, TOY)
+        u, y = trunc_f(12345, TOY), (12345 * TOY.z) & ((1 << TOY.q) - 1)
         assert (u, y) == (22131, 21)
         assert (12345 * TOY.z) % (1 << TOY.p) == (u << TOY.q) + y
 
     @given(x=st.integers(min_value=0, max_value=1 << 64))
     def test_token_range_and_congruence(self, x):
-        u, y = trunc_remainder(x, TOY)
-        assert 0 <= trunc_f(x, TOY) < 1 << (TOY.p - TOY.q)
+        u, y = trunc_f(x, TOY), (x * TOY.z) & ((1 << TOY.q) - 1)
+        assert 0 <= u < 1 << (TOY.p - TOY.q)
         assert 0 <= y < 1 << TOY.q
         assert (x * TOY.z - ((u << TOY.q) + y)) % (1 << TOY.p) == 0
 
@@ -124,10 +123,10 @@ class TestTruncMap:
             modulus = 1 << params.p
             for _ in range(100):
                 x = rng.randint(0, 1 << (params.m + 4))
-                u, y = trunc_remainder(x, params)
+                u, y = trunc_f(x, params), (x * params.z) & ((1 << params.q) - 1)
                 assert 0 <= y < 1 << params.q
                 assert (x * params.z) % modulus == ((u << params.q) + y) % modulus
-                assert trunc_f(x, params) == u
+                assert u == (x * params.z) % modulus >> params.q
 
 
 class TestSharedKey:
