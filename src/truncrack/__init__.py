@@ -2,6 +2,7 @@
 exact rank-2 lattice attack that recovers its secrets."""
 
 from .attack import (
+    Attacker,
     AttackInput,
     AttackResult,
     recover_preimages,
@@ -26,6 +27,7 @@ from .harness import (
     write_csv,
 )
 from .lattice2d import (
+    box_frame,
     gauss_reduce,
     is_reduced,
     nearest_lattice_point,

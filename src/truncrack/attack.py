@@ -8,15 +8,23 @@ to make that rectangle square (an extended Euclid, finished by Gauss
 reduction), walks the rectangle's exact coefficient box from the coset
 point (0, -2^q*u), and returns every point it finds, each a preimage by
 construction.  The whole path runs on plain ints and tuples.
+
+Only the coset point depends on the token, so the work splits at the
+deployment: Attacker(z, p, q, m) reduces once and fixes the box's frame,
+and Attacker.attack(u) walks the box of one token.  recover_preimages
+takes its Attacker from a one-entry memo keyed on (z, p, q, m): a stream
+of tokens on one deployment reduces once, and a new deployment replaces
+the entry.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, NoCandidates
-from .lattice2d import euclid_basis, gauss_reduce, rect_search
+from .lattice2d import box_frame, euclid_basis, gauss_reduce, rect_search
 from .protocol import derive_key, truncate
 
 
@@ -46,9 +54,13 @@ class AttackInput:
 
 @dataclass(frozen=True)
 class AttackResult:
-    """``reduce_iterations`` counts euclid_basis's quotients plus the
-    finishing passes of gauss_reduce (its final all-zero pass included);
-    ``reduce_time_ns`` covers both."""
+    """``reduce_iterations`` is the deployment's: euclid_basis's quotients
+    plus the finishing passes of gauss_reduce (its final all-zero pass
+    included), the same on every token.  ``reduce_time_ns`` is the time
+    the caller took to get its Attacker: from recover_preimages, the
+    memo lookup, which on a miss is the whole reduction (check, Euclid,
+    Gauss and the box frame) and on a hit the lookup alone.
+    ``search_time_ns`` covers the token's box and walk."""
 
     candidates: tuple[tuple[int, int], ...]
     unique: bool
@@ -74,46 +86,92 @@ def check_observables(
         raise DegenerateInput(f"p must exceed q, got p={p} q={q}")
     if m < 1:
         raise DegenerateInput(f"m must be at least 1, got {m}")
-    if token is not None and not 0 <= token < 1 << (p - q):
+    if token is not None:
+        _check_token(token, p, q, name)
+
+
+def _check_token(token: int, p: int, q: int, name: str = "token") -> None:
+    if not 0 <= token < 1 << (p - q):
         raise DegenerateInput(f"{name} must be in [0, 2^(p-q)) (p-q={p - q}), got {token}")
 
 
-def recover_preimages(inp: AttackInput) -> AttackResult:
-    """Recover every preimage of the token inside [0, 2^m) x [0, 2^q).
+class Attacker:
+    """The attack on one deployment (z, p, q, m), for any number of tokens.
 
-    Deterministic in its input.  The candidates are the walk's hits as
-    they are: x*z = 2^q*u + y (mod 2^p) with 0 <= y < 2^q and
-    u < 2^(p-q) gives 2^q*u + y < 2^p, so truncate(x) == u, which is
-    asserted.  The rectangle's form (b2^2, b1^2) over its gcd is
-    (2^(2(q-m)), 1) or (1, 2^(2(m-q))).  ``unique`` is set when there is
-    exactly one candidate.  Candidates with x = 0 are kept (x = 0 is never
-    a valid secret).
+    The constructor checks the observables (DegenerateInput, as
+    check_observables), reduces the congruence lattice for the rectangle
+    [0, 2^m) x [0, 2^q), whose form (b2^2, b1^2) over its gcd is
+    (2^(2(q-m)), 1) or (1, 2^(2(m-q))), and fixes the box's frame
+    (lattice2d.box_frame: the |det| = 2^p check, SingularBasis otherwise,
+    the sign and the corner offsets).  Every assertion of euclid_basis and
+    gauss_reduce runs here.  ``reduced`` is the reduced basis
+    (x1, y1, x2, y2) and ``reduce_iterations`` the Euclid quotients plus
+    the Gauss passes.  Nothing changes an Attacker after construction, so
+    one can serve any number of tokens and callers.
+    """
+
+    __slots__ = ("z", "p", "q", "m", "reduced", "reduce_iterations", "frame")
+
+    def __init__(self, z: int, p: int, q: int, m: int):
+        check_observables(z, p, q, m)
+        b1, b2 = 1 << m, 1 << q
+        wx, wy = (1 << 2 * (q - m), 1) if q > m else (1, 1 << 2 * (m - q))
+        start, quotients = euclid_basis(z, p, b1, b2)
+        reduced, passes = gauss_reduce(start, p, wx, wy)
+        self.z, self.p, self.q, self.m = z, p, q, m
+        self.reduced = reduced
+        self.reduce_iterations = quotients + passes
+        self.frame = box_frame(reduced, p, b1, b2)
+
+    def attack(self, u: int, reduce_time_ns: int = 0) -> AttackResult:
+        """Recover every preimage of the token u inside [0, 2^m) x [0, 2^q).
+
+        Deterministic in the deployment and u.  The candidates are the
+        walk's hits from the coset point (0, -2^q*u) as they are:
+        x*z = 2^q*u + y (mod 2^p) with 0 <= y < 2^q and u < 2^(p-q) gives
+        2^q*u + y < 2^p, so truncate(x) == u, which is asserted.
+        ``unique`` is set when there is exactly one candidate.  Candidates
+        with x = 0 are kept (x = 0 is never a valid secret).
+        ``reduce_time_ns`` is reported as given.  Raises DegenerateInput
+        for u outside [0, 2^(p-q)).
+        """
+        z, p, q = self.z, self.p, self.q
+        _check_token(u, p, q)
+        t0 = time.perf_counter_ns()
+        hits, searched = rect_search(self.frame, (0, -(u << q)))
+        t1 = time.perf_counter_ns()
+        candidates = tuple(hits)
+        for x, _ in candidates:
+            assert truncate(x, z, p, q) == u
+        return AttackResult(
+            candidates, len(candidates) == 1, self.reduce_iterations, searched,
+            reduce_time_ns, t1 - t0,
+        )
+
+
+# One entry: an eavesdropper's stream of tokens on one deployment reduces
+# once, and a new deployment replaces the entry, so the memo's memory
+# stays one Attacker whatever the caller does.
+_attacker = functools.lru_cache(maxsize=1)(Attacker)
+
+
+def recover_preimages(inp: AttackInput) -> AttackResult:
+    """Attacker(z, p, q, m).attack(u) for the input's observables, the
+    Attacker taken from a one-entry memo keyed on (z, p, q, m).
+
+    The memo holds one immutable Attacker made from every public input
+    but the token, so it changes no output: the candidates, ``unique``,
+    ``searched`` and ``reduce_iterations`` are those of a fresh Attacker.
+    Raises DegenerateInput for a scaled token whose low q bits are not
+    zero and for what check_observables rejects; a constructor that
+    raises leaves the memo as it was.
     """
     if inp.token_is_scaled and inp.token & ((1 << inp.q) - 1):
         raise DegenerateInput(f"scaled token {inp.token} is not a multiple of 2^q (q={inp.q})")
-    u = inp.token_value()
-    z, p, q, m = inp.z, inp.p, inp.q, inp.m
-    check_observables(z, p, q, m, u)
-    b1, b2 = 1 << m, 1 << q
-    wx, wy = (1 << 2 * (q - m), 1) if q > m else (1, 1 << 2 * (m - q))
-
     t0 = time.perf_counter_ns()
-    start, quotients = euclid_basis(z, p, b1, b2)
-    reduced, passes = gauss_reduce(start, p, wx, wy)
+    attacker = _attacker(inp.z, inp.p, inp.q, inp.m)
     t1 = time.perf_counter_ns()
-    hits, searched = rect_search(reduced, p, (0, -(u << q)), b1, b2)
-    t2 = time.perf_counter_ns()
-
-    candidates = tuple(hits)
-    assert all(truncate(x, z, p, q) == u for x, _ in candidates)
-    return AttackResult(
-        candidates=candidates,
-        unique=len(candidates) == 1,
-        reduce_iterations=quotients + passes,
-        searched=searched,
-        reduce_time_ns=t1 - t0,
-        search_time_ns=t2 - t1,
-    )
+    return attacker.attack(inp.token_value(), t1 - t0)
 
 
 def recover_shared_key(

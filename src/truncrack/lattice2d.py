@@ -21,8 +21,11 @@ u1 = (x1, y1) and u2 = (x2, y2), a point is (x, y), and a form is its two
 positive weights (wx, wy), <a, b> = wx*ax*bx + wy*ay*by.  For the
 rectangle [0, b1) x [0, b2) the weights are (b2^2, b1^2), which make it
 square; a common factor of the weights changes no quotient, rounding or
-comparison.  Fraction appears only in solve_coeffs, nearest_lattice_point
-and truncate_decimal.  All functions are pure.
+comparison.  A frame, from box_frame, is what the rectangle's coefficient
+box needs beside the point: (basis, p, b1, b2, offsets), made once per
+basis and rectangle and read by coefficient_box and rect_search.
+Fraction appears only in solve_coeffs, nearest_lattice_point and
+truncate_decimal.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .errors import (
     SearchSpaceExceeded,
     SingularBasis,
 )
+
+# box_frame's result: the basis with det = +2^p, p, b1, b2 and the offsets.
+Frame = tuple[tuple[int, int, int, int], int, int, int, tuple[int, int, int, int]]
 
 
 def solution_basis(
@@ -301,78 +307,91 @@ def nearest_lattice_point(
     return best
 
 
-def coefficient_box(
-    basis: tuple[int, int, int, int], p: int, v: tuple[int, int], b1: int, b2: int
-) -> tuple[int, int, int, int]:
-    """Exact inclusive coefficient ranges of the rectangle [0, b1) x [0, b2).
+def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int) -> Frame:
+    """The part of the coefficient box of [0, b1) x [0, b2) that does not
+    depend on the point: (basis, p, b1, b2, offsets), what coefficient_box
+    and rect_search take.
 
-    Ceiling of the smallest to floor of the largest coefficient of the
-    corners of the closed rectangle [0, b1-1] x [0, b2-1], which holds the
-    same integer points; a linear map takes its extremes over a
-    parallelogram at its corners, so no point s = v - a1*u1 - a2*u2 inside
-    is lost.  A range may be empty (hi = lo - 1, never less, as
-    floor(max) >= ceil(min) - 1).  The Cramer numerators of v = (vx, vy)
-    are computed once.  Moving the corner by b1-1 in x or b2-1 in y adds
-    (1-b1)*y2 or (b2-1)*x2 to the a1 numerator and (b1-1)*y1 or (1-b2)*x1
-    to the a2 one, so the smallest corner numerator adds the negative
-    moves and the largest the positive ones.
+    The box runs from the ceiling of the smallest to the floor of the
+    largest coefficient of the corners of the closed rectangle
+    [0, b1-1] x [0, b2-1], which holds the same integer points; a linear
+    map takes its extremes over a parallelogram at its corners, so no
+    point s = v - a1*u1 - a2*u2 inside is lost.  Moving the corner by b1-1
+    in x or b2-1 in y adds (1-b1)*y2 or (b2-1)*x2 to the Cramer numerator
+    of a1 and (b1-1)*y1 or (1-b2)*x1 to that of a2, so the smallest corner
+    numerator adds the negative moves and the largest the positive ones:
+    the offsets are those four sums, smallest and largest for a1, then
+    for a2.
 
     The basis (x1, y1, x2, y2) must have |det| = 2^p, as every basis of L
-    does.  When det < 0 the signs of both vectors are flipped, which
-    negates both numerators and leaves det as it is; the division by 2^p
-    is then a shift, ceiling -(-n >> p) and floor n >> p, and no rational
-    is built.  Raises SingularBasis for any other determinant, 0 included,
-    since a shift by the wrong p would give a wrong box.
+    does.  When det < 0, u1 is negated, which negates det: the frame's
+    basis, in which the box is counted and the walk steps, has det = +2^p,
+    so the division by det is a shift by p.  Raises SingularBasis for any
+    other determinant, 0 included, since a shift by the wrong p would give
+    a wrong box, and ValueError for a bound below 1.
     """
+    if b1 < 1 or b2 < 1:
+        raise ValueError("rectangle bounds must be at least 1")
     x1, y1, x2, y2 = basis
-    vx, vy = v
     det = x1 * y2 - y1 * x2
     if abs(det) != 1 << p:
         raise SingularBasis(f"cannot bound coefficients: determinant {det} is not +-2^{p}")
     if det < 0:
-        x1, y1, x2, y2 = -x1, -y1, -x2, -y2
-    n1 = vx * y2 - x2 * vy
-    n2 = x1 * vy - vx * y1
+        x1, y1 = -x1, -y1
     dx1, dy1 = (1 - b1) * y2, (b2 - 1) * x2
     dx2, dy2 = (b1 - 1) * y1, (1 - b2) * x1
-    lo1 = n1 + min(dx1, 0) + min(dy1, 0)
-    hi1 = n1 + max(dx1, 0) + max(dy1, 0)
-    lo2 = n2 + min(dx2, 0) + min(dy2, 0)
-    hi2 = n2 + max(dx2, 0) + max(dy2, 0)
-    return -(-lo1 >> p), hi1 >> p, -(-lo2 >> p), hi2 >> p
+    # Conditional expressions, not min(d, 0) and max(d, 0): a builtin call
+    # costs about as much as the rest of a toy-size frame.
+    offsets = (
+        (dx1 if dx1 < 0 else 0) + (dy1 if dy1 < 0 else 0),
+        (dx1 if dx1 > 0 else 0) + (dy1 if dy1 > 0 else 0),
+        (dx2 if dx2 < 0 else 0) + (dy2 if dy2 < 0 else 0),
+        (dx2 if dx2 > 0 else 0) + (dy2 if dy2 > 0 else 0),
+    )
+    return (x1, y1, x2, y2), p, b1, b2, offsets
+
+
+def coefficient_box(frame: Frame, v: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Exact inclusive coefficient ranges (lo1, hi1, lo2, hi2) of the
+    rectangle of box_frame's ``frame`` around the point v = (vx, vy).
+
+    The two Cramer numerators of v, plus the frame's offsets, are the
+    smallest and largest corner numerators; their quotients by det = 2^p
+    are shifts, ceiling -(-n >> p) and floor n >> p, and no rational is
+    built.  A range may be empty (hi = lo - 1, never less, as
+    floor(max) >= ceil(min) - 1).
+    """
+    (x1, y1, x2, y2), p, _, _, (dlo1, dhi1, dlo2, dhi2) = frame
+    vx, vy = v
+    n1 = vx * y2 - x2 * vy
+    n2 = x1 * vy - vx * y1
+    return -(-(n1 + dlo1) >> p), (n1 + dhi1) >> p, -(-(n2 + dlo2) >> p), (n2 + dhi2) >> p
 
 
 def rect_search(
-    basis: tuple[int, int, int, int],
-    p: int,
-    v: tuple[int, int],
-    b1: int,
-    b2: int,
-    cap: int = 1 << 20,
+    frame: Frame, v: tuple[int, int], cap: int = 1 << 20
 ) -> tuple[list[tuple[int, int]], int]:
-    """Points of the coset v + L inside [0, b1) x [0, b2), and the box size.
+    """Points of the coset v + L inside the rectangle [0, b1) x [0, b2) of
+    box_frame's ``frame``, and the box size.
 
     Visits every integer coefficient pair (a1, a2) of coefficient_box's
     exact box and keeps s = v - a1*u1 - a2*u2 whenever s lands in the
     rectangle, so no in-rectangle point is missed; an empty range gives
     ([], 0).  Any point of the coset as v gives the same hits.  The points
     are stepped, not multiplied out: the walk starts at v - lo1*u1 -
-    lo2*u2 and subtracts u2 along a row and u1 between rows.  ``basis``
-    (x1, y1, x2, y2) should be reduced; an unreduced basis only makes the
-    box larger.
+    lo2*u2 and subtracts u2 along a row and u1 between rows.  The frame's
+    basis should be reduced; an unreduced basis only makes the box larger.
 
     Returns the hits as sorted (x, y) tuples and the number of pairs
-    enumerated.  Raises SearchSpaceExceeded when the box holds more than
-    ``cap`` pairs, and SingularBasis as coefficient_box does.
+    enumerated.  Raises SearchSpaceExceeded, before the walk, when the
+    box holds more than ``cap`` pairs.
     """
-    if b1 < 1 or b2 < 1:
-        raise ValueError("rectangle bounds must be at least 1")
-    lo1, hi1, lo2, hi2 = coefficient_box(basis, p, v, b1, b2)
+    lo1, hi1, lo2, hi2 = coefficient_box(frame, v)
     rows, cols = hi1 - lo1 + 1, hi2 - lo2 + 1
     pairs = rows * cols
     if pairs > cap:
         raise SearchSpaceExceeded(f"coefficient box holds {pairs} pairs (cap {cap})")
-    x1, y1, x2, y2 = basis
+    (x1, y1, x2, y2), _, b1, b2, _ = frame
     row_x = v[0] - lo1 * x1 - lo2 * x2
     row_y = v[1] - lo1 * y1 - lo2 * y2
     hits: list[tuple[int, int]] = []

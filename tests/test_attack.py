@@ -7,20 +7,26 @@ from hypothesis import strategies as st
 import truncrack.attack
 import truncrack.lattice2d
 from truncrack import (
+    Attacker,
     AttackInput,
     DegenerateInput,
     NoCandidates,
+    TrialConfig,
+    box_frame,
     derive_key,
     exchange,
+    format_csv,
     gauss_reduce,
     gen_params,
     rect_search,
     recover_preimages,
     recover_shared_key,
+    run_trials,
     shared_key,
     solution_basis,
 )
-from truncrack.harness import brute_force_preimages
+from truncrack.attack import _attacker
+from truncrack.harness import CSV_COLUMNS, brute_force_preimages
 from truncrack.lattice2d import coefficient_box, euclid_basis, is_reduced
 from test_acceptance import rect_weights
 
@@ -39,20 +45,38 @@ def _small_instances(max_p=5, max_m=5):
                         yield z, p, q, m, u
 
 
+def _draw_token(draw, z, p, q, m):
+    """An honest token (of a drawn x < 2^m) or a uniform one."""
+    if draw(st.booleans()):
+        x = draw(st.integers(0, (1 << m) - 1))
+        return ((x * z) & ((1 << p) - 1)) >> q
+    return draw(st.integers(0, (1 << (p - q)) - 1))
+
+
 @st.composite
-def small_attack_cases(draw):
-    """Arbitrary small (z, p, q, m, u): p <= 12, q < p, m <= 10, z in
-    [1, 2^(p+1)), and an honest or a uniform token."""
+def alternating_deployments(draw):
+    """Tokens of two arbitrary small deployments (z, p, q, m), p <= 12,
+    q < p, m <= 10, z in [1, 2^(p+1)), as ((z, p, q, m), u) pairs taking
+    turns, one to four tokens each.  The second deployment is the first
+    with one of z, p, q, m drawn again, or all of them, so a memo key that
+    missed one of them would hand one deployment's Attacker to the other."""
     p = draw(st.integers(1, 12))
     q = draw(st.integers(0, p - 1))
     m = draw(st.integers(1, 10))
     z = draw(st.integers(1, (1 << (p + 1)) - 1))
-    if draw(st.booleans()):
-        x = draw(st.integers(0, (1 << m) - 1))
-        u = ((x * z) & ((1 << p) - 1)) >> q
-    else:
-        u = draw(st.integers(0, (1 << (p - q)) - 1))
-    return z, p, q, m, u
+    first = (z, p, q, m)
+    redrawn = draw(st.sampled_from(("z", "p", "q", "m", "all")))
+    if redrawn in ("p", "all"):
+        p = draw(st.integers(q + 1, 12))
+    if redrawn in ("q", "all"):
+        q = draw(st.integers(0, p - 1))
+    if redrawn in ("m", "all"):
+        m = draw(st.integers(1, 10))
+    if redrawn in ("z", "all"):
+        z = draw(st.integers(1, (1 << (p + 1)) - 1))
+    second = (z, p, q, m)
+    turns = draw(st.integers(1, 4))
+    return [(dep, _draw_token(draw, *dep)) for _ in range(turns) for dep in (first, second)]
 
 
 def _oracle_pairs(z, p, q, m, u):
@@ -115,9 +139,10 @@ class TestRecoverPreimages:
         start, _ = euclid_basis(z, p, b1, b2)
         reduced, _ = gauss_reduce(start, p, 1, 1 << 2 * (m - q))
         v = (0, -(u << q))
-        lo1, hi1, lo2, hi2 = coefficient_box(reduced, p, v, b1, b2)
+        frame = box_frame(reduced, p, b1, b2)
+        lo1, hi1, lo2, hi2 = coefficient_box(frame, v)
         assert (hi1 - lo1 + 1, hi2 - lo2 + 1) == (0, 2)
-        assert rect_search(reduced, p, v, b1, b2) == ([], 0)
+        assert rect_search(frame, v) == ([], 0)
         result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
         assert (result.candidates, result.searched) == ((), 0)
         assert brute_force_preimages(z, p, q, u, m) == []
@@ -211,32 +236,28 @@ class TestRecoverPreimages:
             expected = brute_force_preimages(params.z, params.p, params.q, token, m)
             assert [x for x, _ in result.candidates] == expected
 
-    def test_exhaustive_small_sweep(self, monkeypatch):
-        reduced = []
-
-        def keep_reduced(basis, p, wx, wy):
-            result = gauss_reduce(basis, p, wx, wy)
-            reduced.append(result[0])
-            return result
-
-        monkeypatch.setattr(truncrack.attack, "gauss_reduce", keep_reduced)
+    def test_exhaustive_small_sweep(self):
         for z, p, q, m, u in _small_instances():
             result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
             expected = brute_force_preimages(z, p, q, u, m)
             assert [x for x, _ in result.candidates] == expected
+            attacker = Attacker(z, p, q, m)
+            assert result.reduce_iterations == attacker.reduce_iterations
             wx, wy = rect_weights(1 << m, 1 << q)
             _, basis = solution_basis(z, p, q, u)
             theirs, _ = gauss_reduce(basis, p, wx, wy)
-            _assert_same_reduced_basis(reduced.pop(), theirs, wx, wy)
+            _assert_same_reduced_basis(attacker.reduced, theirs, wx, wy)
 
     @settings(max_examples=300, deadline=None)
-    @given(case=small_attack_cases())
+    @given(case=alternating_deployments())
     def test_sound_and_complete_on_small_instances(self, case):
         # Nothing filters the walk's hits, so an unsound hit would show
-        # here as well as a missed one.
-        z, p, q, m, u = case
-        result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
-        assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
+        # here as well as a missed one; the two deployments take turns
+        # through the memo, so a stale Attacker would show too.
+        for (z, p, q, m), u in case:
+            result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
+            assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
+            assert result.reduce_iterations == Attacker(z, p, q, m).reduce_iterations
 
     def test_candidates_lie_in_region_and_solve_congruence(self):
         result = recover_preimages(GOLDEN)
@@ -245,6 +266,165 @@ class TestRecoverPreimages:
             assert 0 <= x < 1 << GOLDEN.m
             assert 0 <= y < 1 << GOLDEN.q
             assert (x * GOLDEN.z - ((u << GOLDEN.q) + y)) % (1 << GOLDEN.p) == 0
+
+
+# Toy deployments (z, p, q, m) for the batch gate: odd z below 2^p, even
+# z, z = 0 mod 2^p, odd and even z >= 2^p, and m < q with odd and even z.
+BATCH_DEPLOYMENTS = [
+    (677, 11, 3, 8),
+    (52, 9, 2, 6),
+    (384, 7, 2, 4),
+    (1357, 10, 3, 5),
+    (1500, 10, 2, 6),
+    (77, 9, 4, 2),
+    (90, 8, 4, 3),
+]
+
+
+def _outputs(result):
+    """Everything of an AttackResult but its times."""
+    return result.candidates, result.unique, result.reduce_iterations, result.searched
+
+
+class TestAttacker:
+    def test_batch_matches_oracle_and_fresh_attack(self):
+        # Every token of each deployment through one Attacker, against the
+        # unfiltered oracle and against recover_preimages from an empty memo.
+        for z, p, q, m in BATCH_DEPLOYMENTS:
+            attacker = Attacker(z, p, q, m)
+            for u in range(1 << (p - q)):
+                result = attacker.attack(u)
+                assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
+                _attacker.cache_clear()
+                fresh = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
+                assert _outputs(result) == _outputs(fresh)
+
+    def test_batch_full_scale(self):
+        # Honest exchanges on one l=2048 deployment: the secret on every
+        # token, and the outputs of a fresh Attacker.
+        params = gen_params(1605, 2048, 512, 512, 129)
+        attacker = Attacker(params.z, params.p, params.q, params.m)
+        for seed in range(4):
+            t = exchange(seed, params)
+            result = attacker.attack(t.u)
+            assert t.x in [x for x, _ in result.candidates]
+            fresh = Attacker(params.z, params.p, params.q, params.m).attack(t.u)
+            assert _outputs(result) == _outputs(fresh)
+
+    def test_attack_changes_nothing(self):
+        attacker = Attacker(6173, 22, 5, 14)
+        before = {name: getattr(attacker, name) for name in Attacker.__slots__}
+        for u in (22131, 0, 192, (1 << 17) - 1):
+            attacker.attack(u)
+        with pytest.raises(DegenerateInput):
+            attacker.attack(1 << 17)
+        assert {name: getattr(attacker, name) for name in Attacker.__slots__} == before
+        with pytest.raises(AttributeError):
+            attacker.cache = {}
+
+    def test_reduces_once_per_deployment(self, monkeypatch):
+        calls = []
+
+        def counted(basis, p, wx, wy):
+            calls.append(p)
+            return gauss_reduce(basis, p, wx, wy)
+
+        monkeypatch.setattr(truncrack.attack, "gauss_reduce", counted)
+        _attacker.cache_clear()
+        for u in range(40):
+            recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, token=u))
+        assert calls == [22]
+        for u in range(3):
+            recover_preimages(AttackInput(z=677, p=15, q=3, m=8, token=u))
+            recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, token=u))
+        assert calls == [22] + [15, 22] * 3
+        _attacker.cache_clear()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(z=0, p=15, q=3, m=8),
+            dict(z=7, p=3, q=5, m=8),
+            dict(z=6173, p=5, q=5, m=14),
+            dict(z=6173, p=22, q=5, m=0),
+        ],
+    )
+    def test_rejects_degenerate_deployment(self, kwargs):
+        with pytest.raises(DegenerateInput):
+            Attacker(**kwargs)
+
+    def test_frame_is_the_reduced_basis_frame(self):
+        attacker = Attacker(6173, 22, 5, 14)
+        assert attacker.frame == box_frame(attacker.reduced, 22, 1 << 14, 1 << 5)
+
+
+class TestAttackerMemo:
+    def test_holds_one_deployment(self):
+        _attacker.cache_clear()
+        for i in range(50):
+            recover_preimages(AttackInput(z=6173 + 2 * i, p=22, q=5, m=14, token=22131))
+        info = _attacker.cache_info()
+        assert (info.misses, info.hits, info.currsize, info.maxsize) == (50, 0, 1, 1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(z=0, p=22, q=5, m=14, token=1),
+            dict(z=6173, p=5, q=5, m=14, token=0),
+            dict(z=6173, p=22, q=5, m=0, token=22131),
+        ],
+    )
+    def test_rejected_deployment_is_not_cached(self, kwargs):
+        _attacker.cache_clear()
+        recover_preimages(GOLDEN)
+        with pytest.raises(DegenerateInput):
+            recover_preimages(AttackInput(**kwargs))
+        info = _attacker.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 1)
+        assert recover_preimages(GOLDEN).candidates == ((12345, 21),)
+        assert _attacker.cache_info().hits == 1
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(token=1 << 17),
+            dict(token=-1),
+            dict(token=708193, token_is_scaled=True),
+        ],
+    )
+    def test_bad_token_on_cached_deployment_rejected(self, kwargs):
+        _attacker.cache_clear()
+        recover_preimages(GOLDEN)
+        with pytest.raises(DegenerateInput):
+            recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, **kwargs))
+        assert _attacker.cache_info().currsize == 1
+
+    def test_hit_reports_what_the_miss_did(self):
+        _attacker.cache_clear()
+        miss = recover_preimages(GOLDEN)
+        hit = recover_preimages(GOLDEN)
+        info = _attacker.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert _outputs(hit) == _outputs(miss)
+        assert miss.reduce_iterations == Attacker(6173, 22, 5, 14).reduce_iterations == 7
+
+    def test_harness_csv_same_on_hit(self):
+        # One trial per run: the second run's deployment is the memo's.
+        cfg = TrialConfig(seed_base=31, trials=1, l=13, m=14, q=5, r=2, mode="oracle-check")
+        _attacker.cache_clear()
+        miss = format_csv(run_trials(cfg))
+        hit = format_csv(run_trials(cfg))
+        assert _attacker.cache_info().hits == 1
+        timed = [i for i, column in enumerate(CSV_COLUMNS) if column.endswith("_time_ns")]
+
+        def untimed(text):
+            return [
+                [v for i, v in enumerate(line.split(",")) if i not in timed]
+                for line in text.splitlines()
+            ]
+
+        assert untimed(hit) == untimed(miss)
+        assert miss.splitlines()[1].split(",")[CSV_COLUMNS.index("error")] == ""
 
 
 class TestRecoverSharedKey:

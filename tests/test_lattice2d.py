@@ -11,6 +11,7 @@ from truncrack import (
     IterationCapExceeded,
     SearchSpaceExceeded,
     SingularBasis,
+    box_frame,
     gauss_reduce,
     is_reduced,
     nearest_lattice_point,
@@ -410,8 +411,9 @@ def _assert_euclid_start_matches(z, p, q, m, u):
     assert is_reduced(ours, wx, wy)
     norms = lambda b: sorted(_norm(v, wx, wy) for v in (b[:2], b[2:]))
     assert norms(ours) == norms(theirs)
-    args = (p, v0, b1, b2)
-    assert rect_search(ours, *args) == rect_search(theirs, *args)
+    assert rect_search(box_frame(ours, p, b1, b2), v0) == rect_search(
+        box_frame(theirs, p, b1, b2), v0
+    )
 
 
 def _reference_euclid_basis(z, p, b1, b2):
@@ -668,30 +670,31 @@ def _assert_rect_search_matches_reference(basis, p, v, b1, b2, cap=1 << 20):
         expected = _reference_rect_search(basis, v, b1, b2, cap)
     except SearchSpaceExceeded:
         with pytest.raises(SearchSpaceExceeded):
-            rect_search(basis, p, v, b1, b2, cap)
+            rect_search(box_frame(basis, p, b1, b2), v, cap)
         return
-    assert rect_search(basis, p, v, b1, b2, cap) == expected
+    assert rect_search(box_frame(basis, p, b1, b2), v, cap) == expected
 
 
 class TestRectSearch:
     def test_worked_answer(self):
-        hits, _ = rect_search(worked_reduced(), P, V0, B1, B2)
+        hits, _ = rect_search(box_frame(worked_reduced(), P, B1, B2), V0)
         assert hits == [(12345, 21)]
 
     def test_zero_target(self):
-        hits, _ = rect_search(worked_reduced(), P, (0, 0), B1, B2)
+        hits, _ = rect_search(box_frame(worked_reduced(), P, B1, B2), (0, 0))
         assert (0, 0) in hits
 
     def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            rect_search(worked_reduced(), P, (0, 0), 0, 32)
+        for b1, b2 in ((0, 32), (B1, 0)):
+            with pytest.raises(ValueError):
+                box_frame(worked_reduced(), P, b1, b2)
 
     def test_cap(self):
         # the worked box is exact: one pair, so only cap=0 refuses it
-        reduced = worked_reduced()
-        assert rect_search(reduced, P, V0, B1, B2, cap=1)[1] == 1
+        frame = box_frame(worked_reduced(), P, B1, B2)
+        assert rect_search(frame, V0, cap=1)[1] == 1
         with pytest.raises(SearchSpaceExceeded):
-            rect_search(reduced, P, V0, B1, B2, cap=0)
+            rect_search(frame, V0, cap=0)
 
     @settings(max_examples=300, deadline=None)
     @given(case=euclid_cases(), swap=st.booleans(), mix=st.integers(-3, 3))
@@ -726,7 +729,7 @@ class TestRectSearch:
             v0, basis = solution_basis(z, p, q, u)
             b1, b2 = 1 << m, 1 << q
             reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
-            hits, _ = rect_search(reduced, p, v0, b1, b2)
+            hits, _ = rect_search(box_frame(reduced, p, b1, b2), v0)
             modulus = 1 << p
             expected = [
                 (x, y)
@@ -742,7 +745,7 @@ class TestRectSearch:
             z, p, v0, basis = random_family(rng, max_p=10)
             b1, b2 = 1 << 6, 1 << 4
             reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
-            hits, _ = rect_search(reduced, p, v0, b1, b2)
+            hits, _ = rect_search(box_frame(reduced, p, b1, b2), v0)
             assert [x for x, _ in hits] == sorted(x for x, _ in hits)
 
     def test_scaling_invariance(self):
@@ -755,8 +758,9 @@ class TestRectSearch:
             red_a, it_a = gauss_reduce(basis, p, wx, wy)
             red_b, it_b = gauss_reduce(basis, p, 7 * wx, 7 * wy)
             assert (red_a, it_a) == (red_b, it_b)
-            args = (p, v0, b1, b2)
-            assert rect_search(red_a, *args) == rect_search(red_b, *args)
+            assert rect_search(box_frame(red_a, p, b1, b2), v0) == rect_search(
+                box_frame(red_b, p, b1, b2), v0
+            )
             assert nearest_lattice_point(red_a, v0, wx, wy) == nearest_lattice_point(
                 red_b, v0, 7 * wx, 7 * wy
             )
@@ -765,26 +769,30 @@ class TestRectSearch:
 def _assert_box_matches_rationals(basis, p, v, b1, b2):
     """coefficient_box equals the exact corner box of solve_coeffs' exact
     rationals over the closed rectangle [0, b1-1] x [0, b2-1], for the
-    basis and for its swap, whose det has the other sign."""
+    basis and for its swap, whose det has the other sign.  The box counts
+    in the frame's basis: the given one, with u1 negated when det < 0."""
     assert abs(_det(basis)) == 1 << p
     vx, vy = v
     corners = [(vx, vy), (vx - (b1 - 1), vy), (vx, vy - (b2 - 1)), (vx - (b1 - 1), vy - (b2 - 1))]
     for b in (basis, basis[2:] + basis[:2]):
-        a1s, a2s = zip(*(solve_coeffs(b, corner) for corner in corners))
+        frame = box_frame(b, p, b1, b2)
+        oriented = b if _det(b) > 0 else (-b[0], -b[1], *b[2:])
+        assert frame == (oriented, p, b1, b2, frame[4]) and _det(oriented) == 1 << p
+        a1s, a2s = zip(*(solve_coeffs(oriented, corner) for corner in corners))
         expected = (
             math.ceil(min(a1s)),
             math.floor(max(a1s)),
             math.ceil(min(a2s)),
             math.floor(max(a2s)),
         )
-        assert coefficient_box(b, p, v, b1, b2) == expected
+        assert coefficient_box(frame, v) == expected
 
 
 class TestCoefficientBox:
     def test_contains_winning_pair(self):
-        reduced = worked_reduced()
-        lo1, hi1, lo2, hi2 = coefficient_box(reduced, P, V0, B1, B2)
-        a1, a2 = nearest_lattice_point(reduced, V0, WX, WY)
+        frame = box_frame(worked_reduced(), P, B1, B2)
+        lo1, hi1, lo2, hi2 = coefficient_box(frame, V0)
+        a1, a2 = nearest_lattice_point(frame[0], V0, WX, WY)
         assert lo1 <= a1 <= hi1 and lo2 <= a2 <= hi2
 
     @settings(max_examples=300, deadline=None)
@@ -834,9 +842,7 @@ class TestCoefficientBox:
     def test_determinant_off_contract_raises(self, u1, u2, modulus_exp):
         basis = (*u1, *u2)
         with pytest.raises(SingularBasis):
-            coefficient_box(basis, modulus_exp, (0, 0), 4, 4)
-        with pytest.raises(SingularBasis):
-            rect_search(basis, modulus_exp, (0, 0), 4, 4)
+            box_frame(basis, modulus_exp, 4, 4)
 
     def test_rect_search_reports_box_size(self):
         rng = random.Random(12)
@@ -847,8 +853,9 @@ class TestCoefficientBox:
             reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
             cases.append((reduced, p, v0, b1, b2))
         for basis, p, v, b1, b2 in cases:
-            lo1, hi1, lo2, hi2 = coefficient_box(basis, p, v, b1, b2)
-            _, pairs = rect_search(basis, p, v, b1, b2)
+            frame = box_frame(basis, p, b1, b2)
+            lo1, hi1, lo2, hi2 = coefficient_box(frame, v)
+            _, pairs = rect_search(frame, v)
             assert pairs == (hi1 - lo1 + 1) * (hi2 - lo2 + 1)
 
 
