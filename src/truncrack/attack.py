@@ -15,6 +15,11 @@ and Attacker.attack(u) walks the box of one token.  recover_preimages
 takes its Attacker from a one-entry memo keyed on (z, p, q, m): a stream
 of tokens on one deployment reduces once, and a new deployment replaces
 the entry.
+
+Each input has one check: check_observables for the deployment and
+check_token for a token, ours or the peer's.  A token here is u itself;
+the pre-division value 2^q*u is an input format of the command line,
+which decodes it before it calls in.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateInput, NoCandidates
 from .lattice2d import box_frame, euclid_basis, gauss_reduce, rect_search
@@ -30,15 +36,13 @@ from .protocol import derive_key, truncate
 
 @dataclass(frozen=True)
 class AttackInput:
-    """Public observables handed to the attacker.
+    """Public observables handed to the attacker: the deployment
+    (z, p, q, m) and one token u.
 
-    ``token`` is the token value u by default; with ``token_is_scaled``
-    the caller passed 2^q * u (the pre-division value) and u is recovered
-    as floor(token / 2^q).  recover_preimages rejects a scaled token whose
-    low q bits are not zero and what check_observables rejects (z < 1,
-    p <= q, m < 1, u outside [0, 2^(p-q))), since none of these can come
-    from an exchange.  z >= 2^p is accepted: valid parameters with m < q
-    have p < l, so their l-bit z is at least 2^p.
+    recover_preimages rejects what check_observables and check_token
+    reject (z < 1, q < 0, p <= q, m < 1, u outside [0, 2^(p-q))), since
+    none of these can come from an exchange.  z >= 2^p is accepted: valid
+    parameters with m < q have p < l, so their l-bit z is at least 2^p.
     """
 
     z: int
@@ -46,21 +50,16 @@ class AttackInput:
     q: int
     m: int
     token: int
-    token_is_scaled: bool = False
-
-    def token_value(self) -> int:
-        return self.token >> self.q if self.token_is_scaled else self.token
 
 
-@dataclass(frozen=True)
-class AttackResult:
+class AttackResult(NamedTuple):
     """``reduce_iterations`` is the deployment's: euclid_basis's quotients
     plus the finishing passes of gauss_reduce (its final all-zero pass
-    included), the same on every token.  ``reduce_time_ns`` is the time
-    the caller took to get its Attacker: from recover_preimages, the
-    memo lookup, which on a miss is the whole reduction (check, Euclid,
-    Gauss and the box frame) and on a hit the lookup alone.
-    ``search_time_ns`` covers the token's box and walk."""
+    included), the same on every token.  ``reduce_time_ns`` is the
+    deployment's too: the time its Attacker took to build (check, Euclid,
+    Gauss and the box frame), so on a memo hit it is the reduction the
+    miss did, not the lookup.  ``search_time_ns`` covers the token's box
+    and walk."""
 
     candidates: tuple[tuple[int, int], ...]
     unique: bool
@@ -70,27 +69,26 @@ class AttackResult:
     search_time_ns: int
 
 
-def check_observables(
-    z: int, p: int, q: int, m: int, token: int | None = None, name: str = "token"
-) -> None:
-    """Reject public values that no exchange can produce.
+def check_observables(z: int, p: int, q: int, m: int) -> None:
+    """Reject a deployment that no exchange can produce.
 
-    Raises DegenerateInput for z < 1, for p <= q (every x would be a
-    preimage of the only token, 0), for m < 1 (no secret space) and, when
-    a token is given, for one outside [0, 2^(p-q)), the range of the token
-    map.  ``name`` names the token in the message.
+    Raises DegenerateInput for z < 1, for q < 0 (no truncation), for
+    p <= q (every x would be a preimage of the only token, 0) and for
+    m < 1 (no secret space).  Tokens are checked by check_token.
     """
     if z < 1:
         raise DegenerateInput(f"z must be positive, got {z}")
+    if q < 0:
+        raise DegenerateInput(f"q must be nonnegative, got {q}")
     if p <= q:
         raise DegenerateInput(f"p must exceed q, got p={p} q={q}")
     if m < 1:
         raise DegenerateInput(f"m must be at least 1, got {m}")
-    if token is not None:
-        _check_token(token, p, q, name)
 
 
-def _check_token(token: int, p: int, q: int, name: str = "token") -> None:
+def check_token(token: int, p: int, q: int, name: str = "token") -> None:
+    """Raise DegenerateInput for a token outside [0, 2^(p-q)), the range
+    of the token map; ``name`` names it in the message."""
     if not 0 <= token < 1 << (p - q):
         raise DegenerateInput(f"{name} must be in [0, 2^(p-q)) (p-q={p - q}), got {token}")
 
@@ -98,32 +96,33 @@ def _check_token(token: int, p: int, q: int, name: str = "token") -> None:
 class Attacker:
     """The attack on one deployment (z, p, q, m), for any number of tokens.
 
-    The constructor checks the observables (DegenerateInput, as
-    check_observables), reduces the congruence lattice for the rectangle
-    [0, 2^m) x [0, 2^q), whose form (b2^2, b1^2) over its gcd is
-    (2^(2(q-m)), 1) or (1, 2^(2(m-q))), and fixes the box's frame
-    (lattice2d.box_frame: the |det| = 2^p check, SingularBasis otherwise,
-    the sign and the corner offsets).  Every assertion of euclid_basis and
-    gauss_reduce runs here.  ``reduced`` is the reduced basis
-    (x1, y1, x2, y2) and ``reduce_iterations`` the Euclid quotients plus
-    the Gauss passes.  Nothing changes an Attacker after construction, so
-    one can serve any number of tokens and callers.
+    The constructor checks the observables (check_observables), reduces
+    the congruence lattice for the rectangle [0, 2^m) x [0, 2^q), whose
+    form (b2^2, b1^2) over its gcd is (2^(2(q-m)), 1) or (1, 2^(2(m-q))),
+    and fixes the box's frame (lattice2d.box_frame: the |det| = 2^p check,
+    SingularBasis otherwise, the sign and the corner offsets), whose basis
+    ``frame[0]`` is the reduced basis up to the sign of u1.  Every
+    assertion of euclid_basis and gauss_reduce runs here.
+    ``reduce_iterations`` is the Euclid quotients plus the Gauss passes and
+    ``reduce_time_ns`` the constructor's time.  Nothing changes an Attacker
+    after construction, so one can serve any number of tokens and callers.
     """
 
-    __slots__ = ("z", "p", "q", "m", "reduced", "reduce_iterations", "frame")
+    __slots__ = ("z", "p", "q", "reduce_iterations", "reduce_time_ns", "frame")
 
     def __init__(self, z: int, p: int, q: int, m: int):
+        t0 = time.perf_counter_ns()
         check_observables(z, p, q, m)
         b1, b2 = 1 << m, 1 << q
         wx, wy = (1 << 2 * (q - m), 1) if q > m else (1, 1 << 2 * (m - q))
         start, quotients = euclid_basis(z, p, b1, b2)
         reduced, passes = gauss_reduce(start, p, wx, wy)
-        self.z, self.p, self.q, self.m = z, p, q, m
-        self.reduced = reduced
+        self.z, self.p, self.q = z, p, q
         self.reduce_iterations = quotients + passes
         self.frame = box_frame(reduced, p, b1, b2)
+        self.reduce_time_ns = time.perf_counter_ns() - t0
 
-    def attack(self, u: int, reduce_time_ns: int = 0) -> AttackResult:
+    def attack(self, u: int) -> AttackResult:
         """Recover every preimage of the token u inside [0, 2^m) x [0, 2^q).
 
         Deterministic in the deployment and u.  The candidates are the
@@ -131,12 +130,11 @@ class Attacker:
         x*z = 2^q*u + y (mod 2^p) with 0 <= y < 2^q and u < 2^(p-q) gives
         2^q*u + y < 2^p, so truncate(x) == u, which is asserted.
         ``unique`` is set when there is exactly one candidate.  Candidates
-        with x = 0 are kept (x = 0 is never a valid secret).
-        ``reduce_time_ns`` is reported as given.  Raises DegenerateInput
-        for u outside [0, 2^(p-q)).
+        with x = 0 are kept (x = 0 is never a valid secret).  Raises
+        DegenerateInput for u outside [0, 2^(p-q)) (check_token).
         """
         z, p, q = self.z, self.p, self.q
-        _check_token(u, p, q)
+        check_token(u, p, q)
         t0 = time.perf_counter_ns()
         hits, searched = rect_search(self.frame, (0, -(u << q)))
         t1 = time.perf_counter_ns()
@@ -145,7 +143,7 @@ class Attacker:
             assert truncate(x, z, p, q) == u
         return AttackResult(
             candidates, len(candidates) == 1, self.reduce_iterations, searched,
-            reduce_time_ns, t1 - t0,
+            self.reduce_time_ns, t1 - t0,
         )
 
 
@@ -162,40 +160,28 @@ def recover_preimages(inp: AttackInput) -> AttackResult:
     The memo holds one immutable Attacker made from every public input
     but the token, so it changes no output: the candidates, ``unique``,
     ``searched`` and ``reduce_iterations`` are those of a fresh Attacker.
-    Raises DegenerateInput for a scaled token whose low q bits are not
-    zero and for what check_observables rejects; a constructor that
-    raises leaves the memo as it was.
+    Raises DegenerateInput for what check_observables and check_token
+    reject; a constructor that raises leaves the memo as it was.
     """
-    if inp.token_is_scaled and inp.token & ((1 << inp.q) - 1):
-        raise DegenerateInput(f"scaled token {inp.token} is not a multiple of 2^q (q={inp.q})")
-    t0 = time.perf_counter_ns()
-    attacker = _attacker(inp.z, inp.p, inp.q, inp.m)
-    t1 = time.perf_counter_ns()
-    return attacker.attack(inp.token_value(), t1 - t0)
+    return _attacker(inp.z, inp.p, inp.q, inp.m).attack(inp.token)
 
 
 def recover_shared_key(
-    inp: AttackInput,
-    other_token: int,
-    r: int,
-    result: AttackResult | None = None,
+    inp: AttackInput, other_token: int, r: int, result: AttackResult
 ) -> list[tuple[int, int]]:
-    """Derive the shared key for every recovered preimage candidate.
+    """Derive the shared key for every candidate of ``result``, the
+    recover_preimages output for ``inp``.
 
     Returns (candidate x, key) pairs in candidate order; distinct
-    candidates can collapse to the same key.  ``result`` may carry an
-    already-computed recover_preimages output to avoid repeating the
-    lattice work.  Raises DegenerateInput when check_observables rejects
-    the observables or ``other_token``, and NoCandidates when the
-    candidate list is empty.
+    candidates can collapse to the same key.  Raises DegenerateInput when
+    check_observables rejects the observables or check_token
+    ``other_token``, and NoCandidates when the candidate list is empty.
     """
-    check_observables(inp.z, inp.p, inp.q, inp.m, other_token, name="peer token")
-    if result is None:
-        result = recover_preimages(inp)
+    check_observables(inp.z, inp.p, inp.q, inp.m)
+    check_token(other_token, inp.p, inp.q, "peer token")
     if not result.candidates:
         raise NoCandidates("no preimage candidates to derive a key from")
     return [
         (x, derive_key(x, other_token, inp.p, inp.q, r, inp.m))
         for x, _ in result.candidates
     ]
-

@@ -8,12 +8,13 @@ command line and in files are decimal strings.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
 from . import attack as attack_mod
 from . import harness, protocol
-from .errors import ConstraintViolated, SearchSpaceExceeded, ToolkitError
+from .errors import ConstraintViolated, DegenerateInput, SearchSpaceExceeded, ToolkitError
 
 EXIT_OK = 0
 EXIT_NO_CANDIDATES = 1
@@ -27,6 +28,8 @@ def decimal_int(text: str) -> int:
     return int(text)
 
 
+# Built once: parse_args reads the parser and never changes it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="truncrack",
@@ -108,14 +111,15 @@ def _cmd_exchange(args) -> int:
 def _cmd_attack(args) -> int:
     params = protocol.load_params(args.params)
     m = args.m if args.m is not None else params.m
-    inp = attack_mod.AttackInput(
-        z=params.z, p=params.p, q=params.q, m=m,
-        token=args.token, token_is_scaled=args.token_scaled,
-    )
     if args.other_token is not None:
-        attack_mod.check_observables(
-            params.z, params.p, params.q, m, args.other_token, name="peer token"
-        )
+        attack_mod.check_observables(params.z, params.p, params.q, m)
+        attack_mod.check_token(args.other_token, params.p, params.q, "peer token")
+    token = args.token
+    if args.token_scaled:
+        if token & ((1 << params.q) - 1):
+            raise DegenerateInput(f"scaled token {token} is not a multiple of 2^q (q={params.q})")
+        token >>= params.q
+    inp = attack_mod.AttackInput(z=params.z, p=params.p, q=params.q, m=m, token=token)
     result = attack_mod.recover_preimages(inp)
     for x, y in result.candidates:
         # candidates have 0 <= x < 2^m, so x = 0 is the only nonpositive one
@@ -136,7 +140,8 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    attack_mod.check_observables(args.z, args.p, args.q, args.m, args.u)
+    attack_mod.check_observables(args.z, args.p, args.q, args.m)
+    attack_mod.check_token(args.u, args.p, args.q)
     for x in harness.brute_force_preimages(args.z, args.p, args.q, args.u, args.m):
         print(x)
     return EXIT_OK

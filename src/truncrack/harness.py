@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .attack import AttackInput, check_observables, recover_preimages, recover_shared_key
-from .errors import NoCandidates, OracleTooLarge, ToolkitError
+from .errors import OracleTooLarge, ToolkitError
 from .protocol import check_shape, exchange, gen_params
 
 MODES = ("attack", "exchange", "oracle-check")
@@ -113,10 +113,7 @@ def _run_trial(cfg: TrialConfig, p: int, seed: int) -> TrialRecord:
         t0 = time.perf_counter_ns()
         inp = AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=transcript.u)
         result = recover_preimages(inp)
-        try:
-            keys = recover_shared_key(inp, transcript.v, params.r, result=result)
-        except NoCandidates:
-            keys = []
+        keys = recover_shared_key(inp, transcript.v, params.r, result) if result.candidates else []
         record.total_time_ns = time.perf_counter_ns() - t0
 
         record.candidate_count = len(result.candidates)

@@ -96,7 +96,7 @@ def test_criterion_1_golden_example():
         failures.append(f"final answer {hits}")
 
     result = recover_preimages(
-        AttackInput(z=6173, p=22, q=5, m=14, token=708192, token_is_scaled=True)
+        AttackInput(z=6173, p=22, q=5, m=14, token=708192 >> 5)
     )
     if result.candidates != ((12345, 21),) or not result.unique:
         failures.append(f"attack result {result.candidates}")

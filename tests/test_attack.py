@@ -30,7 +30,8 @@ from truncrack.harness import CSV_COLUMNS, brute_force_preimages
 from truncrack.lattice2d import coefficient_box, euclid_basis, is_reduced
 from test_acceptance import rect_weights
 
-GOLDEN = AttackInput(z=6173, p=22, q=5, m=14, token=708192, token_is_scaled=True)
+# The worked instance's token as the paper gives it, 2^q*u = 708192.
+GOLDEN = AttackInput(z=6173, p=22, q=5, m=14, token=708192 >> 5)
 
 
 def _small_instances(max_p=5, max_m=5):
@@ -104,10 +105,6 @@ class TestRecoverPreimages:
         assert result.candidates == ((12345, 21),)
         assert result.unique
 
-    def test_scaled_and_plain_tokens_agree(self):
-        plain = AttackInput(z=6173, p=22, q=5, m=14, token=22131)
-        assert recover_preimages(plain).candidates == recover_preimages(GOLDEN).candidates
-
     def test_token_of_one(self):
         result = recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, token=192))
         assert (1, 29) in result.candidates
@@ -178,6 +175,22 @@ class TestRecoverPreimages:
         with pytest.raises(DegenerateInput):
             recover_preimages(AttackInput(z=6173, p=22, q=5, m=0, token=22131))
 
+    def test_rejects_negative_q(self):
+        # q < 0 used to reach a shift by q and raise a bare ValueError
+        with pytest.raises(DegenerateInput, match="q must be nonnegative"):
+            Attacker(6173, 22, -1, 14)
+        with pytest.raises(DegenerateInput, match="q must be nonnegative"):
+            recover_preimages(AttackInput(z=6173, p=22, q=-1, m=14, token=0))
+        with pytest.raises(DegenerateInput, match="q must be nonnegative"):
+            brute_force_preimages(6173, 22, -1, 0, 3)
+
+    def test_accepts_zero_q(self):
+        # q = 0 truncates nothing: u = x*z mod 2^p, and y is always 0
+        for u in (0, 1, 677, (1 << 10) - 1):
+            result = recover_preimages(AttackInput(z=677, p=10, q=0, m=6, token=u))
+            assert list(result.candidates) == _oracle_pairs(677, 10, 0, 6, u)
+        assert recover_preimages(AttackInput(z=677, p=10, q=0, m=6, token=677)).candidates == ((1, 0),)
+
     def test_accepts_multiplier_at_least_modulus(self):
         # m < q gives p = l + m - q < l, so a valid l-bit z is >= 2^p
         params = gen_params(4, 13, 3, 5, 1)
@@ -192,7 +205,6 @@ class TestRecoverPreimages:
         "kwargs",
         [
             dict(token=1 << 17),  # u = 2^(p-q), past the token map's range
-            dict(token=708193, token_is_scaled=True),  # nonzero low q bits
         ],
     )
     def test_rejects_token_outside_image(self, kwargs):
@@ -246,7 +258,7 @@ class TestRecoverPreimages:
             wx, wy = rect_weights(1 << m, 1 << q)
             _, basis = solution_basis(z, p, q, u)
             theirs, _ = gauss_reduce(basis, p, wx, wy)
-            _assert_same_reduced_basis(attacker.reduced, theirs, wx, wy)
+            _assert_same_reduced_basis(attacker.frame[0], theirs, wx, wy)
 
     @settings(max_examples=300, deadline=None)
     @given(case=alternating_deployments())
@@ -261,7 +273,7 @@ class TestRecoverPreimages:
 
     def test_candidates_lie_in_region_and_solve_congruence(self):
         result = recover_preimages(GOLDEN)
-        u = GOLDEN.token >> GOLDEN.q
+        u = GOLDEN.token
         for x, y in result.candidates:
             assert 0 <= x < 1 << GOLDEN.m
             assert 0 <= y < 1 << GOLDEN.q
@@ -354,8 +366,11 @@ class TestAttacker:
             Attacker(**kwargs)
 
     def test_frame_is_the_reduced_basis_frame(self):
+        # (q, m) = (5, 14): the form (2^10, 2^28) over its gcd is (1, 2^18)
+        start, _ = euclid_basis(6173, 22, 1 << 14, 1 << 5)
+        reduced, _ = gauss_reduce(start, 22, 1, 1 << 18)
         attacker = Attacker(6173, 22, 5, 14)
-        assert attacker.frame == box_frame(attacker.reduced, 22, 1 << 14, 1 << 5)
+        assert attacker.frame == box_frame(reduced, 22, 1 << 14, 1 << 5)
 
 
 class TestAttackerMemo:
@@ -389,7 +404,6 @@ class TestAttackerMemo:
         [
             dict(token=1 << 17),
             dict(token=-1),
-            dict(token=708193, token_is_scaled=True),
         ],
     )
     def test_bad_token_on_cached_deployment_rejected(self, kwargs):
@@ -406,6 +420,7 @@ class TestAttackerMemo:
         info = _attacker.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert _outputs(hit) == _outputs(miss)
+        assert hit.reduce_time_ns == miss.reduce_time_ns
         assert miss.reduce_iterations == Attacker(6173, 22, 5, 14).reduce_iterations == 7
 
     def test_harness_csv_same_on_hit(self):
@@ -427,12 +442,46 @@ class TestAttackerMemo:
         assert miss.splitlines()[1].split(",")[CSV_COLUMNS.index("error")] == ""
 
 
+class TestBenchmarkCallShape:
+    def test_perfbench_calls(self, monkeypatch):
+        # The calls perfbench/run.py makes, in its shape: keyword
+        # AttackInput, recover_preimages, recover_shared_key with result=,
+        # and the four output fields it reads.  Its tracer wraps the
+        # attack's gauss_reduce and rect_search and lattice2d's
+        # coefficient_box, so each must still be looked up there.
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(truncrack.attack, "gauss_reduce")
+        counted(truncrack.attack, "rect_search")
+        counted(truncrack.lattice2d, "coefficient_box")
+        _attacker.cache_clear()
+        params = gen_params(1, 13, 14, 5, 2)
+        t = exchange(1, params)
+        inp = AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
+        result = recover_preimages(inp)
+        keys = recover_shared_key(inp, t.v, params.r, result=result) if result.candidates else []
+        assert t.x in [x for x, _ in result.candidates] and (t.x, t.w_a) in keys
+        assert result.unique == (len(result.candidates) == 1)
+        assert result.reduce_iterations > 0 and result.searched >= len(result.candidates)
+        assert sorted(set(calls)) == ["coefficient_box", "gauss_reduce", "rect_search"]
+        _attacker.cache_clear()
+
+
 class TestRecoverSharedKey:
     def test_end_to_end_toy_seed(self):
         params = gen_params(1, 13, 14, 5, 2)
         t = exchange(1, params)
         inp = AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
-        keys = recover_shared_key(inp, t.v, params.r)
+        keys = recover_shared_key(inp, t.v, params.r, result=recover_preimages(inp))
         assert (t.x, t.w_a) in keys
         assert t.agree  # recorded: this seed's honest parties agree
         assert any(key == t.w_b for _, key in keys)
@@ -445,16 +494,19 @@ class TestRecoverSharedKey:
         )
 
     def test_no_candidates(self):
+        inp = AttackInput(z=677, p=15, q=3, m=8, token=1)
         with pytest.raises(NoCandidates):
-            recover_shared_key(AttackInput(z=677, p=15, q=3, m=8, token=1), 5, 1)
+            recover_shared_key(inp, 5, 1, result=recover_preimages(inp))
 
     @pytest.mark.parametrize("other_token", [1 << 17, 99999999999, -1])
     def test_rejects_peer_token_outside_image(self, other_token):
         # the peer's token must lie in [0, 2^(p-q)) = [0, 2^17), like ours
         with pytest.raises(DegenerateInput):
-            recover_shared_key(GOLDEN, other_token, 2)
-        with pytest.raises(DegenerateInput):
             recover_shared_key(GOLDEN, other_token, 2, result=recover_preimages(GOLDEN))
+        # checked before the candidates, so not NoCandidates on an empty result
+        empty = AttackInput(z=677, p=15, q=3, m=8, token=1)
+        with pytest.raises(DegenerateInput):
+            recover_shared_key(empty, other_token, 1, result=recover_preimages(empty))
 
     def test_reuses_precomputed_result(self):
         result = recover_preimages(GOLDEN)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncrack.cli import main
+from truncrack.cli import _build_parser, main
 from truncrack.harness import MODES
 from truncrack.protocol import load_params
 
@@ -100,6 +100,14 @@ class TestAttackCommand:
         out = capsys.readouterr().out
         assert "x=12345 y=21" in out
         assert "unique=1" in out
+
+    def test_scaled_and_plain_tokens_agree(self, tmp_path, capsys):
+        path = tmp_path / "g.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        assert main(["attack", "--params", str(path), "--token", "708192", "--token-scaled"]) == 0
+        scaled = capsys.readouterr().out
+        assert main(["attack", "--params", str(path), "--token", "22131"]) == 0
+        assert capsys.readouterr().out == scaled == "x=12345 y=21\nunique=1\n"
 
     def test_m_defaults_to_file(self, tmp_path, capsys):
         path = tmp_path / "g.params"
@@ -270,6 +278,15 @@ class TestUsage:
 
     def test_no_subcommand(self):
         assert main([]) == 2
+
+    def test_parser_built_once(self, tmp_path, capsys):
+        # One parser serves every call; an option given to one call does
+        # not carry over to the next.
+        path = tmp_path / "t.params"
+        path.write_text("l=10\nm=8\np=15\nq=3\nr=1\nz=677\n")
+        assert main(["attack", "--params", str(path), "--token", "0", "--m", "0"]) == 2
+        assert main(["attack", "--params", str(path), "--token", "0"]) == 0
+        assert _build_parser() is _build_parser()
 
 
 # Fuzzing: every drawn value is bounded so that no call does more than
