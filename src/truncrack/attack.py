@@ -11,10 +11,13 @@ construction.  The whole path runs on plain ints and tuples.
 
 Only the coset point depends on the token, so the work splits at the
 deployment: Attacker(z, p, q, m) reduces once and fixes the box's frame,
-and Attacker.attack(u) walks the box of one token.  recover_preimages
-takes its Attacker from a one-entry memo keyed on (z, p, q, m): a stream
-of tokens on one deployment reduces once, and a new deployment replaces
-the entry.
+and Attacker.attack(u) walks the box of one token.  The frame folds 2^q
+in (lattice2d.box_frame): since floor((A*2^q + d) / 2^p) equals
+floor((A + floor(d / 2^q)) / 2^(p-q)) for every integer A, a token's box
+costs the products of u with the two x-cofactors of the basis, not of
+2^q*u.  recover_preimages takes its Attacker from a one-entry memo keyed
+on (z, p, q, m): a stream of tokens on one deployment reduces once, and a
+new deployment replaces the entry.
 
 Each input has one check: check_observables for the deployment and
 check_token for a token, ours or the peer's.  A token here is u itself;
@@ -100,9 +103,9 @@ class Attacker:
     the congruence lattice for the rectangle [0, 2^m) x [0, 2^q), whose
     form (b2^2, b1^2) over its gcd is (2^(2(q-m)), 1) or (1, 2^(2(m-q))),
     and fixes the box's frame (lattice2d.box_frame: the |det| = 2^p check,
-    SingularBasis otherwise, the sign and the corner offsets), whose basis
-    ``frame[0]`` is the reduced basis up to the sign of u1.  Every
-    assertion of euclid_basis and gauss_reduce runs here.
+    SingularBasis otherwise, the sign and the corner offsets shifted by q),
+    whose basis ``frame[0]`` is the reduced basis up to the sign of u1.
+    Every assertion of euclid_basis and gauss_reduce runs here.
     ``reduce_iterations`` is the Euclid quotients plus the Gauss passes and
     ``reduce_time_ns`` the constructor's time.  Nothing changes an Attacker
     after construction, so one can serve any number of tokens and callers.
@@ -119,7 +122,7 @@ class Attacker:
         reduced, passes = gauss_reduce(start, p, wx, wy)
         self.z, self.p, self.q = z, p, q
         self.reduce_iterations = quotients + passes
-        self.frame = box_frame(reduced, p, b1, b2)
+        self.frame = box_frame(reduced, p, b1, b2, q)
         self.reduce_time_ns = time.perf_counter_ns() - t0
 
     def attack(self, u: int) -> AttackResult:
@@ -136,7 +139,7 @@ class Attacker:
         z, p, q = self.z, self.p, self.q
         check_token(u, p, q)
         t0 = time.perf_counter_ns()
-        hits, searched = rect_search(self.frame, (0, -(u << q)))
+        hits, searched = rect_search(self.frame, u)
         t1 = time.perf_counter_ns()
         candidates = tuple(hits)
         for x, _ in candidates:

@@ -22,8 +22,13 @@ positive weights (wx, wy), <a, b> = wx*ax*bx + wy*ay*by.  For the
 rectangle [0, b1) x [0, b2) the weights are (b2^2, b1^2), which make it
 square; a common factor of the weights changes no quotient, rounding or
 comparison.  A frame, from box_frame, is what the rectangle's coefficient
-box needs beside the point: (basis, p, b1, b2, offsets), made once per
-basis and rectangle and read by coefficient_box and rect_search.
+box needs beside the token: (basis, q, p - q, b1, b2, offsets), made once
+per basis and rectangle and read by coefficient_box and rect_search.  The
+box and the walk are those of the token coset (0, -2^q*u) + L, the only
+one the attack searches, so 2^q folds into the frame: with det = 2^p,
+floor((A*2^q + d) / 2^p) = floor((A + floor(d / 2^q)) / 2^(p-q)) for
+every integer A and 0 <= q < p, the frame keeps the corner offsets d
+shifted by q, and a token's box costs the two products x2*u and x1*u.
 Fraction appears only in solve_coeffs, nearest_lattice_point and
 truncate_decimal.  All functions are pure.
 """
@@ -40,8 +45,9 @@ from .errors import (
     SingularBasis,
 )
 
-# box_frame's result: the basis with det = +2^p, p, b1, b2 and the offsets.
-Frame = tuple[tuple[int, int, int, int], int, int, int, tuple[int, int, int, int]]
+# box_frame's result: the basis with det = +2^p, q, p - q, b1, b2 and the
+# four offsets shifted by q.
+Frame = tuple[tuple[int, int, int, int], int, int, int, int, tuple[int, int, int, int]]
 
 
 def solution_basis(
@@ -307,10 +313,11 @@ def nearest_lattice_point(
     return best
 
 
-def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int) -> Frame:
-    """The part of the coefficient box of [0, b1) x [0, b2) that does not
-    depend on the point: (basis, p, b1, b2, offsets), what coefficient_box
-    and rect_search take.
+def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int, q: int) -> Frame:
+    """The part of the coefficient box of [0, b1) x [0, b2) around the
+    token coset (0, -2^q*u) + L that does not depend on u:
+    (basis, q, shift, b1, b2, offsets), what coefficient_box and
+    rect_search take.
 
     The box runs from the ceiling of the smallest to the floor of the
     largest coefficient of the corners of the closed rectangle
@@ -319,19 +326,29 @@ def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int) -> Fra
     point s = v - a1*u1 - a2*u2 inside is lost.  Moving the corner by b1-1
     in x or b2-1 in y adds (1-b1)*y2 or (b2-1)*x2 to the Cramer numerator
     of a1 and (b1-1)*y1 or (1-b2)*x1 to that of a2, so the smallest corner
-    numerator adds the negative moves and the largest the positive ones:
-    the offsets are those four sums, smallest and largest for a1, then
-    for a2.
+    numerator adds the negative moves d_lo <= 0 and the largest the
+    positive ones d_hi >= 0.
+
+    At v = (0, -2^q*u) the two numerators are 2^q times A = x2*u and
+    A = -x1*u, and det = 2^p, so each bound is a floor of
+    (A*2^q + d) / 2^p, with d = d_hi for a floor and d = d_lo + 2^p - 1
+    for a ceiling.  That floor is floor((A + floor(d / 2^q)) / 2^(p-q))
+    for every integer A and 0 <= q < p: the shift by p is a shift by q of
+    the offset, made here once, and one by p-q of the sum.  The offsets
+    are stored that way, floor(d / 2^q) for the low and the high bound of
+    a1, then of a2, and ``shift`` is p - q.
 
     The basis (x1, y1, x2, y2) must have |det| = 2^p, as every basis of L
     does.  When det < 0, u1 is negated, which negates det: the frame's
-    basis, in which the box is counted and the walk steps, has det = +2^p,
-    so the division by det is a shift by p.  Raises SingularBasis for any
-    other determinant, 0 included, since a shift by the wrong p would give
-    a wrong box, and ValueError for a bound below 1.
+    basis, in which the box is counted and the walk steps, has det = +2^p.
+    Raises SingularBasis for any other determinant, 0 included, since a
+    shift by the wrong p would give a wrong box, and ValueError for a
+    bound below 1 or q outside [0, p).
     """
     if b1 < 1 or b2 < 1:
         raise ValueError("rectangle bounds must be at least 1")
+    if not 0 <= q < p:
+        raise ValueError(f"q must be in [0, p), got q={q} p={p}")
     x1, y1, x2, y2 = basis
     det = x1 * y2 - y1 * x2
     if abs(det) != 1 << p:
@@ -342,68 +359,72 @@ def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int) -> Fra
     dx2, dy2 = (b1 - 1) * y1, (1 - b2) * x1
     # Conditional expressions, not min(d, 0) and max(d, 0): a builtin call
     # costs about as much as the rest of a toy-size frame.
-    offsets = (
-        (dx1 if dx1 < 0 else 0) + (dy1 if dy1 < 0 else 0),
-        (dx1 if dx1 > 0 else 0) + (dy1 if dy1 > 0 else 0),
-        (dx2 if dx2 < 0 else 0) + (dy2 if dy2 < 0 else 0),
-        (dx2 if dx2 > 0 else 0) + (dy2 if dy2 > 0 else 0),
-    )
-    return (x1, y1, x2, y2), p, b1, b2, offsets
+    dlo1 = (dx1 if dx1 < 0 else 0) + (dy1 if dy1 < 0 else 0)
+    dhi1 = (dx1 if dx1 > 0 else 0) + (dy1 if dy1 > 0 else 0)
+    dlo2 = (dx2 if dx2 < 0 else 0) + (dy2 if dy2 < 0 else 0)
+    dhi2 = (dx2 if dx2 > 0 else 0) + (dy2 if dy2 > 0 else 0)
+    round_up = (1 << p) - 1
+    offsets = ((dlo1 + round_up) >> q, dhi1 >> q, (dlo2 + round_up) >> q, dhi2 >> q)
+    return (x1, y1, x2, y2), q, p - q, b1, b2, offsets
 
 
-def coefficient_box(frame: Frame, v: tuple[int, int]) -> tuple[int, int, int, int]:
+def coefficient_box(frame: Frame, u: int) -> tuple[int, int, int, int]:
     """Exact inclusive coefficient ranges (lo1, hi1, lo2, hi2) of the
-    rectangle of box_frame's ``frame`` around the point v = (vx, vy).
+    rectangle of box_frame's ``frame`` around the token coset
+    (0, -2^q*u) + L.
 
-    The two Cramer numerators of v, plus the frame's offsets, are the
-    smallest and largest corner numerators; their quotients by det = 2^p
-    are shifts, ceiling -(-n >> p) and floor n >> p, and no rational is
+    Each bound is the folded numerator, A = x2*u for a1 and -x1*u for
+    a2, plus the frame's offset, shifted right by p - q; no rational is
     built.  A range may be empty (hi = lo - 1, never less, as
     floor(max) >= ceil(min) - 1).
     """
-    (x1, y1, x2, y2), p, _, _, (dlo1, dhi1, dlo2, dhi2) = frame
-    vx, vy = v
-    n1 = vx * y2 - x2 * vy
-    n2 = x1 * vy - vx * y1
-    return -(-(n1 + dlo1) >> p), (n1 + dhi1) >> p, -(-(n2 + dlo2) >> p), (n2 + dhi2) >> p
+    (x1, _, x2, _), _, shift, _, _, (lo1, hi1, lo2, hi2) = frame
+    n1 = x2 * u
+    n2 = x1 * u
+    return (n1 + lo1) >> shift, (n1 + hi1) >> shift, (lo2 - n2) >> shift, (hi2 - n2) >> shift
 
 
-def rect_search(
-    frame: Frame, v: tuple[int, int], cap: int = 1 << 20
-) -> tuple[list[tuple[int, int]], int]:
-    """Points of the coset v + L inside the rectangle [0, b1) x [0, b2) of
-    box_frame's ``frame``, and the box size.
+def rect_search(frame: Frame, u: int, cap: int = 1 << 20) -> tuple[list[tuple[int, int]], int]:
+    """Points of the token coset (0, -2^q*u) + L inside the rectangle
+    [0, b1) x [0, b2) of box_frame's ``frame``, and the box size.
 
     Visits every integer coefficient pair (a1, a2) of coefficient_box's
-    exact box and keeps s = v - a1*u1 - a2*u2 whenever s lands in the
-    rectangle, so no in-rectangle point is missed; an empty range gives
-    ([], 0).  Any point of the coset as v gives the same hits.  The points
-    are stepped, not multiplied out: the walk starts at v - lo1*u1 -
-    lo2*u2 and subtracts u2 along a row and u1 between rows.  The frame's
-    basis should be reduced; an unreduced basis only makes the box larger.
+    exact box and keeps s = (0, -2^q*u) - a1*u1 - a2*u2 whenever s lands
+    in the rectangle, so no in-rectangle point is missed; an empty range
+    gives ([], 0).  The points are stepped, not multiplied out: the walk
+    starts at (0, -2^q*u) - lo1*u1 - lo2*u2 and subtracts u2 to the next
+    pair of a row and u1 to the next row, and takes no step past the
+    last, so a one-pair box, the honest case, costs the start alone.  The
+    frame's basis should be reduced; an unreduced basis only makes the
+    box larger.
 
     Returns the hits as sorted (x, y) tuples and the number of pairs
     enumerated.  Raises SearchSpaceExceeded, before the walk, when the
-    box holds more than ``cap`` pairs.
+    box holds more than ``cap`` pairs; its message gives the size as a
+    power of two, since the count itself can run to thousands of digits.
     """
-    lo1, hi1, lo2, hi2 = coefficient_box(frame, v)
+    lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
     rows, cols = hi1 - lo1 + 1, hi2 - lo2 + 1
     pairs = rows * cols
     if pairs > cap:
-        raise SearchSpaceExceeded(f"coefficient box holds {pairs} pairs (cap {cap})")
-    (x1, y1, x2, y2), _, b1, b2, _ = frame
-    row_x = v[0] - lo1 * x1 - lo2 * x2
-    row_y = v[1] - lo1 * y1 - lo2 * y2
+        raise SearchSpaceExceeded(
+            f"coefficient box holds about 2^{pairs.bit_length() - 1} pairs (cap {cap})"
+        )
+    (x1, y1, x2, y2), q, _, b1, b2, _ = frame
+    row_x = -(lo1 * x1 + lo2 * x2)
+    row_y = -((u << q) + lo1 * y1 + lo2 * y2)
     hits: list[tuple[int, int]] = []
-    for _ in range(rows):
+    for row in range(rows):
+        if row:
+            row_x -= x1
+            row_y -= y1
         sx, sy = row_x, row_y
-        for _ in range(cols):
+        for col in range(cols):
+            if col:
+                sx -= x2
+                sy -= y2
             if 0 <= sx < b1 and 0 <= sy < b2:
                 hits.append((sx, sy))
-            sx -= x2
-            sy -= y2
-        row_x -= x1
-        row_y -= y1
     hits.sort()
     return hits, pairs
 

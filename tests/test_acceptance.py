@@ -44,7 +44,7 @@ def test_criterion_1_golden_example():
     t0 = time.perf_counter_ns()
     v0, basis = solution_basis(6173, 22, 5, 22131)
     reduced, _ = gauss_reduce(basis, 22, *rect_weights(B1, B2))
-    hits, _ = rect_search(box_frame(reduced, 22, B1, B2), v0)
+    hits, _ = rect_search(box_frame(reduced, 22, B1, B2, 5), 22131)
     elapsed_ns = time.perf_counter_ns() - t0
 
     if v0 != (115, 1703):
@@ -296,8 +296,8 @@ def test_criterion_7_scaling_invariance():
         wx, wy = rect_weights(b1, b2)
         red_a, it_a = gauss_reduce(start, p, wx, wy)
         red_b, it_b = gauss_reduce(start, p, 7 * wx, 7 * wy)
-        hits_a = rect_search(box_frame(red_a, p, b1, b2), v0)
-        hits_b = rect_search(box_frame(red_b, p, b1, b2), v0)
+        hits_a = rect_search(box_frame(red_a, p, b1, b2, q), u)
+        hits_b = rect_search(box_frame(red_b, p, b1, b2, q), u)
         identical += (
             (red_a, it_a) == (red_b, it_b)
             and hits_a == hits_b

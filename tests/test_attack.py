@@ -135,11 +135,10 @@ class TestRecoverPreimages:
         b1, b2 = 1 << m, 1 << q
         start, _ = euclid_basis(z, p, b1, b2)
         reduced, _ = gauss_reduce(start, p, 1, 1 << 2 * (m - q))
-        v = (0, -(u << q))
-        frame = box_frame(reduced, p, b1, b2)
-        lo1, hi1, lo2, hi2 = coefficient_box(frame, v)
+        frame = box_frame(reduced, p, b1, b2, q)
+        lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
         assert (hi1 - lo1 + 1, hi2 - lo2 + 1) == (0, 2)
-        assert rect_search(frame, v) == ([], 0)
+        assert rect_search(frame, u) == ([], 0)
         result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
         assert (result.candidates, result.searched) == ((), 0)
         assert brute_force_preimages(z, p, q, u, m) == []
@@ -370,7 +369,7 @@ class TestAttacker:
         start, _ = euclid_basis(6173, 22, 1 << 14, 1 << 5)
         reduced, _ = gauss_reduce(start, 22, 1, 1 << 18)
         attacker = Attacker(6173, 22, 5, 14)
-        assert attacker.frame == box_frame(reduced, 22, 1 << 14, 1 << 5)
+        assert attacker.frame == box_frame(reduced, 22, 1 << 14, 1 << 5, 5)
 
 
 class TestAttackerMemo:

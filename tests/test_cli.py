@@ -175,6 +175,22 @@ class TestAttackCommand:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("m, k", [(4096, 4079), (65536, 65519)])
+    def test_box_cap_exit_3_with_short_message(self, tmp_path, capsys, m, k):
+        # The box holds about area / det = 2^(m+q-p) = 2^(m-17) pairs: a
+        # count of over a thousand digits at m = 4096, and more than
+        # CPython converts to a string at m = 65536.  Both refuse with the
+        # resource-cap code and a message that gives the size as a power
+        # of two.
+        path = tmp_path / "g.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        rc = main(["attack", "--params", str(path), "--token", "22131", "--m", str(m)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: coefficient box holds about 2^{k} pairs (cap 1048576)\n"
+        assert len(captured.err.encode()) < 200
+
     def test_invalid_params_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "z.params"
         path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=5\n")

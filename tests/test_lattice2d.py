@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from truncrack import (
+    Attacker,
     DegenerateInput,
     IterationCapExceeded,
     SearchSpaceExceeded,
@@ -66,12 +67,13 @@ def worked_reduced():
 
 
 def random_family(rng, max_p=16):
-    """(z, p, v0, basis) of a random token congruence."""
+    """(z, p, q, u, basis) of a random token congruence, the basis from
+    solution_basis."""
     p = rng.randint(3, max_p)
     z = rng.randint(1, (1 << p) - 1)
     q = rng.randint(0, max(0, p // 2))
     u = rng.randint(0, (1 << (p - q)) - 1)
-    return (z, p, *solution_basis(z, p, q, u))
+    return z, p, q, u, solution_basis(z, p, q, u)[1]
 
 
 class TestSolutionBasis:
@@ -96,7 +98,8 @@ class TestSolutionBasis:
     def test_vectors_satisfy_congruences(self):
         rng = random.Random(7)
         for _ in range(200):
-            z, p, v0, basis = random_family(rng)
+            z, p, q, u, basis = random_family(rng)
+            v0, _ = solution_basis(z, p, q, u)
             assert _in_lattice(basis[:2], z, p)
             assert _in_lattice(basis[2:], z, p)
             assert 0 <= v0[1] < z
@@ -175,7 +178,7 @@ class TestGaussReduce:
     def test_per_step_invariants_random(self):
         rng = random.Random(99)
         for _ in range(60):
-            z, p, _, basis = random_family(rng)
+            z, p, _, _, basis = random_family(rng)
             wx, wy = rng.randint(1, 9), rng.randint(1, 9)
             target_det = abs(_det(basis))
             state = [basis]
@@ -202,7 +205,7 @@ class TestGaussReduce:
         # Original generators must be integer combinations of the output.
         rng = random.Random(31)
         for _ in range(40):
-            z, p, _, basis = random_family(rng)
+            z, p, _, _, basis = random_family(rng)
             reduced, _ = gauss_reduce(basis, p, 1, rng.randint(1, 16))
             for g in (basis[:2], basis[2:]):
                 a1, a2 = solve_coeffs(reduced, g)
@@ -291,7 +294,7 @@ class TestMatchesTextbookLoop:
     def test_non_square_and_common_factor_weights(self):
         rng = random.Random(4242)
         for i in range(400):
-            z, p, _, basis = random_family(rng, max_p=24 if i % 2 else 12)
+            z, p, _, _, basis = random_family(rng, max_p=24 if i % 2 else 12)
             wx, wy = rng.randint(1, 10**6), rng.randint(1, 10**6)
             k = rng.choice([1, 7, 2**20, 3 * 5 * 11])
             _assert_matches_textbook(basis, p, k * wx, k * wy)
@@ -402,7 +405,7 @@ def _assert_euclid_start_matches(z, p, q, m, u):
     rectangle exactly as the reduction of solution_basis's pair does."""
     b1, b2 = 1 << m, 1 << q
     wx, wy = rect_weights(b1, b2)
-    v0, basis = solution_basis(z, p, q, u)
+    _, basis = solution_basis(z, p, q, u)
     start, _ = euclid_basis(z, p, b1, b2)
     assert _in_lattice(start[:2], z, p) and _in_lattice(start[2:], z, p)
     assert abs(_det(start)) == 1 << p
@@ -411,8 +414,8 @@ def _assert_euclid_start_matches(z, p, q, m, u):
     assert is_reduced(ours, wx, wy)
     norms = lambda b: sorted(_norm(v, wx, wy) for v in (b[:2], b[2:]))
     assert norms(ours) == norms(theirs)
-    assert rect_search(box_frame(ours, p, b1, b2), v0) == rect_search(
-        box_frame(theirs, p, b1, b2), v0
+    assert rect_search(box_frame(ours, p, b1, b2, q), u) == rect_search(
+        box_frame(theirs, p, b1, b2, q), u
     )
 
 
@@ -607,7 +610,7 @@ class TestNearestPoint:
     def test_matches_exhaustive_small(self):
         rng = random.Random(2024)
         for _ in range(60):
-            z, p, _, basis = random_family(rng, max_p=8)
+            z, p, _, _, basis = random_family(rng, max_p=8)
             wx, wy = rng.randint(1, 4) ** 2, rng.randint(1, 4) ** 2
             reduced, _ = gauss_reduce(basis, p, wx, wy)
             a1t, a2t = rng.randint(-30, 30), rng.randint(-30, 30)
@@ -664,59 +667,82 @@ def _reference_rect_search(basis, v, b1, b2, cap=1 << 20):
     return hits, pairs
 
 
-def _assert_rect_search_matches_reference(basis, p, v, b1, b2, cap=1 << 20):
-    """Same hits and pair count as the reference, or the same exception."""
+def _token_point(q, u):
+    """The coset point (0, -2^q*u) that coefficient_box and rect_search
+    search around."""
+    return 0, -(u << q)
+
+
+def _oriented(basis):
+    """The basis with u1 negated when det < 0, as box_frame keeps it."""
+    return basis if _det(basis) > 0 else (-basis[0], -basis[1], *basis[2:])
+
+
+def _assert_rect_search_matches_reference(basis, p, q, u, b1, b2, cap=1 << 20):
+    """The folded box equals the reference box at (0, -2^q*u) in the
+    frame's basis, and rect_search gives the reference's hits and pair
+    count, or the same exception."""
+    frame = box_frame(basis, p, b1, b2, q)
+    v = _token_point(q, u)
+    assert coefficient_box(frame, u) == _reference_coefficient_box(_oriented(basis), v, b1, b2)
     try:
         expected = _reference_rect_search(basis, v, b1, b2, cap)
     except SearchSpaceExceeded:
         with pytest.raises(SearchSpaceExceeded):
-            rect_search(box_frame(basis, p, b1, b2), v, cap)
+            rect_search(frame, u, cap)
         return
-    assert rect_search(box_frame(basis, p, b1, b2), v, cap) == expected
+    assert rect_search(frame, u, cap) == expected
 
 
 class TestRectSearch:
     def test_worked_answer(self):
-        hits, _ = rect_search(box_frame(worked_reduced(), P, B1, B2), V0)
+        hits, _ = rect_search(box_frame(worked_reduced(), P, B1, B2, Q), U)
         assert hits == [(12345, 21)]
 
     def test_zero_target(self):
-        hits, _ = rect_search(box_frame(worked_reduced(), P, B1, B2), (0, 0))
+        hits, _ = rect_search(box_frame(worked_reduced(), P, B1, B2, Q), 0)
         assert (0, 0) in hits
 
     def test_rejects_bad_bounds(self):
-        for b1, b2 in ((0, 32), (B1, 0)):
+        for b1, b2, q in ((0, 32, Q), (B1, 0, Q), (B1, B2, -1), (B1, B2, P)):
             with pytest.raises(ValueError):
-                box_frame(worked_reduced(), P, b1, b2)
+                box_frame(worked_reduced(), P, b1, b2, q)
 
     def test_cap(self):
         # the worked box is exact: one pair, so only cap=0 refuses it
-        frame = box_frame(worked_reduced(), P, B1, B2)
-        assert rect_search(frame, V0, cap=1)[1] == 1
-        with pytest.raises(SearchSpaceExceeded):
-            rect_search(frame, V0, cap=0)
+        frame = box_frame(worked_reduced(), P, B1, B2, Q)
+        assert rect_search(frame, U, cap=1)[1] == 1
+        with pytest.raises(SearchSpaceExceeded, match=r"about 2\^0 pairs \(cap 0\)"):
+            rect_search(frame, U, cap=0)
 
     @settings(max_examples=300, deadline=None)
     @given(case=euclid_cases(), swap=st.booleans(), mix=st.integers(-3, 3))
+    @example(case=(11, 5, 0, 3, 1), swap=False, mix=0)  # q = 0, x = 3 a hit
+    @example(case=(11, 5, 2, 3, 1), swap=False, mix=0)  # an empty box
+    @example(case=(11, 5, 2, 3, 1), swap=True, mix=2)  # det < 0, empty
+    @example(case=(4096, 11, 5, 3, 0), swap=True, mix=0)  # u = 0, m < q, even z
+    @example(case=(6173 + (5 << 22), 22, 5, 14, 22131), swap=True, mix=-1)  # z >= 2^p
+    @example(case=(6174, 22, 5, 14, 22131), swap=False, mix=1)  # even z
     def test_matches_reference_loop(self, case, swap, mix):
-        # The reduced basis, in either order and optionally skewed by a
-        # unimodular step (which only widens the box), against the token's
-        # particular solution and rectangle, u = 0 with m < q included.
+        # The folded box and walk against the general-point references at
+        # (0, -2^q*u), for the reduced basis in either order (so det of
+        # either sign) and optionally skewed by a unimodular step (which
+        # only widens the box), u = 0 with m < q, q = 0, even z, z >= 2^p
+        # and empty boxes included.
         z, p, q, m, u = case
         b1, b2 = 1 << m, 1 << q
-        v0, basis = solution_basis(z, p, q, u)
+        _, basis = solution_basis(z, p, q, u)
         reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
         a, b = (reduced[2:], reduced[:2]) if swap else (reduced[:2], reduced[2:])
         basis = (*a, b[0] + mix * a[0], b[1] + mix * a[1])
-        _assert_rect_search_matches_reference(basis, p, v0, b1, b2, cap=1 << 12)
+        _assert_rect_search_matches_reference(basis, p, q, u, b1, b2, cap=1 << 12)
 
     def test_matches_reference_loop_size_ladder(self):
         for z, p, q, m, u in _ladder_tokens(random.Random(7070)):
             b1, b2 = 1 << m, 1 << q
             start, _ = euclid_basis(z, p, b1, b2)
             reduced, _ = gauss_reduce(start, p, *rect_weights(b1, b2))
-            v0, _ = solution_basis(z, p, q, u)
-            _assert_rect_search_matches_reference(reduced, p, v0, b1, b2)
+            _assert_rect_search_matches_reference(reduced, p, q, u, b1, b2)
 
     def test_matches_membership_scan(self):
         rng = random.Random(404)
@@ -726,58 +752,61 @@ class TestRectSearch:
             q = rng.randint(1, p // 2)
             m = rng.randint(2, 8)
             u = rng.randint(0, (1 << (p - q)) - 1)
-            v0, basis = solution_basis(z, p, q, u)
+            _, basis = solution_basis(z, p, q, u)
             b1, b2 = 1 << m, 1 << q
             reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
-            hits, _ = rect_search(box_frame(reduced, p, b1, b2), v0)
+            hits, _ = rect_search(box_frame(reduced, p, b1, b2, q), u)
+            vx, vy = _token_point(q, u)
             modulus = 1 << p
             expected = [
                 (x, y)
                 for x in range(b1)
                 for y in range(b2)
-                if ((v0[0] - x) * z - (v0[1] - y)) % modulus == 0
+                if ((vx - x) * z - (vy - y)) % modulus == 0
             ]
             assert hits == sorted(expected)
 
     def test_sorted_by_x(self):
         rng = random.Random(8)
         for _ in range(20):
-            z, p, v0, basis = random_family(rng, max_p=10)
+            z, p, q, u, basis = random_family(rng, max_p=10)
             b1, b2 = 1 << 6, 1 << 4
             reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
-            hits, _ = rect_search(box_frame(reduced, p, b1, b2), v0)
+            hits, _ = rect_search(box_frame(reduced, p, b1, b2, q), u)
             assert [x for x, _ in hits] == sorted(x for x, _ in hits)
 
     def test_scaling_invariance(self):
         rng = random.Random(70)
         for _ in range(25):
-            z, p, v0, basis = random_family(rng)
+            z, p, q, u, basis = random_family(rng)
+            v0, _ = solution_basis(z, p, q, u)
             b1 = 1 << rng.randint(2, 8)
             b2 = 1 << rng.randint(1, 5)
             wx, wy = rect_weights(b1, b2)
             red_a, it_a = gauss_reduce(basis, p, wx, wy)
             red_b, it_b = gauss_reduce(basis, p, 7 * wx, 7 * wy)
             assert (red_a, it_a) == (red_b, it_b)
-            assert rect_search(box_frame(red_a, p, b1, b2), v0) == rect_search(
-                box_frame(red_b, p, b1, b2), v0
+            assert rect_search(box_frame(red_a, p, b1, b2, q), u) == rect_search(
+                box_frame(red_b, p, b1, b2, q), u
             )
             assert nearest_lattice_point(red_a, v0, wx, wy) == nearest_lattice_point(
                 red_b, v0, 7 * wx, 7 * wy
             )
 
 
-def _assert_box_matches_rationals(basis, p, v, b1, b2):
+def _assert_box_matches_rationals(basis, p, q, u, b1, b2):
     """coefficient_box equals the exact corner box of solve_coeffs' exact
-    rationals over the closed rectangle [0, b1-1] x [0, b2-1], for the
-    basis and for its swap, whose det has the other sign.  The box counts
-    in the frame's basis: the given one, with u1 negated when det < 0."""
+    rationals over the closed rectangle [0, b1-1] x [0, b2-1] around
+    (0, -2^q*u), for the basis and for its swap, whose det has the other
+    sign.  The box counts in the frame's basis: the given one, with u1
+    negated when det < 0."""
     assert abs(_det(basis)) == 1 << p
-    vx, vy = v
+    vx, vy = _token_point(q, u)
     corners = [(vx, vy), (vx - (b1 - 1), vy), (vx, vy - (b2 - 1)), (vx - (b1 - 1), vy - (b2 - 1))]
     for b in (basis, basis[2:] + basis[:2]):
-        frame = box_frame(b, p, b1, b2)
-        oriented = b if _det(b) > 0 else (-b[0], -b[1], *b[2:])
-        assert frame == (oriented, p, b1, b2, frame[4]) and _det(oriented) == 1 << p
+        frame = box_frame(b, p, b1, b2, q)
+        oriented = _oriented(b)
+        assert frame == (oriented, q, p - q, b1, b2, frame[5]) and _det(oriented) == 1 << p
         a1s, a2s = zip(*(solve_coeffs(oriented, corner) for corner in corners))
         expected = (
             math.ceil(min(a1s)),
@@ -785,35 +814,39 @@ def _assert_box_matches_rationals(basis, p, v, b1, b2):
             math.ceil(min(a2s)),
             math.floor(max(a2s)),
         )
-        assert coefficient_box(frame, v) == expected
+        assert coefficient_box(frame, u) == expected
 
 
 class TestCoefficientBox:
     def test_contains_winning_pair(self):
-        frame = box_frame(worked_reduced(), P, B1, B2)
-        lo1, hi1, lo2, hi2 = coefficient_box(frame, V0)
-        a1, a2 = nearest_lattice_point(frame[0], V0, WX, WY)
+        frame = box_frame(worked_reduced(), P, B1, B2, Q)
+        lo1, hi1, lo2, hi2 = coefficient_box(frame, U)
+        a1, a2 = nearest_lattice_point(frame[0], _token_point(Q, U), WX, WY)
         assert lo1 <= a1 <= hi1 and lo2 <= a2 <= hi2
 
     @settings(max_examples=300, deadline=None)
     @given(
         z=st.integers(1, 1 << 70),
         p=st.integers(1, 64),
+        q=st.integers(0, 63),
         steps=st.lists(st.tuples(st.booleans(), st.integers(-(1 << 20), 1 << 20)), max_size=6),
-        v=st.tuples(st.integers(-(1 << 80), 1 << 80), st.integers(-(1 << 80), 1 << 80)),
+        u=st.integers(-(1 << 80), 1 << 80),
         b1=st.integers(1, 1 << 40),
         b2=st.integers(1, 1 << 40),
     )
-    def test_matches_exact_rational_box(self, z, p, steps, v, b1, b2):
+    def test_matches_exact_rational_box(self, z, p, q, steps, u, b1, b2):
         # A basis of L (|det| = 2^p, as coefficient_box requires) mixed by
-        # random unimodular steps.
+        # random unimodular steps.  The floor identity behind the folded
+        # box holds for every integer u, so u ranges past the token map's
+        # image and below 0.
+        assume(q < p)
         x1, y1, x2, y2 = 0, 1 << p, 1, z % (1 << p)
         for on_u1, k in steps:
             if on_u1:
                 x1, y1 = x1 - k * x2, y1 - k * y2
             else:
                 x2, y2 = x2 - k * x1, y2 - k * y1
-        _assert_box_matches_rationals((x1, y1, x2, y2), p, v, b1, b2)
+        _assert_box_matches_rationals((x1, y1, x2, y2), p, q, u, b1, b2)
 
     def test_matches_exact_rational_box_full_scale(self):
         rng = random.Random(2048)
@@ -824,11 +857,29 @@ class TestCoefficientBox:
             x = rng.randint(1, (1 << m) - 1)
             u = ((x * z) & ((1 << p) - 1)) >> q
             b1, b2 = 1 << m, 1 << q
-            v0, basis = solution_basis(z, p, q, u)
+            _, basis = solution_basis(z, p, q, u)
             start, _ = euclid_basis(z, p, b1, b2)
             reduced, _ = gauss_reduce(start, p, *rect_weights(b1, b2))
             for b in (start, reduced, basis):
-                _assert_box_matches_rationals(b, p, v0, b1, b2)
+                _assert_box_matches_rationals(b, p, q, u, b1, b2)
+
+    @pytest.mark.parametrize("m, q", [(512, 512), (1024, 16)])
+    def test_folded_box_matches_reference_full_scale(self, m, q):
+        # One l=2048 deployment per (m, q), the skewed form included: on
+        # 20 honest and 20 uniform tokens the attack's folded box is the
+        # reference box at (0, -2^q*u), and the walk finds its hits.
+        rng = random.Random(m + q)
+        l = 2048
+        p = l + m - q
+        b1, b2 = 1 << m, 1 << q
+        z = (1 << (l - 1)) | rng.getrandbits(l - 1)
+        frame = Attacker(z, p, q, m).frame
+        honest = [((rng.randint(1, b1 - 1) * z) & ((1 << p) - 1)) >> q for _ in range(20)]
+        uniform = [rng.randint(0, (1 << (p - q)) - 1) for _ in range(20)]
+        for u in honest + uniform:
+            v = _token_point(q, u)
+            assert coefficient_box(frame, u) == _reference_coefficient_box(frame[0], v, b1, b2)
+            assert rect_search(frame, u) == _reference_rect_search(frame[0], v, b1, b2)
 
     @pytest.mark.parametrize(
         "u1, u2, modulus_exp",
@@ -842,20 +893,20 @@ class TestCoefficientBox:
     def test_determinant_off_contract_raises(self, u1, u2, modulus_exp):
         basis = (*u1, *u2)
         with pytest.raises(SingularBasis):
-            box_frame(basis, modulus_exp, 4, 4)
+            box_frame(basis, modulus_exp, 4, 4, 0)
 
     def test_rect_search_reports_box_size(self):
         rng = random.Random(12)
-        cases = [(worked_reduced(), P, V0, B1, B2)]
+        cases = [(worked_reduced(), P, Q, U, B1, B2)]
         for _ in range(30):
-            z, p, v0, basis = random_family(rng, max_p=12)
+            z, p, q, u, basis = random_family(rng, max_p=12)
             b1, b2 = 1 << rng.randint(1, 8), 1 << rng.randint(1, 5)
             reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
-            cases.append((reduced, p, v0, b1, b2))
-        for basis, p, v, b1, b2 in cases:
-            frame = box_frame(basis, p, b1, b2)
-            lo1, hi1, lo2, hi2 = coefficient_box(frame, v)
-            _, pairs = rect_search(frame, v)
+            cases.append((reduced, p, q, u, b1, b2))
+        for basis, p, q, u, b1, b2 in cases:
+            frame = box_frame(basis, p, b1, b2, q)
+            lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
+            _, pairs = rect_search(frame, u)
             assert pairs == (hi1 - lo1 + 1) * (hi2 - lo2 + 1)
 
 
