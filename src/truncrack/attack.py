@@ -3,21 +3,35 @@
 Given the public observables (z, p, q, m) and one token u, every preimage
 x corresponds to a point (x, y) of the congruence coset inside the
 rectangle [0, 2^m) x [0, 2^q), the same for every token of a deployment.
-The attack reduces a basis of the congruence lattice under a form weighted
+The attack reduces a basis of a congruence lattice under a form weighted
 to make that rectangle square (an extended Euclid, finished by Gauss
-reduction), walks the rectangle's exact coefficient box from the coset
-point (0, -2^q*u), and returns every point it finds, each a preimage by
-construction.  The whole path runs on plain ints and tuples.
+reduction), walks the rectangle's exact coefficient box from a coset
+point, and keeps the points that the token map sends to u.  The whole
+path runs on plain ints and tuples.
+
+The lattice is taken modulo 2^k, not 2^p, with k = min(p, m + q +
+SPARE_BITS).  A preimage solves x*z = 2^q*u + y (mod 2^p), so it also
+solves x*z = 2^q*(u mod 2^(k-q)) + y (mod 2^k): the solutions of the
+second congruence are a coset of L_k = {(x, y) : x*z = y (mod 2^k)},
+which contains L_p, so the walk over it misses no preimage.  The coset
+has about 2^(m+q-k) points in the rectangle, 1/8 when k < p, and each
+hit whose full token map is not u is dropped.  Euclid then runs on
+k bits, not p: at l = 2048 and m = q = 512 that is 1,027, not 2,048.
+That count holds for a generic z.  When z mod 2^k is far from generic
+(z = 0 or 3 mod 2^k, say), L_k has a vector short against the rectangle,
+and its box can exceed lattice2d.BOX_CAP where the lattice modulo 2^p
+would hold a pair or two; the Attacker then reduces modulo 2^p as well,
+so such a deployment is attacked as the paper does.
 
 Only the coset point depends on the token, so the work splits at the
 deployment: Attacker(z, p, q, m) reduces once and fixes the box's frame,
 and Attacker.attack(u) walks the box of one token.  The frame folds 2^q
-in (lattice2d.box_frame): since floor((A*2^q + d) / 2^p) equals
-floor((A + floor(d / 2^q)) / 2^(p-q)) for every integer A, a token's box
-costs the products of u with the two x-cofactors of the basis, not of
-2^q*u.  recover_preimages takes its Attacker from a one-entry memo keyed
-on (z, p, q, m): a stream of tokens on one deployment reduces once, and a
-new deployment replaces the entry.
+in (lattice2d.box_frame): since floor((A*2^q + d) / 2^k) equals
+floor((A + floor(d / 2^q)) / 2^(k-q)) for every integer A, a token's box
+costs the products of u mod 2^(k-q) with the two x-cofactors of the
+basis, not of 2^q*u.  recover_preimages takes its Attacker from a
+one-entry memo keyed on (z, p, q, m): a stream of tokens on one
+deployment reduces once, and a new deployment replaces the entry.
 
 Each input has one check: check_observables for the deployment and
 check_token for a token, ours or the peer's.  A token here is u itself;
@@ -32,9 +46,14 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateInput, NoCandidates
-from .lattice2d import box_frame, euclid_basis, gauss_reduce, rect_search
-from .protocol import derive_key, truncate
+from .errors import DegenerateInput, NoCandidates, int_text
+from .lattice2d import BOX_CAP, box_bound, box_frame, euclid_basis, gauss_reduce, rect_search
+from .protocol import derive_key
+
+# The reduction modulus exceeds the rectangle's area 2^(m+q) by this many
+# bits, so the coset of L_k puts about 2^-SPARE_BITS points in it, and the
+# filter rarely has a hit to drop.
+SPARE_BITS = 3
 
 
 @dataclass(frozen=True)
@@ -58,11 +77,14 @@ class AttackInput:
 class AttackResult(NamedTuple):
     """``reduce_iterations`` is the deployment's: euclid_basis's quotients
     plus the finishing passes of gauss_reduce (its final all-zero pass
-    included), the same on every token.  ``reduce_time_ns`` is the
-    deployment's too: the time its Attacker took to build (check, Euclid,
-    Gauss and the box frame), so on a memo hit it is the reduction the
-    miss did, not the lookup.  ``search_time_ns`` covers the token's box
-    and walk."""
+    included) for the lattice modulo 2^k (Attacker), the same on every
+    token.
+    ``searched`` is the number of coefficient pairs of the token's box in
+    that lattice, so the filter's dropped hits are among them.
+    ``reduce_time_ns`` is the deployment's too: the time its Attacker took
+    to build (check, Euclid, Gauss and the box frame), so on a memo hit it
+    is the reduction the miss did, not the lookup.  ``search_time_ns``
+    covers the token's box, walk and filter."""
 
     candidates: tuple[tuple[int, int], ...]
     unique: bool
@@ -77,75 +99,101 @@ def check_observables(z: int, p: int, q: int, m: int) -> None:
 
     Raises DegenerateInput for z < 1, for q < 0 (no truncation), for
     p <= q (every x would be a preimage of the only token, 0) and for
-    m < 1 (no secret space).  Tokens are checked by check_token.
+    m < 1 (no secret space).  The messages give each value by int_text,
+    so a long one reads as its bit length.  Tokens are checked by
+    check_token.
     """
     if z < 1:
-        raise DegenerateInput(f"z must be positive, got {z}")
+        raise DegenerateInput(f"z must be positive, got {int_text(z)}")
     if q < 0:
-        raise DegenerateInput(f"q must be nonnegative, got {q}")
+        raise DegenerateInput(f"q must be nonnegative, got {int_text(q)}")
     if p <= q:
-        raise DegenerateInput(f"p must exceed q, got p={p} q={q}")
+        raise DegenerateInput(f"p must exceed q, got p={int_text(p)} q={int_text(q)}")
     if m < 1:
-        raise DegenerateInput(f"m must be at least 1, got {m}")
+        raise DegenerateInput(f"m must be at least 1, got {int_text(m)}")
 
 
 def check_token(token: int, p: int, q: int, name: str = "token") -> None:
     """Raise DegenerateInput for a token outside [0, 2^(p-q)), the range
-    of the token map; ``name`` names it in the message."""
+    of the token map; ``name`` names it in the message, and int_text
+    gives its value."""
     if not 0 <= token < 1 << (p - q):
-        raise DegenerateInput(f"{name} must be in [0, 2^(p-q)) (p-q={p - q}), got {token}")
+        raise DegenerateInput(
+            f"{name} must be in [0, 2^(p-q)) (p-q={p - q}), got {int_text(token)}"
+        )
 
 
 class Attacker:
     """The attack on one deployment (z, p, q, m), for any number of tokens.
 
     The constructor checks the observables (check_observables), reduces
-    the congruence lattice for the rectangle [0, 2^m) x [0, 2^q), whose
-    form (b2^2, b1^2) over its gcd is (2^(2(q-m)), 1) or (1, 2^(2(m-q))),
-    and fixes the box's frame (lattice2d.box_frame: the |det| = 2^p check,
-    SingularBasis otherwise, the sign and the corner offsets shifted by q),
-    whose basis ``frame[0]`` is the reduced basis up to the sign of u1.
-    Every assertion of euclid_basis and gauss_reduce runs here.
-    ``reduce_iterations`` is the Euclid quotients plus the Gauss passes and
+    the congruence lattice modulo 2^k, k = min(p, m + q + SPARE_BITS), for
+    the rectangle [0, 2^m) x [0, 2^q), whose form (b2^2, b1^2) over its
+    gcd is (2^(2(q-m)), 1) or (1, 2^(2(m-q))), and fixes the box's frame
+    (lattice2d.box_frame: the |det| = 2^k check, SingularBasis otherwise,
+    the sign and the corner offsets shifted by q), whose basis
+    ``frame[0]`` is the reduced basis up to the sign of u1.  Every
+    assertion of euclid_basis and gauss_reduce runs here, at k.  When
+    p <= m + q + SPARE_BITS, k is p and the lattice is the paper's.  When
+    k < p but lattice2d.box_bound puts the frame's box over BOX_CAP pairs
+    for some token, the lattice modulo 2^p is reduced and framed too, and
+    ``k`` is p; a generic z never gets there.  ``reduce_iterations`` is the
+    Euclid quotients plus the Gauss passes of every reduction made, and
     ``reduce_time_ns`` the constructor's time.  Nothing changes an Attacker
     after construction, so one can serve any number of tokens and callers.
     """
 
-    __slots__ = ("z", "p", "q", "reduce_iterations", "reduce_time_ns", "frame")
+    __slots__ = ("z", "p", "q", "k", "reduce_iterations", "reduce_time_ns", "frame")
 
     def __init__(self, z: int, p: int, q: int, m: int):
         t0 = time.perf_counter_ns()
         check_observables(z, p, q, m)
         b1, b2 = 1 << m, 1 << q
         wx, wy = (1 << 2 * (q - m), 1) if q > m else (1, 1 << 2 * (m - q))
-        start, quotients = euclid_basis(z, p, b1, b2)
-        reduced, passes = gauss_reduce(start, p, wx, wy)
-        self.z, self.p, self.q = z, p, q
-        self.reduce_iterations = quotients + passes
-        self.frame = box_frame(reduced, p, b1, b2, q)
+        iterations = 0
+        for k in (min(p, m + q + SPARE_BITS), p):
+            start, quotients = euclid_basis(z, k, b1, b2)
+            reduced, passes = gauss_reduce(start, k, wx, wy)
+            frame = box_frame(reduced, k, b1, b2, q)
+            iterations += quotients + passes
+            if k == p or box_bound(frame) <= BOX_CAP:
+                break
+        self.z, self.p, self.q, self.k = z, p, q, k
+        self.reduce_iterations = iterations
+        self.frame = frame
         self.reduce_time_ns = time.perf_counter_ns() - t0
 
     def attack(self, u: int) -> AttackResult:
         """Recover every preimage of the token u inside [0, 2^m) x [0, 2^q).
 
-        Deterministic in the deployment and u.  The candidates are the
-        walk's hits from the coset point (0, -2^q*u) as they are:
-        x*z = 2^q*u + y (mod 2^p) with 0 <= y < 2^q and u < 2^(p-q) gives
-        2^q*u + y < 2^p, so truncate(x) == u, which is asserted.
-        ``unique`` is set when there is exactly one candidate.  Candidates
-        with x = 0 are kept (x = 0 is never a valid secret).  Raises
-        DegenerateInput for u outside [0, 2^(p-q)) (check_token).
+        Deterministic in the deployment and u.  The walk runs from the
+        coset point (0, -2^q*(u mod 2^(k-q))) of L_k, and each hit (x, y)
+        is a candidate when its full token map, floor((x*z mod 2^p) / 2^q),
+        is u.  One product x*z serves both that filter and the assertion
+        that the hit solves x*z = 2^q*(u mod 2^(k-q)) + y (mod 2^k).  Since
+        L_p lies in L_k, every preimage is a hit, and the kept hits are
+        exactly the preimages, with y the low q bits of x*z; when k = p
+        the filter drops nothing.  ``unique`` is set when there is exactly
+        one candidate.  Candidates with x = 0 are kept (x = 0 is never a
+        valid secret).  Raises DegenerateInput for u outside [0, 2^(p-q))
+        (check_token).
         """
-        z, p, q = self.z, self.p, self.q
+        z, p, q, k = self.z, self.p, self.q, self.k
         check_token(u, p, q)
         t0 = time.perf_counter_ns()
-        hits, searched = rect_search(self.frame, u)
+        low = u & ((1 << (k - q)) - 1)
+        hits, searched = rect_search(self.frame, low)
+        kmask, pmask, target = (1 << k) - 1, (1 << p) - 1, low << q
+        candidates = []
+        for x, y in hits:
+            xz = x * z
+            assert (xz - y) & kmask == target
+            # protocol.truncate(x, z, p, q), on the product made above
+            if (xz & pmask) >> q == u:
+                candidates.append((x, y))
         t1 = time.perf_counter_ns()
-        candidates = tuple(hits)
-        for x, _ in candidates:
-            assert truncate(x, z, p, q) == u
         return AttackResult(
-            candidates, len(candidates) == 1, self.reduce_iterations, searched,
+            tuple(candidates), len(candidates) == 1, self.reduce_iterations, searched,
             self.reduce_time_ns, t1 - t0,
         )
 

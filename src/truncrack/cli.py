@@ -14,7 +14,13 @@ import sys
 
 from . import attack as attack_mod
 from . import harness, protocol
-from .errors import ConstraintViolated, DegenerateInput, SearchSpaceExceeded, ToolkitError
+from .errors import (
+    ConstraintViolated,
+    DegenerateInput,
+    SearchSpaceExceeded,
+    ToolkitError,
+    int_text,
+)
 
 EXIT_OK = 0
 EXIT_NO_CANDIDATES = 1
@@ -117,7 +123,9 @@ def _cmd_attack(args) -> int:
     token = args.token
     if args.token_scaled:
         if token & ((1 << params.q) - 1):
-            raise DegenerateInput(f"scaled token {token} is not a multiple of 2^q (q={params.q})")
+            raise DegenerateInput(
+                f"scaled token {int_text(token)} is not a multiple of 2^q (q={params.q})"
+            )
         token >>= params.q
     inp = attack_mod.AttackInput(z=params.z, p=params.p, q=params.q, m=m, token=token)
     result = attack_mod.recover_preimages(inp)

@@ -1,4 +1,16 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and int_text for their
+messages."""
+
+
+def int_text(n: int) -> str:
+    """n in decimal when it has at most 64 bits (20 digits), otherwise its
+    sign and bit length ("a 20001-bit integer", "a negative 20001-bit
+    integer"), so a message stays short and never meets CPython's limit on
+    int-to-str conversion."""
+    bits = n.bit_length()
+    if bits <= 64:
+        return str(n)
+    return f"a {'negative ' if n < 0 else ''}{bits}-bit integer"
 
 
 class ToolkitError(Exception):

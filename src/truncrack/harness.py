@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .attack import AttackInput, check_observables, recover_preimages, recover_shared_key
-from .errors import OracleTooLarge, ToolkitError
+from .errors import OracleTooLarge, ToolkitError, int_text
 from .protocol import check_shape, exchange, gen_params
 
 MODES = ("attack", "exchange", "oracle-check")
@@ -87,7 +87,7 @@ def brute_force_preimages(z: int, p: int, q: int, u: int, m: int) -> list[int]:
     """
     check_observables(z, p, q, m)
     if m > ORACLE_MAX_BITS:
-        raise OracleTooLarge(f"oracle limited to m <= {ORACLE_MAX_BITS}, got m={m}")
+        raise OracleTooLarge(f"oracle limited to m <= {ORACLE_MAX_BITS}, got m={int_text(m)}")
     mask = (1 << p) - 1
     return [x for x in range(1 << m) if ((x * z) & mask) >> q == u]
 

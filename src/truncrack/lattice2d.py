@@ -13,7 +13,9 @@ coset.  Reducing L is the continued-fraction expansion of z / 2^p
 (Vallée, "Gauss' algorithm revisited", 1991), so the attack starts from
 euclid_basis, which runs Euclid on the remainders alone and rebuilds the
 two cofactors at its stop from one 2-adic inverse, and gauss_reduce
-finishes the job.
+finishes the job.  attack.Attacker reduces modulo a power 2^k <= 2^p
+whose lattice contains L (see there); every function here works for
+whatever modulus exponent it is given.
 
 Everything is exact, with no floating point, and every function takes
 and returns plain ints: a basis is the tuple (x1, y1, x2, y2) of
@@ -48,6 +50,9 @@ from .errors import (
 # box_frame's result: the basis with det = +2^p, q, p - q, b1, b2 and the
 # four offsets shifted by q.
 Frame = tuple[tuple[int, int, int, int], int, int, int, int, tuple[int, int, int, int]]
+
+# rect_search's default cap on the pairs of a coefficient box.
+BOX_CAP = 1 << 20
 
 
 def solution_basis(
@@ -384,7 +389,15 @@ def coefficient_box(frame: Frame, u: int) -> tuple[int, int, int, int]:
     return (n1 + lo1) >> shift, (n1 + hi1) >> shift, (lo2 - n2) >> shift, (hi2 - n2) >> shift
 
 
-def rect_search(frame: Frame, u: int, cap: int = 1 << 20) -> tuple[list[tuple[int, int]], int]:
+def box_bound(frame: Frame) -> int:
+    """An upper bound on the pairs of coefficient_box(frame, u) over every
+    integer u: each range holds floor((n + hi) / 2^s) - floor((n + lo) / 2^s)
+    + 1 <= floor((hi - lo) / 2^s) + 2 integers, with s = p - q."""
+    _, _, shift, _, _, (lo1, hi1, lo2, hi2) = frame
+    return (((hi1 - lo1) >> shift) + 2) * (((hi2 - lo2) >> shift) + 2)
+
+
+def rect_search(frame: Frame, u: int, cap: int = BOX_CAP) -> tuple[list[tuple[int, int]], int]:
     """Points of the token coset (0, -2^q*u) + L inside the rectangle
     [0, b1) x [0, b2) of box_frame's ``frame``, and the box size.
 

@@ -1,4 +1,5 @@
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,9 @@ from truncrack import (
     shared_key,
     solution_basis,
 )
-from truncrack.attack import _attacker
+from truncrack.attack import SPARE_BITS, _attacker, check_observables, check_token
 from truncrack.harness import CSV_COLUMNS, brute_force_preimages
-from truncrack.lattice2d import coefficient_box, euclid_basis, is_reduced
+from truncrack.lattice2d import BOX_CAP, box_bound, coefficient_box, euclid_basis, is_reduced
 from test_acceptance import rect_weights
 
 # The worked instance's token as the paper gives it, 2^q*u = 708192.
@@ -78,6 +79,20 @@ def alternating_deployments(draw):
     second = (z, p, q, m)
     turns = draw(st.integers(1, 4))
     return [(dep, _draw_token(draw, *dep)) for _ in range(turns) for dep in (first, second)]
+
+
+@st.composite
+def deployments_below_p(draw):
+    """A deployment (z, p, q, m) with p <= 24 and m + q + SPARE_BITS < p, so
+    that the attack reduces modulo 2^k below 2^p, and one honest or
+    uniform token.  z is a draw from [1, 2^(p+1)) shifted left by up to p
+    bits, so even z, z = 0 mod 2^k and z >= 2^p all occur; m <= 12 keeps
+    the oracle's scan short."""
+    p = draw(st.integers(SPARE_BITS + 2, 24))
+    q = draw(st.integers(0, p - SPARE_BITS - 2))
+    m = draw(st.integers(1, min(p - q - SPARE_BITS - 1, 12)))
+    z = draw(st.integers(1, (1 << (p + 1)) - 1)) << draw(st.integers(0, p))
+    return (z, p, q, m), _draw_token(draw, z, p, q, m)
 
 
 def _oracle_pairs(z, p, q, m, u):
@@ -248,15 +263,18 @@ class TestRecoverPreimages:
             assert [x for x, _ in result.candidates] == expected
 
     def test_exhaustive_small_sweep(self):
+        # The frame's basis is the reduced lattice modulo 2^k, which is
+        # below 2^p at p = 5 with m + q < 2.
         for z, p, q, m, u in _small_instances():
             result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
             expected = brute_force_preimages(z, p, q, u, m)
             assert [x for x, _ in result.candidates] == expected
             attacker = Attacker(z, p, q, m)
             assert result.reduce_iterations == attacker.reduce_iterations
+            k = min(p, m + q + SPARE_BITS)
             wx, wy = rect_weights(1 << m, 1 << q)
-            _, basis = solution_basis(z, p, q, u)
-            theirs, _ = gauss_reduce(basis, p, wx, wy)
+            _, basis = solution_basis(z, k, q, u)
+            theirs, _ = gauss_reduce(basis, k, wx, wy)
             _assert_same_reduced_basis(attacker.frame[0], theirs, wx, wy)
 
     @settings(max_examples=300, deadline=None)
@@ -345,10 +363,11 @@ class TestAttacker:
         for u in range(40):
             recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, token=u))
         assert calls == [22]
+        # (p, q, m) = (15, 3, 8) reduces modulo 2^14: m + q + SPARE_BITS < p
         for u in range(3):
             recover_preimages(AttackInput(z=677, p=15, q=3, m=8, token=u))
             recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, token=u))
-        assert calls == [22] + [15, 22] * 3
+        assert calls == [22] + [14, 22] * 3
         _attacker.cache_clear()
 
     @pytest.mark.parametrize(
@@ -370,6 +389,193 @@ class TestAttacker:
         reduced, _ = gauss_reduce(start, 22, 1, 1 << 18)
         attacker = Attacker(6173, 22, 5, 14)
         assert attacker.frame == box_frame(reduced, 22, 1 << 14, 1 << 5, 5)
+
+
+# Toy deployments (z, p, q, m) with m + q + SPARE_BITS < p, each attacked
+# modulo 2^k below 2^p: z = 0 mod 2^k but not mod 2^p (an odd multiple of
+# 2^k, 2^k itself, and one >= 2^p), odd and even z >= 2^p, and m < q with
+# odd z, even z >= 2^p and z = 0 mod 2^k.
+BELOW_P_DEPLOYMENTS = [
+    (3 << 8, 12, 3, 2),
+    (1 << 8, 12, 3, 2),
+    ((3 << 8) + (1 << 12), 12, 3, 2),
+    (5077, 12, 3, 2),
+    (5078, 12, 3, 2),
+    (677, 14, 5, 2),
+    (20000, 14, 5, 2),
+    (3 << 10, 14, 5, 2),
+]
+
+
+class TestModulusBelowP:
+    """The attack reduces modulo 2^k, k = min(p, m + q + SPARE_BITS), walks
+    the coset of L_k and keeps the hits whose full token map is u."""
+
+    def test_filter_keeps_exactly_the_preimages(self):
+        # Against the oracle on drawn deployments with k < p; over the run
+        # the filter must drop some walk hit, or it was never exercised.
+        dropped = []
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(case=deployments_below_p())
+        def check(case):
+            (z, p, q, m), u = case
+            attacker = Attacker(z, p, q, m)
+            k = attacker.k
+            assert k == m + q + SPARE_BITS < p
+            result = attacker.attack(u)
+            assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
+            hits, searched = rect_search(attacker.frame, u & ((1 << (k - q)) - 1))
+            assert searched == result.searched
+            assert set(result.candidates) <= set(hits)
+            dropped.append(len(hits) - len(result.candidates))
+
+        check()
+        assert any(dropped)
+
+    def test_every_token_of_edge_deployments(self):
+        # Every token of each deployment, against the oracle and against
+        # recover_preimages from an empty memo; z = 0 mod 2^k puts 2^m
+        # walk hits on each token whose low k - q bits are 0, and the
+        # filter keeps those of the token alone.
+        for z, p, q, m in BELOW_P_DEPLOYMENTS:
+            attacker = Attacker(z, p, q, m)
+            k = attacker.k
+            assert k == m + q + SPARE_BITS < p
+            dropped = 0
+            for u in range(1 << (p - q)):
+                result = attacker.attack(u)
+                assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
+                _attacker.cache_clear()
+                fresh = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
+                assert _outputs(result) == _outputs(fresh)
+                hits, _ = rect_search(attacker.frame, u & ((1 << (k - q)) - 1))
+                dropped += len(hits) - len(result.candidates)
+            if z & ((1 << k) - 1) == 0:
+                assert dropped > 0
+
+    @pytest.mark.parametrize("m, q", [(512, 512), (1024, 16), (256, 512)])
+    def test_full_scale_matches_walk_modulo_2p(self, m, q):
+        # One l=2048 deployment per (m, q), the skewed form and m < q
+        # included: on 20 honest and 20 uniform tokens the candidates are
+        # the hits of the walk over the lattice modulo 2^p, reduced and
+        # framed here from euclid_basis, gauss_reduce and box_frame at p.
+        rng = random.Random(3 * m + q)
+        l = 2048
+        p = l + m - q
+        b1, b2 = 1 << m, 1 << q
+        z = (1 << (l - 1)) | rng.getrandbits(l - 1)
+        attacker = Attacker(z, p, q, m)
+        assert attacker.k == m + q + SPARE_BITS < p
+        start, _ = euclid_basis(z, p, b1, b2)
+        reduced, _ = gauss_reduce(start, p, *rect_weights(b1, b2))
+        reference = box_frame(reduced, p, b1, b2, q)
+        secrets = [rng.randint(1, b1 - 1) for _ in range(20)]
+        honest = [((x * z) & ((1 << p) - 1)) >> q for x in secrets]
+        uniform = [rng.randint(0, (1 << (p - q)) - 1) for _ in range(20)]
+        for u in honest + uniform:
+            hits, _ = rect_search(reference, u)
+            assert list(attacker.attack(u).candidates) == hits
+        for x, u in zip(secrets, honest):
+            assert x in [c for c, _ in attacker.attack(u).candidates]
+
+    @pytest.mark.parametrize("low", [0, 3])
+    def test_crowded_coset_falls_back_to_2p(self, low):
+        # z = low (mod 2^k) at l=2048, m = q = 512: L_k holds (2^(k-v), 0)
+        # or (1, 3), its coset crowds the rectangle, and its box could hold
+        # more than BOX_CAP pairs where the lattice modulo 2^p has one.  The
+        # Attacker then reduces modulo 2^p as well, and its candidates are
+        # that walk's hits on 10 honest and 10 uniform tokens.
+        rng = random.Random(1027 + low)
+        l = p = 2048
+        m = q = 512
+        k = m + q + SPARE_BITS
+        b1, b2 = 1 << m, 1 << q
+        z = (1 << (l - 1)) | rng.getrandbits(l - 1 - k) << k | low
+        if low == 0:
+            z |= 1 << k
+        wx, wy = rect_weights(b1, b2)
+        counts = []
+        frames = []
+        for modulus in (k, p):
+            start, quotients = euclid_basis(z, modulus, b1, b2)
+            reduced, passes = gauss_reduce(start, modulus, wx, wy)
+            counts.append(quotients + passes)
+            frames.append(box_frame(reduced, modulus, b1, b2, q))
+        assert box_bound(frames[0]) > BOX_CAP
+        attacker = Attacker(z, p, q, m)
+        assert attacker.k == p and attacker.reduce_iterations == sum(counts)
+        assert attacker.frame == frames[1]
+        secrets = [rng.randint(1, b1 - 1) for _ in range(10)]
+        honest = [((x * z) & ((1 << p) - 1)) >> q for x in secrets]
+        uniform = [rng.randint(0, (1 << (p - q)) - 1) for _ in range(10)]
+        for u in honest + uniform:
+            assert list(attacker.attack(u).candidates) == rect_search(frames[1], u)[0]
+        for x, u in zip(secrets, honest):
+            assert x in [c for c, _ in attacker.attack(u).candidates]
+
+    def test_euclid_quotients_track_lochs(self, monkeypatch):
+        # Lochs' constant: a quotient takes pi^2 / (12 ln 2) = 1.71 bits
+        # off the remainders, so Euclid from 2^k down to its floor 2^f
+        # takes about 0.584*(k - f) quotients, k = m + q + SPARE_BITS, not
+        # p.  101 seeded deployments per size at m = q = l/4 (f =
+        # (k + 1) // 2): over 30 disjoint sets of 101 seeds the median
+        # stayed within 1.8% (l = 512) to 0.6% (l = 4096) of it.
+        counts = []
+
+        def counted(z, k, b1, b2):
+            start, quotients = euclid_basis(z, k, b1, b2)
+            counts.append((k, quotients))
+            return start, quotients
+
+        monkeypatch.setattr(truncrack.attack, "euclid_basis", counted)
+        for l in (512, 1024, 2048, 4096):
+            m = q = l // 4
+            k = m + q + SPARE_BITS
+            predicted = 0.584 * (k - (k + 1) // 2)
+            counts.clear()
+            for seed in range(101):
+                params = gen_params(seed, l, m, q, 129)
+                Attacker(params.z, params.p, q, m)
+            assert {modulus for modulus, _ in counts} == {k}
+            median = statistics.median(quotients for _, quotients in counts)
+            assert abs(median - predicted) <= 0.03 * predicted, (l, median, predicted)
+
+
+class TestMessageSizes:
+    """An out-of-range value reads as its bit length once it is longer
+    than 64 bits, so the message stays short and can always be built."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_check_token(self, sign):
+        with pytest.raises(DegenerateInput) as info:
+            check_token(sign * (1 << 20000), 22, 5)
+        negative = "negative " if sign < 0 else ""
+        assert str(info.value) == (
+            f"token must be in [0, 2^(p-q)) (p-q=17), got a {negative}20001-bit integer"
+        )
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_check_observables(self, sign):
+        huge = sign * (1 << 20000)
+        text = f"a {'negative ' if sign < 0 else ''}20001-bit integer"
+        cases = [
+            ((huge, 22, 5, 14), "z must be positive, got " + text) if sign < 0 else None,
+            ((6173, 22, huge, 14), "q must be nonnegative, got " + text) if sign < 0 else None,
+            ((6173, 22, huge, 14), f"p must exceed q, got p=22 q={text}") if sign > 0 else None,
+            ((6173, huge, 5, 14), f"p must exceed q, got p={text} q=5") if sign < 0 else None,
+            ((6173, 22, 5, huge), "m must be at least 1, got " + text) if sign < 0 else None,
+        ]
+        for args, message in filter(None, cases):
+            with pytest.raises(DegenerateInput) as info:
+                check_observables(*args)
+            assert str(info.value) == message
+
+    def test_short_values_print_in_full(self):
+        with pytest.raises(DegenerateInput, match=r"got -18446744073709551615$"):
+            check_token(-(1 << 64) + 1, 22, 5)
+        with pytest.raises(DegenerateInput, match=r"got 131072$"):
+            check_token(1 << 17, 22, 5)
 
 
 class TestAttackerMemo:

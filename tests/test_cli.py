@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,18 @@ class TestExchangeCommand:
 
     def test_missing_file(self, capsys):
         assert main(["exchange", "--params", "/nonexistent", "--seed", "1"]) == 2
+
+
+def _main_without_digit_limit(args):
+    """main on the arguments as decimal strings, with CPython's default
+    limit of 4,300 digits on int-to-str conversion lifted around the call,
+    so that the parser takes an integer like 2^20000 (6,021 digits)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return main([str(arg) for arg in args])
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestAttackCommand:
@@ -191,6 +204,35 @@ class TestAttackCommand:
         assert captured.err == f"error: coefficient box holds about 2^{k} pairs (cap 1048576)\n"
         assert len(captured.err.encode()) < 200
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--token", 1 << 20000],
+             "token must be in [0, 2^(p-q)) (p-q=17), got a 20001-bit integer"),
+            (["--token", (1 << 20000) + 1, "--token-scaled"],
+             "scaled token a 20001-bit integer is not a multiple of 2^q (q=5)"),
+            (["--token", 1 << 20000, "--token-scaled"],
+             "token must be in [0, 2^(p-q)) (p-q=17), got a 19996-bit integer"),
+            (["--token", "22131", "--other-token", 1 << 20000],
+             "peer token must be in [0, 2^(p-q)) (p-q=17), got a 20001-bit integer"),
+            (["--token", "9" * 4300],
+             "token must be in [0, 2^(p-q)) (p-q=17), got a 14285-bit integer"),
+            (["--token", "9" * 4300, "--token-scaled"],
+             "scaled token a 14285-bit integer is not a multiple of 2^q (q=5)"),
+        ],
+    )
+    def test_huge_token_exit_2_with_short_message(self, tmp_path, capsys, args, message):
+        # 2^20000 has 6,021 digits; the message gives its bit length.  A
+        # 4,300-digit token, the longest the default limit parses, used to
+        # print in full.
+        path = tmp_path / "g.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        rc = _main_without_digit_limit(["attack", "--params", str(path), *args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_invalid_params_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "z.params"
         path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=5\n")
@@ -229,6 +271,24 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--z", "6173", "--p", "22", "--q", 1 << 20000, "--u", "1", "--m", "3"],
+             "p must exceed q, got p=22 q=a 20001-bit integer"),
+            (["--z", "6173", "--p", "22", "--q", "5", "--u", 1 << 20000, "--m", "3"],
+             "token must be in [0, 2^(p-q)) (p-q=17), got a 20001-bit integer"),
+            (["--z", "6173", "--p", "22", "--q", "5", "--u", "1", "--m", 1 << 20000],
+             "oracle limited to m <= 24, got m=a 20001-bit integer"),
+        ],
+    )
+    def test_huge_value_exit_2_with_short_message(self, capsys, args, message):
+        rc = _main_without_digit_limit(["oracle", *args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_guard_exit_2(self, capsys):
         rc = main(["oracle", "--z", "3", "--p", "30", "--q", "1", "--u", "1", "--m", "25"])

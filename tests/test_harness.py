@@ -148,12 +148,13 @@ class TestCsv:
         # timings zeroed, these rows pin the full-scale CSV bytes: a change
         # in the reduction's path shows in reduce_iterations, which counts
         # the Euclid quotients of euclid_basis plus gauss_reduce's finishing
-        # passes (566+1, 616+1, 587+2, 570+2, 626+2)
+        # passes for the lattice modulo 2^k, k = m + q + 3 = 1027 here, not
+        # p = 2048 (316+2, 305+2, 329+1, 291+2, 295+2)
         cfg = TrialConfig(seed_base=1, trials=5, l=2048, m=512, q=512, r=129)
         rows = _zero_timings(format_csv(run_trials(cfg))).splitlines()[1:]
         assert rows == [
             f"{seed},2048,512,2048,512,129,1,1,1,1,{iterations},0,0,0,"
-            for seed, iterations in [(1, 567), (2, 617), (3, 589), (4, 572), (5, 628)]
+            for seed, iterations in [(1, 318), (2, 307), (3, 330), (4, 293), (5, 297)]
         ]
 
     def test_reproducible_modulo_timing(self):

@@ -22,7 +22,7 @@ from truncrack import (
     solve_coeffs,
     truncate_decimal,
 )
-from truncrack.lattice2d import coefficient_box, euclid_basis
+from truncrack.lattice2d import box_bound, coefficient_box, euclid_basis
 from truncrack.protocol import check_shape
 from test_acceptance import SIZE_LADDER, rect_weights
 
@@ -736,6 +736,26 @@ class TestRectSearch:
         a, b = (reduced[2:], reduced[:2]) if swap else (reduced[:2], reduced[2:])
         basis = (*a, b[0] + mix * a[0], b[1] + mix * a[1])
         _assert_rect_search_matches_reference(basis, p, q, u, b1, b2, cap=1 << 12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=euclid_cases(), swap=st.booleans(), mix=st.integers(-3, 3),
+        others=st.lists(st.integers(-(1 << 40), 1 << 40), max_size=4),
+    )
+    def test_box_bound_covers_every_token(self, case, swap, mix, others):
+        # The frames of test_matches_reference_loop: box_bound is at least
+        # the box of the drawn token, of 0 and of integers far outside the
+        # token map's range.
+        z, p, q, m, u = case
+        b1, b2 = 1 << m, 1 << q
+        _, basis = solution_basis(z, p, q, u)
+        reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
+        a, b = (reduced[2:], reduced[:2]) if swap else (reduced[:2], reduced[2:])
+        frame = box_frame((*a, b[0] + mix * a[0], b[1] + mix * a[1]), p, b1, b2, q)
+        bound = box_bound(frame)
+        for token in (u, 0, *others):
+            lo1, hi1, lo2, hi2 = coefficient_box(frame, token)
+            assert (hi1 - lo1 + 1) * (hi2 - lo2 + 1) <= bound
 
     def test_matches_reference_loop_size_ladder(self):
         for z, p, q, m, u in _ladder_tokens(random.Random(7070)):
