@@ -1,13 +1,7 @@
 """truncrack: a truncated-modular-multiplication key exchange and the
 exact rank-2 lattice attack that recovers its secrets."""
 
-from .attack import (
-    Attacker,
-    AttackInput,
-    AttackResult,
-    recover_preimages,
-    recover_shared_key,
-)
+from .attack import Attacker, AttackResult
 from .errors import (
     ConstraintViolated,
     DegenerateInput,

@@ -29,9 +29,11 @@ and Attacker.attack(u) walks the box of one token.  The frame folds 2^q
 in (lattice2d.box_frame): since floor((A*2^q + d) / 2^k) equals
 floor((A + floor(d / 2^q)) / 2^(k-q)) for every integer A, a token's box
 costs the products of u mod 2^(k-q) with the two x-cofactors of the
-basis, not of 2^q*u.  recover_preimages takes its Attacker from a
-one-entry memo keyed on (z, p, q, m): a stream of tokens on one
-deployment reduces once, and a new deployment replaces the entry.
+basis, not of 2^q*u.  Attacker is the way in: the command line and the
+trial harness build one per deployment, and derive keys with
+protocol.shared_key.  recover_preimages and recover_shared_key are the
+benchmark's entry (perfbench/run.py), an adapter over an Attacker taken
+from a one-entry memo keyed on (z, p, q, m).
 
 Each input has one check: check_observables for the deployment and
 check_token for a token, ours or the peer's.  A token here is u itself;
@@ -153,7 +155,7 @@ class Attacker:
         iterations = 0
         for k in (min(p, m + q + SPARE_BITS), p):
             start, quotients = euclid_basis(z, k, b1, b2)
-            reduced, passes = gauss_reduce(start, k, wx, wy)
+            reduced, passes = gauss_reduce(start, wx, wy)
             frame = box_frame(reduced, k, b1, b2, q)
             iterations += quotients + passes
             if k == p or box_bound(frame) <= BOX_CAP:
@@ -188,7 +190,7 @@ class Attacker:
         for x, y in hits:
             xz = x * z
             assert (xz - y) & kmask == target
-            # protocol.truncate(x, z, p, q), on the product made above
+            # protocol.trunc_f(x), on the product made above
             if (xz & pmask) >> q == u:
                 candidates.append((x, y))
         t1 = time.perf_counter_ns()
@@ -223,10 +225,12 @@ def recover_shared_key(
     """Derive the shared key for every candidate of ``result``, the
     recover_preimages output for ``inp``.
 
-    Returns (candidate x, key) pairs in candidate order; distinct
-    candidates can collapse to the same key.  Raises DegenerateInput when
-    check_observables rejects the observables or check_token
-    ``other_token``, and NoCandidates when the candidate list is empty.
+    ``inp.m`` feeds both the search and the key map (derive_key's
+    2^(r+m)).  Returns (candidate x, key) pairs in candidate order;
+    distinct candidates can collapse to the same key.  Raises
+    DegenerateInput when check_observables rejects the observables or
+    check_token ``other_token``, and NoCandidates when the candidate list
+    is empty.
     """
     check_observables(inp.z, inp.p, inp.q, inp.m)
     check_token(other_token, inp.p, inp.q, "peer token")

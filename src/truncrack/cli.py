@@ -42,12 +42,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Truncated-multiplication key exchange and the lattice attack on it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shape = argparse.ArgumentParser(add_help=False)
+    for name in ("--l", "--m", "--q", "--r"):
+        shape.add_argument(name, type=decimal_int, required=True)
 
-    p_params = sub.add_parser("params", help="generate and validate a parameter file")
-    p_params.add_argument("--l", type=decimal_int, required=True)
-    p_params.add_argument("--m", type=decimal_int, required=True)
-    p_params.add_argument("--q", type=decimal_int, required=True)
-    p_params.add_argument("--r", type=decimal_int, required=True)
+    p_params = sub.add_parser("params", parents=[shape],
+                              help="generate and validate a parameter file")
     p_params.add_argument("--seed", type=decimal_int)
     p_params.add_argument("--out", help="write the parameter file here (default: stdout)")
 
@@ -72,11 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--u", type=decimal_int, required=True)
     p_oracle.add_argument("--m", type=decimal_int, required=True)
 
-    p_bench = sub.add_parser("bench", help="run seeded trials and write a CSV")
-    p_bench.add_argument("--l", type=decimal_int, required=True)
-    p_bench.add_argument("--m", type=decimal_int, required=True)
-    p_bench.add_argument("--q", type=decimal_int, required=True)
-    p_bench.add_argument("--r", type=decimal_int, required=True)
+    p_bench = sub.add_parser("bench", parents=[shape], help="run seeded trials and write a CSV")
     p_bench.add_argument("--trials", type=decimal_int, required=True)
     p_bench.add_argument("--seed", type=decimal_int, required=True)
     p_bench.add_argument("--out", required=True)
@@ -117,6 +113,8 @@ def _cmd_exchange(args) -> int:
 def _cmd_attack(args) -> int:
     params = protocol.load_params(args.params)
     m = args.m if args.m is not None else params.m
+    # The one check of the peer token, made first so a bad one fails
+    # before any stdout; the key map is the file's (protocol.shared_key).
     if args.other_token is not None:
         attack_mod.check_observables(params.z, params.p, params.q, m)
         attack_mod.check_token(args.other_token, params.p, params.q, "peer token")
@@ -127,8 +125,7 @@ def _cmd_attack(args) -> int:
                 f"scaled token {int_text(token)} is not a multiple of 2^q (q={params.q})"
             )
         token >>= params.q
-    inp = attack_mod.AttackInput(z=params.z, p=params.p, q=params.q, m=m, token=token)
-    result = attack_mod.recover_preimages(inp)
+    result = attack_mod.Attacker(params.z, params.p, params.q, m).attack(token)
     for x, y in result.candidates:
         # candidates have 0 <= x < 2^m, so x = 0 is the only nonpositive one
         suffix = " flag=nonpositive" if x == 0 else ""
@@ -138,9 +135,9 @@ def _cmd_attack(args) -> int:
         print("no candidates", file=sys.stderr)
         return EXIT_NO_CANDIDATES
     if args.other_token is not None:
-        keys = attack_mod.recover_shared_key(inp, args.other_token, params.r, result=result)
         counts: dict[int, int] = {}
-        for _, key in keys:
+        for x, _ in result.candidates:
+            key = protocol.shared_key(x, args.other_token, params)
             counts[key] = counts.get(key, 0) + 1
         for key in sorted(counts):
             print(f"key={key} candidates={counts[key]}")

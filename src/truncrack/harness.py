@@ -12,9 +12,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .attack import AttackInput, check_observables, recover_preimages, recover_shared_key
+from .attack import Attacker, check_observables
 from .errors import OracleTooLarge, ToolkitError, int_text
-from .protocol import check_shape, exchange, gen_params
+from .protocol import check_shape, exchange, gen_params, shared_key
 
 MODES = ("attack", "exchange", "oracle-check")
 
@@ -111,9 +111,8 @@ def _run_trial(cfg: TrialConfig, p: int, seed: int) -> TrialRecord:
             return record
 
         t0 = time.perf_counter_ns()
-        inp = AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=transcript.u)
-        result = recover_preimages(inp)
-        keys = recover_shared_key(inp, transcript.v, params.r, result) if result.candidates else []
+        result = Attacker(params.z, params.p, params.q, params.m).attack(transcript.u)
+        keys = [shared_key(x, transcript.v, params) for x, _ in result.candidates]
         record.total_time_ns = time.perf_counter_ns() - t0
 
         record.candidate_count = len(result.candidates)
@@ -122,7 +121,7 @@ def _run_trial(cfg: TrialConfig, p: int, seed: int) -> TrialRecord:
         record.search_time_ns = result.search_time_ns
         record.preimage_found = bool(result.candidates)
         record.secret_recovered = any(x == transcript.x for x, _ in result.candidates)
-        record.key_matched = any(key == transcript.w_b for _, key in keys)
+        record.key_matched = transcript.w_b in keys
 
         if cfg.mode == "oracle-check":
             expected = brute_force_preimages(params.z, params.p, params.q, transcript.u, params.m)

@@ -45,6 +45,7 @@ from .errors import (
     IterationCapExceeded,
     SearchSpaceExceeded,
     SingularBasis,
+    int_text,
 )
 
 # box_frame's result: the basis with det = +2^p, q, p - q, b1, b2 and the
@@ -68,11 +69,11 @@ def solution_basis(
     of L, with t = floor(2^q*u / z).  Returns (v0, (x1, y1, x2, y2)).
     """
     if z <= 0:
-        raise DegenerateInput(f"z must be positive, got {z}")
+        raise DegenerateInput(f"z must be positive, got {int_text(z)}")
     if p < 1:
-        raise DegenerateInput(f"p must be at least 1, got {p}")
+        raise DegenerateInput(f"p must be at least 1, got {int_text(p)}")
     if u < 0:
-        raise DegenerateInput(f"u must be nonnegative, got {u}")
+        raise DegenerateInput(f"u must be nonnegative, got {int_text(u)}")
     shifted = u << q
     x0 = -(-shifted // z)
     anchor = shifted // z
@@ -184,7 +185,6 @@ def round_half_to_zero(num: int, den: int) -> int:
 
 def gauss_reduce(
     basis: tuple[int, int, int, int],
-    p: int,
     wx: int,
     wy: int,
     *,
@@ -208,10 +208,11 @@ def gauss_reduce(
     vector's norm; both facts are asserted.  ``on_step`` (if given) is
     called after every half-step as on_step(target, c, (x1, y1, x2, y2)),
     where target ("u1" or "u2") names the vector just replaced by c.  The
-    pass count is capped at 64 * p as a safety net; reduction converges
-    orders of magnitude faster, and from euclid_basis's start it takes a
-    pass or two.  Raises ValueError for a weight below 1 and
-    DegenerateInput for a basis of determinant 0.
+    pass count is capped at 64 * max(bits(|det|) - 1, 1) as a safety net,
+    64 * p for a basis of L modulo 2^p; reduction converges orders of
+    magnitude faster, and from euclid_basis's start it takes a pass or
+    two.  Raises ValueError for a weight below 1 and DegenerateInput for a
+    basis of determinant 0.
     """
     if wx <= 0 or wy <= 0:
         raise ValueError("form weights must be positive")
@@ -221,12 +222,12 @@ def gauss_reduce(
         raise DegenerateInput("basis is degenerate (determinant 0)")
     n1 = wx * x1 * x1 + wy * y1 * y1
     n2 = wx * x2 * x2 + wy * y2 * y2
-    cap = 64 * p
+    cap = 64 * max(det.bit_length() - 1, 1)
     passes = 0
     while True:
         passes += 1
         if passes > cap:
-            raise IterationCapExceeded(f"reduction exceeded {cap} passes (p={p})")
+            raise IterationCapExceeded(f"reduction exceeded {cap} passes")
         d = wx * x1 * x2 + wy * y1 * y2
         c1 = round_half_to_zero(d, n2)
         if c1:
@@ -353,11 +354,13 @@ def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int, q: int
     if b1 < 1 or b2 < 1:
         raise ValueError("rectangle bounds must be at least 1")
     if not 0 <= q < p:
-        raise ValueError(f"q must be in [0, p), got q={q} p={p}")
+        raise ValueError(f"q must be in [0, p), got q={int_text(q)} p={int_text(p)}")
     x1, y1, x2, y2 = basis
     det = x1 * y2 - y1 * x2
     if abs(det) != 1 << p:
-        raise SingularBasis(f"cannot bound coefficients: determinant {det} is not +-2^{p}")
+        raise SingularBasis(
+            f"cannot bound coefficients: determinant {int_text(det)} is not +-2^{p}"
+        )
     if det < 0:
         x1, y1 = -x1, -y1
     dx1, dy1 = (1 - b1) * y2, (b2 - 1) * x2
@@ -442,11 +445,10 @@ def rect_search(frame: Frame, u: int, cap: int = BOX_CAP) -> tuple[list[tuple[in
     return hits, pairs
 
 
-def truncate_decimal(value: Fraction, places: int = 3) -> str:
-    """Format an exact rational as a decimal truncated toward zero."""
+def truncate_decimal(value: Fraction) -> str:
+    """Format an exact rational as a decimal truncated toward zero to three places."""
     sign = "-" if value < 0 else ""
     magnitude = -value if value < 0 else value
-    scaled = magnitude * 10**places
-    digits = scaled.numerator // scaled.denominator
-    whole, frac = divmod(digits, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    scaled = magnitude * 1000
+    whole, frac = divmod(scaled.numerator // scaled.denominator, 1000)
+    return f"{sign}{whole}.{frac:03d}"

@@ -23,7 +23,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .errors import ConstraintViolated
+from .errors import ConstraintViolated, int_text
 
 # r above this guard width counts as a deployment-grade ("full") setup.
 TOY_GUARD_BITS = 128
@@ -70,19 +70,23 @@ def classify(params: ProtocolParams) -> str:
 def validate_params(params: ProtocolParams) -> str:
     """Check every parameter constraint; return the toy/full classification.
 
-    Raises ConstraintViolated naming the first inequality that fails.
+    Raises ConstraintViolated naming the first inequality that fails; its
+    detail gives each value by int_text, which keeps a long one short.
     """
     for name in ("l", "m", "p", "q", "r"):
-        if getattr(params, name) < 1:
-            raise ConstraintViolated(f"{name}>=1", f"{name}={getattr(params, name)}")
+        value = getattr(params, name)
+        if value < 1:
+            raise ConstraintViolated(f"{name}>=1", f"{name}={int_text(value)}")
     if not (1 << (params.l - 1)) <= params.z < (1 << params.l):
-        raise ConstraintViolated("2^(l-1)<=z<2^l", f"z={params.z} is not exactly {params.l} bits")
-    if params.p + params.q != params.l + params.m:
-        raise ConstraintViolated("p+q=l+m", f"{params.p}+{params.q} != {params.l}+{params.m}")
-    if params.p <= params.m + params.q + params.r:
         raise ConstraintViolated(
-            "p>m+q+r", f"{params.p} <= {params.m}+{params.q}+{params.r}"
+            "2^(l-1)<=z<2^l", f"z={int_text(params.z)} is not exactly {params.l} bits"
         )
+    if params.p + params.q != params.l + params.m:
+        p, q, l, m = map(int_text, (params.p, params.q, params.l, params.m))
+        raise ConstraintViolated("p+q=l+m", f"{p}+{q} != {l}+{m}")
+    if params.p <= params.m + params.q + params.r:
+        p, m, q, r = map(int_text, (params.p, params.m, params.q, params.r))
+        raise ConstraintViolated("p>m+q+r", f"{p} <= {m}+{q}+{r}")
     return classify(params)
 
 
@@ -111,16 +115,12 @@ def gen_params(seed: int, l: int, m: int, q: int, r: int) -> ProtocolParams:
     return ProtocolParams(l=l, m=m, p=p, q=q, r=r, z=z)
 
 
-def truncate(x: int, z: int, p: int, q: int) -> int:
-    """floor((x * z mod 2^p) / 2^q) for nonnegative x."""
+def trunc_f(x: int, params: ProtocolParams) -> int:
+    """The public token map F(x) = floor((x*z mod 2^p) / 2^q), for
+    nonnegative x (ValueError otherwise)."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return ((x * z) & ((1 << p) - 1)) >> q
-
-
-def trunc_f(x: int, params: ProtocolParams) -> int:
-    """The public token map F(x) = floor((x*z mod 2^p) / 2^q)."""
-    return truncate(x, params.z, params.p, params.q)
+    return ((x * params.z) & ((1 << params.p) - 1)) >> params.q
 
 
 def derive_key(x: int, other_token: int, p: int, q: int, r: int, m: int) -> int:

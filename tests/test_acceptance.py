@@ -10,19 +10,18 @@ import time
 from fractions import Fraction
 
 from truncrack import (
-    AttackInput,
     TrialConfig,
     box_frame,
     brute_force_preimages,
     gauss_reduce,
     nearest_lattice_point,
-    recover_preimages,
     rect_search,
     run_trials,
     solution_basis,
     solve_coeffs,
     truncate_decimal,
 )
+from truncrack.attack import AttackInput, recover_preimages
 
 FULL = dict(l=2048, m=512, q=512, r=129)
 
@@ -43,7 +42,7 @@ def test_criterion_1_golden_example():
 
     t0 = time.perf_counter_ns()
     v0, basis = solution_basis(6173, 22, 5, 22131)
-    reduced, _ = gauss_reduce(basis, 22, *rect_weights(B1, B2))
+    reduced, _ = gauss_reduce(basis, *rect_weights(B1, B2))
     hits, _ = rect_search(box_frame(reduced, 22, B1, B2, 5), 22131)
     elapsed_ns = time.perf_counter_ns() - t0
 
@@ -148,7 +147,7 @@ def test_criterion_3_cvp_optimality():
         u = rng.randint(0, (1 << max(1, p - q)) - 1)
         _, basis = solution_basis(z, p, q, u)
         wx, wy = rng.randint(1, 4) ** 2, rng.randint(1, 4) ** 2
-        reduced, _ = gauss_reduce(basis, p, wx, wy)
+        reduced, _ = gauss_reduce(basis, wx, wy)
         u1x, u1y, u2x, u2y = reduced
         a1t, a2t = rng.randint(-30, 30), rng.randint(-30, 30)
         ex, ey = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -227,7 +226,7 @@ def test_criterion_4_reduction_invariants():
                 violations.append("norm")
             state[0] = step
 
-        reduced, passes = gauss_reduce(basis, p, wx, wy, on_step=watch)
+        reduced, passes = gauss_reduce(basis, wx, wy, on_step=watch)
         x1, y1, x2, y2 = reduced
         cross = abs(wx * x1 * x2 + wy * y1 * y2)
         if 2 * cross > min(norm_sq(x1, y1), norm_sq(x2, y2)):
@@ -294,8 +293,8 @@ def test_criterion_7_scaling_invariance():
         v0, start = solution_basis(z, p, q, u)
         b1, b2 = 1 << m, 1 << q
         wx, wy = rect_weights(b1, b2)
-        red_a, it_a = gauss_reduce(start, p, wx, wy)
-        red_b, it_b = gauss_reduce(start, p, 7 * wx, 7 * wy)
+        red_a, it_a = gauss_reduce(start, wx, wy)
+        red_b, it_b = gauss_reduce(start, 7 * wx, 7 * wy)
         hits_a = rect_search(box_frame(red_a, p, b1, b2, q), u)
         hits_b = rect_search(box_frame(red_b, p, b1, b2, q), u)
         identical += (

@@ -9,25 +9,34 @@ import truncrack.attack
 import truncrack.lattice2d
 from truncrack import (
     Attacker,
-    AttackInput,
+    ConstraintViolated,
     DegenerateInput,
     NoCandidates,
+    ProtocolParams,
+    SingularBasis,
     TrialConfig,
     box_frame,
     derive_key,
     exchange,
-    format_csv,
     gauss_reduce,
     gen_params,
     rect_search,
-    recover_preimages,
-    recover_shared_key,
     run_trials,
     shared_key,
     solution_basis,
+    validate_params,
 )
-from truncrack.attack import SPARE_BITS, _attacker, check_observables, check_token
-from truncrack.harness import CSV_COLUMNS, brute_force_preimages
+from truncrack.attack import (
+    SPARE_BITS,
+    AttackInput,
+    _attacker,
+    check_observables,
+    check_token,
+    recover_preimages,
+    recover_shared_key,
+)
+from truncrack.cli import main as cli_main
+from truncrack.harness import brute_force_preimages
 from truncrack.lattice2d import BOX_CAP, box_bound, coefficient_box, euclid_basis, is_reduced
 from test_acceptance import rect_weights
 
@@ -149,7 +158,7 @@ class TestRecoverPreimages:
         assert (z, p, q, m, u) in _small_instances()
         b1, b2 = 1 << m, 1 << q
         start, _ = euclid_basis(z, p, b1, b2)
-        reduced, _ = gauss_reduce(start, p, 1, 1 << 2 * (m - q))
+        reduced, _ = gauss_reduce(start, 1, 1 << 2 * (m - q))
         frame = box_frame(reduced, p, b1, b2, q)
         lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
         assert (hi1 - lo1 + 1, hi2 - lo2 + 1) == (0, 2)
@@ -274,7 +283,7 @@ class TestRecoverPreimages:
             k = min(p, m + q + SPARE_BITS)
             wx, wy = rect_weights(1 << m, 1 << q)
             _, basis = solution_basis(z, k, q, u)
-            theirs, _ = gauss_reduce(basis, k, wx, wy)
+            theirs, _ = gauss_reduce(basis, wx, wy)
             _assert_same_reduced_basis(attacker.frame[0], theirs, wx, wy)
 
     @settings(max_examples=300, deadline=None)
@@ -352,11 +361,13 @@ class TestAttacker:
             attacker.cache = {}
 
     def test_reduces_once_per_deployment(self, monkeypatch):
+        # Each reduction records log2 |det| of its basis: the modulus k.
         calls = []
 
-        def counted(basis, p, wx, wy):
-            calls.append(p)
-            return gauss_reduce(basis, p, wx, wy)
+        def counted(basis, wx, wy):
+            x1, y1, x2, y2 = basis
+            calls.append(abs(x1 * y2 - y1 * x2).bit_length() - 1)
+            return gauss_reduce(basis, wx, wy)
 
         monkeypatch.setattr(truncrack.attack, "gauss_reduce", counted)
         _attacker.cache_clear()
@@ -386,7 +397,7 @@ class TestAttacker:
     def test_frame_is_the_reduced_basis_frame(self):
         # (q, m) = (5, 14): the form (2^10, 2^28) over its gcd is (1, 2^18)
         start, _ = euclid_basis(6173, 22, 1 << 14, 1 << 5)
-        reduced, _ = gauss_reduce(start, 22, 1, 1 << 18)
+        reduced, _ = gauss_reduce(start, 1, 1 << 18)
         attacker = Attacker(6173, 22, 5, 14)
         assert attacker.frame == box_frame(reduced, 22, 1 << 14, 1 << 5, 5)
 
@@ -468,7 +479,7 @@ class TestModulusBelowP:
         attacker = Attacker(z, p, q, m)
         assert attacker.k == m + q + SPARE_BITS < p
         start, _ = euclid_basis(z, p, b1, b2)
-        reduced, _ = gauss_reduce(start, p, *rect_weights(b1, b2))
+        reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
         reference = box_frame(reduced, p, b1, b2, q)
         secrets = [rng.randint(1, b1 - 1) for _ in range(20)]
         honest = [((x * z) & ((1 << p) - 1)) >> q for x in secrets]
@@ -499,7 +510,7 @@ class TestModulusBelowP:
         frames = []
         for modulus in (k, p):
             start, quotients = euclid_basis(z, modulus, b1, b2)
-            reduced, passes = gauss_reduce(start, modulus, wx, wy)
+            reduced, passes = gauss_reduce(start, wx, wy)
             counts.append(quotients + passes)
             frames.append(box_frame(reduced, modulus, b1, b2, q))
         assert box_bound(frames[0]) > BOX_CAP
@@ -571,6 +582,45 @@ class TestMessageSizes:
                 check_observables(*args)
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_box_frame_determinant(self, sign):
+        text = f"a {'negative ' if sign < 0 else ''}20001-bit integer"
+        with pytest.raises(SingularBasis) as info:
+            box_frame((sign * (1 << 20000), 0, 0, 1), 22, 1 << 14, 1 << 5, 5)
+        assert str(info.value) == f"cannot bound coefficients: determinant {text} is not +-2^22"
+        with pytest.raises(ValueError) as info:
+            box_frame((1, 0, 0, 1 << 22), 22, 1 << 14, 1 << 5, sign * (1 << 20000))
+        assert str(info.value) == f"q must be in [0, p), got q={text} p=22"
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_validate_params(self, sign):
+        huge = sign * (1 << 20000)
+        text = f"a {'negative ' if sign < 0 else ''}20001-bit integer"
+        toy = dict(l=13, m=14, p=22, q=5, r=2, z=6173)
+        cases = [
+            (dict(z=huge), f"2^(l-1)<=z<2^l (z={text} is not exactly 13 bits)"),
+            (dict(m=huge), f"p+q=l+m (22+5 != 13+{text})") if sign > 0 else None,
+            (dict(r=huge), f"p>m+q+r (22 <= 14+5+{text})") if sign > 0 else None,
+            (dict(q=huge), f"q>=1 (q={text})") if sign < 0 else None,
+        ]
+        for change, detail in filter(None, cases):
+            with pytest.raises(ConstraintViolated) as info:
+                validate_params(ProtocolParams(**{**toy, **change}))
+            assert str(info.value) == f"constraint violated: {detail}"
+
+    def test_solution_basis(self):
+        text = "a negative 20001-bit integer"
+        huge = -(1 << 20000)
+        cases = [
+            ((huge, 22, 5, 0), "z must be positive, got " + text),
+            ((6173, huge, 5, 0), "p must be at least 1, got " + text),
+            ((6173, 22, 5, huge), "u must be nonnegative, got " + text),
+        ]
+        for args, message in cases:
+            with pytest.raises(DegenerateInput) as info:
+                solution_basis(*args)
+            assert str(info.value) == message
+
     def test_short_values_print_in_full(self):
         with pytest.raises(DegenerateInput, match=r"got -18446744073709551615$"):
             check_token(-(1 << 64) + 1, 22, 5)
@@ -628,23 +678,21 @@ class TestAttackerMemo:
         assert hit.reduce_time_ns == miss.reduce_time_ns
         assert miss.reduce_iterations == Attacker(6173, 22, 5, 14).reduce_iterations == 7
 
-    def test_harness_csv_same_on_hit(self):
-        # One trial per run: the second run's deployment is the memo's.
-        cfg = TrialConfig(seed_base=31, trials=1, l=13, m=14, q=5, r=2, mode="oracle-check")
+    def test_harness_and_cli_leave_memo_alone(self, tmp_path, capsys):
+        # Both build their own Attacker: the memo is recover_preimages'.
+        path = tmp_path / "toy.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
         _attacker.cache_clear()
-        miss = format_csv(run_trials(cfg))
-        hit = format_csv(run_trials(cfg))
-        assert _attacker.cache_info().hits == 1
-        timed = [i for i, column in enumerate(CSV_COLUMNS) if column.endswith("_time_ns")]
-
-        def untimed(text):
-            return [
-                [v for i, v in enumerate(line.split(",")) if i not in timed]
-                for line in text.splitlines()
-            ]
-
-        assert untimed(hit) == untimed(miss)
-        assert miss.splitlines()[1].split(",")[CSV_COLUMNS.index("error")] == ""
+        recover_preimages(GOLDEN)
+        before = _attacker.cache_info()
+        cfg = TrialConfig(seed_base=31, trials=3, l=13, m=14, q=5, r=2, mode="oracle-check")
+        assert all(record.error == "" for record in run_trials(cfg))
+        argv = ["attack", "--params", str(path), "--token", "31370", "--other-token", "94914"]
+        assert cli_main(argv) == 0
+        assert cli_main([*argv, "--m", "20"]) == 0
+        capsys.readouterr()
+        assert _attacker.cache_info() == before
+        _attacker.cache_clear()
 
 
 class TestBenchmarkCallShape:

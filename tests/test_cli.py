@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import os
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from truncrack.cli import _build_parser, main
 from truncrack.harness import MODES
-from truncrack.protocol import load_params
+from truncrack.protocol import load_params, shared_key
 
 
 @pytest.fixture
@@ -153,6 +154,24 @@ class TestAttackCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "key=" in out and "candidates=1" in out
+
+    @pytest.mark.parametrize("m", [12, 16, 20])
+    def test_keys_use_the_file_key_map(self, tmp_path, capsys, m):
+        # --m sets the search alone: each key= line counts the printed
+        # candidates whose key under the file's key map (m = 14) it is.
+        path = tmp_path / "g.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        rc = main(["attack", "--params", str(path), "--token", "31370",
+                   "--other-token", "94914", "--m", str(m)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        params = load_params(str(path))
+        xs = [int(line.split()[0][2:]) for line in lines if line.startswith("x=")]
+        counts = collections.Counter(shared_key(x, 94914, params) for x in xs)
+        assert xs
+        assert [line for line in lines if line.startswith("key=")] == [
+            f"key={key} candidates={counts[key]}" for key in sorted(counts)
+        ]
 
     @pytest.mark.parametrize(
         "token_args",

@@ -62,7 +62,7 @@ def _in_lattice(v, z, p):
 
 def worked_reduced():
     _, basis = solution_basis(Z, P, Q, U)
-    reduced, _ = gauss_reduce(basis, P, WX, WY)
+    reduced, _ = gauss_reduce(basis, WX, WY)
     return reduced
 
 
@@ -145,35 +145,56 @@ class TestGaussReduce:
 
     def test_fixed_point(self):
         reduced = worked_reduced()
-        again, passes = gauss_reduce(reduced, P, WX, WY)
+        again, passes = gauss_reduce(reduced, WX, WY)
         assert again == reduced
         assert passes == 1
 
     def test_orthogonal_basis_unchanged(self):
         basis = (1, 0, 0, 1 << 8)
-        reduced, passes = gauss_reduce(basis, 8, 1, 1)
+        reduced, passes = gauss_reduce(basis, 1, 1)
         assert reduced == basis
         assert passes == 1
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInput):
-            gauss_reduce((2, 4, 1, 2), 4, 1, 1)
+            gauss_reduce((2, 4, 1, 2), 1, 1)
 
     @pytest.mark.parametrize("wx, wy", [(0, 1), (1, 0), (-1, 4)])
     def test_nonpositive_weights_rejected(self, wx, wy):
         with pytest.raises(ValueError):
-            gauss_reduce((1, 0, 0, 1 << 8), 8, wx, wy)
+            gauss_reduce((1, 0, 0, 1 << 8), wx, wy)
         with pytest.raises(ValueError):
             nearest_lattice_point((1, 0, 0, 1 << 8), (3, 5), wx, wy)
 
     def test_iteration_cap(self):
-        # A Fibonacci-skewed basis needs ~one pass per index; with
-        # p=1 the cap is 64 passes, far too few on purpose.
+        # A Fibonacci-skewed basis needs ~one pass per index; it is
+        # unimodular (|det| = 1), so the cap is 64 passes, far too few on
+        # purpose.
         a, b = 1, 1
         for _ in range(400):
             a, b = b, a + b
         with pytest.raises(IterationCapExceeded):
-            gauss_reduce((b, a, a, b - a), 1, 1, 1)
+            gauss_reduce((b, a, a, b - a), 1, 1)
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 5])
+    def test_cap_is_64p_for_det_2p(self, p):
+        # A Fibonacci-skewed basis of n steps takes (n + 9) / 4 passes.
+        # With y scaled by 2^p under the weights (2^(2p), 1), the form is
+        # the unit one times 2^(2p), so it takes the same passes with
+        # |det| = 2^p.  The cap is 64*p passes (64 at p = 0): a basis that
+        # needs exactly the cap reduces, and one that needs one more stops.
+        cap = 64 * max(p, 1)
+
+        def skewed(n):
+            a, b = 1, 1
+            for _ in range(n):
+                a, b = b, a + b
+            assert abs(b * (b - a) - a * a) == 1
+            return (b, a << p, a, (b - a) << p)
+
+        assert gauss_reduce(skewed(4 * cap - 9), 1 << 2 * p, 1)[1] == cap
+        with pytest.raises(IterationCapExceeded, match=rf"^reduction exceeded {cap} passes$"):
+            gauss_reduce(skewed(4 * cap - 5), 1 << 2 * p, 1)
 
     def test_per_step_invariants_random(self):
         rng = random.Random(99)
@@ -188,7 +209,7 @@ class TestGaussReduce:
                 if c != 0:
                     assert _norm(step[i:i + 2], wx, wy) < _norm(state[0][i:i + 2], wx, wy)
                 state[0] = step
-            reduced, passes = gauss_reduce(basis, p, wx, wy, on_step=check)
+            reduced, passes = gauss_reduce(basis, wx, wy, on_step=check)
             assert passes <= 64 * p
             x1, y1, x2, y2 = reduced
             cross = abs(wx * x1 * x2 + wy * y1 * y2)
@@ -206,13 +227,13 @@ class TestGaussReduce:
         rng = random.Random(31)
         for _ in range(40):
             z, p, _, _, basis = random_family(rng)
-            reduced, _ = gauss_reduce(basis, p, 1, rng.randint(1, 16))
+            reduced, _ = gauss_reduce(basis, 1, rng.randint(1, 16))
             for g in (basis[:2], basis[2:]):
                 a1, a2 = solve_coeffs(reduced, g)
                 assert a1.denominator == 1 and a2.denominator == 1
 
 
-def _textbook_gauss_reduce(basis, p, wx, wy, *, on_step=None):
+def _textbook_gauss_reduce(basis, wx, wy, *, on_step=None):
     """The textbook loop: every half-step recomputes the norms and the inner
     product under the unscaled form.  gauss_reduce must match it step for
     step."""
@@ -223,12 +244,12 @@ def _textbook_gauss_reduce(basis, p, wx, wy, *, on_step=None):
     det = _det(basis)
     if det == 0:
         raise DegenerateInput("basis is degenerate (determinant 0)")
-    cap = 64 * p
+    cap = 64 * max(abs(det).bit_length() - 1, 1)
     passes = 0
     while True:
         passes += 1
         if passes > cap:
-            raise IterationCapExceeded(f"reduction exceeded {cap} passes (p={p})")
+            raise IterationCapExceeded(f"reduction exceeded {cap} passes")
         old_norm1 = inner(u1, u1)
         c1 = round_half_to_zero(inner(u1, u2), inner(u2, u2))
         u1 = (u1[0] - c1 * u2[0], u1[1] - c1 * u2[1])
@@ -252,14 +273,14 @@ def _textbook_gauss_reduce(basis, p, wx, wy, *, on_step=None):
     return reduced, passes
 
 
-def _assert_matches_textbook(basis, p, wx, wy):
+def _assert_matches_textbook(basis, wx, wy):
     """gauss_reduce gives the textbook loop's basis, pass count and steps."""
     fast_steps, ref_steps = [], []
-    fast = gauss_reduce(basis, p, wx, wy, on_step=lambda *step: fast_steps.append(step))
-    ref = _textbook_gauss_reduce(basis, p, wx, wy, on_step=lambda *step: ref_steps.append(step))
+    fast = gauss_reduce(basis, wx, wy, on_step=lambda *step: fast_steps.append(step))
+    ref = _textbook_gauss_reduce(basis, wx, wy, on_step=lambda *step: ref_steps.append(step))
     assert fast == ref
     assert fast_steps == ref_steps
-    assert gauss_reduce(basis, p, wx, wy) == ref  # no hook: same result
+    assert gauss_reduce(basis, wx, wy) == ref  # no hook: same result
 
 
 class TestMatchesTextbookLoop:
@@ -276,8 +297,8 @@ class TestMatchesTextbookLoop:
                     u = rng.randint(0, (1 << (p - q)) - 1)
                 _, basis = solution_basis(z, p, q, u)
                 wx, wy = rect_weights(1 << m, 1 << q)
-                _assert_matches_textbook(basis, p, wx, wy)
-                _assert_matches_textbook(basis, p, 7 * wx, 7 * wy)
+                _assert_matches_textbook(basis, wx, wy)
+                _assert_matches_textbook(basis, 7 * wx, 7 * wy)
 
     def test_corner_case_bounds(self):
         # u = 0 with m < q, where 2^m - 2^q*u lies in (0, 2^q): the
@@ -289,7 +310,7 @@ class TestMatchesTextbookLoop:
             wx, wy = rect_weights(1 << m, 1 << q)
             for _ in range(5):
                 z = (1 << (l - 1)) | rng.getrandbits(l - 1)
-                _assert_matches_textbook(solution_basis(z, p, q, 0)[1], p, wx, wy)
+                _assert_matches_textbook(solution_basis(z, p, q, 0)[1], wx, wy)
 
     def test_non_square_and_common_factor_weights(self):
         rng = random.Random(4242)
@@ -297,7 +318,7 @@ class TestMatchesTextbookLoop:
             z, p, _, _, basis = random_family(rng, max_p=24 if i % 2 else 12)
             wx, wy = rng.randint(1, 10**6), rng.randint(1, 10**6)
             k = rng.choice([1, 7, 2**20, 3 * 5 * 11])
-            _assert_matches_textbook(basis, p, k * wx, k * wy)
+            _assert_matches_textbook(basis, k * wx, k * wy)
 
 
 # Gram entries above this many bits exercise gauss_reduce on big ints.
@@ -308,7 +329,7 @@ _LARGE_ENTRY_BITS = 256
 def large_entry_cases(draw):
     """A congruence basis with l in [128, 2048] under a rectangle form, the
     same form times 7, or arbitrary positive weights, whose Gram entries
-    exceed _LARGE_ENTRY_BITS, as (basis, p, wx, wy)."""
+    exceed _LARGE_ENTRY_BITS, as (basis, wx, wy)."""
     l = draw(st.sampled_from([128, 256, 512, 1024, 2048]) | st.integers(128, 2048))
     m = draw(st.integers(1, l // 2))
     q = draw(st.integers(1, m))
@@ -332,7 +353,7 @@ def large_entry_cases(draw):
     g = math.gcd(wx, wy)
     norms = [_norm(v, wx // g, wy // g) for v in (basis[:2], basis[2:])]
     assume(max(norms).bit_length() > _LARGE_ENTRY_BITS)
-    return basis, p, wx, wy
+    return basis, wx, wy
 
 
 class TestLargeEntries:
@@ -353,9 +374,9 @@ class TestLargeEntries:
         scale = 1 << 300
         basis = (u1[0] * scale, u1[1] * scale, u2[0] * scale, u2[1] * scale)
         steps = []
-        gauss_reduce(basis, 601, 1, 1, on_step=lambda *step: steps.append(step))
+        gauss_reduce(basis, 1, 1, on_step=lambda *step: steps.append(step))
         assert steps[0][:2] == ("u1", c1)  # halves toward zero
-        _assert_matches_textbook(basis, 601, 1, 1)
+        _assert_matches_textbook(basis, 1, 1)
 
 
 @st.composite
@@ -409,8 +430,8 @@ def _assert_euclid_start_matches(z, p, q, m, u):
     start, _ = euclid_basis(z, p, b1, b2)
     assert _in_lattice(start[:2], z, p) and _in_lattice(start[2:], z, p)
     assert abs(_det(start)) == 1 << p
-    ours, _ = gauss_reduce(start, p, wx, wy)
-    theirs, _ = gauss_reduce(basis, p, wx, wy)
+    ours, _ = gauss_reduce(start, wx, wy)
+    theirs, _ = gauss_reduce(basis, wx, wy)
     assert is_reduced(ours, wx, wy)
     norms = lambda b: sorted(_norm(v, wx, wy) for v in (b[:2], b[2:]))
     assert norms(ours) == norms(theirs)
@@ -612,7 +633,7 @@ class TestNearestPoint:
         for _ in range(60):
             z, p, _, _, basis = random_family(rng, max_p=8)
             wx, wy = rng.randint(1, 4) ** 2, rng.randint(1, 4) ** 2
-            reduced, _ = gauss_reduce(basis, p, wx, wy)
+            reduced, _ = gauss_reduce(basis, wx, wy)
             a1t, a2t = rng.randint(-30, 30), rng.randint(-30, 30)
             cx, cy = _combo(reduced, a1t, a2t)
             v = (cx + rng.randint(-3, 3), cy + rng.randint(-3, 3))
@@ -732,7 +753,7 @@ class TestRectSearch:
         z, p, q, m, u = case
         b1, b2 = 1 << m, 1 << q
         _, basis = solution_basis(z, p, q, u)
-        reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
+        reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
         a, b = (reduced[2:], reduced[:2]) if swap else (reduced[:2], reduced[2:])
         basis = (*a, b[0] + mix * a[0], b[1] + mix * a[1])
         _assert_rect_search_matches_reference(basis, p, q, u, b1, b2, cap=1 << 12)
@@ -749,7 +770,7 @@ class TestRectSearch:
         z, p, q, m, u = case
         b1, b2 = 1 << m, 1 << q
         _, basis = solution_basis(z, p, q, u)
-        reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
+        reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
         a, b = (reduced[2:], reduced[:2]) if swap else (reduced[:2], reduced[2:])
         frame = box_frame((*a, b[0] + mix * a[0], b[1] + mix * a[1]), p, b1, b2, q)
         bound = box_bound(frame)
@@ -761,7 +782,7 @@ class TestRectSearch:
         for z, p, q, m, u in _ladder_tokens(random.Random(7070)):
             b1, b2 = 1 << m, 1 << q
             start, _ = euclid_basis(z, p, b1, b2)
-            reduced, _ = gauss_reduce(start, p, *rect_weights(b1, b2))
+            reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
             _assert_rect_search_matches_reference(reduced, p, q, u, b1, b2)
 
     def test_matches_membership_scan(self):
@@ -774,7 +795,7 @@ class TestRectSearch:
             u = rng.randint(0, (1 << (p - q)) - 1)
             _, basis = solution_basis(z, p, q, u)
             b1, b2 = 1 << m, 1 << q
-            reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
+            reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
             hits, _ = rect_search(box_frame(reduced, p, b1, b2, q), u)
             vx, vy = _token_point(q, u)
             modulus = 1 << p
@@ -791,7 +812,7 @@ class TestRectSearch:
         for _ in range(20):
             z, p, q, u, basis = random_family(rng, max_p=10)
             b1, b2 = 1 << 6, 1 << 4
-            reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
+            reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
             hits, _ = rect_search(box_frame(reduced, p, b1, b2, q), u)
             assert [x for x, _ in hits] == sorted(x for x, _ in hits)
 
@@ -803,8 +824,8 @@ class TestRectSearch:
             b1 = 1 << rng.randint(2, 8)
             b2 = 1 << rng.randint(1, 5)
             wx, wy = rect_weights(b1, b2)
-            red_a, it_a = gauss_reduce(basis, p, wx, wy)
-            red_b, it_b = gauss_reduce(basis, p, 7 * wx, 7 * wy)
+            red_a, it_a = gauss_reduce(basis, wx, wy)
+            red_b, it_b = gauss_reduce(basis, 7 * wx, 7 * wy)
             assert (red_a, it_a) == (red_b, it_b)
             assert rect_search(box_frame(red_a, p, b1, b2, q), u) == rect_search(
                 box_frame(red_b, p, b1, b2, q), u
@@ -879,7 +900,7 @@ class TestCoefficientBox:
             b1, b2 = 1 << m, 1 << q
             _, basis = solution_basis(z, p, q, u)
             start, _ = euclid_basis(z, p, b1, b2)
-            reduced, _ = gauss_reduce(start, p, *rect_weights(b1, b2))
+            reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
             for b in (start, reduced, basis):
                 _assert_box_matches_rationals(b, p, q, u, b1, b2)
 
@@ -921,7 +942,7 @@ class TestCoefficientBox:
         for _ in range(30):
             z, p, q, u, basis = random_family(rng, max_p=12)
             b1, b2 = 1 << rng.randint(1, 8), 1 << rng.randint(1, 5)
-            reduced, _ = gauss_reduce(basis, p, *rect_weights(b1, b2))
+            reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
             cases.append((reduced, p, q, u, b1, b2))
         for basis, p, q, u, b1, b2 in cases:
             frame = box_frame(basis, p, b1, b2, q)
