@@ -33,7 +33,8 @@ basis, not of 2^q*u.  Attacker is the way in: the command line and the
 trial harness build one per deployment, and derive keys with
 protocol.shared_key.  recover_preimages and recover_shared_key are the
 benchmark's entry (perfbench/run.py), an adapter over an Attacker taken
-from a one-entry memo keyed on (z, p, q, m).
+from a one-entry memo keyed on (z, p, q, m).  Nothing here reads a
+clock: a caller times the calls it makes, as harness._run_trial does.
 
 Each input has one check: check_observables for the deployment and
 check_token for a token, ours or the peer's.  A token here is u itself;
@@ -44,7 +45,6 @@ which decodes it before it calls in.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,23 +77,19 @@ class AttackInput:
 
 
 class AttackResult(NamedTuple):
-    """``reduce_iterations`` is the deployment's: euclid_basis's quotients
+    """The outcome of one token, a value: equal deployments and tokens
+    give ``==`` results, and no field holds a time.
+    ``reduce_iterations`` is the deployment's: euclid_basis's quotients
     plus the finishing passes of gauss_reduce (its final all-zero pass
     included) for the lattice modulo 2^k (Attacker), the same on every
     token.
     ``searched`` is the number of coefficient pairs of the token's box in
-    that lattice, so the filter's dropped hits are among them.
-    ``reduce_time_ns`` is the deployment's too: the time its Attacker took
-    to build (check, Euclid, Gauss and the box frame), so on a memo hit it
-    is the reduction the miss did, not the lookup.  ``search_time_ns``
-    covers the token's box, walk and filter."""
+    that lattice, so the filter's dropped hits are among them."""
 
     candidates: tuple[tuple[int, int], ...]
     unique: bool
     reduce_iterations: int
     searched: int
-    reduce_time_ns: int
-    search_time_ns: int
 
 
 def check_observables(z: int, p: int, q: int, m: int) -> None:
@@ -140,15 +136,14 @@ class Attacker:
     k < p but lattice2d.box_bound puts the frame's box over BOX_CAP pairs
     for some token, the lattice modulo 2^p is reduced and framed too, and
     ``k`` is p; a generic z never gets there.  ``reduce_iterations`` is the
-    Euclid quotients plus the Gauss passes of every reduction made, and
-    ``reduce_time_ns`` the constructor's time.  Nothing changes an Attacker
-    after construction, so one can serve any number of tokens and callers.
+    Euclid quotients plus the Gauss passes of every reduction made.  An
+    Attacker reads no clock and never changes after construction, so one
+    serves any number of tokens and callers, with ``==`` results.
     """
 
-    __slots__ = ("z", "p", "q", "k", "reduce_iterations", "reduce_time_ns", "frame")
+    __slots__ = ("z", "p", "q", "k", "reduce_iterations", "frame")
 
     def __init__(self, z: int, p: int, q: int, m: int):
-        t0 = time.perf_counter_ns()
         check_observables(z, p, q, m)
         b1, b2 = 1 << m, 1 << q
         wx, wy = (1 << 2 * (q - m), 1) if q > m else (1, 1 << 2 * (m - q))
@@ -163,7 +158,6 @@ class Attacker:
         self.z, self.p, self.q, self.k = z, p, q, k
         self.reduce_iterations = iterations
         self.frame = frame
-        self.reduce_time_ns = time.perf_counter_ns() - t0
 
     def attack(self, u: int) -> AttackResult:
         """Recover every preimage of the token u inside [0, 2^m) x [0, 2^q).
@@ -182,22 +176,17 @@ class Attacker:
         """
         z, p, q, k = self.z, self.p, self.q, self.k
         check_token(u, p, q)
-        t0 = time.perf_counter_ns()
         low = u & ((1 << (k - q)) - 1)
         hits, searched = rect_search(self.frame, low)
         kmask, pmask, target = (1 << k) - 1, (1 << p) - 1, low << q
-        candidates = []
+        kept = []
         for x, y in hits:
             xz = x * z
             assert (xz - y) & kmask == target
             # protocol.trunc_f(x), on the product made above
             if (xz & pmask) >> q == u:
-                candidates.append((x, y))
-        t1 = time.perf_counter_ns()
-        return AttackResult(
-            tuple(candidates), len(candidates) == 1, self.reduce_iterations, searched,
-            self.reduce_time_ns, t1 - t0,
-        )
+                kept.append((x, y))
+        return AttackResult(tuple(kept), len(kept) == 1, self.reduce_iterations, searched)
 
 
 # One entry: an eavesdropper's stream of tokens on one deployment reduces
@@ -211,8 +200,7 @@ def recover_preimages(inp: AttackInput) -> AttackResult:
     Attacker taken from a one-entry memo keyed on (z, p, q, m).
 
     The memo holds one immutable Attacker made from every public input
-    but the token, so it changes no output: the candidates, ``unique``,
-    ``searched`` and ``reduce_iterations`` are those of a fresh Attacker.
+    but the token, so a hit's result ``==`` that of a fresh Attacker.
     Raises DegenerateInput for what check_observables and check_token
     reject; a constructor that raises leaves the memo as it was.
     """

@@ -8,6 +8,7 @@ command line and in files are decimal strings.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import re
 import sys
@@ -28,10 +29,14 @@ EXIT_USAGE = 2
 EXIT_RESOURCE_CAP = 3
 
 
+# A bad value, or one past CPython's int-conversion digit limit, is shown
+# in full up to 40 characters, and past that as its first 20 and its length.
 def decimal_int(text: str) -> int:
-    if not re.fullmatch(r"[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
-    return int(text)
+    if re.fullmatch(r"[0-9]+", text):
+        with contextlib.suppress(ValueError):
+            return int(text)
+    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    raise argparse.ArgumentTypeError(f"expected a decimal integer, got {shown}")
 
 
 # Built once: parse_args reads the parser and never changes it.
@@ -82,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_params(args) -> int:
-    protocol.check_shape(args.l, args.m, args.q, args.r)
-    if args.seed is None:
+    if args.seed is None:  # gen_params checks the shape otherwise
+        protocol.check_shape(args.l, args.m, args.q, args.r)
         print("error: --seed is required to generate z", file=sys.stderr)
         return EXIT_USAGE
     params = protocol.gen_params(args.seed, args.l, args.m, args.q, args.r)
@@ -113,10 +118,10 @@ def _cmd_exchange(args) -> int:
 def _cmd_attack(args) -> int:
     params = protocol.load_params(args.params)
     m = args.m if args.m is not None else params.m
-    # The one check of the peer token, made first so a bad one fails
-    # before any stdout; the key map is the file's (protocol.shared_key).
+    # Each input checked once before any stdout: the deployment (here),
+    # the peer token, ours (in attack); the key map is the file's.
+    attacker = attack_mod.Attacker(params.z, params.p, params.q, m)
     if args.other_token is not None:
-        attack_mod.check_observables(params.z, params.p, params.q, m)
         attack_mod.check_token(args.other_token, params.p, params.q, "peer token")
     token = args.token
     if args.token_scaled:
@@ -125,7 +130,7 @@ def _cmd_attack(args) -> int:
                 f"scaled token {int_text(token)} is not a multiple of 2^q (q={params.q})"
             )
         token >>= params.q
-    result = attack_mod.Attacker(params.z, params.p, params.q, m).attack(token)
+    result = attacker.attack(token)
     for x, y in result.candidates:
         # candidates have 0 <= x < 2^m, so x = 0 is the only nonpositive one
         suffix = " flag=nonpositive" if x == 0 else ""

@@ -4,7 +4,9 @@ Trials are independent pure computations keyed by seed: trial i of a batch
 uses seed_base + i for both parameter generation and the exchange, so a
 batch is reproducible record-for-record.  Records are emitted in seed
 order and serialize to a fixed-schema CSV whose only run-to-run variation
-is the timing columns.
+is the timing columns, measured by _run_trial around its own calls:
+``reduce_time_ns`` brackets Attacker(z, p, q, m), ``search_time_ns`` its
+attack(u), and ``total_time_ns`` both and key derivation (0 if not run).
 """
 
 from __future__ import annotations
@@ -111,14 +113,16 @@ def _run_trial(cfg: TrialConfig, p: int, seed: int) -> TrialRecord:
             return record
 
         t0 = time.perf_counter_ns()
-        result = Attacker(params.z, params.p, params.q, params.m).attack(transcript.u)
+        attacker = Attacker(params.z, params.p, params.q, params.m)
+        t1 = time.perf_counter_ns()
+        result = attacker.attack(transcript.u)
+        t2 = time.perf_counter_ns()
         keys = [shared_key(x, transcript.v, params) for x, _ in result.candidates]
         record.total_time_ns = time.perf_counter_ns() - t0
+        record.reduce_time_ns, record.search_time_ns = t1 - t0, t2 - t1
 
         record.candidate_count = len(result.candidates)
         record.reduce_iterations = result.reduce_iterations
-        record.reduce_time_ns = result.reduce_time_ns
-        record.search_time_ns = result.search_time_ns
         record.preimage_found = bool(result.candidates)
         record.secret_recovered = any(x == transcript.x for x, _ in result.candidates)
         record.key_matched = transcript.w_b in keys

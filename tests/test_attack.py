@@ -1,5 +1,6 @@
 import random
 import statistics
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from truncrack import (
 from truncrack.attack import (
     SPARE_BITS,
     AttackInput,
+    AttackResult,
     _attacker,
     check_observables,
     check_token,
@@ -176,10 +178,7 @@ class TestRecoverPreimages:
         assert not result.unique
 
     def test_deterministic(self):
-        a = recover_preimages(GOLDEN)
-        b = recover_preimages(GOLDEN)
-        assert a.candidates == b.candidates
-        assert (a.reduce_iterations, a.searched) == (b.reduce_iterations, b.searched)
+        assert recover_preimages(GOLDEN) == recover_preimages(GOLDEN)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -319,11 +318,6 @@ BATCH_DEPLOYMENTS = [
 ]
 
 
-def _outputs(result):
-    """Everything of an AttackResult but its times."""
-    return result.candidates, result.unique, result.reduce_iterations, result.searched
-
-
 class TestAttacker:
     def test_batch_matches_oracle_and_fresh_attack(self):
         # Every token of each deployment through one Attacker, against the
@@ -335,7 +329,7 @@ class TestAttacker:
                 assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
                 _attacker.cache_clear()
                 fresh = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
-                assert _outputs(result) == _outputs(fresh)
+                assert result == fresh
 
     def test_batch_full_scale(self):
         # Honest exchanges on one l=2048 deployment: the secret on every
@@ -347,7 +341,7 @@ class TestAttacker:
             result = attacker.attack(t.u)
             assert t.x in [x for x, _ in result.candidates]
             fresh = Attacker(params.z, params.p, params.q, params.m).attack(t.u)
-            assert _outputs(result) == _outputs(fresh)
+            assert result == fresh
 
     def test_attack_changes_nothing(self):
         attacker = Attacker(6173, 22, 5, 14)
@@ -418,6 +412,50 @@ BELOW_P_DEPLOYMENTS = [
 ]
 
 
+class TestResultIsValue:
+    def test_result_holds_no_time(self):
+        assert AttackResult._fields == ("candidates", "unique", "reduce_iterations", "searched")
+        assert "reduce_time_ns" not in Attacker.__slots__
+        assert "time" not in vars(truncrack.attack) and "time" not in vars(truncrack.lattice2d)
+
+    def test_fresh_attackers_give_equal_results(self):
+        # A seeded sweep of toy deployments, every token of each; m <= 6
+        # keeps every box small.
+        rng = random.Random(1905)
+        for _ in range(40):
+            p = rng.randint(2, 10)
+            q, m = rng.randint(0, p - 1), rng.randint(1, 6)
+            z = rng.randrange(1, 1 << (p + 1))
+            first, second = Attacker(z, p, q, m), Attacker(z, p, q, m)
+            for u in range(1 << (p - q)):
+                assert first.attack(u) == second.attack(u)
+
+    def test_fresh_attackers_give_equal_results_full_scale(self):
+        params = gen_params(2207, 2048, 512, 512, 129)
+        deployment = (params.z, params.p, params.q, params.m)
+        first, second = Attacker(*deployment), Attacker(*deployment)
+        tokens = [exchange(seed, params).u for seed in range(3)] + [(1 << 1536) - 1]
+        for u in tokens:
+            assert first.attack(u) == second.attack(u)
+
+    def test_attack_path_reads_no_clock(self, monkeypatch):
+        def stopped(*args):
+            raise AssertionError("the attack path read a clock")
+
+        for name in ("time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
+                     "monotonic_ns", "process_time", "process_time_ns", "thread_time",
+                     "thread_time_ns"):
+            monkeypatch.setattr(time, name, stopped)
+        assert Attacker(6173, 22, 5, 14).attack(22131).candidates == ((12345, 21),)
+        _attacker.cache_clear()
+        result = recover_preimages(GOLDEN)
+        assert recover_preimages(GOLDEN) == result
+        assert recover_shared_key(GOLDEN, 124172, 2, result) == [
+            (12345, derive_key(12345, 124172, 22, 5, 2, 14))
+        ]
+        _attacker.cache_clear()
+
+
 class TestModulusBelowP:
     """The attack reduces modulo 2^k, k = min(p, m + q + SPARE_BITS), walks
     the coset of L_k and keeps the hits whose full token map is u."""
@@ -459,7 +497,7 @@ class TestModulusBelowP:
                 assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
                 _attacker.cache_clear()
                 fresh = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
-                assert _outputs(result) == _outputs(fresh)
+                assert result == fresh
                 hits, _ = rect_search(attacker.frame, u & ((1 << (k - q)) - 1))
                 dropped += len(hits) - len(result.candidates)
             if z & ((1 << k) - 1) == 0:
@@ -674,8 +712,7 @@ class TestAttackerMemo:
         hit = recover_preimages(GOLDEN)
         info = _attacker.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert _outputs(hit) == _outputs(miss)
-        assert hit.reduce_time_ns == miss.reduce_time_ns
+        assert hit == miss
         assert miss.reduce_iterations == Attacker(6173, 22, 5, 14).reduce_iterations == 7
 
     def test_harness_and_cli_leave_memo_alone(self, tmp_path, capsys):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import truncrack.attack
+import truncrack.protocol
 from truncrack.cli import _build_parser, main
 from truncrack.harness import MODES
 from truncrack.protocol import load_params, shared_key
@@ -382,6 +384,83 @@ class TestUsage:
         assert main(["attack", "--params", str(path), "--token", "0", "--m", "0"]) == 2
         assert main(["attack", "--params", str(path), "--token", "0"]) == 0
         assert _build_parser() is _build_parser()
+
+
+# Each option that takes a decimal, with the value as the last argument.
+_DECIMAL_OPTIONS = {
+    "attack --token": ["attack", "--params", "toy.params", "--token"],
+    "attack --other-token": ["attack", "--params", "toy.params", "--token", "1",
+                             "--other-token"],
+    "params --l": ["params", "--m", "14", "--q", "5", "--r", "2", "--l"],
+    "bench --trials": ["bench", "--l", "13", "--m", "14", "--q", "5", "--r", "2",
+                       "--seed", "1", "--out", "out.csv", "--trials"],
+    "oracle --u": ["oracle", "--z", "6173", "--p", "22", "--q", "5", "--m", "14", "--u"],
+}
+
+
+class TestArgumentEcho:
+    @pytest.mark.parametrize("option", sorted(_DECIMAL_OPTIONS))
+    @pytest.mark.parametrize("length", [5000, 50000])
+    @pytest.mark.parametrize("tail", ["9", "a"])
+    def test_long_value_usage_error_stays_short(self, tmp_path, monkeypatch, capsys,
+                                                option, length, tail):
+        # All digits past CPython's 4,300-digit limit, or digits ending in
+        # a letter: either way a usage error that shows 20 characters.
+        monkeypatch.chdir(tmp_path)
+        value = "9" * (length - 1) + tail
+        assert main([*_DECIMAL_OPTIONS[option], value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.encode()) < 512
+        assert f"got '{'9' * 20}'... ({length} characters)" in captured.err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("value", ["12a", "x" * 40, "", "-1", "0x10"])
+    def test_short_value_shown_in_full(self, capsys, value):
+        assert main(["oracle", "--z", "6173", "--p", "22", "--q", "5", "--m", "14",
+                     "--u", value]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --u: expected a decimal integer, got {value!r}\n"
+        )
+
+
+def _counted(monkeypatch, module, name):
+    """Patch module.name to count its calls; return the list of calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOneCheckPerInput:
+    @pytest.mark.parametrize("peer", [[], ["--other-token", "124172"]])
+    def test_attack_checks_the_deployment_once(self, tmp_path, monkeypatch, capsys, peer):
+        path = tmp_path / "g.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        calls = _counted(monkeypatch, truncrack.attack, "check_observables")
+        assert main(["attack", "--params", str(path), "--token", "22131", *peer]) == 0
+        assert calls == [(6173, 22, 5, 14)]
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "1"]])
+    def test_params_checks_the_shape_once(self, monkeypatch, capsys, seed):
+        calls = _counted(monkeypatch, truncrack.protocol, "check_shape")
+        main(["params", "--l", "13", "--m", "14", "--q", "5", "--r", "2", *seed])
+        assert calls == [(13, 14, 5, 2)]
+
+    @pytest.mark.parametrize("peer", [[], ["--other-token", "1"]])
+    def test_bad_deployment_is_the_first_error(self, tmp_path, capsys, peer):
+        # --m 0 and a scaled token that is not a multiple of 2^q: the
+        # deployment is checked first, whether or not a peer token is given.
+        path = tmp_path / "g.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        assert main(["attack", "--params", str(path), "--token", "3", "--token-scaled",
+                     "--m", "0", *peer]) == 2
+        assert capsys.readouterr() == ("", "error: m must be at least 1, got 0\n")
 
 
 # Fuzzing: every drawn value is bounded so that no call does more than

@@ -89,6 +89,23 @@ class TestRunTrials:
             assert rec.candidate_count == 0 and rec.total_time_ns == 0
             assert not rec.preimage_found
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(mode="attack", **TOY_CFG),
+            dict(mode="oracle-check", **TOY_CFG),
+            dict(mode="attack", l=2048, m=512, q=512, r=129),
+        ],
+    )
+    def test_time_columns_bracket_their_calls(self, cfg):
+        # reduce_time_ns brackets Attacker(...), search_time_ns its attack,
+        # and total_time_ns both and key derivation.
+        trials = 3 if cfg["l"] == 2048 else 20
+        for rec in run_trials(TrialConfig(seed_base=70, trials=trials, **cfg)):
+            assert rec.error == ""
+            assert rec.reduce_time_ns > 0 and rec.search_time_ns > 0
+            assert rec.reduce_time_ns + rec.search_time_ns <= rec.total_time_ns
+
     def test_exchange_mode_records_agreement(self):
         records = run_trials(
             TrialConfig(seed_base=0, trials=200, mode="exchange", **TOY_CFG)
