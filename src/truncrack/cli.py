@@ -20,6 +20,7 @@ from .errors import (
     DegenerateInput,
     SearchSpaceExceeded,
     ToolkitError,
+    echo_text,
     int_text,
 )
 
@@ -29,14 +30,12 @@ EXIT_USAGE = 2
 EXIT_RESOURCE_CAP = 3
 
 
-# A bad value, or one past CPython's int-conversion digit limit, is shown
-# in full up to 40 characters, and past that as its first 20 and its length.
+# A digit string past CPython's int-conversion limit is a bad value too.
 def decimal_int(text: str) -> int:
     if re.fullmatch(r"[0-9]+", text):
         with contextlib.suppress(ValueError):
             return int(text)
-    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-    raise argparse.ArgumentTypeError(f"expected a decimal integer, got {shown}")
+    raise argparse.ArgumentTypeError(f"expected a decimal integer, got {echo_text(text)}")
 
 
 # Built once: parse_args reads the parser and never changes it.
@@ -191,7 +190,13 @@ def main(argv: list[str] | None = None) -> int:
     except SearchSpaceExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
-    except (ToolkitError, ValueError, OSError) as exc:
+    except OSError as exc:
+        # str(exc) would repr the path in full
+        detail = exc if exc.filename is None else (
+            f"[Errno {exc.errno}] {exc.strerror}: {echo_text(exc.filename)}")
+        print(f"error: {detail}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

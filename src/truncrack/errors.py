@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and int_text for their
-messages."""
+"""Exception types shared across the toolkit, and int_text and echo_text
+for their messages."""
 
 
 def int_text(n: int) -> str:
@@ -11,6 +11,15 @@ def int_text(n: int) -> str:
     if bits <= 64:
         return str(n)
     return f"a {'negative ' if n < 0 else ''}{bits}-bit integer"
+
+
+def echo_text(text: str) -> str:
+    """text quoted in full when it has at most 40 characters, otherwise its
+    first 20 and its length, so a message that echoes user input stays
+    short."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"
 
 
 class ToolkitError(Exception):

@@ -12,7 +12,7 @@ attack(u), and ``total_time_ns`` both and key derivation (0 if not run).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .attack import Attacker, check_observables
 from .errors import OracleTooLarge, ToolkitError, int_text
@@ -22,24 +22,6 @@ MODES = ("attack", "exchange", "oracle-check")
 
 # Largest m the exhaustive oracle will scan (2^24 values).
 ORACLE_MAX_BITS = 24
-
-CSV_COLUMNS = (
-    "seed",
-    "l",
-    "m",
-    "p",
-    "q",
-    "r",
-    "secret_recovered",
-    "preimage_found",
-    "key_matched",
-    "candidate_count",
-    "reduce_iterations",
-    "reduce_time_ns",
-    "search_time_ns",
-    "total_time_ns",
-    "error",
-)
 
 
 @dataclass(frozen=True)
@@ -57,8 +39,9 @@ class TrialConfig:
 class TrialRecord:
     """One seeded end-to-end experiment row.
 
-    ``agree`` (whether the honest parties' keys matched) is carried on the
-    record for analysis but is not part of the CSV schema.
+    The fields in order are the CSV schema (CSV_COLUMNS), apart from
+    ``agree`` (whether the honest parties' keys matched), which is carried
+    on the record for analysis only.
     """
 
     seed: int
@@ -77,6 +60,9 @@ class TrialRecord:
     total_time_ns: int = 0
     error: str = ""
     agree: bool = field(default=False, compare=False)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "agree")
 
 
 def brute_force_preimages(z: int, p: int, q: int, u: int, m: int) -> list[int]:

@@ -99,9 +99,7 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int,
     remainder meet: the cofactors satisfy |x1|*r0 + |x0|*r1 = 2^p, so
     |x1| is about 2^p / r, and b2*|x1| reaches b1*r1 as r1 falls through
     2^((p - shift) / 2).  The remainders strictly decrease, so it
-    terminates.  Each iteration takes two half-steps, the quotient 1 (the
-    commonest) by a single subtraction and a remainder only for larger
-    ones.
+    terminates.
 
     Rebuilding the cofactors.  After j quotients c_1..c_j the pair is
     (x_j, r0), (x_(j+1), r1), with x_0 = 0, x_1 = 1 and
@@ -130,16 +128,7 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int,
     r0, r1 = 1 << p, first
     quotients = 0
     while r1 >= floor:
-        r0 -= r1
-        if r0 >= r1:
-            r0 %= r1
-        quotients += 1
-        if r0 < floor:
-            r0, r1 = r1, r0
-            break
-        r1 -= r0
-        if r1 >= r0:
-            r1 %= r0
+        r0, r1 = r1, r0 % r1
         quotients += 1
     low = first | 1 << p  # its 2-adic valuation is k, or p when first == 0
     k = (low & -low).bit_length() - 1

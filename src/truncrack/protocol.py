@@ -23,7 +23,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .errors import ConstraintViolated, int_text
+from .errors import ConstraintViolated, echo_text, int_text
 
 # r above this guard width counts as a deployment-grade ("full") setup.
 TOY_GUARD_BITS = 128
@@ -173,10 +173,10 @@ def parse_params(text: str) -> ProtocolParams:
     for lineno, line in enumerate(text.splitlines(), start=1):
         match = _PARAM_LINE.match(line)
         if not match:
-            raise ValueError(f"line {lineno}: malformed parameter line {line!r}")
+            raise ValueError(f"line {lineno}: malformed parameter line {echo_text(line)}")
         key, value = match.group(1), match.group(2)
         if key not in PARAM_KEYS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
+            raise ValueError(f"line {lineno}: unknown key {echo_text(key)}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         values[key] = int(value)

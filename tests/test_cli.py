@@ -423,6 +423,51 @@ class TestArgumentEcho:
             f"error: argument --u: expected a decimal integer, got {value!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("bogus=1", "unknown key 'bogus'"),
+            ("k" * 40 + "=1", f"unknown key {'k' * 40!r}"),
+            ("k" * 41 + "=1", f"unknown key {'k' * 20!r}... (41 characters)"),
+            ("k" * 5000 + "=1", f"unknown key {'k' * 20!r}... (5000 characters)"),
+            ("l = 13", "malformed parameter line 'l = 13'"),
+            ("x" * 40, f"malformed parameter line {'x' * 40!r}"),
+            ("l = " + "1" * 4996,
+             f"malformed parameter line {'l = ' + '1' * 16!r}... (5000 characters)"),
+        ],
+        ids=["key", "key-40", "key-41", "key-5000", "line", "line-40", "line-5000"],
+    )
+    def test_params_line_echo(self, tmp_path, capsys, line, message):
+        # Up to 40 characters exactly as before; past that, short.
+        path = tmp_path / "bad.params"
+        path.write_text(f"l=13\nm=14\n{line}\n")
+        assert main(["exchange", "--params", str(path), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 3: {message}\n"
+        assert len(captured.err.encode()) < 512
+
+    @pytest.mark.parametrize(
+        "path, shown",
+        [
+            ("missing.params", "'missing.params'"),
+            ("m" * 40, repr("m" * 40)),
+            ("m" * 41, f"{'m' * 20!r}... (41 characters)"),
+            ("a" * 5000, f"{'a' * 20!r}... (5000 characters)"),
+            ("a" * 50000, f"{'a' * 20!r}... (50000 characters)"),
+        ],
+        ids=["missing", "40", "41", "5000", "50000"],
+    )
+    def test_params_path_echo(self, tmp_path, monkeypatch, capsys, path, shown):
+        # A long path fails as too long, not as missing: same echo rule.
+        monkeypatch.chdir(tmp_path)
+        assert main(["exchange", "--params", path, "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno ")
+        assert captured.err.endswith(f": {shown}\n")
+        assert len(captured.err.encode()) < 512
+
 
 def _counted(monkeypatch, module, name):
     """Patch module.name to count its calls; return the list of calls."""
