@@ -18,14 +18,17 @@ has about 2^(m+q-k) points in the rectangle, 1/8 when k < p, and each
 hit whose full token map is not u is dropped.  Euclid then runs on
 k bits, not p: at l = 2048 and m = q = 512 that is 1,027, not 2,048.
 That count holds for a generic z.  When z mod 2^k is far from generic
-(z = 0 or 3 mod 2^k, say), L_k has a vector short against the rectangle,
-and its box can exceed lattice2d.BOX_CAP where the lattice modulo 2^p
-would hold a pair or two; the Attacker then reduces modulo 2^p as well,
-so such a deployment is attacked as the paper does.
+(z = 0 or 3 mod 2^k, or a multiple of 2^v for v a little above m + q,
+say), L_k has a vector short against the rectangle, and its box can hold
+thousands of pairs, or more than lattice2d.BOX_CAP, where the lattice
+modulo 2^p would hold a pair or two.  Past WALK_BOUND pairs the Attacker
+then reduces modulo 2^p as well, so such a deployment is attacked as the
+paper does.
 
 Only the coset point depends on the token, so the work splits at the
-deployment: Attacker(z, p, q, m) reduces once and fixes the box's frame,
-and Attacker.attack(u) walks the box of one token.  The frame folds 2^q
+deployment: Attacker(z, p, q, m) reduces once and fixes the box's frame
+and the masks a token needs, and Attacker.attack(u) walks the box of one
+token, filtering each hit as it comes.  The frame folds 2^q
 in (lattice2d.box_frame): since floor((A*2^q + d) / 2^k) equals
 floor((A + floor(d / 2^q)) / 2^(k-q)) for every integer A, a token's box
 costs the products of u mod 2^(k-q) with the two x-cofactors of the
@@ -49,13 +52,22 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateInput, NoCandidates, int_text
-from .lattice2d import BOX_CAP, box_bound, box_frame, euclid_basis, gauss_reduce, rect_search
+from .lattice2d import box_bound, box_frame, check_box, coefficient_box, euclid_basis, gauss_reduce
 from .protocol import derive_key
 
 # The reduction modulus exceeds the rectangle's area 2^(m+q) by this many
 # bits, so the coset of L_k puts about 2^-SPARE_BITS points in it, and the
 # filter rarely has a hit to drop.
 SPARE_BITS = 3
+
+# Past this many pairs in box_bound of the frame modulo 2^k, the Attacker
+# reduces modulo 2^p as well.  A generic z stays far below it: box_bound
+# was at most 28 over 1,000 seeded deployments at l = 2048, m = q = 512,
+# and at most 64 over 3,000 toy ones.  A z far from generic modulo 2^k
+# can put 2^19 pairs in the box, almost all of them hits that cost a
+# product x*z each; 256 such hits cost a token about what the reduction
+# modulo 2^p costs a deployment at l = 2048.
+WALK_BOUND = 256
 
 
 @dataclass(frozen=True)
@@ -133,15 +145,17 @@ class Attacker:
     ``frame[0]`` is the reduced basis up to the sign of u1.  Every
     assertion of euclid_basis and gauss_reduce runs here, at k.  When
     p <= m + q + SPARE_BITS, k is p and the lattice is the paper's.  When
-    k < p but lattice2d.box_bound puts the frame's box over BOX_CAP pairs
-    for some token, the lattice modulo 2^p is reduced and framed too, and
-    ``k`` is p; a generic z never gets there.  ``reduce_iterations`` is the
-    Euclid quotients plus the Gauss passes of every reduction made.  An
-    Attacker reads no clock and never changes after construction, so one
-    serves any number of tokens and callers, with ``==`` results.
+    k < p but lattice2d.box_bound puts the frame's box over WALK_BOUND
+    pairs for some token, the lattice modulo 2^p is reduced and framed
+    too, and ``k`` is p; a generic z never gets there.
+    ``reduce_iterations`` is the Euclid quotients plus the Gauss passes of
+    every reduction made.  The masks 2^(k-q) - 1, 2^k - 1 and 2^p - 1
+    that a token needs are made here too.  An Attacker reads no clock and
+    never changes after construction, so one serves any number of tokens
+    and callers, with ``==`` results.
     """
 
-    __slots__ = ("z", "p", "q", "k", "reduce_iterations", "frame")
+    __slots__ = ("z", "p", "q", "k", "reduce_iterations", "frame", "lowmask", "kmask", "pmask")
 
     def __init__(self, z: int, p: int, q: int, m: int):
         check_observables(z, p, q, m)
@@ -153,40 +167,60 @@ class Attacker:
             reduced, passes = gauss_reduce(start, wx, wy)
             frame = box_frame(reduced, k, b1, b2, q)
             iterations += quotients + passes
-            if k == p or box_bound(frame) <= BOX_CAP:
+            if k == p or box_bound(frame) <= WALK_BOUND:
                 break
         self.z, self.p, self.q, self.k = z, p, q, k
         self.reduce_iterations = iterations
         self.frame = frame
+        self.lowmask, self.kmask, self.pmask = (1 << (k - q)) - 1, (1 << k) - 1, (1 << p) - 1
 
     def attack(self, u: int) -> AttackResult:
         """Recover every preimage of the token u inside [0, 2^m) x [0, 2^q).
 
-        Deterministic in the deployment and u.  The walk runs from the
-        coset point (0, -2^q*(u mod 2^(k-q))) of L_k, and each hit (x, y)
-        is a candidate when its full token map, floor((x*z mod 2^p) / 2^q),
-        is u.  One product x*z serves both that filter and the assertion
-        that the hit solves x*z = 2^q*(u mod 2^(k-q)) + y (mod 2^k).  Since
-        L_p lies in L_k, every preimage is a hit, and the kept hits are
-        exactly the preimages, with y the low q bits of x*z; when k = p
-        the filter drops nothing.  ``unique`` is set when there is exactly
-        one candidate.  Candidates with x = 0 are kept (x = 0 is never a
-        valid secret).  Raises DegenerateInput for u outside [0, 2^(p-q))
-        (check_token).
+        Deterministic in the deployment and u.  The walk is rect_search's
+        over coefficient_box(frame, u mod 2^(k-q)), from the coset point
+        (0, -2^q*(u mod 2^(k-q))) of L_k, in the same order; each hit
+        (x, y) is filtered as the walk reaches it, and kept when its full
+        token map, floor((x*z mod 2^p) / 2^q), is u.  One product x*z
+        serves both that filter and the assertion that the hit solves
+        x*z = 2^q*(u mod 2^(k-q)) + y (mod 2^k).  Since L_p lies in L_k,
+        every preimage is a hit, and the kept hits are exactly the
+        preimages, with y the low q bits of x*z; when k = p the filter
+        drops nothing.  The kept pairs are sorted, and ``unique`` is set
+        when there is exactly one.  Candidates with x = 0 are kept (x = 0
+        is never a valid secret).  Raises DegenerateInput for u outside
+        [0, 2^(p-q)) (check_token), and SearchSpaceExceeded, before the
+        walk, for a box of more than lattice2d.BOX_CAP pairs (check_box).
         """
-        z, p, q, k = self.z, self.p, self.q, self.k
-        check_token(u, p, q)
-        low = u & ((1 << (k - q)) - 1)
-        hits, searched = rect_search(self.frame, low)
-        kmask, pmask, target = (1 << k) - 1, (1 << p) - 1, low << q
+        z, q = self.z, self.q
+        check_token(u, self.p, q)
+        low = u & self.lowmask
+        lo1, hi1, lo2, hi2 = coefficient_box(self.frame, low)
+        rows, cols = hi1 - lo1 + 1, hi2 - lo2 + 1
+        pairs = rows * cols
+        check_box(pairs)
+        (x1, y1, x2, y2), _, _, b1, b2, _ = self.frame
+        kmask, pmask, target = self.kmask, self.pmask, low << q
+        row_x = -(lo1 * x1 + lo2 * x2)
+        row_y = -(target + lo1 * y1 + lo2 * y2)
         kept = []
-        for x, y in hits:
-            xz = x * z
-            assert (xz - y) & kmask == target
-            # protocol.trunc_f(x), on the product made above
-            if (xz & pmask) >> q == u:
-                kept.append((x, y))
-        return AttackResult(tuple(kept), len(kept) == 1, self.reduce_iterations, searched)
+        for row in range(rows):
+            if row:
+                row_x -= x1
+                row_y -= y1
+            x, y = row_x, row_y
+            for col in range(cols):
+                if col:
+                    x -= x2
+                    y -= y2
+                if 0 <= x < b1 and 0 <= y < b2:
+                    xz = x * z
+                    assert (xz - y) & kmask == target
+                    # protocol.trunc_f(x), on the product made above
+                    if (xz & pmask) >> q == u:
+                        kept.append((x, y))
+        kept.sort()
+        return AttackResult(tuple(kept), len(kept) == 1, self.reduce_iterations, pairs)
 
 
 # One entry: an eavesdropper's stream of tokens on one deployment reduces
@@ -224,7 +258,10 @@ def recover_shared_key(
     check_token(other_token, inp.p, inp.q, "peer token")
     if not result.candidates:
         raise NoCandidates("no preimage candidates to derive a key from")
-    return [
-        (x, derive_key(x, other_token, inp.p, inp.q, r, inp.m))
-        for x, _ in result.candidates
-    ]
+    # A loop, not a list comprehension: on CPython 3.11 a comprehension is
+    # a nested function, and its call cost a cold benchmark token about
+    # 5% of its time.
+    keys = []
+    for x, _ in result.candidates:
+        keys.append((x, derive_key(x, other_token, inp.p, inp.q, r, inp.m)))
+    return keys

@@ -38,10 +38,29 @@ def decimal_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a decimal integer, got {echo_text(text)}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with the user text of its own two messages that
+    echo it, an invalid choice and unrecognized arguments, shown by
+    echo_text; subparsers are of this class too."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {echo_text(value)} (choose from {choices})"
+            )
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {echo_text(' '.join(extras))}")
+        return namespace
+
+
 # Built once: parse_args reads the parser and never changes it.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="truncrack",
         description="Truncated-multiplication key exchange and the lattice attack on it.",
     )

@@ -25,9 +25,11 @@ rectangle [0, b1) x [0, b2) the weights are (b2^2, b1^2), which make it
 square; a common factor of the weights changes no quotient, rounding or
 comparison.  A frame, from box_frame, is what the rectangle's coefficient
 box needs beside the token: (basis, q, p - q, b1, b2, offsets), made once
-per basis and rectangle and read by coefficient_box and rect_search.  The
-box and the walk are those of the token coset (0, -2^q*u) + L, the only
-one the attack searches, so 2^q folds into the frame: with det = 2^p,
+per basis and rectangle and read by coefficient_box and rect_search.
+rect_search is the reference walk: attack.Attacker.attack walks the same
+box itself, filtering each hit as it comes, and the tests compare the
+two.  The box and the walk are those of the token coset (0, -2^q*u) + L,
+the only one the attack searches, so 2^q folds into the frame: with det = 2^p,
 floor((A*2^q + d) / 2^p) = floor((A + floor(d / 2^q)) / 2^(p-q)) for
 every integer A and 0 <= q < p, the frame keeps the corner offsets d
 shifted by q, and a token's box costs the two products x2*u and x1*u.
@@ -52,7 +54,7 @@ from .errors import (
 # four offsets shifted by q.
 Frame = tuple[tuple[int, int, int, int], int, int, int, int, tuple[int, int, int, int]]
 
-# rect_search's default cap on the pairs of a coefficient box.
+# The default cap of check_box on the pairs of a coefficient box.
 BOX_CAP = 1 << 20
 
 
@@ -117,7 +119,8 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int,
     bits that are right.
 
     Asserted on exit, since the loop no longer builds the vectors step by
-    step: both lie in L ((x*z - r) mod 2^p == 0) and |det| = 2^p, so they
+    step: both lie in L ((x*z - r) mod 2^p == 0, on z mod 2^p, the same
+    congruence with a shorter product) and |det| = 2^p, so they
     are a basis of L; and Lamé's bound (n quotients need
     z mod 2^p >= F(n+1), so n - 1 < 13/9 * bits(z mod 2^p)).
     """
@@ -150,7 +153,7 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int,
         x0, x1 = x0 - top, x1 or top
     else:
         x0, x1 = 0, 1
-    assert (x0 * z - r0) & modmask == 0 and (x1 * z - r1) & modmask == 0
+    assert (x0 * first - r0) & modmask == 0 and (x1 * first - r1) & modmask == 0
     assert abs(x0 * r1 - r0 * x1) == modmask + 1
     assert 9 * (quotients - 1) < 13 * first.bit_length()
     return (x0, r0, x1, r1), quotients
@@ -187,14 +190,16 @@ def gauss_reduce(
     both coefficients zero.  On exit |<u1,u2>| <= min(|u1|^2, |u2|^2) / 2.
 
     A common factor of wx and wy changes no quotient or comparison, so
-    the caller may divide it out first, as the attack does.  Each inner
-    product, and the norm of each replaced vector, is computed fresh from
-    the coordinates; the exit bound is asserted on those values.
+    the caller may divide it out first, as the attack does.  The inner
+    product <u1, u2> is computed fresh from the coordinates at the start
+    and after each half-step with c != 0, and so is the norm of the
+    replaced vector; a half-step with c = 0 changes no coordinate, so
+    its values stand.  The exit bound is asserted on those values.
 
     Returns the reduced basis as (x1, y1, x2, y2) and the number of
-    passes, counting the final all-zero pass.  Each half-step preserves
-    the determinant and, whenever c != 0, strictly shrinks the replaced
-    vector's norm; both facts are asserted.  ``on_step`` (if given) is
+    passes, counting the final all-zero pass.  Each half-step with
+    c != 0 strictly shrinks the replaced vector's norm and preserves the
+    determinant; both facts are asserted after it.  ``on_step`` (if given) is
     called after every half-step as on_step(target, c, (x1, y1, x2, y2)),
     where target ("u1" or "u2") names the vector just replaced by c.  The
     pass count is capped at 64 * max(bits(|det|) - 1, 1) as a safety net,
@@ -211,13 +216,13 @@ def gauss_reduce(
         raise DegenerateInput("basis is degenerate (determinant 0)")
     n1 = wx * x1 * x1 + wy * y1 * y1
     n2 = wx * x2 * x2 + wy * y2 * y2
+    d = wx * x1 * x2 + wy * y1 * y2
     cap = 64 * max(det.bit_length() - 1, 1)
     passes = 0
     while True:
         passes += 1
         if passes > cap:
             raise IterationCapExceeded(f"reduction exceeded {cap} passes")
-        d = wx * x1 * x2 + wy * y1 * y2
         c1 = round_half_to_zero(d, n2)
         if c1:
             x1 -= c1 * x2
@@ -225,11 +230,11 @@ def gauss_reduce(
             shrunk = wx * x1 * x1 + wy * y1 * y1
             assert shrunk < n1
             n1 = shrunk
-        assert abs(x1 * y2 - y1 * x2) == det
+            assert abs(x1 * y2 - y1 * x2) == det
+            d = wx * x1 * x2 + wy * y1 * y2
         if on_step is not None:
             on_step("u1", c1, (x1, y1, x2, y2))
 
-        d = wx * x1 * x2 + wy * y1 * y2
         c2 = round_half_to_zero(d, n1)
         if c2:
             x2 -= c2 * x1
@@ -237,7 +242,8 @@ def gauss_reduce(
             shrunk = wx * x2 * x2 + wy * y2 * y2
             assert shrunk < n2
             n2 = shrunk
-        assert abs(x1 * y2 - y1 * x2) == det
+            assert abs(x1 * y2 - y1 * x2) == det
+            d = wx * x1 * x2 + wy * y1 * y2
         if on_step is not None:
             on_step("u2", c2, (x1, y1, x2, y2))
 
@@ -389,6 +395,16 @@ def box_bound(frame: Frame) -> int:
     return (((hi1 - lo1) >> shift) + 2) * (((hi2 - lo2) >> shift) + 2)
 
 
+def check_box(pairs: int, cap: int = BOX_CAP) -> None:
+    """Raise SearchSpaceExceeded when a coefficient box of ``pairs``
+    pairs holds more than ``cap``; the message gives the size as a power
+    of two, since the count itself can run to thousands of digits."""
+    if pairs > cap:
+        raise SearchSpaceExceeded(
+            f"coefficient box holds about 2^{pairs.bit_length() - 1} pairs (cap {cap})"
+        )
+
+
 def rect_search(frame: Frame, u: int, cap: int = BOX_CAP) -> tuple[list[tuple[int, int]], int]:
     """Points of the token coset (0, -2^q*u) + L inside the rectangle
     [0, b1) x [0, b2) of box_frame's ``frame``, and the box size.
@@ -405,16 +421,12 @@ def rect_search(frame: Frame, u: int, cap: int = BOX_CAP) -> tuple[list[tuple[in
 
     Returns the hits as sorted (x, y) tuples and the number of pairs
     enumerated.  Raises SearchSpaceExceeded, before the walk, when the
-    box holds more than ``cap`` pairs; its message gives the size as a
-    power of two, since the count itself can run to thousands of digits.
+    box holds more than ``cap`` pairs (check_box).
     """
     lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
     rows, cols = hi1 - lo1 + 1, hi2 - lo2 + 1
     pairs = rows * cols
-    if pairs > cap:
-        raise SearchSpaceExceeded(
-            f"coefficient box holds about 2^{pairs.bit_length() - 1} pairs (cap {cap})"
-        )
+    check_box(pairs, cap)
     (x1, y1, x2, y2), q, _, b1, b2, _ = frame
     row_x = -(lo1 * x1 + lo2 * x2)
     row_y = -((u << q) + lo1 * y1 + lo2 * y2)

@@ -29,6 +29,7 @@ from truncrack import (
 )
 from truncrack.attack import (
     SPARE_BITS,
+    WALK_BOUND,
     AttackInput,
     AttackResult,
     _attacker,
@@ -38,6 +39,7 @@ from truncrack.attack import (
     recover_shared_key,
 )
 from truncrack.cli import main as cli_main
+from truncrack.errors import SearchSpaceExceeded
 from truncrack.harness import brute_force_preimages
 from truncrack.lattice2d import BOX_CAP, box_bound, coefficient_box, euclid_basis, is_reduced
 from test_acceptance import rect_weights
@@ -106,9 +108,68 @@ def deployments_below_p(draw):
     return (z, p, q, m), _draw_token(draw, z, p, q, m)
 
 
+@st.composite
+def small_deployments(draw):
+    """A deployment (z, p, q, m) with p <= 16, q < p, m <= 12 and z a draw
+    from [1, 2^(p+1)) shifted left by up to 3 bits, and one honest or
+    uniform token: k = p and k < p, and empty, one-pair and many-pair
+    boxes all occur."""
+    p = draw(st.integers(1, 16))
+    q = draw(st.integers(0, p - 1))
+    m = draw(st.integers(1, 12))
+    z = draw(st.integers(1, (1 << (p + 1)) - 1)) << draw(st.integers(0, 3))
+    return (z, p, q, m), _draw_token(draw, z, p, q, m)
+
+
+@st.composite
+def structured_deployments(draw):
+    """A deployment (z, p, q, m) with m + q + SPARE_BITS < p <= 24 and
+    8 <= m <= 12, whose z is far from generic modulo 2^k,
+    k = m + q + SPARE_BITS, and one honest or uniform token.  Either
+    z mod 2^k has a 2-adic valuation within 3 of m + q (k itself meaning
+    z = 0 mod 2^k), or it lies within 2^(k/4) of a*2^k/b for some b <= 8:
+    L_k then has a vector short against the rectangle, and m >= 8 lets
+    its box pass WALK_BOUND.  The bits of z above k are drawn, so
+    z >= 2^p occurs."""
+    m = draw(st.integers(8, 12))
+    p = draw(st.integers(m + SPARE_BITS + 1, 24))
+    q = draw(st.integers(0, p - m - SPARE_BITS - 1))
+    k = m + q + SPARE_BITS
+    if draw(st.booleans()):
+        v = draw(st.integers(max(m + q - 3, 0), k))
+        low = (2 * draw(st.integers(0, 1 << k)) + 1) << v
+    else:
+        b = draw(st.integers(1, 8))
+        noise = 1 << k // 4
+        low = draw(st.integers(0, b - 1)) * (1 << k) // b + draw(st.integers(-noise, noise))
+    z = draw(st.integers(0, (1 << (p + 1 - k)) - 1)) << k | low & ((1 << k) - 1)
+    z = z or 1 << p
+    return (z, p, q, m), _draw_token(draw, z, p, q, m)
+
+
 def _oracle_pairs(z, p, q, m, u):
     """The brute-force preimages as (x, y) pairs, y their low q bits."""
     return [(x, (x * z) & ((1 << q) - 1)) for x in brute_force_preimages(z, p, q, u, m)]
+
+
+def _frame_modulo(z, modulus, q, m):
+    """The box frame of the lattice modulo 2^modulus for the rectangle
+    [0, 2^m) x [0, 2^q), reduced here from euclid_basis and gauss_reduce,
+    and the Euclid quotients plus Gauss passes it took."""
+    b1, b2 = 1 << m, 1 << q
+    start, quotients = euclid_basis(z, modulus, b1, b2)
+    reduced, passes = gauss_reduce(start, *rect_weights(b1, b2))
+    return box_frame(reduced, modulus, b1, b2, q), quotients + passes
+
+
+def _walk_then_filter(attacker, u):
+    """The attack by the reference walk: the hits of rect_search over the
+    Attacker's frame at u mod 2^(k-q) whose token map is u, and the box's
+    pair count, what attack(u) gives as candidates and searched."""
+    z, p, q, k = attacker.z, attacker.p, attacker.q, attacker.k
+    hits, pairs = rect_search(attacker.frame, u & ((1 << (k - q)) - 1))
+    kept = tuple((x, y) for x, y in hits if ((x * z) & ((1 << p) - 1)) >> q == u)
+    return kept, pairs
 
 
 def _assert_same_reduced_basis(ours, theirs, wx, wy):
@@ -463,6 +524,8 @@ class TestModulusBelowP:
     def test_filter_keeps_exactly_the_preimages(self):
         # Against the oracle on drawn deployments with k < p; over the run
         # the filter must drop some walk hit, or it was never exercised.
+        # A drawn z = 0 mod 2^k (say) puts up to 2^m pairs in the k-box,
+        # and past WALK_BOUND the Attacker reduces modulo 2^p instead.
         dropped = []
 
         @settings(max_examples=400, deadline=None, derandomize=True)
@@ -471,12 +534,17 @@ class TestModulusBelowP:
             (z, p, q, m), u = case
             attacker = Attacker(z, p, q, m)
             k = attacker.k
-            assert k == m + q + SPARE_BITS < p
+            if k == p:
+                frame, _ = _frame_modulo(z, m + q + SPARE_BITS, q, m)
+                assert box_bound(frame) > WALK_BOUND
+            else:
+                assert k == m + q + SPARE_BITS < p
             result = attacker.attack(u)
             assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
             hits, searched = rect_search(attacker.frame, u & ((1 << (k - q)) - 1))
             assert searched == result.searched
             assert set(result.candidates) <= set(hits)
+            assert (result.candidates, result.searched) == _walk_then_filter(attacker, u)
             dropped.append(len(hits) - len(result.candidates))
 
         check()
@@ -499,6 +567,7 @@ class TestModulusBelowP:
                 fresh = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
                 assert result == fresh
                 hits, _ = rect_search(attacker.frame, u & ((1 << (k - q)) - 1))
+                assert (result.candidates, result.searched) == _walk_then_filter(attacker, u)
                 dropped += len(hits) - len(result.candidates)
             if z & ((1 << k) - 1) == 0:
                 assert dropped > 0
@@ -524,7 +593,9 @@ class TestModulusBelowP:
         uniform = [rng.randint(0, (1 << (p - q)) - 1) for _ in range(20)]
         for u in honest + uniform:
             hits, _ = rect_search(reference, u)
-            assert list(attacker.attack(u).candidates) == hits
+            result = attacker.attack(u)
+            assert list(result.candidates) == hits
+            assert (result.candidates, result.searched) == _walk_then_filter(attacker, u)
         for x, u in zip(secrets, honest):
             assert x in [c for c, _ in attacker.attack(u).candidates]
 
@@ -589,6 +660,109 @@ class TestModulusBelowP:
             assert {modulus for modulus, _ in counts} == {k}
             median = statistics.median(quotients for _, quotients in counts)
             assert abs(median - predicted) <= 0.03 * predicted, (l, median, predicted)
+
+
+class TestFusedWalk:
+    """Attacker.attack walks the frame's box itself and filters each hit
+    as it comes; lattice2d.rect_search is the reference walk it must
+    match (see also TestModulusBelowP, which compares the two too)."""
+
+    def test_matches_walk_then_filter(self):
+        seen = set()
+
+        @settings(max_examples=500, deadline=None, derandomize=True)
+        @given(case=small_deployments())
+        def check(case):
+            (z, p, q, m), u = case
+            attacker = Attacker(z, p, q, m)
+            result = attacker.attack(u)
+            assert (result.candidates, result.searched) == _walk_then_filter(attacker, u)
+            assert result.unique == (len(result.candidates) == 1)
+            assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
+            seen.add("k=p" if attacker.k == p else "k<p")
+            seen.add(min(result.searched, 2))
+
+        check()
+        assert seen == {"k=p", "k<p", 0, 1, 2}
+
+    def test_box_over_cap_refused_before_walk(self, tmp_path, monkeypatch):
+        # m = 38 on the worked deployment: k = p = 22, and the box holds
+        # about 2^(m+q-p) = 2^21 pairs, past BOX_CAP = 2^20.  The Attacker
+        # refuses it with rect_search's message, and before its walk: the
+        # walk's loops would call range, patched here to fail.
+        attacker = Attacker(6173, 22, 5, 38)
+        assert attacker.k == 22
+        with pytest.raises(SearchSpaceExceeded) as reference:
+            rect_search(attacker.frame, 22131)
+
+        def stopped(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(truncrack.attack, "range", stopped, raising=False)
+        with pytest.raises(SearchSpaceExceeded) as fused:
+            attacker.attack(22131)
+        assert str(fused.value) == str(reference.value)
+        assert str(fused.value) == f"coefficient box holds about 2^21 pairs (cap {BOX_CAP})"
+        path = tmp_path / "toy.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        assert cli_main(["attack", "--params", str(path), "--token", "22131", "--m", "38"]) == 3
+
+
+class TestWalkBound:
+    """Past WALK_BOUND pairs in the box modulo 2^k, the Attacker reduces
+    modulo 2^p as well, so a z far from generic walks no huge box."""
+
+    @pytest.mark.parametrize("v, k, searched", [(516, 1027, 3), (530, 2048, 1), (534, 2048, 1)])
+    def test_structured_z_full_scale(self, v, k, searched):
+        # gen_params(7, 2048, 512, 512, 129) with z replaced by odd*2^v,
+        # its top bit kept.  Without the bound, v = 530 and 534 walked
+        # 32,769 and 524,289 pairs a token modulo 2^1027.
+        params = gen_params(7, 2048, 512, 512, 129)
+        p, q, m = params.p, params.q, params.m
+        z = ((params.z >> v | 1) << v) | 1 << (params.l - 1)
+        assert (z & -z).bit_length() - 1 == v and z.bit_length() == params.l
+        kframe, k_iterations = _frame_modulo(z, m + q + SPARE_BITS, q, m)
+        pframe, p_iterations = _frame_modulo(z, p, q, m)
+        attacker = Attacker(z, p, q, m)
+        assert attacker.k == k
+        if k == p:
+            assert box_bound(kframe) > WALK_BOUND
+            assert attacker.frame == pframe
+            assert attacker.reduce_iterations == k_iterations + p_iterations
+        else:
+            assert box_bound(kframe) <= WALK_BOUND
+            assert attacker.frame == kframe
+        x = (1 << 511) + 12345
+        secret = ((x * z) & ((1 << p) - 1)) >> q
+        rng = random.Random(v)
+        for u in [secret] + [rng.randint(0, (1 << (p - q)) - 1) for _ in range(5)]:
+            result = attacker.attack(u)
+            assert list(result.candidates) == rect_search(pframe, u)[0]
+            assert (result.candidates, result.searched) == _walk_then_filter(attacker, u)
+        assert attacker.attack(secret).searched == searched
+        assert x in [c for c, _ in attacker.attack(secret).candidates]
+
+    def test_structured_z_walks_at_most_the_bound(self):
+        # Against the oracle on structured toy deployments: a box modulo
+        # 2^k is walked only when it holds at most WALK_BOUND pairs, and
+        # both outcomes occur over the run.
+        fell_back = []
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(case=structured_deployments())
+        def check(case):
+            (z, p, q, m), u = case
+            attacker = Attacker(z, p, q, m)
+            result = attacker.attack(u)
+            assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
+            kframe, _ = _frame_modulo(z, m + q + SPARE_BITS, q, m)
+            pframe, _ = _frame_modulo(z, p, q, m)
+            fell_back.append(attacker.k == p)
+            assert (box_bound(kframe) > WALK_BOUND) == (attacker.k == p)
+            assert result.searched <= max(WALK_BOUND, box_bound(pframe))
+
+        check()
+        assert any(fell_back) and not all(fell_back)
 
 
 class TestMessageSizes:
@@ -737,8 +911,8 @@ class TestBenchmarkCallShape:
         # The calls perfbench/run.py makes, in its shape: keyword
         # AttackInput, recover_preimages, recover_shared_key with result=,
         # and the four output fields it reads.  Its tracer wraps the
-        # attack's gauss_reduce and rect_search and lattice2d's
-        # coefficient_box, so each must still be looked up there.
+        # attack's gauss_reduce and coefficient_box, so each must still be
+        # looked up there.
         calls = []
 
         def counted(module, name):
@@ -751,8 +925,7 @@ class TestBenchmarkCallShape:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(truncrack.attack, "gauss_reduce")
-        counted(truncrack.attack, "rect_search")
-        counted(truncrack.lattice2d, "coefficient_box")
+        counted(truncrack.attack, "coefficient_box")
         _attacker.cache_clear()
         params = gen_params(1, 13, 14, 5, 2)
         t = exchange(1, params)
@@ -762,7 +935,7 @@ class TestBenchmarkCallShape:
         assert t.x in [x for x, _ in result.candidates] and (t.x, t.w_a) in keys
         assert result.unique == (len(result.candidates) == 1)
         assert result.reduce_iterations > 0 and result.searched >= len(result.candidates)
-        assert sorted(set(calls)) == ["coefficient_box", "gauss_reduce", "rect_search"]
+        assert sorted(set(calls)) == ["coefficient_box", "gauss_reduce"]
         _attacker.cache_clear()
 
 

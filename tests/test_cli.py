@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import truncrack.attack
 import truncrack.protocol
 from truncrack.cli import _build_parser, main
+from truncrack.errors import echo_text
 from truncrack.harness import MODES
 from truncrack.protocol import load_params, shared_key
 
@@ -467,6 +468,43 @@ class TestArgumentEcho:
         assert captured.err.startswith("error: [Errno ")
         assert captured.err.endswith(f": {shown}\n")
         assert len(captured.err.encode()) < 512
+
+
+    @pytest.mark.parametrize(
+        "prefix, message",
+        [
+            (["bench", "--l", "13", "--m", "14", "--q", "5", "--r", "2", "--trials", "1",
+              "--seed", "1", "--out", "out.csv", "--mode"],
+             "truncrack bench: error: argument --mode: invalid choice: {} "
+             "(choose from 'attack', 'exchange', 'oracle-check')"),
+            ([], "truncrack: error: argument command: invalid choice: {} "
+                 "(choose from 'params', 'exchange', 'attack', 'oracle', 'bench')"),
+            (["oracle", "--z", "6173", "--p", "22", "--q", "5", "--m", "14", "--u", "1"],
+             "truncrack: error: unrecognized arguments: {}"),
+        ],
+        ids=["mode", "command", "unrecognized"],
+    )
+    @pytest.mark.parametrize("length", [40, 41, 5000])
+    def test_argparse_echo(self, tmp_path, monkeypatch, capsys, prefix, message, length):
+        # argparse's own messages that echo user text follow echo_text's
+        # rule: in full up to 40 characters, and past that, short.
+        monkeypatch.chdir(tmp_path)
+        value = "v" * length
+        assert main([*prefix, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: truncrack")
+        assert captured.err.endswith(message.format(echo_text(value)) + "\n")
+        assert len(captured.err.encode()) < 512
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_unrecognized_arguments_echoed_together(self, capsys):
+        argv = ["oracle", "--z", "6173", "--p", "22", "--q", "5", "--m", "14", "--u", "1"]
+        assert main([*argv, "a", "b"]) == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: 'a b'\n")
+        assert main([*argv, *["w" * 30] * 200]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: unrecognized arguments: {'w' * 20!r}... (6199 characters)\n")
 
 
 def _counted(monkeypatch, module, name):
