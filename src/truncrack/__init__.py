@@ -1,15 +1,16 @@
 """truncrack: a truncated-modular-multiplication key exchange and the
-exact rank-2 lattice attack that recovers its secrets."""
+exact rank-2 lattice attack that recovers its secrets.
+
+The root holds the protocol, the trial harness, Attacker and the errors
+they raise; the lattice machinery is imported from truncrack.lattice2d."""
 
 from .attack import Attacker, AttackResult
 from .errors import (
     ConstraintViolated,
     DegenerateInput,
     IterationCapExceeded,
-    NoCandidates,
     OracleTooLarge,
     SearchSpaceExceeded,
-    SingularBasis,
     ToolkitError,
 )
 from .harness import (
@@ -19,17 +20,6 @@ from .harness import (
     format_csv,
     run_trials,
     write_csv,
-)
-from .lattice2d import (
-    box_frame,
-    gauss_reduce,
-    is_reduced,
-    nearest_lattice_point,
-    rect_search,
-    round_half_to_zero,
-    solution_basis,
-    solve_coeffs,
-    truncate_decimal,
 )
 from .protocol import (
     ExchangeTranscript,

@@ -140,7 +140,7 @@ class Attacker:
     the congruence lattice modulo 2^k, k = min(p, m + q + SPARE_BITS), for
     the rectangle [0, 2^m) x [0, 2^q), whose form (b2^2, b1^2) over its
     gcd is (2^(2(q-m)), 1) or (1, 2^(2(m-q))), and fixes the box's frame
-    (lattice2d.box_frame: the |det| = 2^k check, SingularBasis otherwise,
+    (lattice2d.box_frame: the |det| = 2^k check, DegenerateInput otherwise,
     the sign and the corner offsets shifted by q), whose basis
     ``frame[0]`` is the reduced basis up to the sign of u1.  Every
     assertion of euclid_basis and gauss_reduce runs here, at k.  When

@@ -44,10 +44,6 @@ class DegenerateInput(ToolkitError):
     """An input that leaves the lattice problem undefined (e.g. z = 0)."""
 
 
-class SingularBasis(ToolkitError):
-    """The basis determinant is zero; coefficients cannot be solved."""
-
-
 class IterationCapExceeded(ToolkitError):
     """Reduction ran past its iteration safety cap (diagnostic, never expected)."""
 

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .attack import Attacker, check_observables
-from .errors import OracleTooLarge, ToolkitError, int_text
+from .errors import OracleTooLarge, ToolkitError, echo_text, int_text
 from .protocol import check_shape, exchange, gen_params, shared_key
 
 MODES = ("attack", "exchange", "oracle-check")
@@ -83,9 +83,9 @@ def brute_force_preimages(z: int, p: int, q: int, u: int, m: int) -> list[int]:
 def _validate_config(cfg: TrialConfig) -> int:
     """Check the config; return p = l + m - q."""
     if cfg.trials < 1:
-        raise ValueError(f"trials must be at least 1, got {cfg.trials}")
+        raise ValueError(f"trials must be at least 1, got {int_text(cfg.trials)}")
     if cfg.mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {cfg.mode!r}")
+        raise ValueError(f"mode must be one of {MODES}, got {echo_text(cfg.mode)}")
     return check_shape(cfg.l, cfg.m, cfg.q, cfg.r)
 
 

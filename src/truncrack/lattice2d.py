@@ -42,13 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import (
-    DegenerateInput,
-    IterationCapExceeded,
-    SearchSpaceExceeded,
-    SingularBasis,
-    int_text,
-)
+from .errors import DegenerateInput, IterationCapExceeded, SearchSpaceExceeded, int_text
 
 # box_frame's result: the basis with det = +2^p, q, p - q, b1, b2 and the
 # four offsets shifted by q.
@@ -265,13 +259,14 @@ def solve_coeffs(
 ) -> tuple[Fraction, Fraction]:
     """Exact rationals (a1, a2) with a1*u1 + a2*u2 = v (Cramer's rule).
 
-    Denominators divide |det|, which is 2^p for a basis of L.
+    Denominators divide |det|, which is 2^p for a basis of L.  Raises
+    DegenerateInput for a basis of determinant 0.
     """
     x1, y1, x2, y2 = basis
     vx, vy = v
     det = x1 * y2 - y1 * x2
     if det == 0:
-        raise SingularBasis("cannot solve coefficients: determinant is 0")
+        raise DegenerateInput("cannot solve coefficients: determinant is 0")
     return Fraction(vx * y2 - x2 * vy, det), Fraction(x1 * vy - vx * y1, det)
 
 
@@ -342,7 +337,7 @@ def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int, q: int
     The basis (x1, y1, x2, y2) must have |det| = 2^p, as every basis of L
     does.  When det < 0, u1 is negated, which negates det: the frame's
     basis, in which the box is counted and the walk steps, has det = +2^p.
-    Raises SingularBasis for any other determinant, 0 included, since a
+    Raises DegenerateInput for any other determinant, 0 included, since a
     shift by the wrong p would give a wrong box, and ValueError for a
     bound below 1 or q outside [0, p).
     """
@@ -353,7 +348,7 @@ def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int, q: int
     x1, y1, x2, y2 = basis
     det = x1 * y2 - y1 * x2
     if abs(det) != 1 << p:
-        raise SingularBasis(
+        raise DegenerateInput(
             f"cannot bound coefficients: determinant {int_text(det)} is not +-2^{p}"
         )
     if det < 0:

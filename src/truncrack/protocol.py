@@ -97,7 +97,7 @@ def check_shape(l: int, m: int, q: int, r: int) -> int:
     for any l-bit z, so an l-bit placeholder exposes exactly the others.
     """
     if l < 1:
-        raise ConstraintViolated("l>=1", f"l={l}")
+        raise ConstraintViolated("l>=1", f"l={int_text(l)}")
     p = l + m - q
     validate_params(ProtocolParams(l=l, m=m, p=p, q=q, r=r, z=1 << (l - 1)))
     return p

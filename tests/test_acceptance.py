@@ -9,19 +9,16 @@ import statistics
 import time
 from fractions import Fraction
 
-from truncrack import (
-    TrialConfig,
+from truncrack import Attacker, TrialConfig, brute_force_preimages, run_trials
+from truncrack.lattice2d import (
     box_frame,
-    brute_force_preimages,
     gauss_reduce,
     nearest_lattice_point,
     rect_search,
-    run_trials,
     solution_basis,
     solve_coeffs,
     truncate_decimal,
 )
-from truncrack.attack import AttackInput, recover_preimages
 
 FULL = dict(l=2048, m=512, q=512, r=129)
 
@@ -94,9 +91,7 @@ def test_criterion_1_golden_example():
     if hits != [(12345, 21)]:
         failures.append(f"final answer {hits}")
 
-    result = recover_preimages(
-        AttackInput(z=6173, p=22, q=5, m=14, token=708192 >> 5)
-    )
+    result = Attacker(6173, 22, 5, 14).attack(708192 >> 5)
     if result.candidates != ((12345, 21),) or not result.unique:
         failures.append(f"attack result {result.candidates}")
 
@@ -126,7 +121,7 @@ def test_criterion_2_oracle_equivalence():
             token = ((x * z) & ((1 << p) - 1)) >> q
         else:
             token = rng.randint(0, (1 << (p - q)) - 1)
-        result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=token))
+        result = Attacker(z, p, q, m).attack(token)
         expected = brute_force_preimages(z, p, q, token, m)
         matched += [x for x, _ in result.candidates] == expected
     elapsed = time.perf_counter() - t0

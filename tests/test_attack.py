@@ -1,6 +1,7 @@
 import random
 import statistics
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -10,42 +11,41 @@ import truncrack.attack
 import truncrack.lattice2d
 from truncrack import (
     Attacker,
+    AttackResult,
     ConstraintViolated,
     DegenerateInput,
-    NoCandidates,
     ProtocolParams,
-    SingularBasis,
+    SearchSpaceExceeded,
     TrialConfig,
-    box_frame,
     derive_key,
     exchange,
-    gauss_reduce,
     gen_params,
-    rect_search,
     run_trials,
     shared_key,
-    solution_basis,
     validate_params,
 )
-from truncrack.attack import (
-    SPARE_BITS,
-    WALK_BOUND,
-    AttackInput,
-    AttackResult,
-    _attacker,
-    check_observables,
-    check_token,
-    recover_preimages,
-    recover_shared_key,
-)
+from truncrack.attack import SPARE_BITS, WALK_BOUND, check_observables, check_token
 from truncrack.cli import main as cli_main
-from truncrack.errors import SearchSpaceExceeded
+from truncrack.errors import NoCandidates
 from truncrack.harness import brute_force_preimages
-from truncrack.lattice2d import BOX_CAP, box_bound, coefficient_box, euclid_basis, is_reduced
+from truncrack.lattice2d import (
+    BOX_CAP,
+    box_bound,
+    box_frame,
+    coefficient_box,
+    euclid_basis,
+    gauss_reduce,
+    is_reduced,
+    rect_search,
+    solution_basis,
+)
+from truncrack.protocol import check_shape
 from test_acceptance import rect_weights
 
-# The worked instance's token as the paper gives it, 2^q*u = 708192.
-GOLDEN = AttackInput(z=6173, p=22, q=5, m=14, token=708192 >> 5)
+# The worked deployment (z, p, q, m), and its token as the paper gives it,
+# 2^q*u = 708192.
+GOLDEN = (6173, 22, 5, 14)
+GOLDEN_TOKEN = 708192 >> 5
 
 
 def _small_instances(max_p=5, max_m=5):
@@ -172,6 +172,32 @@ def _walk_then_filter(attacker, u):
     return kept, pairs
 
 
+def _count_reductions(monkeypatch):
+    """Wrap the attack's gauss_reduce so that each reduction appends
+    log2 |det| of its basis, the modulus k, to the list returned."""
+    calls = []
+
+    def counted(basis, wx, wy):
+        x1, y1, x2, y2 = basis
+        calls.append(abs(x1 * y2 - y1 * x2).bit_length() - 1)
+        return gauss_reduce(basis, wx, wy)
+
+    monkeypatch.setattr(truncrack.attack, "gauss_reduce", counted)
+    return calls
+
+
+def _stop_clocks(monkeypatch):
+    """Make every clock of the time module raise when read."""
+
+    def stopped(*args):
+        raise AssertionError("a clock was read")
+
+    for name in ("time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
+                 "monotonic_ns", "process_time", "process_time_ns", "thread_time",
+                 "thread_time_ns"):
+        monkeypatch.setattr(time, name, stopped)
+
+
 def _assert_same_reduced_basis(ours, theirs, wx, wy):
     """Equal up to sign and order, which a reduced basis is unique up to
     unless 2|<u1,u2>| = min(|u1|^2, |u2|^2); on that tie both must be
@@ -187,18 +213,20 @@ def _assert_same_reduced_basis(ours, theirs, wx, wy):
 
 
 class TestRecoverPreimages:
+    """One token through Attacker(z, p, q, m).attack(u)."""
+
     def test_golden_scaled_token(self):
-        result = recover_preimages(GOLDEN)
+        result = Attacker(*GOLDEN).attack(GOLDEN_TOKEN)
         assert result.candidates == ((12345, 21),)
         assert result.unique
 
     def test_token_of_one(self):
-        result = recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, token=192))
+        result = Attacker(*GOLDEN).attack(192)
         assert (1, 29) in result.candidates
         assert 6173 - 32 * 192 == 29
 
     def test_zero_token_keeps_flagged_zero(self):
-        result = recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, token=0))
+        result = Attacker(*GOLDEN).attack(0)
         assert (0, 0) in result.candidates
 
     def test_zero_token_with_m_below_q(self):
@@ -207,9 +235,7 @@ class TestRecoverPreimages:
         params = gen_params(416, 13, 3, 5, 1)
         t = exchange(416, params)
         assert (t.u, params.m, params.q) == (0, 3, 5)
-        result = recover_preimages(
-            AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
-        )
+        result = Attacker(params.z, params.p, params.q, params.m).attack(t.u)
         candidates = [x for x, _ in result.candidates]
         assert t.x in candidates
         assert candidates == brute_force_preimages(params.z, params.p, params.q, t.u, params.m)
@@ -226,20 +252,19 @@ class TestRecoverPreimages:
         lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
         assert (hi1 - lo1 + 1, hi2 - lo2 + 1) == (0, 2)
         assert rect_search(frame, u) == ([], 0)
-        result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
+        result = Attacker(z, p, q, m).attack(u)
         assert (result.candidates, result.searched) == ((), 0)
         assert brute_force_preimages(z, p, q, u, m) == []
 
     def test_empty_region(self):
         # u=1 is outside the image of the map for this z (checked by scan)
-        inp = AttackInput(z=677, p=15, q=3, m=8, token=1)
         assert 1 not in set(brute_force_preimages(677, 15, 3, 1, 8))
-        result = recover_preimages(inp)
+        result = Attacker(677, 15, 3, 8).attack(1)
         assert result.candidates == ()
         assert not result.unique
 
     def test_deterministic(self):
-        assert recover_preimages(GOLDEN) == recover_preimages(GOLDEN)
+        assert Attacker(*GOLDEN).attack(GOLDEN_TOKEN) == Attacker(*GOLDEN).attack(GOLDEN_TOKEN)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -252,36 +277,33 @@ class TestRecoverPreimages:
     )
     def test_rejects_degenerate(self, kwargs):
         with pytest.raises(DegenerateInput):
-            recover_preimages(AttackInput(**kwargs))
+            Attacker(kwargs["z"], kwargs["p"], kwargs["q"], kwargs["m"]).attack(kwargs["token"])
 
     def test_rejects_empty_secret_space(self):
         with pytest.raises(DegenerateInput):
-            recover_preimages(AttackInput(z=6173, p=22, q=5, m=0, token=22131))
+            Attacker(6173, 22, 5, 0).attack(22131)
 
     def test_rejects_negative_q(self):
         # q < 0 used to reach a shift by q and raise a bare ValueError
         with pytest.raises(DegenerateInput, match="q must be nonnegative"):
             Attacker(6173, 22, -1, 14)
         with pytest.raises(DegenerateInput, match="q must be nonnegative"):
-            recover_preimages(AttackInput(z=6173, p=22, q=-1, m=14, token=0))
-        with pytest.raises(DegenerateInput, match="q must be nonnegative"):
             brute_force_preimages(6173, 22, -1, 0, 3)
 
     def test_accepts_zero_q(self):
         # q = 0 truncates nothing: u = x*z mod 2^p, and y is always 0
+        attacker = Attacker(677, 10, 0, 6)
         for u in (0, 1, 677, (1 << 10) - 1):
-            result = recover_preimages(AttackInput(z=677, p=10, q=0, m=6, token=u))
+            result = attacker.attack(u)
             assert list(result.candidates) == _oracle_pairs(677, 10, 0, 6, u)
-        assert recover_preimages(AttackInput(z=677, p=10, q=0, m=6, token=677)).candidates == ((1, 0),)
+        assert attacker.attack(677).candidates == ((1, 0),)
 
     def test_accepts_multiplier_at_least_modulus(self):
         # m < q gives p = l + m - q < l, so a valid l-bit z is >= 2^p
         params = gen_params(4, 13, 3, 5, 1)
         assert (params.p, params.z) == (11, 5062) and params.z >= 1 << params.p
         t = exchange(4, params)
-        result = recover_preimages(
-            AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
-        )
+        result = Attacker(params.z, params.p, params.q, params.m).attack(t.u)
         assert t.x in [x for x, _ in result.candidates]
 
     @pytest.mark.parametrize(
@@ -292,14 +314,14 @@ class TestRecoverPreimages:
     )
     def test_rejects_token_outside_image(self, kwargs):
         with pytest.raises(DegenerateInput):
-            recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, **kwargs))
+            Attacker(*GOLDEN).attack(kwargs["token"])
 
     def test_builds_no_fraction(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("Fraction built on the attack path")
 
         monkeypatch.setattr(truncrack.lattice2d, "Fraction", refuse)
-        result = recover_preimages(GOLDEN)
+        result = Attacker(*GOLDEN).attack(GOLDEN_TOKEN)
         assert result.candidates == ((12345, 21),)
         # the exact box holds the one winning pair
         assert result.searched == 1
@@ -307,9 +329,7 @@ class TestRecoverPreimages:
     def test_full_scale_token(self):
         params = gen_params(9, 2048, 512, 512, 129)
         t = exchange(9, params)
-        result = recover_preimages(
-            AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
-        )
+        result = Attacker(params.z, params.p, params.q, params.m).attack(t.u)
         assert t.x in [x for x, _ in result.candidates]
 
     def test_matches_exhaustive_oracle(self):
@@ -325,9 +345,7 @@ class TestRecoverPreimages:
                 token = ((x * params.z) & ((1 << params.p) - 1)) >> params.q
             else:
                 token = rng.randint(0, (1 << (params.p - params.q)) - 1)
-            result = recover_preimages(
-                AttackInput(z=params.z, p=params.p, q=params.q, m=m, token=token)
-            )
+            result = Attacker(params.z, params.p, params.q, m).attack(token)
             expected = brute_force_preimages(params.z, params.p, params.q, token, m)
             assert [x for x, _ in result.candidates] == expected
 
@@ -335,10 +353,10 @@ class TestRecoverPreimages:
         # The frame's basis is the reduced lattice modulo 2^k, which is
         # below 2^p at p = 5 with m + q < 2.
         for z, p, q, m, u in _small_instances():
-            result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
+            attacker = Attacker(z, p, q, m)
+            result = attacker.attack(u)
             expected = brute_force_preimages(z, p, q, u, m)
             assert [x for x, _ in result.candidates] == expected
-            attacker = Attacker(z, p, q, m)
             assert result.reduce_iterations == attacker.reduce_iterations
             k = min(p, m + q + SPARE_BITS)
             wx, wy = rect_weights(1 << m, 1 << q)
@@ -349,21 +367,21 @@ class TestRecoverPreimages:
     @settings(max_examples=300, deadline=None)
     @given(case=alternating_deployments())
     def test_sound_and_complete_on_small_instances(self, case):
-        # Nothing filters the walk's hits, so an unsound hit would show
-        # here as well as a missed one; the two deployments take turns
-        # through the memo, so a stale Attacker would show too.
+        # Against the unfiltered oracle, so an unsound candidate shows here
+        # as well as a missed one.
         for (z, p, q, m), u in case:
-            result = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
+            attacker = Attacker(z, p, q, m)
+            result = attacker.attack(u)
             assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
-            assert result.reduce_iterations == Attacker(z, p, q, m).reduce_iterations
+            assert result.reduce_iterations == attacker.reduce_iterations
 
     def test_candidates_lie_in_region_and_solve_congruence(self):
-        result = recover_preimages(GOLDEN)
-        u = GOLDEN.token
-        for x, y in result.candidates:
-            assert 0 <= x < 1 << GOLDEN.m
-            assert 0 <= y < 1 << GOLDEN.q
-            assert (x * GOLDEN.z - ((u << GOLDEN.q) + y)) % (1 << GOLDEN.p) == 0
+        z, p, q, m = GOLDEN
+        u = GOLDEN_TOKEN
+        for x, y in Attacker(*GOLDEN).attack(u).candidates:
+            assert 0 <= x < 1 << m
+            assert 0 <= y < 1 << q
+            assert (x * z - ((u << q) + y)) % (1 << p) == 0
 
 
 # Toy deployments (z, p, q, m) for the batch gate: odd z below 2^p, even
@@ -382,15 +400,13 @@ BATCH_DEPLOYMENTS = [
 class TestAttacker:
     def test_batch_matches_oracle_and_fresh_attack(self):
         # Every token of each deployment through one Attacker, against the
-        # unfiltered oracle and against recover_preimages from an empty memo.
+        # unfiltered oracle and against a fresh Attacker per token.
         for z, p, q, m in BATCH_DEPLOYMENTS:
             attacker = Attacker(z, p, q, m)
             for u in range(1 << (p - q)):
                 result = attacker.attack(u)
                 assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
-                _attacker.cache_clear()
-                fresh = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
-                assert result == fresh
+                assert result == Attacker(z, p, q, m).attack(u)
 
     def test_batch_full_scale(self):
         # Honest exchanges on one l=2048 deployment: the secret on every
@@ -416,25 +432,17 @@ class TestAttacker:
             attacker.cache = {}
 
     def test_reduces_once_per_deployment(self, monkeypatch):
-        # Each reduction records log2 |det| of its basis: the modulus k.
-        calls = []
-
-        def counted(basis, wx, wy):
-            x1, y1, x2, y2 = basis
-            calls.append(abs(x1 * y2 - y1 * x2).bit_length() - 1)
-            return gauss_reduce(basis, wx, wy)
-
-        monkeypatch.setattr(truncrack.attack, "gauss_reduce", counted)
-        _attacker.cache_clear()
+        calls = _count_reductions(monkeypatch)
+        golden = Attacker(*GOLDEN)
         for u in range(40):
-            recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, token=u))
+            golden.attack(u)
         assert calls == [22]
         # (p, q, m) = (15, 3, 8) reduces modulo 2^14: m + q + SPARE_BITS < p
+        other = Attacker(677, 15, 3, 8)
         for u in range(3):
-            recover_preimages(AttackInput(z=677, p=15, q=3, m=8, token=u))
-            recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, token=u))
-        assert calls == [22] + [14, 22] * 3
-        _attacker.cache_clear()
+            other.attack(u)
+            golden.attack(u)
+        assert calls == [22, 14]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -500,21 +508,11 @@ class TestResultIsValue:
             assert first.attack(u) == second.attack(u)
 
     def test_attack_path_reads_no_clock(self, monkeypatch):
-        def stopped(*args):
-            raise AssertionError("the attack path read a clock")
-
-        for name in ("time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
-                     "monotonic_ns", "process_time", "process_time_ns", "thread_time",
-                     "thread_time_ns"):
-            monkeypatch.setattr(time, name, stopped)
-        assert Attacker(6173, 22, 5, 14).attack(22131).candidates == ((12345, 21),)
-        _attacker.cache_clear()
-        result = recover_preimages(GOLDEN)
-        assert recover_preimages(GOLDEN) == result
-        assert recover_shared_key(GOLDEN, 124172, 2, result) == [
-            (12345, derive_key(12345, 124172, 22, 5, 2, 14))
-        ]
-        _attacker.cache_clear()
+        _stop_clocks(monkeypatch)
+        attacker = Attacker(*GOLDEN)
+        result = attacker.attack(GOLDEN_TOKEN)
+        assert result.candidates == ((12345, 21),)
+        assert attacker.attack(GOLDEN_TOKEN) == result
 
 
 class TestModulusBelowP:
@@ -552,7 +550,7 @@ class TestModulusBelowP:
 
     def test_every_token_of_edge_deployments(self):
         # Every token of each deployment, against the oracle and against
-        # recover_preimages from an empty memo; z = 0 mod 2^k puts 2^m
+        # a fresh Attacker per token; z = 0 mod 2^k puts 2^m
         # walk hits on each token whose low k - q bits are 0, and the
         # filter keeps those of the token alone.
         for z, p, q, m in BELOW_P_DEPLOYMENTS:
@@ -563,9 +561,7 @@ class TestModulusBelowP:
             for u in range(1 << (p - q)):
                 result = attacker.attack(u)
                 assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
-                _attacker.cache_clear()
-                fresh = recover_preimages(AttackInput(z=z, p=p, q=q, m=m, token=u))
-                assert result == fresh
+                assert result == Attacker(z, p, q, m).attack(u)
                 hits, _ = rect_search(attacker.frame, u & ((1 << (k - q)) - 1))
                 assert (result.candidates, result.searched) == _walk_then_filter(attacker, u)
                 dropped += len(hits) - len(result.candidates)
@@ -797,7 +793,7 @@ class TestMessageSizes:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_box_frame_determinant(self, sign):
         text = f"a {'negative ' if sign < 0 else ''}20001-bit integer"
-        with pytest.raises(SingularBasis) as info:
+        with pytest.raises(DegenerateInput) as info:
             box_frame((sign * (1 << 20000), 0, 0, 1), 22, 1 << 14, 1 << 5, 5)
         assert str(info.value) == f"cannot bound coefficients: determinant {text} is not +-2^22"
         with pytest.raises(ValueError) as info:
@@ -839,14 +835,119 @@ class TestMessageSizes:
         with pytest.raises(DegenerateInput, match=r"got 131072$"):
             check_token(1 << 17, 22, 5)
 
+    @pytest.mark.parametrize(
+        "l, text", [(-(1 << 20000), "a negative 20001-bit integer"), (0, "0")], ids=["huge", "zero"]
+    )
+    def test_check_shape(self, l, text):
+        for check in (check_shape, lambda *shape: gen_params(1, *shape)):
+            with pytest.raises(ConstraintViolated) as info:
+                check(l, 14, 5, 2)
+            assert str(info.value) == f"constraint violated: l>=1 (l={text})"
+
+    MODE_TEXT = "mode must be one of ('attack', 'exchange', 'oracle-check'),"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(trials=-(1 << 20000)), "trials must be at least 1, got a negative 20001-bit integer"),
+            (dict(trials=0), "trials must be at least 1, got 0"),
+            (dict(mode="x" * 5000), f"{MODE_TEXT} got {'x' * 20!r}... (5000 characters)"),
+            (dict(mode="nope"), f"{MODE_TEXT} got 'nope'"),
+        ],
+        ids=["huge-trials", "zero-trials", "long-mode", "short-mode"],
+    )
+    def test_trial_config(self, change, message):
+        cfg = dict(seed_base=0, trials=1, l=13, m=14, q=5, r=2)
+        with pytest.raises(ValueError) as info:
+            run_trials(TrialConfig(**{**cfg, **change}))
+        assert str(info.value) == message
+
+
+class TestPackageRoot:
+    def test_exports_exactly_the_public_names(self):
+        # Attacker and its result, the protocol, the trial harness and the
+        # errors these raise; the lattice machinery is truncrack.lattice2d's.
+        names = {
+            name
+            for name, value in vars(truncrack).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert names == {
+            "Attacker", "AttackResult",
+            "ExchangeTranscript", "ProtocolParams", "classify", "derive_key", "dump_params",
+            "exchange", "gen_params", "load_params", "parse_params", "save_params", "shared_key",
+            "trunc_f", "validate_params",
+            "TrialConfig", "TrialRecord", "brute_force_preimages", "format_csv", "run_trials",
+            "write_csv",
+            "ToolkitError", "ConstraintViolated", "DegenerateInput", "IterationCapExceeded",
+            "SearchSpaceExceeded", "OracleTooLarge",
+        }
+        assert len(names) == 27
+
+
+class TestRecoverSharedKey:
+    """An eavesdropper's key: protocol.shared_key on each candidate of
+    Attacker.attack, as the command line and the trial harness derive it."""
+
+    def test_end_to_end_toy_seed(self):
+        params = gen_params(1, 13, 14, 5, 2)
+        t = exchange(1, params)
+        result = Attacker(params.z, params.p, params.q, params.m).attack(t.u)
+        keys = [(x, shared_key(x, t.v, params)) for x, _ in result.candidates]
+        assert (t.x, t.w_a) in keys
+        assert t.agree  # recorded: this seed's honest parties agree
+        assert any(key == t.w_b for _, key in keys)
+
+    def test_candidate_equal_to_secret_gives_honest_key(self):
+        params = gen_params(3, 13, 14, 5, 2)
+        t = exchange(3, params)
+        assert derive_key(t.x, t.v, params.p, params.q, params.r, params.m) == shared_key(
+            t.x, t.v, params
+        )
+
 
 class TestAttackerMemo:
+    """The adapter that perfbench/run.py times, and nothing else calls:
+    recover_preimages and recover_shared_key take an AttackInput, and the
+    Attacker comes from the one-entry memo truncrack.attack._attacker,
+    keyed on (z, p, q, m).  Every test that reaches the attack through
+    the adapter is in this class."""
+
+    @staticmethod
+    def recover(z, p, q, m, token):
+        """recover_preimages on the AttackInput of a deployment and a token."""
+        return truncrack.attack.recover_preimages(truncrack.attack.AttackInput(z, p, q, m, token))
+
     def test_holds_one_deployment(self):
-        _attacker.cache_clear()
+        memo = truncrack.attack._attacker
+        memo.cache_clear()
         for i in range(50):
-            recover_preimages(AttackInput(z=6173 + 2 * i, p=22, q=5, m=14, token=22131))
-        info = _attacker.cache_info()
+            self.recover(6173 + 2 * i, 22, 5, 14, 22131)
+        info = memo.cache_info()
         assert (info.misses, info.hits, info.currsize, info.maxsize) == (50, 0, 1, 1)
+
+    def test_reduces_once_per_deployment(self, monkeypatch):
+        # Two deployments taking turns evict each other, so each turn
+        # reduces again.
+        calls = _count_reductions(monkeypatch)
+        truncrack.attack._attacker.cache_clear()
+        for u in range(40):
+            self.recover(*GOLDEN, u)
+        assert calls == [22]
+        # (p, q, m) = (15, 3, 8) reduces modulo 2^14: m + q + SPARE_BITS < p
+        for u in range(3):
+            self.recover(677, 15, 3, 8, u)
+            self.recover(*GOLDEN, u)
+        assert calls == [22] + [14, 22] * 3
+        truncrack.attack._attacker.cache_clear()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=alternating_deployments())
+    def test_matches_a_fresh_attacker(self, case):
+        # The two deployments take turns through the memo, so a stale
+        # Attacker, or a key that missed one of z, p, q, m, would show.
+        for deployment, u in case:
+            assert self.recover(*deployment, u) == Attacker(*deployment).attack(u)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -857,14 +958,15 @@ class TestAttackerMemo:
         ],
     )
     def test_rejected_deployment_is_not_cached(self, kwargs):
-        _attacker.cache_clear()
-        recover_preimages(GOLDEN)
+        memo = truncrack.attack._attacker
+        memo.cache_clear()
+        self.recover(*GOLDEN, GOLDEN_TOKEN)
         with pytest.raises(DegenerateInput):
-            recover_preimages(AttackInput(**kwargs))
-        info = _attacker.cache_info()
+            self.recover(**kwargs)
+        info = memo.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 0, 1)
-        assert recover_preimages(GOLDEN).candidates == ((12345, 21),)
-        assert _attacker.cache_info().hits == 1
+        assert self.recover(*GOLDEN, GOLDEN_TOKEN).candidates == ((12345, 21),)
+        assert memo.cache_info().hits == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -874,39 +976,50 @@ class TestAttackerMemo:
         ],
     )
     def test_bad_token_on_cached_deployment_rejected(self, kwargs):
-        _attacker.cache_clear()
-        recover_preimages(GOLDEN)
+        truncrack.attack._attacker.cache_clear()
+        self.recover(*GOLDEN, GOLDEN_TOKEN)
         with pytest.raises(DegenerateInput):
-            recover_preimages(AttackInput(z=6173, p=22, q=5, m=14, **kwargs))
-        assert _attacker.cache_info().currsize == 1
+            self.recover(*GOLDEN, **kwargs)
+        assert truncrack.attack._attacker.cache_info().currsize == 1
 
     def test_hit_reports_what_the_miss_did(self):
-        _attacker.cache_clear()
-        miss = recover_preimages(GOLDEN)
-        hit = recover_preimages(GOLDEN)
-        info = _attacker.cache_info()
+        memo = truncrack.attack._attacker
+        memo.cache_clear()
+        miss = self.recover(*GOLDEN, GOLDEN_TOKEN)
+        hit = self.recover(*GOLDEN, GOLDEN_TOKEN)
+        info = memo.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert hit == miss
-        assert miss.reduce_iterations == Attacker(6173, 22, 5, 14).reduce_iterations == 7
+        assert miss.reduce_iterations == Attacker(*GOLDEN).reduce_iterations == 7
 
     def test_harness_and_cli_leave_memo_alone(self, tmp_path, capsys):
         # Both build their own Attacker: the memo is recover_preimages'.
+        memo = truncrack.attack._attacker
         path = tmp_path / "toy.params"
         path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
-        _attacker.cache_clear()
-        recover_preimages(GOLDEN)
-        before = _attacker.cache_info()
+        memo.cache_clear()
+        self.recover(*GOLDEN, GOLDEN_TOKEN)
+        before = memo.cache_info()
         cfg = TrialConfig(seed_base=31, trials=3, l=13, m=14, q=5, r=2, mode="oracle-check")
         assert all(record.error == "" for record in run_trials(cfg))
         argv = ["attack", "--params", str(path), "--token", "31370", "--other-token", "94914"]
         assert cli_main(argv) == 0
         assert cli_main([*argv, "--m", "20"]) == 0
         capsys.readouterr()
-        assert _attacker.cache_info() == before
-        _attacker.cache_clear()
+        assert memo.cache_info() == before
+        memo.cache_clear()
 
+    def test_reads_no_clock(self, monkeypatch):
+        _stop_clocks(monkeypatch)
+        truncrack.attack._attacker.cache_clear()
+        inp = truncrack.attack.AttackInput(*GOLDEN, GOLDEN_TOKEN)
+        result = truncrack.attack.recover_preimages(inp)
+        assert truncrack.attack.recover_preimages(inp) == result
+        assert truncrack.attack.recover_shared_key(inp, 124172, 2, result) == [
+            (12345, derive_key(12345, 124172, 22, 5, 2, 14))
+        ]
+        truncrack.attack._attacker.cache_clear()
 
-class TestBenchmarkCallShape:
     def test_perfbench_calls(self, monkeypatch):
         # The calls perfbench/run.py makes, in its shape: keyword
         # AttackInput, recover_preimages, recover_shared_key with result=,
@@ -924,54 +1037,40 @@ class TestBenchmarkCallShape:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(truncrack.attack, "gauss_reduce")
-        counted(truncrack.attack, "coefficient_box")
-        _attacker.cache_clear()
+        attack = truncrack.attack
+        counted(attack, "gauss_reduce")
+        counted(attack, "coefficient_box")
+        attack._attacker.cache_clear()
         params = gen_params(1, 13, 14, 5, 2)
         t = exchange(1, params)
-        inp = AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
-        result = recover_preimages(inp)
-        keys = recover_shared_key(inp, t.v, params.r, result=result) if result.candidates else []
+        inp = attack.AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
+        result = attack.recover_preimages(inp)
+        keys = attack.recover_shared_key(inp, t.v, params.r, result=result) if result.candidates else []
         assert t.x in [x for x, _ in result.candidates] and (t.x, t.w_a) in keys
         assert result.unique == (len(result.candidates) == 1)
         assert result.reduce_iterations > 0 and result.searched >= len(result.candidates)
         assert sorted(set(calls)) == ["coefficient_box", "gauss_reduce"]
-        _attacker.cache_clear()
-
-
-class TestRecoverSharedKey:
-    def test_end_to_end_toy_seed(self):
-        params = gen_params(1, 13, 14, 5, 2)
-        t = exchange(1, params)
-        inp = AttackInput(z=params.z, p=params.p, q=params.q, m=params.m, token=t.u)
-        keys = recover_shared_key(inp, t.v, params.r, result=recover_preimages(inp))
-        assert (t.x, t.w_a) in keys
-        assert t.agree  # recorded: this seed's honest parties agree
-        assert any(key == t.w_b for _, key in keys)
-
-    def test_candidate_equal_to_secret_gives_honest_key(self):
-        params = gen_params(3, 13, 14, 5, 2)
-        t = exchange(3, params)
-        assert derive_key(t.x, t.v, params.p, params.q, params.r, params.m) == shared_key(
-            t.x, t.v, params
-        )
+        attack._attacker.cache_clear()
 
     def test_no_candidates(self):
-        inp = AttackInput(z=677, p=15, q=3, m=8, token=1)
+        inp = truncrack.attack.AttackInput(z=677, p=15, q=3, m=8, token=1)
         with pytest.raises(NoCandidates):
-            recover_shared_key(inp, 5, 1, result=recover_preimages(inp))
+            truncrack.attack.recover_shared_key(inp, 5, 1, result=truncrack.attack.recover_preimages(inp))
 
     @pytest.mark.parametrize("other_token", [1 << 17, 99999999999, -1])
     def test_rejects_peer_token_outside_image(self, other_token):
         # the peer's token must lie in [0, 2^(p-q)) = [0, 2^17), like ours
+        recover_shared_key = truncrack.attack.recover_shared_key
+        golden = truncrack.attack.AttackInput(*GOLDEN, GOLDEN_TOKEN)
         with pytest.raises(DegenerateInput):
-            recover_shared_key(GOLDEN, other_token, 2, result=recover_preimages(GOLDEN))
+            recover_shared_key(golden, other_token, 2, result=self.recover(*GOLDEN, GOLDEN_TOKEN))
         # checked before the candidates, so not NoCandidates on an empty result
-        empty = AttackInput(z=677, p=15, q=3, m=8, token=1)
+        empty = truncrack.attack.AttackInput(z=677, p=15, q=3, m=8, token=1)
         with pytest.raises(DegenerateInput):
-            recover_shared_key(empty, other_token, 1, result=recover_preimages(empty))
+            recover_shared_key(empty, other_token, 1, result=self.recover(677, 15, 3, 8, 1))
 
     def test_reuses_precomputed_result(self):
-        result = recover_preimages(GOLDEN)
-        keys = recover_shared_key(GOLDEN, 124172, 2, result=result)
+        inp = truncrack.attack.AttackInput(*GOLDEN, GOLDEN_TOKEN)
+        result = truncrack.attack.recover_preimages(inp)
+        keys = truncrack.attack.recover_shared_key(inp, 124172, 2, result=result)
         assert keys == [(12345, derive_key(12345, 124172, 22, 5, 2, 14))]
