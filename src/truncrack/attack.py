@@ -45,10 +45,9 @@ the pre-division value 2^q*u is an input format of the command line,
 which decodes it before it calls in.
 """
 
-from __future__ import annotations
-
+# No `from __future__ import annotations`: typing would compile each
+# NamedTuple field's annotation string whenever the module is imported.
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateInput, NoCandidates, int_text
@@ -70,10 +69,9 @@ SPARE_BITS = 3
 WALK_BOUND = 256
 
 
-@dataclass(frozen=True)
-class AttackInput:
+class AttackInput(NamedTuple):
     """Public observables handed to the attacker: the deployment
-    (z, p, q, m) and one token u.
+    (z, p, q, m) and one token u, in that order.
 
     recover_preimages rejects what check_observables and check_token
     reject (z < 1, q < 0, p <= q, m < 1, u outside [0, 2^(p-q))), since
@@ -238,7 +236,8 @@ def recover_preimages(inp: AttackInput) -> AttackResult:
     Raises DegenerateInput for what check_observables and check_token
     reject; a constructor that raises leaves the memo as it was.
     """
-    return _attacker(inp.z, inp.p, inp.q, inp.m).attack(inp.token)
+    z, p, q, m, u = inp
+    return _attacker(z, p, q, m).attack(u)
 
 
 def recover_shared_key(
@@ -254,8 +253,9 @@ def recover_shared_key(
     check_token ``other_token``, and NoCandidates when the candidate list
     is empty.
     """
-    check_observables(inp.z, inp.p, inp.q, inp.m)
-    check_token(other_token, inp.p, inp.q, "peer token")
+    z, p, q, m, _ = inp
+    check_observables(z, p, q, m)
+    check_token(other_token, p, q, "peer token")
     if not result.candidates:
         raise NoCandidates("no preimage candidates to derive a key from")
     # A loop, not a list comprehension: on CPython 3.11 a comprehension is
@@ -263,5 +263,5 @@ def recover_shared_key(
     # 5% of its time.
     keys = []
     for x, _ in result.candidates:
-        keys.append((x, derive_key(x, other_token, inp.p, inp.q, r, inp.m)))
+        keys.append((x, derive_key(x, other_token, p, q, r, m)))
     return keys

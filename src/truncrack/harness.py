@@ -9,10 +9,11 @@ is the timing columns, measured by _run_trial around its own calls:
 attack(u), and ``total_time_ns`` both and key derivation (0 if not run).
 """
 
-from __future__ import annotations
-
+# No `from __future__ import annotations`: typing would compile each
+# NamedTuple field's annotation string whenever the module is imported.
+import sys
 import time
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .attack import Attacker, check_observables
 from .errors import OracleTooLarge, ToolkitError, echo_text, int_text
@@ -24,8 +25,7 @@ MODES = ("attack", "exchange", "oracle-check")
 ORACLE_MAX_BITS = 24
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(NamedTuple):
     seed_base: int
     trials: int
     l: int
@@ -35,13 +35,13 @@ class TrialConfig:
     mode: str = "attack"
 
 
-@dataclass
-class TrialRecord:
-    """One seeded end-to-end experiment row.
+class TrialRecord(NamedTuple):
+    """One seeded end-to-end experiment row, an immutable value built
+    once per trial.
 
-    The fields in order are the CSV schema (CSV_COLUMNS), apart from
-    ``agree`` (whether the honest parties' keys matched), which is carried
-    on the record for analysis only.
+    The fields in order are the CSV schema (CSV_COLUMNS), apart from the
+    last, ``agree`` (whether the honest parties' keys matched), which is
+    carried on the record for analysis only.
     """
 
     seed: int
@@ -59,10 +59,10 @@ class TrialRecord:
     search_time_ns: int = 0
     total_time_ns: int = 0
     error: str = ""
-    agree: bool = field(default=False, compare=False)
+    agree: bool = False
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "agree")
+CSV_COLUMNS = TrialRecord._fields[:-1]
 
 
 def brute_force_preimages(z: int, p: int, q: int, u: int, m: int) -> list[int]:
@@ -81,22 +81,29 @@ def brute_force_preimages(z: int, p: int, q: int, u: int, m: int) -> list[int]:
 
 
 def _validate_config(cfg: TrialConfig) -> int:
-    """Check the config; return p = l + m - q."""
+    """Check the config, each seed printable by CPython in the CSV; return p = l + m - q."""
     if cfg.trials < 1:
         raise ValueError(f"trials must be at least 1, got {int_text(cfg.trials)}")
     if cfg.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {echo_text(cfg.mode)}")
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    for seed in (cfg.seed_base, cfg.seed_base + cfg.trials - 1):
+        if digits and abs(seed) >= 10**digits:
+            raise ValueError(f"seeds must have at most {digits} digits, got {int_text(seed)}")
     return check_shape(cfg.l, cfg.m, cfg.q, cfg.r)
 
 
 def _run_trial(cfg: TrialConfig, p: int, seed: int) -> TrialRecord:
-    record = TrialRecord(seed=seed, l=cfg.l, m=cfg.m, p=p, q=cfg.q, r=cfg.r)
+    """One trial's record, built once on each exit; an oracle error keeps
+    the attack's columns (``outcome``), as a mismatch does."""
+    row = (seed, cfg.l, cfg.m, p, cfg.q, cfg.r)
+    agree, outcome = False, ()
     try:
         params = gen_params(seed, cfg.l, cfg.m, cfg.q, cfg.r)
         transcript = exchange(seed, params)
-        record.agree = transcript.agree
+        agree = transcript.agree
         if cfg.mode == "exchange":
-            return record
+            return TrialRecord(*row, agree=agree)
 
         t0 = time.perf_counter_ns()
         attacker = Attacker(params.z, params.p, params.q, params.m)
@@ -104,23 +111,18 @@ def _run_trial(cfg: TrialConfig, p: int, seed: int) -> TrialRecord:
         result = attacker.attack(transcript.u)
         t2 = time.perf_counter_ns()
         keys = [shared_key(x, transcript.v, params) for x, _ in result.candidates]
-        record.total_time_ns = time.perf_counter_ns() - t0
-        record.reduce_time_ns, record.search_time_ns = t1 - t0, t2 - t1
-
-        record.candidate_count = len(result.candidates)
-        record.reduce_iterations = result.reduce_iterations
-        record.preimage_found = bool(result.candidates)
-        record.secret_recovered = any(x == transcript.x for x, _ in result.candidates)
-        record.key_matched = transcript.w_b in keys
-
+        total_ns = time.perf_counter_ns() - t0
+        got = [x for x, _ in result.candidates]
+        outcome = (transcript.x in got, bool(got), transcript.w_b in keys, len(got),
+                   result.reduce_iterations, t1 - t0, t2 - t1, total_ns)
         if cfg.mode == "oracle-check":
             expected = brute_force_preimages(params.z, params.p, params.q, transcript.u, params.m)
-            got = [x for x, _ in result.candidates]
             if got != expected:
-                record.error = f"oracle mismatch: got {got} expected {expected}"
+                error = f"oracle mismatch: got {got} expected {expected}"
+                return TrialRecord(*row, *outcome, error=error, agree=agree)
+        return TrialRecord(*row, *outcome, agree=agree)
     except ToolkitError as exc:
-        record.error = f"{type(exc).__name__}: {exc}"
-    return record
+        return TrialRecord(*row, *outcome, error=f"{type(exc).__name__}: {exc}", agree=agree)
 
 
 def run_trials(cfg: TrialConfig) -> list[TrialRecord]:
@@ -134,12 +136,11 @@ def run_trials(cfg: TrialConfig) -> list[TrialRecord]:
     return [_run_trial(cfg, p, cfg.seed_base + i) for i in range(cfg.trials)]
 
 
-def _csv_value(record: TrialRecord, column: str) -> str:
-    value = getattr(record, column)
+def _csv_cell(value: bool | int | str) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
-    if column == "error":
-        return str(value).replace(",", ";").replace("\n", " ")
+    if isinstance(value, str):  # the error column
+        return value.replace(",", ";").replace("\n", " ")
     return str(value)
 
 
@@ -147,7 +148,7 @@ def format_csv(records: list[TrialRecord]) -> str:
     """Fixed-schema CSV; booleans as 0/1, LF line endings, trailing newline."""
     lines = [",".join(CSV_COLUMNS)]
     for record in records:
-        lines.append(",".join(_csv_value(record, col) for col in CSV_COLUMNS))
+        lines.append(",".join(map(_csv_cell, record[:-1])))
     return "\n".join(lines) + "\n"
 
 

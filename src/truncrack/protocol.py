@@ -17,11 +17,11 @@ of a nonnegative value.  Every function here is pure and safe to call from
 multiple threads.
 """
 
-from __future__ import annotations
-
+# No `from __future__ import annotations`: typing would compile each
+# NamedTuple field's annotation string whenever the module is imported.
 import random
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConstraintViolated, echo_text, int_text
 
@@ -33,9 +33,8 @@ PARAM_KEYS = ("l", "m", "p", "q", "r", "z")
 _PARAM_LINE = re.compile(r"^([a-z]+)=([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
-    """The agreed public integers.
+class ProtocolParams(NamedTuple):
+    """The agreed public integers, an immutable value.
 
     l, m, p, q, r are bit lengths / exponents; z is the public multiplier,
     exactly l bits long.
@@ -49,8 +48,7 @@ class ProtocolParams:
     z: int
 
 
-@dataclass(frozen=True)
-class ExchangeTranscript:
+class ExchangeTranscript(NamedTuple):
     """Everything produced by one seeded exchange, secrets included."""
 
     x: int

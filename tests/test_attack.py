@@ -845,6 +845,8 @@ class TestMessageSizes:
             assert str(info.value) == f"constraint violated: l>=1 (l={text})"
 
     MODE_TEXT = "mode must be one of ('attack', 'exchange', 'oracle-check'),"
+    # CPython prints an int of at most 4,300 digits, so no seed may have more
+    SEED_TEXT = "seeds must have at most 4300 digits,"
 
     @pytest.mark.parametrize(
         "change, message",
@@ -853,8 +855,14 @@ class TestMessageSizes:
             (dict(trials=0), "trials must be at least 1, got 0"),
             (dict(mode="x" * 5000), f"{MODE_TEXT} got {'x' * 20!r}... (5000 characters)"),
             (dict(mode="nope"), f"{MODE_TEXT} got 'nope'"),
+            (dict(seed_base=10**4300), f"{SEED_TEXT} got a 14285-bit integer"),
+            (dict(seed_base=10**4300 - 1, trials=2), f"{SEED_TEXT} got a 14285-bit integer"),
+            (dict(seed_base=-(10**4300)), f"{SEED_TEXT} got a negative 14285-bit integer"),
         ],
-        ids=["huge-trials", "zero-trials", "long-mode", "short-mode"],
+        ids=[
+            "huge-trials", "zero-trials", "long-mode", "short-mode",
+            "long-first-seed", "long-last-seed", "long-negative-seed",
+        ],
     )
     def test_trial_config(self, change, message):
         cfg = dict(seed_base=0, trials=1, l=13, m=14, q=5, r=2)

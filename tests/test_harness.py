@@ -125,6 +125,15 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(TrialConfig(seed_base=0, trials=1, mode="nope", **TOY_CFG))
 
+    def test_seed_at_the_digit_limit_runs_and_prints(self):
+        # CPython prints at most 4,300 digits; the last seed has exactly
+        # that many.  One past it is refused (TestMessageSizes).
+        seed_base = 10**4300 - 2
+        records = run_trials(TrialConfig(seed_base=seed_base, trials=2, **TOY_CFG))
+        assert [r.error for r in records] == ["", ""]
+        rows = format_csv(records).splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(seed_base), str(seed_base + 1)]
+
 
 def _zero_timings(csv_text):
     lines = csv_text.splitlines()
