@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateInput, NoCandidates, int_text
 from .lattice2d import box_bound, box_frame, check_box, coefficient_box, euclid_basis, gauss_reduce
-from .protocol import derive_key
+from .protocol import MAX_BITS, derive_key
 
 # The reduction modulus exceeds the rectangle's area 2^(m+q) by this many
 # bits, so the coset of L_k puts about 2^-SPARE_BITS points in it, and the
@@ -74,8 +74,8 @@ class AttackInput(NamedTuple):
     (z, p, q, m) and one token u, in that order.
 
     recover_preimages rejects what check_observables and check_token
-    reject (z < 1, q < 0, p <= q, m < 1, u outside [0, 2^(p-q))), since
-    none of these can come from an exchange.  z >= 2^p is accepted: valid
+    reject (z < 1, q < 0, p <= q, m < 1, p or m past MAX_BITS, u outside
+    [0, 2^(p-q))), since none of these can come from an exchange.  z >= 2^p is accepted: valid
     parameters with m < q have p < l, so their l-bit z is at least 2^p.
     """
 
@@ -106,10 +106,11 @@ def check_observables(z: int, p: int, q: int, m: int) -> None:
     """Reject a deployment that no exchange can produce.
 
     Raises DegenerateInput for z < 1, for q < 0 (no truncation), for
-    p <= q (every x would be a preimage of the only token, 0) and for
-    m < 1 (no secret space).  The messages give each value by int_text,
-    so a long one reads as its bit length.  Tokens are checked by
-    check_token.
+    p <= q (every x would be a preimage of the only token, 0), for m < 1
+    (no secret space) and for p or m past protocol.MAX_BITS, before any
+    shift by them.  Valid parameters pass: p <= MAX_BITS puts m below p.
+    The messages give each value by int_text, so a long one reads as its
+    bit length.  Tokens are checked by check_token.
     """
     if z < 1:
         raise DegenerateInput(f"z must be positive, got {int_text(z)}")
@@ -117,17 +118,22 @@ def check_observables(z: int, p: int, q: int, m: int) -> None:
         raise DegenerateInput(f"q must be nonnegative, got {int_text(q)}")
     if p <= q:
         raise DegenerateInput(f"p must exceed q, got p={int_text(p)} q={int_text(q)}")
+    if p > MAX_BITS:
+        raise DegenerateInput(f"p must be at most {MAX_BITS}, got {int_text(p)}")
     if m < 1:
         raise DegenerateInput(f"m must be at least 1, got {int_text(m)}")
+    if m > MAX_BITS:
+        raise DegenerateInput(f"m must be at most {MAX_BITS}, got {int_text(m)}")
 
 
 def check_token(token: int, p: int, q: int, name: str = "token") -> None:
     """Raise DegenerateInput for a token outside [0, 2^(p-q)), the range
     of the token map; ``name`` names it in the message, and int_text
-    gives its value."""
-    if not 0 <= token < 1 << (p - q):
+    gives its value.  The range is compared by bit length, so no p makes
+    a shift."""
+    if token < 0 or token.bit_length() > p - q:
         raise DegenerateInput(
-            f"{name} must be in [0, 2^(p-q)) (p-q={p - q}), got {int_text(token)}"
+            f"{name} must be in [0, 2^(p-q)) (p-q={int_text(p - q)}), got {int_text(token)}"
         )
 
 

@@ -168,7 +168,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    attack_mod.check_observables(args.z, args.p, args.q, args.m)
+    harness.check_oracle(args.z, args.p, args.q, args.m)
     attack_mod.check_token(args.u, args.p, args.q)
     for x in harness.brute_force_preimages(args.z, args.p, args.q, args.u, args.m):
         print(x)

@@ -39,9 +39,8 @@ class TrialRecord(NamedTuple):
     """One seeded end-to-end experiment row, an immutable value built
     once per trial.
 
-    The fields in order are the CSV schema (CSV_COLUMNS), apart from the
-    last, ``agree`` (whether the honest parties' keys matched), which is
-    carried on the record for analysis only.
+    The fields in order are the CSV schema (CSV_COLUMNS); the last,
+    ``agree``, is whether the honest parties' keys matched.
     """
 
     seed: int
@@ -62,20 +61,26 @@ class TrialRecord(NamedTuple):
     agree: bool = False
 
 
-CSV_COLUMNS = TrialRecord._fields[:-1]
+CSV_COLUMNS = TrialRecord._fields
+
+
+def check_oracle(z: int, p: int, q: int, m: int) -> None:
+    """Refuse what brute_force_preimages refuses, before its scan:
+    m > ORACLE_MAX_BITS with OracleTooLarge first, then what the attack
+    rejects, with DegenerateInput (check_observables)."""
+    if m > ORACLE_MAX_BITS:
+        raise OracleTooLarge(f"oracle limited to m <= {ORACLE_MAX_BITS}, got m={int_text(m)}")
+    check_observables(z, p, q, m)
 
 
 def brute_force_preimages(z: int, p: int, q: int, u: int, m: int) -> list[int]:
     """Exhaustive scan: every x in [0, 2^m) with floor((xz mod 2^p)/2^q) = u.
 
-    Independent of the lattice machinery on purpose.  Rejects the (z, p, q,
-    m) that the attack rejects, with DegenerateInput (check_observables);
-    a token outside the map's range simply has no preimage.  Guarded to
-    m <= 24.
+    Independent of the lattice machinery on purpose.  Refuses what
+    check_oracle refuses; a token outside the map's range simply has no
+    preimage.
     """
-    check_observables(z, p, q, m)
-    if m > ORACLE_MAX_BITS:
-        raise OracleTooLarge(f"oracle limited to m <= {ORACLE_MAX_BITS}, got m={int_text(m)}")
+    check_oracle(z, p, q, m)
     mask = (1 << p) - 1
     return [x for x in range(1 << m) if ((x * z) & mask) >> q == u]
 
@@ -148,7 +153,7 @@ def format_csv(records: list[TrialRecord]) -> str:
     """Fixed-schema CSV; booleans as 0/1, LF line endings, trailing newline."""
     lines = [",".join(CSV_COLUMNS)]
     for record in records:
-        lines.append(",".join(map(_csv_cell, record[:-1])))
+        lines.append(",".join(map(_csv_cell, record)))
     return "\n".join(lines) + "\n"
 
 

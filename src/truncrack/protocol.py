@@ -28,6 +28,11 @@ from .errors import ConstraintViolated, echo_text, int_text
 # r above this guard width counts as a deployment-grade ("full") setup.
 TOY_GUARD_BITS = 128
 
+# Largest l and p, and so every exponent of valid parameters, since
+# p > m + q + r puts m, q and r below p; attack.check_observables bounds
+# p and m by it too.  Each is checked before any shift by it.
+MAX_BITS = 1 << 16
+
 PARAM_KEYS = ("l", "m", "p", "q", "r", "z")
 
 _PARAM_LINE = re.compile(r"^([a-z]+)=([0-9]+)$")
@@ -65,39 +70,45 @@ def classify(params: ProtocolParams) -> str:
     return "full" if params.r > TOY_GUARD_BITS else "toy"
 
 
+def _check_exponents(l: int, m: int, p: int, q: int, r: int) -> None:
+    """Raise ConstraintViolated naming the first of these that fails:
+    each exponent at least 1, l and p at most MAX_BITS, p + q = l + m,
+    p > m + q + r.  Its detail gives each value by int_text, which keeps
+    a long one short."""
+    for name, value in zip("lmpqr", (l, m, p, q, r)):
+        if value < 1:
+            raise ConstraintViolated(f"{name}>=1", f"{name}={int_text(value)}")
+    for name, value in (("l", l), ("p", p)):
+        if value > MAX_BITS:
+            raise ConstraintViolated(f"{name}<={MAX_BITS}", f"{name}={int_text(value)}")
+    if p + q != l + m:
+        p, q, l, m = map(int_text, (p, q, l, m))
+        raise ConstraintViolated("p+q=l+m", f"{p}+{q} != {l}+{m}")
+    if p <= m + q + r:
+        p, m, q, r = map(int_text, (p, m, q, r))
+        raise ConstraintViolated("p>m+q+r", f"{p} <= {m}+{q}+{r}")
+
+
 def validate_params(params: ProtocolParams) -> str:
     """Check every parameter constraint; return the toy/full classification.
 
-    Raises ConstraintViolated naming the first inequality that fails; its
-    detail gives each value by int_text, which keeps a long one short.
+    Raises ConstraintViolated naming the first inequality that fails: the
+    exponents' (_check_exponents), then z's range.
     """
-    for name in ("l", "m", "p", "q", "r"):
-        value = getattr(params, name)
-        if value < 1:
-            raise ConstraintViolated(f"{name}>=1", f"{name}={int_text(value)}")
-    if not (1 << (params.l - 1)) <= params.z < (1 << params.l):
-        raise ConstraintViolated(
-            "2^(l-1)<=z<2^l", f"z={int_text(params.z)} is not exactly {params.l} bits"
-        )
-    if params.p + params.q != params.l + params.m:
-        p, q, l, m = map(int_text, (params.p, params.q, params.l, params.m))
-        raise ConstraintViolated("p+q=l+m", f"{p}+{q} != {l}+{m}")
-    if params.p <= params.m + params.q + params.r:
-        p, m, q, r = map(int_text, (params.p, params.m, params.q, params.r))
-        raise ConstraintViolated("p>m+q+r", f"{p} <= {m}+{q}+{r}")
+    l, m, p, q, r, z = params
+    _check_exponents(l, m, p, q, r)
+    if not (1 << (l - 1)) <= z < (1 << l):
+        raise ConstraintViolated("2^(l-1)<=z<2^l", f"z={int_text(z)} is not exactly {l} bits")
     return classify(params)
 
 
 def check_shape(l: int, m: int, q: int, r: int) -> int:
     """Check every constraint that does not involve z; return p = l + m - q.
 
-    Raises ConstraintViolated as validate_params does.  The z range holds
-    for any l-bit z, so an l-bit placeholder exposes exactly the others.
+    Raises ConstraintViolated as validate_params does.
     """
-    if l < 1:
-        raise ConstraintViolated("l>=1", f"l={int_text(l)}")
     p = l + m - q
-    validate_params(ProtocolParams(l=l, m=m, p=p, q=q, r=r, z=1 << (l - 1)))
+    _check_exponents(l, m, p, q, r)
     return p
 
 

@@ -344,8 +344,8 @@ class TestBenchCommand:
                    "--trials", "3", "--seed", "1", "--mode", "oracle-check",
                    "--out", str(out)])
         assert rc == 0
-        for line in out.read_text().splitlines()[1:]:
-            assert line.endswith(",")  # empty error column
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert [row[header.index("error")] for row in rows] == ["", "", ""]
 
     def test_oracle_check_zero_tokens_with_m_below_q(self, tmp_path):
         # m < q: the exchanges with token 0 (seeds 416, 467, 614, 627 among
@@ -544,6 +544,79 @@ class TestOneCheckPerInput:
         assert main(["attack", "--params", str(path), "--token", "3", "--token-scaled",
                      "--m", "0", *peer]) == 2
         assert capsys.readouterr() == ("", "error: m must be at least 1, got 0\n")
+
+
+MAX = truncrack.protocol.MAX_BITS
+
+
+def _shape(l, m, q, r):
+    return ["--l", str(l), "--m", str(m), "--q", str(q), "--r", str(r)]
+
+
+class TestSizeBound:
+    """Each option that names a size at its bound and one past it.  The
+    bound of a shape is on l and p = l + m - q, so the bound of m, q and r
+    is the largest value that some valid shape admits."""
+
+    @pytest.mark.parametrize(
+        "shape, past, name",
+        [
+            ((MAX, 8, 8, 2), (MAX + 1, 8, 8, 2), f"l<={MAX}"),
+            ((4, MAX - 3, 1, 1), (4, MAX - 2, 1, 1), f"p<={MAX}"),  # p = MAX, then MAX + 1
+            ((MAX, 1, MAX // 2 - 1, 1), (MAX, 1, MAX // 2, 1), "p>m+q+r"),  # l > 2q + r
+            ((MAX, 1, 1, MAX - 3), (MAX, 1, 1, MAX - 2), "p>m+q+r"),
+        ],
+        ids=["l", "m", "q", "r"],
+    )
+    def test_shape_options(self, tmp_path, capsys, shape, past, name):
+        # at the bound a whole trial runs, so its deployment also passes
+        # the attack's check_observables
+        out = tmp_path / "r.csv"
+        bench = ["--trials", "1", "--seed", "1", "--out", str(out)]
+        assert main(["bench", *_shape(*shape), *bench]) == 0
+        header, row = [line.split(",") for line in out.read_text().splitlines()]
+        record = dict(zip(header, row))
+        assert (record["error"], record["secret_recovered"]) == ("", "1")
+        capsys.readouterr()
+        for command in (["bench", *_shape(*past), *bench], ["params", *_shape(*past)]):
+            assert main(command) == 2
+            assert capsys.readouterr() == ("", f"error: constraint violated: {name}\n")
+
+    def test_attack_m(self, tmp_path, capsys):
+        # at the bound the box is past its cap (exit 3), one past it is refused
+        path = tmp_path / "g.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        attack = ["attack", "--params", str(path), "--token", "22131", "--m"]
+        assert main([*attack, str(MAX)]) == 3
+        capsys.readouterr()
+        assert main([*attack, str(MAX + 1)]) == 2
+        assert capsys.readouterr() == ("", f"error: m must be at most {MAX}, got {MAX + 1}\n")
+
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            (MAX, MAX - 1, None),
+            (MAX + 1, MAX - 1, f"p must be at most {MAX}, got {MAX + 1}"),
+            (MAX, MAX, f"p must exceed q, got p={MAX} q={MAX}"),  # q is bounded by p
+        ],
+        ids=["at-bound", "p-past", "q-past"],
+    )
+    def test_oracle_p_and_q(self, capsys, p, q, message):
+        rc = main(["oracle", "--z", "1", "--p", str(p), "--q", str(q), "--u", "0", "--m", "1"])
+        if message is None:
+            assert (rc, capsys.readouterr()) == (0, ("0\n1\n", ""))
+        else:
+            assert (rc, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+
+    def test_largest_round_tripping_file(self, tmp_path, capsys):
+        # A 14284-bit z has at most 4,300 digits, CPython's limit on
+        # int-to-str conversion, so the file round-trips; a larger l may
+        # not (test_serialise_failure_keeps_out_file).
+        path = tmp_path / "big.params"
+        assert main(["params", "--l", "14284", "--m", "8", "--q", "8", "--r", "2",
+                     "--seed", "1", "--out", str(path)]) == 0
+        assert load_params(str(path)) == truncrack.protocol.gen_params(1, 14284, 8, 8, 2)
+        assert main(["exchange", "--params", str(path), "--seed", "1"]) == 0
 
 
 # Fuzzing: every drawn value is bounded so that no call does more than

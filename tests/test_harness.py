@@ -154,7 +154,7 @@ class TestCsv:
         assert text == (
             "seed,l,m,p,q,r,secret_recovered,preimage_found,key_matched,"
             "candidate_count,reduce_iterations,reduce_time_ns,search_time_ns,"
-            "total_time_ns,error\n"
+            "total_time_ns,error,agree\n"
         )
         assert ",".join(CSV_COLUMNS) + "\n" == text
 
@@ -167,7 +167,7 @@ class TestCsv:
         assert len(cells) == len(CSV_COLUMNS)
         assert cells[0] == "13882"
         assert cells[6] == "1" and cells[7] == "1"  # booleans as 0/1
-        assert cells[-1] == ""
+        assert cells[-2:] == ["", "1"]  # no error; seed 13882's keys agree
         assert text.endswith("\n") and "\r" not in text
 
     def test_full_scale_golden_rows(self):
@@ -179,9 +179,19 @@ class TestCsv:
         cfg = TrialConfig(seed_base=1, trials=5, l=2048, m=512, q=512, r=129)
         rows = _zero_timings(format_csv(run_trials(cfg))).splitlines()[1:]
         assert rows == [
-            f"{seed},2048,512,2048,512,129,1,1,1,1,{iterations},0,0,0,"
+            f"{seed},2048,512,2048,512,129,1,1,1,1,{iterations},0,0,0,,1"
             for seed, iterations in [(1, 318), (2, 307), (3, 330), (4, 293), (5, 297)]
         ]
+
+    def test_exchange_mode_writes_agree(self):
+        # exchange mode measures agreement alone, so its column carries it
+        records = run_trials(
+            TrialConfig(seed_base=0, trials=200, mode="exchange", **TOY_CFG)
+        )
+        header, *rows = [line.split(",") for line in format_csv(records).splitlines()]
+        column = [row[header.index("agree")] for row in rows]
+        assert column == [str(int(rec.agree)) for rec in records]
+        assert set(column) == {"0", "1"}
 
     def test_reproducible_modulo_timing(self):
         cfg = TrialConfig(seed_base=3, trials=12, **TOY_CFG)

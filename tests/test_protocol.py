@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from truncrack import (
@@ -16,6 +16,8 @@ from truncrack import (
     trunc_f,
     validate_params,
 )
+from truncrack.attack import check_observables
+from truncrack.protocol import MAX_BITS, check_shape
 
 TOY = ProtocolParams(l=13, m=14, p=22, q=5, r=2, z=6173)
 
@@ -55,6 +57,33 @@ class TestValidate:
         with pytest.raises(ConstraintViolated) as exc:
             validate_params(ProtocolParams(**values))
         assert exc.value.name == f"{field}>=1"
+
+    @pytest.mark.parametrize("field", ["l", "p"])
+    def test_bit_length_bound(self, field):
+        # l = p = MAX_BITS is valid; one past is refused before 1 << (l - 1)
+        values = dict(l=MAX_BITS, m=8, p=MAX_BITS, q=8, r=2, z=(1 << (MAX_BITS - 1)) | 1)
+        assert validate_params(ProtocolParams(**values)) == "toy"
+        values.update({field: MAX_BITS + 1, "m" if field == "p" else "q": 9})
+        with pytest.raises(ConstraintViolated) as exc:
+            validate_params(ProtocolParams(**values))
+        assert exc.value.name == f"{field}<={MAX_BITS}"
+
+    @given(
+        l=st.integers(1, MAX_BITS + 1),
+        m=st.integers(1, MAX_BITS + 1),
+        q=st.integers(1, MAX_BITS + 1),
+        r=st.integers(1, MAX_BITS + 1),
+    )
+    @example(l=MAX_BITS, m=8, q=8, r=2)
+    @example(l=4, m=MAX_BITS - 3, q=1, r=1)
+    @example(l=MAX_BITS, m=1, q=1, r=MAX_BITS - 3)
+    def test_accepted_shapes_pass_check_observables(self, l, m, q, r):
+        try:
+            p = check_shape(l, m, q, r)
+        except ConstraintViolated:
+            return
+        assert max(l, m, p, q, r) <= MAX_BITS
+        check_observables(1 << (l - 1), p, q, m)
 
     def test_classification_boundary(self):
         assert classify(ProtocolParams(l=1, m=1, p=1, q=1, r=128, z=1)) == "toy"

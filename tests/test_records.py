@@ -60,8 +60,9 @@ class TestRecordIsValue:
         assert repr(record) == text
 
 
-def test_trial_record_fields_are_csv_columns_then_agree():
-    assert TrialRecord._fields == CSV_COLUMNS + ("agree",)
+def test_trial_record_fields_are_csv_columns():
+    assert TrialRecord._fields == CSV_COLUMNS
+    assert CSV_COLUMNS[-2:] == ("error", "agree")
 
 
 @pytest.mark.parametrize("record_type", [type(r) for r, _ in RECORDS] + [AttackResult])
