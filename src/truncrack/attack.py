@@ -39,10 +39,10 @@ benchmark's entry (perfbench/run.py), an adapter over an Attacker taken
 from a one-entry memo keyed on (z, p, q, m).  Nothing here reads a
 clock: a caller times the calls it makes, as harness._run_trial does.
 
-Each input has one check: check_observables for the deployment and
-check_token for a token, ours or the peer's.  A token here is u itself;
-the pre-division value 2^q*u is an input format of the command line,
-which decodes it before it calls in.
+Each input has one check, and protocol holds both: check_observables
+for the deployment and check_token for a token, ours or the peer's.  A
+token here is u itself; the pre-division value 2^q*u is an input format
+of the command line, which decodes it before it calls in.
 """
 
 # No `from __future__ import annotations`: typing would compile each
@@ -50,9 +50,9 @@ which decodes it before it calls in.
 import functools
 from typing import NamedTuple
 
-from .errors import DegenerateInput, NoCandidates, int_text
+from .errors import NoCandidates
 from .lattice2d import box_bound, box_frame, check_box, coefficient_box, euclid_basis, gauss_reduce
-from .protocol import MAX_BITS, derive_key
+from .protocol import check_observables, check_token, derive_key
 
 # The reduction modulus exceeds the rectangle's area 2^(m+q) by this many
 # bits, so the coset of L_k puts about 2^-SPARE_BITS points in it, and the
@@ -73,10 +73,11 @@ class AttackInput(NamedTuple):
     """Public observables handed to the attacker: the deployment
     (z, p, q, m) and one token u, in that order.
 
-    recover_preimages rejects what check_observables and check_token
-    reject (z < 1, q < 0, p <= q, m < 1, p or m past MAX_BITS, u outside
-    [0, 2^(p-q))), since none of these can come from an exchange.  z >= 2^p is accepted: valid
-    parameters with m < q have p < l, so their l-bit z is at least 2^p.
+    recover_preimages rejects what protocol.check_observables and
+    protocol.check_token reject (z < 1, q < 0, p <= q, m < 1, p or m past
+    the size bound, u outside [0, 2^(p-q))), since none of these can come
+    from an exchange.  z >= 2^p is accepted: valid parameters with m < q
+    have p < l, so their l-bit z is at least 2^p.
     """
 
     z: int
@@ -100,41 +101,6 @@ class AttackResult(NamedTuple):
     unique: bool
     reduce_iterations: int
     searched: int
-
-
-def check_observables(z: int, p: int, q: int, m: int) -> None:
-    """Reject a deployment that no exchange can produce.
-
-    Raises DegenerateInput for z < 1, for q < 0 (no truncation), for
-    p <= q (every x would be a preimage of the only token, 0), for m < 1
-    (no secret space) and for p or m past protocol.MAX_BITS, before any
-    shift by them.  Valid parameters pass: p <= MAX_BITS puts m below p.
-    The messages give each value by int_text, so a long one reads as its
-    bit length.  Tokens are checked by check_token.
-    """
-    if z < 1:
-        raise DegenerateInput(f"z must be positive, got {int_text(z)}")
-    if q < 0:
-        raise DegenerateInput(f"q must be nonnegative, got {int_text(q)}")
-    if p <= q:
-        raise DegenerateInput(f"p must exceed q, got p={int_text(p)} q={int_text(q)}")
-    if p > MAX_BITS:
-        raise DegenerateInput(f"p must be at most {MAX_BITS}, got {int_text(p)}")
-    if m < 1:
-        raise DegenerateInput(f"m must be at least 1, got {int_text(m)}")
-    if m > MAX_BITS:
-        raise DegenerateInput(f"m must be at most {MAX_BITS}, got {int_text(m)}")
-
-
-def check_token(token: int, p: int, q: int, name: str = "token") -> None:
-    """Raise DegenerateInput for a token outside [0, 2^(p-q)), the range
-    of the token map; ``name`` names it in the message, and int_text
-    gives its value.  The range is compared by bit length, so no p makes
-    a shift."""
-    if token < 0 or token.bit_length() > p - q:
-        raise DegenerateInput(
-            f"{name} must be in [0, 2^(p-q)) (p-q={int_text(p - q)}), got {int_text(token)}"
-        )
 
 
 class Attacker:

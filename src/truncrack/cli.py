@@ -140,7 +140,7 @@ def _cmd_attack(args) -> int:
     # the peer token, ours (in attack); the key map is the file's.
     attacker = attack_mod.Attacker(params.z, params.p, params.q, m)
     if args.other_token is not None:
-        attack_mod.check_token(args.other_token, params.p, params.q, "peer token")
+        protocol.check_token(args.other_token, params.p, params.q, "peer token")
     token = args.token
     if args.token_scaled:
         if token & ((1 << params.q) - 1):
@@ -169,7 +169,7 @@ def _cmd_attack(args) -> int:
 
 def _cmd_oracle(args) -> int:
     harness.check_oracle(args.z, args.p, args.q, args.m)
-    attack_mod.check_token(args.u, args.p, args.q)
+    protocol.check_token(args.u, args.p, args.q)
     for x in harness.brute_force_preimages(args.z, args.p, args.q, args.u, args.m):
         print(x)
     return EXIT_OK

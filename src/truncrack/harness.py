@@ -15,9 +15,9 @@ import sys
 import time
 from typing import NamedTuple
 
-from .attack import Attacker, check_observables
+from .attack import Attacker
 from .errors import OracleTooLarge, ToolkitError, echo_text, int_text
-from .protocol import check_shape, exchange, gen_params, shared_key
+from .protocol import check_observables, check_shape, exchange, gen_params, shared_key
 
 MODES = ("attack", "exchange", "oracle-check")
 

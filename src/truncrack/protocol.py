@@ -23,15 +23,19 @@ import random
 import re
 from typing import NamedTuple
 
-from .errors import ConstraintViolated, echo_text, int_text
+from .errors import ConstraintViolated, DegenerateInput, echo_text, int_text
 
 # r above this guard width counts as a deployment-grade ("full") setup.
 TOY_GUARD_BITS = 128
 
 # Largest l and p, and so every exponent of valid parameters, since
-# p > m + q + r puts m, q and r below p; attack.check_observables bounds
-# p and m by it too.  Each is checked before any shift by it.
-MAX_BITS = 1 << 16
+# p > m + q + r puts m, q and r below p; check_observables bounds p and m
+# by it too.  Each is checked before any shift by it.  It is the largest
+# bit length whose values have at most 4,300 decimal digits, CPython's
+# default limit on int-to-str conversion.  Valid parameters put z below
+# 2^l and every secret, token, key and candidate below 2^p, so every
+# value the program prints or writes then prints.
+MAX_BITS = 14284
 
 PARAM_KEYS = ("l", "m", "p", "q", "r", "z")
 
@@ -89,6 +93,41 @@ def _check_exponents(l: int, m: int, p: int, q: int, r: int) -> None:
         raise ConstraintViolated("p>m+q+r", f"{p} <= {m}+{q}+{r}")
 
 
+def check_observables(z: int, p: int, q: int, m: int) -> None:
+    """Reject a deployment that no exchange can produce.
+
+    Raises DegenerateInput for z < 1, for q < 0 (no truncation), for
+    p <= q (every x would be a preimage of the only token, 0), for m < 1
+    (no secret space) and for p or m past MAX_BITS, before any shift by
+    them.  Valid parameters pass: p <= MAX_BITS puts m below p.  The
+    messages give each value by int_text, so a long one reads as its bit
+    length.  Tokens are checked by check_token.
+    """
+    if z < 1:
+        raise DegenerateInput(f"z must be positive, got {int_text(z)}")
+    if q < 0:
+        raise DegenerateInput(f"q must be nonnegative, got {int_text(q)}")
+    if p <= q:
+        raise DegenerateInput(f"p must exceed q, got p={int_text(p)} q={int_text(q)}")
+    if p > MAX_BITS:
+        raise DegenerateInput(f"p must be at most {MAX_BITS}, got {int_text(p)}")
+    if m < 1:
+        raise DegenerateInput(f"m must be at least 1, got {int_text(m)}")
+    if m > MAX_BITS:
+        raise DegenerateInput(f"m must be at most {MAX_BITS}, got {int_text(m)}")
+
+
+def check_token(token: int, p: int, q: int, name: str = "token") -> None:
+    """Raise DegenerateInput for a token outside [0, 2^(p-q)), the range
+    of the token map; ``name`` names it in the message, and int_text
+    gives its value.  The range is compared by bit length, so no p makes
+    a shift."""
+    if token < 0 or token.bit_length() > p - q:
+        raise DegenerateInput(
+            f"{name} must be in [0, 2^(p-q)) (p-q={int_text(p - q)}), got {int_text(token)}"
+        )
+
+
 def validate_params(params: ProtocolParams) -> str:
     """Check every parameter constraint; return the toy/full classification.
 
@@ -126,16 +165,24 @@ def gen_params(seed: int, l: int, m: int, q: int, r: int) -> ProtocolParams:
 
 def trunc_f(x: int, params: ProtocolParams) -> int:
     """The public token map F(x) = floor((x*z mod 2^p) / 2^q), for
-    nonnegative x (ValueError otherwise)."""
+    nonnegative x (ValueError otherwise); ConstraintViolated for p outside
+    [0, MAX_BITS], before the shift by it."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return ((x * params.z) & ((1 << params.p) - 1)) >> params.q
+    p = params.p
+    if not 0 <= p <= MAX_BITS:
+        raise ConstraintViolated(f"0<=p<={MAX_BITS}", f"p={int_text(p)}")
+    return ((x * params.z) & ((1 << p) - 1)) >> params.q
 
 
 def derive_key(x: int, other_token: int, p: int, q: int, r: int, m: int) -> int:
     """floor((x * v mod 2^(p-q)) / 2^(r+m)): the key a party with secret x
-    derives from the peer's token v."""
-    return ((x * other_token) & ((1 << (p - q)) - 1)) >> (r + m)
+    derives from the peer's token v.  ConstraintViolated for p - q outside
+    [0, MAX_BITS], before the shift by it."""
+    bits = p - q
+    if not 0 <= bits <= MAX_BITS:
+        raise ConstraintViolated(f"0<=p-q<={MAX_BITS}", f"p-q={int_text(bits)}")
+    return ((x * other_token) & ((1 << bits) - 1)) >> (r + m)
 
 
 def shared_key(x: int, other_token: int, params: ProtocolParams) -> int:

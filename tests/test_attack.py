@@ -24,7 +24,7 @@ from truncrack import (
     shared_key,
     validate_params,
 )
-from truncrack.attack import SPARE_BITS, WALK_BOUND, check_observables, check_token
+from truncrack.attack import SPARE_BITS, WALK_BOUND
 from truncrack.cli import main as cli_main
 from truncrack.errors import NoCandidates
 from truncrack.harness import brute_force_preimages
@@ -39,7 +39,7 @@ from truncrack.lattice2d import (
     rect_search,
     solution_basis,
 )
-from truncrack.protocol import check_shape
+from truncrack.protocol import check_observables, check_shape, check_token
 from test_acceptance import rect_weights
 
 # The worked deployment (z, p, q, m), and its token as the paper gives it,

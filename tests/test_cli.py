@@ -2,10 +2,11 @@ import collections
 import contextlib
 import io
 import os
+import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import truncrack.attack
@@ -13,6 +14,7 @@ import truncrack.protocol
 from truncrack.cli import _build_parser, main
 from truncrack.errors import echo_text
 from truncrack.harness import MODES
+from truncrack.protocol import MAX_BITS as MAX
 from truncrack.protocol import load_params, shared_key
 
 
@@ -60,12 +62,18 @@ class TestParamsCommand:
         assert "--seed" in capsys.readouterr().err
 
     def test_serialise_failure_keeps_out_file(self, tmp_path, capsys):
-        # a 16000-bit z has more than 4,300 decimal digits, Python's
-        # int-to-string limit, so serialising fails
+        # Under the default limit every valid z prints (TestSizeBound), so
+        # the limit is lowered to its least value, 640 digits: a 14284-bit
+        # z has 4,300, and serialising fails before the file is opened.
         path = tmp_path / "big.params"
         path.write_text("keep me\n")
-        rc = main(["params", "--l", "16000", "--m", "512", "--q", "512", "--r", "129",
-                   "--seed", "1", "--out", str(path)])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            rc = main(["params", "--l", str(MAX), "--m", "512", "--q", "512", "--r", "129",
+                       "--seed", "1", "--out", str(path)])
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert path.read_text() == "keep me\n"
@@ -210,13 +218,12 @@ class TestAttackCommand:
         assert captured.out == ""
         assert "error:" in captured.err
 
-    @pytest.mark.parametrize("m, k", [(4096, 4079), (65536, 65519)])
+    @pytest.mark.parametrize("m, k", [(4096, 4079), (MAX, MAX - 17)])
     def test_box_cap_exit_3_with_short_message(self, tmp_path, capsys, m, k):
         # The box holds about area / det = 2^(m+q-p) = 2^(m-17) pairs: a
-        # count of over a thousand digits at m = 4096, and more than
-        # CPython converts to a string at m = 65536.  Both refuse with the
-        # resource-cap code and a message that gives the size as a power
-        # of two.
+        # count of over a thousand digits at m = 4096, and of 4,295 at the
+        # size bound.  Both refuse with the resource-cap code and a
+        # message that gives the size as a power of two.
         path = tmp_path / "g.params"
         path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
         rc = main(["attack", "--params", str(path), "--token", "22131", "--m", str(m)])
@@ -371,6 +378,20 @@ class TestBenchCommand:
 
 
 class TestUsage:
+    def test_module_entry_point(self, tmp_path):
+        # python -m truncrack.cli runs console_main through the __main__ guard
+        path = tmp_path / "toy.params"
+        path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        src = os.path.dirname(os.path.dirname(truncrack.protocol.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "truncrack.cli", "attack", "--params",
+             str(path), "--token", "708192", "--token-scaled"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "x=12345 y=21\nunique=1\n", "")
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
 
@@ -546,9 +567,6 @@ class TestOneCheckPerInput:
         assert capsys.readouterr() == ("", "error: m must be at least 1, got 0\n")
 
 
-MAX = truncrack.protocol.MAX_BITS
-
-
 def _shape(l, m, q, r):
     return ["--l", str(l), "--m", str(m), "--q", str(q), "--r", str(r)]
 
@@ -609,21 +627,45 @@ class TestSizeBound:
             assert (rc, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
 
     def test_largest_round_tripping_file(self, tmp_path, capsys):
-        # A 14284-bit z has at most 4,300 digits, CPython's limit on
-        # int-to-str conversion, so the file round-trips; a larger l may
-        # not (test_serialise_failure_keeps_out_file).
+        # A z of MAX bits has at most 4,300 digits, CPython's default
+        # limit on int-to-str conversion, so the file round-trips.
         path = tmp_path / "big.params"
-        assert main(["params", "--l", "14284", "--m", "8", "--q", "8", "--r", "2",
+        assert main(["params", "--l", str(MAX), "--m", "8", "--q", "8", "--r", "2",
                      "--seed", "1", "--out", str(path)]) == 0
-        assert load_params(str(path)) == truncrack.protocol.gen_params(1, 14284, 8, 8, 2)
+        assert load_params(str(path)) == truncrack.protocol.gen_params(1, MAX, 8, 8, 2)
         assert main(["exchange", "--params", str(path), "--seed", "1"]) == 0
+
+    def test_long_secrets_refused_before_any_file(self, tmp_path, capsys):
+        # p = 60090: its secrets would have 18,000 digits, which no
+        # command could print
+        path = tmp_path / "long.params"
+        assert main(["params", "--l", "100", "--m", "60000", "--q", "10", "--r", "2",
+                     "--seed", "1", "--out", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: constraint violated: p<={MAX}\n")
+        assert not path.exists()
+
+    def test_longest_secrets_print(self, tmp_path, capsys):
+        # p = MAX with m close to it: secrets, tokens, keys and candidates
+        # of up to 4,300 digits print under the default limit
+        path = tmp_path / "long.params"
+        m = MAX - 90
+        assert main(["params", *_shape(100, m, 10, 2), "--seed", "1", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == f"p={MAX} class=toy\n"
+        assert main(["exchange", "--params", str(path), "--seed", "1"]) == 0
+        values = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert len(values["x"]) > 4200
+        assert main(["attack", "--params", str(path), "--token", values["U"],
+                     "--other-token", values["V"]]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"x={values['x']} y=" in out[0]
+        assert out[1:] == ["unique=1", f"key={values['W_a']} candidates=1"]
 
 
 # Fuzzing: every drawn value is bounded so that no call does more than
 # toy-size work (numbers below 2^16, bit lengths at most 64, m at most 16
 # for the attack and 12 wherever the oracle scans 2^m values, and bench
 # with at most 2 trials at l <= 16).  No garbage value is all ASCII
-# digits, so none of them can name a large size.
+# digits, so none of them can name a large size; _long_sizes draws those.
 _NUMBER = st.integers(0, (1 << 16) - 1).map(str)
 _GARBAGE = st.sampled_from(["", "-1", "0x10", "1.5", "1e3", " 7", "\uff11", "abc", "-", "--"])
 
@@ -707,6 +749,30 @@ def _argvs(draw, params_paths, out_paths):
     return argv
 
 
+@st.composite
+def _long_sizes(draw):
+    """A decimal of 5 to 4,400 digits past MAX: from 4,301 digits it is
+    also past the parser's digit limit.  The digits repeat a short drawn
+    chunk, so that a long value costs the test little."""
+    digits = draw(st.integers(5, 4400) | st.sampled_from([4300, 4301]))
+    head = draw(st.sampled_from("123456789"))
+    chunk = draw(st.text("0123456789", min_size=1, max_size=8))
+    text = head + (chunk * digits)[: digits - 1]
+    assume(digits > 5 or int(text) > MAX)
+    return text
+
+
+# Each command's size options, after a toy argv that they override.
+_SIZED_COMMANDS = {
+    "params": ([*_shape(13, 14, 5, 2), "--seed", "1"], ["--l", "--m", "--q", "--r"]),
+    "bench": ([*_shape(13, 14, 5, 2), "--trials", "1", "--seed", "1"],
+              ["--l", "--m", "--q", "--r"]),
+    "attack": (["--token", "22131"], ["--m"]),
+    "oracle": (["--z", "6173", "--p", "22", "--q", "5", "--u", "22131", "--m", "4"],
+               ["--p", "--q", "--m"]),
+}
+
+
 def _run_quietly(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
@@ -747,3 +813,30 @@ class TestFuzz:
             if command == "attack-key":
                 argv += ["--other-token", str(seed)]
         assert _run_quietly(argv) in (0, 1, 2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_long_sizes_fail_fast(self, tmp_path_factory, data):
+        # Every size past MAX is refused by a comparison before any shift
+        # or print: a usage error or the box cap, with a short message.
+        tmp = tmp_path_factory.getbasetemp() / "sizes"
+        tmp.mkdir(exist_ok=True)
+        good = tmp / "good.params"
+        good.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
+        command = data.draw(st.sampled_from(sorted(_SIZED_COMMANDS)))
+        toy, sizes = _SIZED_COMMANDS[command]
+        argv = [command, *toy]
+        if command == "attack":
+            argv += ["--params", str(good)]
+        if command == "bench":
+            argv += ["--out", str(tmp / "out.csv")]
+        for name in data.draw(st.lists(st.sampled_from(sizes), min_size=1, unique=True)):
+            argv += [name, data.draw(_long_sizes())]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) in (2, 3)
+        err = err.getvalue()
+        assert "Exceeds the limit" not in err
+        # argparse puts its fixed usage text before a parse error's line
+        assert len(err.splitlines()[-1].encode()) < 200
+        assert len(err.encode()) < 512

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +9,7 @@ from truncrack import (
     ConstraintViolated,
     ProtocolParams,
     classify,
+    derive_key,
     dump_params,
     exchange,
     gen_params,
@@ -16,8 +18,7 @@ from truncrack import (
     trunc_f,
     validate_params,
 )
-from truncrack.attack import check_observables
-from truncrack.protocol import MAX_BITS, check_shape
+from truncrack.protocol import MAX_BITS, check_observables, check_shape
 
 TOY = ProtocolParams(l=13, m=14, p=22, q=5, r=2, z=6173)
 
@@ -67,6 +68,12 @@ class TestValidate:
         with pytest.raises(ConstraintViolated) as exc:
             validate_params(ProtocolParams(**values))
         assert exc.value.name == f"{field}<={MAX_BITS}"
+
+    def test_bit_length_bound_is_the_digit_limit(self):
+        # MAX_BITS is the largest bit length whose every value has at most
+        # CPython's default number of digits for int-to-str conversion
+        digits = sys.int_info.default_max_str_digits
+        assert (1 << MAX_BITS) - 1 < 10**digits <= (1 << (MAX_BITS + 1)) - 1
 
     @given(
         l=st.integers(1, MAX_BITS + 1),
@@ -123,6 +130,15 @@ class TestTruncMap:
 
     def test_one(self):
         assert trunc_f(1, TOY) == 6173 >> 5 == 192
+
+    def test_exponents_checked_before_the_shift(self):
+        # a bare OverflowError ("too many digits in integer") before the check
+        with pytest.raises(ConstraintViolated) as exc:
+            derive_key(1, 1, 10**20, 0, 1, 1)
+        assert str(exc.value) == f"constraint violated: 0<=p-q<={MAX_BITS} (p-q=a 67-bit integer)"
+        with pytest.raises(ConstraintViolated) as exc:
+            trunc_f(1, ProtocolParams(13, 14, 10**20, 5, 2, 6173))
+        assert str(exc.value) == f"constraint violated: 0<=p<={MAX_BITS} (p=a 67-bit integer)"
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
