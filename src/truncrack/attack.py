@@ -147,8 +147,9 @@ class Attacker:
     def attack(self, u: int) -> AttackResult:
         """Recover every preimage of the token u inside [0, 2^m) x [0, 2^q).
 
-        Deterministic in the deployment and u.  The walk is rect_search's
-        over coefficient_box(frame, u mod 2^(k-q)), from the coset point
+        Deterministic in the deployment and u.  The walk is that of
+        paper.rect_search, the reference walk, over
+        coefficient_box(frame, u mod 2^(k-q)), from the coset point
         (0, -2^q*(u mod 2^(k-q))) of L_k, in the same order; each hit
         (x, y) is filtered as the walk reaches it, and kept when its full
         token map, floor((x*z mod 2^p) / 2^q), is u.  One product x*z

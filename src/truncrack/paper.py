@@ -1,0 +1,160 @@
+"""The paper's own path through the token congruence, beside the attack's.
+
+The paper recovers a token preimage from a particular solution v0 of
+x*z = 2^q*u + y (mod 2^p) and a Gauss-reduced basis of
+L = { (x, y) : x*z = y  (mod 2^p) }: it writes the rectangle's corners in
+that basis with exact rational coefficients, takes the lattice point
+nearest v0 (a CVP), and searches the box the corners span.  This module
+keeps those steps as they read: solution_basis, is_reduced, solve_coeffs,
+nearest_lattice_point, rect_search (the reference walk that
+attack.Attacker.attack's fused walk is tested against) and
+truncate_decimal, which prints a coefficient as the paper does.  The
+attack calls none of them, and nothing that `import truncrack` loads
+imports this module, so Fraction is built here and only here.  Apart
+from those Fractions, values are plain ints and tuples, as in lattice2d;
+all functions are pure.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .errors import DegenerateInput, int_text
+from .lattice2d import BOX_CAP, Frame, check_box, coefficient_box, round_half_to_zero
+
+
+def solution_basis(
+    z: int, p: int, q: int, u: int
+) -> tuple[tuple[int, int], tuple[int, int, int, int]]:
+    """A particular solution v0 and a basis of L for the token congruence:
+    every solution of x*z = 2^q*u + y (mod 2^p) lies in the coset v0 + L.
+
+    v0 = (ceil(2^q*u / z), z*x0 - 2^q*u) solves the congruence with
+    0 <= y0 < z.  The basis is the consecutive pair
+    g_i = (t + i, z*(t + i) - 2^p) for i in {0, 1}, which both satisfy the
+    homogeneous congruence and span a determinant-2^p sublattice, i.e. all
+    of L, with t = floor(2^q*u / z).  Returns (v0, (x1, y1, x2, y2)).
+    """
+    if z <= 0:
+        raise DegenerateInput(f"z must be positive, got {int_text(z)}")
+    if p < 1:
+        raise DegenerateInput(f"p must be at least 1, got {int_text(p)}")
+    if u < 0:
+        raise DegenerateInput(f"u must be nonnegative, got {int_text(u)}")
+    shifted = u << q
+    x0 = -(-shifted // z)
+    anchor = shifted // z
+    y1 = z * anchor - (1 << p)
+    return (x0, z * x0 - shifted), (anchor, y1, anchor + 1, y1 + z)
+
+
+def is_reduced(basis: tuple[int, int, int, int], wx: int, wy: int) -> bool:
+    """Whether |<u1, u2>| <= min(|u1|^2, |u2|^2) / 2 under the form (wx, wy)."""
+    x1, y1, x2, y2 = basis
+    cross = abs(wx * x1 * x2 + wy * y1 * y2)
+    return 2 * cross <= min(wx * x1 * x1 + wy * y1 * y1, wx * x2 * x2 + wy * y2 * y2)
+
+
+def solve_coeffs(
+    basis: tuple[int, int, int, int], v: tuple[int, int]
+) -> tuple[Fraction, Fraction]:
+    """Exact rationals (a1, a2) with a1*u1 + a2*u2 = v (Cramer's rule).
+
+    Denominators divide |det|, which is 2^p for a basis of L.  Raises
+    DegenerateInput for a basis of determinant 0.
+    """
+    x1, y1, x2, y2 = basis
+    vx, vy = v
+    det = x1 * y2 - y1 * x2
+    if det == 0:
+        raise DegenerateInput("cannot solve coefficients: determinant is 0")
+    return Fraction(vx * y2 - x2 * vy, det), Fraction(x1 * vy - vx * y1, det)
+
+
+# Probe order for the local minimality fix-up: the rounded pair first,
+# then its neighbours in a fixed order so ties resolve deterministically.
+_NEIGHBOURHOOD = [(0, 0)] + [(e1, e2) for e1 in (-1, 0, 1) for e2 in (-1, 0, 1) if (e1, e2) != (0, 0)]
+
+
+def nearest_lattice_point(
+    basis: tuple[int, int, int, int], v: tuple[int, int], wx: int, wy: int
+) -> tuple[int, int]:
+    """Integer coefficients (a1, a2) whose lattice point is nearest v
+    under the form (wx, wy).
+
+    ``basis`` must be reduced under the form.  The coefficients are the
+    rounded (halves toward zero) exact solve of v in the basis; because a
+    coefficient sitting close to a half-integer boundary can make a
+    neighbouring pair strictly closer under a skew form, the 3x3
+    neighbourhood of the rounded pair is scanned and the best kept.  For a
+    reduced basis the true closest point always lies in that
+    neighbourhood, so the result attains the exact minimum of the form
+    norm over the coset v + L.  Raises ValueError for a weight below 1.
+    """
+    if wx <= 0 or wy <= 0:
+        raise ValueError("form weights must be positive")
+    a1, a2 = solve_coeffs(basis, v)
+    r1 = round_half_to_zero(a1.numerator, a1.denominator)
+    r2 = round_half_to_zero(a2.numerator, a2.denominator)
+    x1, y1, x2, y2 = basis
+    vx, vy = v
+    best = None
+    best_norm = None
+    for e1, e2 in _NEIGHBOURHOOD:
+        c1, c2 = r1 + e1, r2 + e2
+        sx = vx - c1 * x1 - c2 * x2
+        sy = vy - c1 * y1 - c2 * y2
+        norm = wx * sx * sx + wy * sy * sy
+        if best_norm is None or norm < best_norm:
+            best, best_norm = (c1, c2), norm
+    return best
+
+
+def rect_search(frame: Frame, u: int, cap: int = BOX_CAP) -> tuple[list[tuple[int, int]], int]:
+    """Points of the token coset (0, -2^q*u) + L inside the rectangle
+    [0, b1) x [0, b2) of box_frame's ``frame``, and the box size.
+
+    Visits every integer coefficient pair (a1, a2) of coefficient_box's
+    exact box and keeps s = (0, -2^q*u) - a1*u1 - a2*u2 whenever s lands
+    in the rectangle, so no in-rectangle point is missed; an empty range
+    gives ([], 0).  The points are stepped, not multiplied out: the walk
+    starts at (0, -2^q*u) - lo1*u1 - lo2*u2 and subtracts u2 to the next
+    pair of a row and u1 to the next row, and takes no step past the
+    last, so a one-pair box, the honest case, costs the start alone.  The
+    frame's basis should be reduced; an unreduced basis only makes the
+    box larger.
+
+    Returns the hits as sorted (x, y) tuples and the number of pairs
+    enumerated.  Raises SearchSpaceExceeded, before the walk, when the
+    box holds more than ``cap`` pairs (check_box).
+    """
+    lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
+    rows, cols = hi1 - lo1 + 1, hi2 - lo2 + 1
+    pairs = rows * cols
+    check_box(pairs, cap)
+    (x1, y1, x2, y2), q, _, b1, b2, _ = frame
+    row_x = -(lo1 * x1 + lo2 * x2)
+    row_y = -((u << q) + lo1 * y1 + lo2 * y2)
+    hits: list[tuple[int, int]] = []
+    for row in range(rows):
+        if row:
+            row_x -= x1
+            row_y -= y1
+        sx, sy = row_x, row_y
+        for col in range(cols):
+            if col:
+                sx -= x2
+                sy -= y2
+            if 0 <= sx < b1 and 0 <= sy < b2:
+                hits.append((sx, sy))
+    hits.sort()
+    return hits, pairs
+
+
+def truncate_decimal(value: Fraction) -> str:
+    """Format an exact rational as a decimal truncated toward zero to three places."""
+    sign = "-" if value < 0 else ""
+    magnitude = -value if value < 0 else value
+    scaled = magnitude * 1000
+    whole, frac = divmod(scaled.numerator // scaled.denominator, 1000)
+    return f"{sign}{whole}.{frac:03d}"

@@ -166,23 +166,27 @@ def gen_params(seed: int, l: int, m: int, q: int, r: int) -> ProtocolParams:
 def trunc_f(x: int, params: ProtocolParams) -> int:
     """The public token map F(x) = floor((x*z mod 2^p) / 2^q), for
     nonnegative x (ValueError otherwise); ConstraintViolated for p outside
-    [0, MAX_BITS], before the shift by it."""
+    [0, MAX_BITS] or q < 0, before the shifts by them."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    p = params.p
+    p, q = params.p, params.q
     if not 0 <= p <= MAX_BITS:
         raise ConstraintViolated(f"0<=p<={MAX_BITS}", f"p={int_text(p)}")
-    return ((x * params.z) & ((1 << p) - 1)) >> params.q
+    if q < 0:
+        raise ConstraintViolated("q>=0", f"q={int_text(q)}")
+    return ((x * params.z) & ((1 << p) - 1)) >> q
 
 
 def derive_key(x: int, other_token: int, p: int, q: int, r: int, m: int) -> int:
     """floor((x * v mod 2^(p-q)) / 2^(r+m)): the key a party with secret x
     derives from the peer's token v.  ConstraintViolated for p - q outside
-    [0, MAX_BITS], before the shift by it."""
-    bits = p - q
+    [0, MAX_BITS] or r + m < 0, before the shifts by them."""
+    bits, shift = p - q, r + m
     if not 0 <= bits <= MAX_BITS:
         raise ConstraintViolated(f"0<=p-q<={MAX_BITS}", f"p-q={int_text(bits)}")
-    return ((x * other_token) & ((1 << bits) - 1)) >> (r + m)
+    if shift < 0:
+        raise ConstraintViolated("r+m>=0", f"r+m={int_text(shift)}")
+    return ((x * other_token) & ((1 << bits) - 1)) >> shift
 
 
 def shared_key(x: int, other_token: int, params: ProtocolParams) -> int:
@@ -217,7 +221,9 @@ def exchange(seed: int, params: ProtocolParams) -> ExchangeTranscript:
 
 
 def dump_params(params: ProtocolParams) -> str:
-    """Serialize to the key=value parameter file format."""
+    """Serialize to the key=value parameter file format; the parameters
+    must pass validate_params first (ConstraintViolated otherwise)."""
+    validate_params(params)
     return "".join(f"{key}={getattr(params, key)}\n" for key in PARAM_KEYS)
 
 

@@ -10,9 +10,8 @@ import time
 from fractions import Fraction
 
 from truncrack import Attacker, TrialConfig, brute_force_preimages, run_trials
-from truncrack.lattice2d import (
-    box_frame,
-    gauss_reduce,
+from truncrack.lattice2d import box_frame, gauss_reduce
+from truncrack.paper import (
     nearest_lattice_point,
     rect_search,
     solution_basis,

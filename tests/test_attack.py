@@ -1,7 +1,11 @@
+import os
 import random
 import statistics
+import subprocess
+import sys
 import time
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,10 +39,8 @@ from truncrack.lattice2d import (
     coefficient_box,
     euclid_basis,
     gauss_reduce,
-    is_reduced,
-    rect_search,
-    solution_basis,
 )
+from truncrack.paper import is_reduced, rect_search, solution_basis
 from truncrack.protocol import check_observables, check_shape, check_token
 from test_acceptance import rect_weights
 
@@ -46,6 +48,8 @@ from test_acceptance import rect_weights
 # 2^q*u = 708192.
 GOLDEN = (6173, 22, 5, 14)
 GOLDEN_TOKEN = 708192 >> 5
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _small_instances(max_p=5, max_m=5):
@@ -316,15 +320,27 @@ class TestRecoverPreimages:
         with pytest.raises(DegenerateInput):
             Attacker(*GOLDEN).attack(kwargs["token"])
 
-    def test_builds_no_fraction(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("Fraction built on the attack path")
-
-        monkeypatch.setattr(truncrack.lattice2d, "Fraction", refuse)
-        result = Attacker(*GOLDEN).attack(GOLDEN_TOKEN)
-        assert result.candidates == ((12345, 21),)
+    def test_loads_no_fractions_or_paper(self):
+        # In a fresh interpreter, since pytest itself may import fractions:
+        # the command line and a golden attack load neither fractions nor
+        # the paper's path, so no Fraction can be built on the attack path.
+        code = (
+            "import sys, truncrack.cli\n"
+            "from truncrack import Attacker\n"
+            f"result = Attacker{GOLDEN}.attack({GOLDEN_TOKEN})\n"
+            "print(result.candidates, result.searched)\n"
+            "print(' '.join(m for m in ('fractions', 'truncrack.paper') if m in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
         # the exact box holds the one winning pair
-        assert result.searched == 1
+        assert done.stdout == "((12345, 21),) 1\n\n"
 
     def test_full_scale_token(self):
         params = gen_params(9, 2048, 512, 512, 129)
@@ -660,7 +676,7 @@ class TestModulusBelowP:
 
 class TestFusedWalk:
     """Attacker.attack walks the frame's box itself and filters each hit
-    as it comes; lattice2d.rect_search is the reference walk it must
+    as it comes; paper.rect_search is the reference walk it must
     match (see also TestModulusBelowP, which compares the two too)."""
 
     def test_matches_walk_then_filter(self):

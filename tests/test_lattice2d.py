@@ -13,10 +13,12 @@ from truncrack.lattice2d import (
     coefficient_box,
     euclid_basis,
     gauss_reduce,
+    round_half_to_zero,
+)
+from truncrack.paper import (
     is_reduced,
     nearest_lattice_point,
     rect_search,
-    round_half_to_zero,
     solution_basis,
     solve_coeffs,
     truncate_decimal,

@@ -1,5 +1,7 @@
 import random
 import sys
+import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,8 @@ from truncrack import (
     trunc_f,
     validate_params,
 )
+import truncrack
+from truncrack.errors import ToolkitError
 from truncrack.protocol import MAX_BITS, check_observables, check_shape
 
 TOY = ProtocolParams(l=13, m=14, p=22, q=5, r=2, z=6173)
@@ -256,3 +260,45 @@ class TestParamFile:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_params(text)
+
+
+# Ints that a direct library call may pass where an exponent or a field is
+# due: past every size bound, negative, and at MAX_BITS and one past it.
+HOSTILE_INTS = (0, 1, -1, 1 << 70, -(1 << 70), 1 << 20000, -(1 << 20000), MAX_BITS, MAX_BITS + 1)
+
+# Each root callable with its ints taken, in order, from eight drawn ones.
+HOSTILE_CALLS = {
+    "trunc_f": lambda a: trunc_f(a[0], ProtocolParams(*a[1:7])),
+    "derive_key": lambda a: derive_key(*a[:6]),
+    "shared_key": lambda a: shared_key(a[0], a[1], ProtocolParams(*a[2:])),
+    "dump_params": lambda a: dump_params(ProtocolParams(*a[:6])),
+}
+
+PACKAGE = Path(truncrack.__file__).parent
+
+
+def _raised_by_package(exc: BaseException) -> bool:
+    """Whether exc comes from a raise statement of the package, not from an
+    operation that CPython refused (a negative shift, a digit limit)."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return Path(frame.filename).parent == PACKAGE and frame.line.startswith("raise ")
+
+
+class TestHostileInts:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(HOSTILE_CALLS)),
+        args=st.lists(st.sampled_from(HOSTILE_INTS), min_size=8, max_size=8),
+    )
+    # a right shift by a negative q, and by a negative r + m
+    @example(name="trunc_f", args=[1, 0, 0, 1, -1, 0, 1, 0])
+    @example(name="derive_key", args=[1, 1, 1, 0, -1, 0, 0, 0])
+    @example(name="shared_key", args=[1, 1, 0, -1, 1, 0, 0, 0])
+    # an unvalidated field past CPython's digit limit
+    @example(name="dump_params", args=[1 << 20000, 1, 1, 1, 1, 1, 0, 0])
+    def test_returns_or_raises_a_named_error(self, name, args):
+        try:
+            HOSTILE_CALLS[name](args)
+        except (ToolkitError, ValueError) as exc:
+            assert isinstance(exc, ToolkitError) or _raised_by_package(exc), repr(exc)
+            assert len(str(exc).encode()) < 200
