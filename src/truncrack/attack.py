@@ -28,16 +28,15 @@ paper does.
 Only the coset point depends on the token, so the work splits at the
 deployment: Attacker(z, p, q, m) reduces once and fixes the box's frame
 and the masks a token needs, and Attacker.attack(u) walks the box of one
-token, filtering each hit as it comes.  The frame folds 2^q
-in (lattice2d.box_frame): since floor((A*2^q + d) / 2^k) equals
-floor((A + floor(d / 2^q)) / 2^(k-q)) for every integer A, a token's box
-costs the products of u mod 2^(k-q) with the two x-cofactors of the
-basis, not of 2^q*u.  Attacker is the way in: the command line and the
-trial harness build one per deployment, and derive keys with
-protocol.shared_key.  recover_preimages and recover_shared_key are the
-benchmark's entry (perfbench/run.py), an adapter over an Attacker taken
-from a one-entry memo keyed on (z, p, q, m).  Nothing here reads a
-clock: a caller times the calls it makes, as harness._run_trial does.
+token, filtering each hit as it comes.  The frame folds 2^q in
+(lattice2d.box_frame), so a token's box costs the products of
+u mod 2^(k-q) with the two x-cofactors of the basis, not of 2^q*u.
+Attacker is the way in: the command line and the trial harness build
+one per deployment, and derive keys with protocol.shared_key.
+recover_preimages and recover_shared_key are the benchmark's entry
+(perfbench/run.py), an adapter over an Attacker taken from a one-entry
+memo keyed on (z, p, q, m).  Nothing here reads a clock: a caller times
+the calls it makes, as harness._run_trial does.
 
 Each input has one check, and protocol holds both: check_observables
 for the deployment and check_token for a token, ours or the peer's.  A
@@ -147,10 +146,10 @@ class Attacker:
     def attack(self, u: int) -> AttackResult:
         """Recover every preimage of the token u inside [0, 2^m) x [0, 2^q).
 
-        Deterministic in the deployment and u.  The walk is that of
-        paper.rect_search, the reference walk, over
-        coefficient_box(frame, u mod 2^(k-q)), from the coset point
-        (0, -2^q*(u mod 2^(k-q))) of L_k, in the same order; each hit
+        Deterministic in the deployment and u.  The walk visits every
+        pair of coefficient_box(frame, u mod 2^(k-q)), from the coset
+        point (0, -2^q*(u mod 2^(k-q))) of L_k, stepping by the basis
+        vectors rather than multiplying each point out; each hit
         (x, y) is filtered as the walk reaches it, and kept when its full
         token map, floor((x*z mod 2^p) / 2^q), is u.  One product x*z
         serves both that filter and the assertion that the hit solves
@@ -170,7 +169,7 @@ class Attacker:
         rows, cols = hi1 - lo1 + 1, hi2 - lo2 + 1
         pairs = rows * cols
         check_box(pairs)
-        (x1, y1, x2, y2), _, _, b1, b2, _ = self.frame
+        (x1, y1, x2, y2), _, b1, b2, _ = self.frame
         kmask, pmask, target = self.kmask, self.pmask, low << q
         row_x = -(lo1 * x1 + lo2 * x2)
         row_y = -(target + lo1 * y1 + lo2 * y2)

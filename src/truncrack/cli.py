@@ -8,9 +8,7 @@ command line and in files are decimal strings.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import re
 import sys
 
 from . import attack as attack_mod
@@ -30,12 +28,11 @@ EXIT_USAGE = 2
 EXIT_RESOURCE_CAP = 3
 
 
-# A digit string past CPython's int-conversion limit is a bad value too.
 def decimal_int(text: str) -> int:
-    if re.fullmatch(r"[0-9]+", text):
-        with contextlib.suppress(ValueError):
-            return int(text)
-    raise argparse.ArgumentTypeError(f"expected a decimal integer, got {echo_text(text)}")
+    try:
+        return protocol.decimal_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):

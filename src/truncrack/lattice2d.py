@@ -23,18 +23,15 @@ u1 = (x1, y1) and u2 = (x2, y2), a point is (x, y), and a form is its two
 positive weights (wx, wy), <a, b> = wx*ax*bx + wy*ay*by.  For the
 rectangle [0, b1) x [0, b2) the weights are (b2^2, b1^2), which make it
 square; a common factor of the weights changes no quotient, rounding or
-comparison.  A frame, from box_frame, is what the rectangle's coefficient
-box needs beside the token: (basis, q, p - q, b1, b2, offsets), made once
-per basis and rectangle and read by coefficient_box; attack.Attacker.attack
-walks the box itself, filtering each hit as it comes.  The box is that of
-the token coset (0, -2^q*u) + L, the only one the attack searches, so 2^q
-folds into the frame: with det = 2^p,
-floor((A*2^q + d) / 2^p) = floor((A + floor(d / 2^q)) / 2^(p-q)) for
-every integer A and 0 <= q < p, the frame keeps the corner offsets d
-shifted by q, and a token's box costs the two products x2*u and x1*u.
-This module holds what attack.Attacker calls and nothing else; the
-paper's own path, with its exact rational coefficients and the
-reference walk, is in truncrack.paper.  All functions are pure.
+comparison.  A frame, from box_frame, is what the coefficient box of the
+token coset (0, -2^q*u) + L needs beside u: (basis, p - q, b1, b2,
+offsets), made once per basis and rectangle, with 2^q folded into the
+offsets (see box_frame), so that a token's box costs the two products
+x2*u and x1*u.  coefficient_box reads it, and attack.Attacker.attack
+walks the box itself, filtering each hit as it comes.  This module holds
+what attack.Attacker calls and nothing else; the paper's own path, with
+its exact rational coefficients, is in truncrack.paper.  All functions
+are pure.
 """
 
 from __future__ import annotations
@@ -43,11 +40,11 @@ from typing import Callable, Optional
 
 from .errors import DegenerateInput, IterationCapExceeded, SearchSpaceExceeded, int_text
 
-# box_frame's result: the basis with det = +2^p, q, p - q, b1, b2 and the
+# box_frame's result: the basis with det = +2^p, p - q, b1, b2 and the
 # four offsets shifted by q.
-Frame = tuple[tuple[int, int, int, int], int, int, int, int, tuple[int, int, int, int]]
+Frame = tuple[tuple[int, int, int, int], int, int, int, tuple[int, int, int, int]]
 
-# The default cap of check_box on the pairs of a coefficient box.
+# check_box's cap on the pairs of a coefficient box.
 BOX_CAP = 1 << 20
 
 
@@ -224,8 +221,7 @@ def gauss_reduce(
 def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int, q: int) -> Frame:
     """The part of the coefficient box of [0, b1) x [0, b2) around the
     token coset (0, -2^q*u) + L that does not depend on u:
-    (basis, q, shift, b1, b2, offsets), what coefficient_box and
-    paper.rect_search take.
+    (basis, shift, b1, b2, offsets), which coefficient_box reads.
 
     The box runs from the ceiling of the smallest to the floor of the
     largest coefficient of the corners of the closed rectangle
@@ -275,7 +271,7 @@ def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int, q: int
     dhi2 = (dx2 if dx2 > 0 else 0) + (dy2 if dy2 > 0 else 0)
     round_up = (1 << p) - 1
     offsets = ((dlo1 + round_up) >> q, dhi1 >> q, (dlo2 + round_up) >> q, dhi2 >> q)
-    return (x1, y1, x2, y2), q, p - q, b1, b2, offsets
+    return (x1, y1, x2, y2), p - q, b1, b2, offsets
 
 
 def coefficient_box(frame: Frame, u: int) -> tuple[int, int, int, int]:
@@ -288,7 +284,7 @@ def coefficient_box(frame: Frame, u: int) -> tuple[int, int, int, int]:
     built.  A range may be empty (hi = lo - 1, never less, as
     floor(max) >= ceil(min) - 1).
     """
-    (x1, _, x2, _), _, shift, _, _, (lo1, hi1, lo2, hi2) = frame
+    (x1, _, x2, _), shift, _, _, (lo1, hi1, lo2, hi2) = frame
     n1 = x2 * u
     n2 = x1 * u
     return (n1 + lo1) >> shift, (n1 + hi1) >> shift, (lo2 - n2) >> shift, (hi2 - n2) >> shift
@@ -298,15 +294,15 @@ def box_bound(frame: Frame) -> int:
     """An upper bound on the pairs of coefficient_box(frame, u) over every
     integer u: each range holds floor((n + hi) / 2^s) - floor((n + lo) / 2^s)
     + 1 <= floor((hi - lo) / 2^s) + 2 integers, with s = p - q."""
-    _, _, shift, _, _, (lo1, hi1, lo2, hi2) = frame
+    _, shift, _, _, (lo1, hi1, lo2, hi2) = frame
     return (((hi1 - lo1) >> shift) + 2) * (((hi2 - lo2) >> shift) + 2)
 
 
-def check_box(pairs: int, cap: int = BOX_CAP) -> None:
+def check_box(pairs: int) -> None:
     """Raise SearchSpaceExceeded when a coefficient box of ``pairs``
-    pairs holds more than ``cap``; the message gives the size as a power
+    pairs holds more than BOX_CAP; the message gives the size as a power
     of two, since the count itself can run to thousands of digits."""
-    if pairs > cap:
+    if pairs > BOX_CAP:
         raise SearchSpaceExceeded(
-            f"coefficient box holds about 2^{pairs.bit_length() - 1} pairs (cap {cap})"
+            f"coefficient box holds about 2^{pairs.bit_length() - 1} pairs (cap {BOX_CAP})"
         )

@@ -6,13 +6,14 @@ L = { (x, y) : x*z = y  (mod 2^p) }: it writes the rectangle's corners in
 that basis with exact rational coefficients, takes the lattice point
 nearest v0 (a CVP), and searches the box the corners span.  This module
 keeps those steps as they read: solution_basis, is_reduced, solve_coeffs,
-nearest_lattice_point, rect_search (the reference walk that
-attack.Attacker.attack's fused walk is tested against) and
-truncate_decimal, which prints a coefficient as the paper does.  The
-attack calls none of them, and nothing that `import truncrack` loads
-imports this module, so Fraction is built here and only here.  Apart
-from those Fractions, values are plain ints and tuples, as in lattice2d;
-all functions are pure.
+nearest_lattice_point and truncate_decimal, which prints a coefficient
+as the paper does.  The box and its search are the attack's own:
+lattice2d.coefficient_box on a frame at p, and attack.Attacker.attack,
+whose candidates are exactly the coset points in the rectangle.  The
+attack calls none of the functions here, and nothing that
+`import truncrack` loads imports this module, so Fraction is built here
+and only here.  Apart from those Fractions, values are plain ints and
+tuples, as in lattice2d; all functions are pure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateInput, int_text
-from .lattice2d import BOX_CAP, Frame, check_box, coefficient_box, round_half_to_zero
+from .lattice2d import round_half_to_zero
 
 
 def solution_basis(
@@ -108,47 +109,6 @@ def nearest_lattice_point(
         if best_norm is None or norm < best_norm:
             best, best_norm = (c1, c2), norm
     return best
-
-
-def rect_search(frame: Frame, u: int, cap: int = BOX_CAP) -> tuple[list[tuple[int, int]], int]:
-    """Points of the token coset (0, -2^q*u) + L inside the rectangle
-    [0, b1) x [0, b2) of box_frame's ``frame``, and the box size.
-
-    Visits every integer coefficient pair (a1, a2) of coefficient_box's
-    exact box and keeps s = (0, -2^q*u) - a1*u1 - a2*u2 whenever s lands
-    in the rectangle, so no in-rectangle point is missed; an empty range
-    gives ([], 0).  The points are stepped, not multiplied out: the walk
-    starts at (0, -2^q*u) - lo1*u1 - lo2*u2 and subtracts u2 to the next
-    pair of a row and u1 to the next row, and takes no step past the
-    last, so a one-pair box, the honest case, costs the start alone.  The
-    frame's basis should be reduced; an unreduced basis only makes the
-    box larger.
-
-    Returns the hits as sorted (x, y) tuples and the number of pairs
-    enumerated.  Raises SearchSpaceExceeded, before the walk, when the
-    box holds more than ``cap`` pairs (check_box).
-    """
-    lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
-    rows, cols = hi1 - lo1 + 1, hi2 - lo2 + 1
-    pairs = rows * cols
-    check_box(pairs, cap)
-    (x1, y1, x2, y2), q, _, b1, b2, _ = frame
-    row_x = -(lo1 * x1 + lo2 * x2)
-    row_y = -((u << q) + lo1 * y1 + lo2 * y2)
-    hits: list[tuple[int, int]] = []
-    for row in range(rows):
-        if row:
-            row_x -= x1
-            row_y -= y1
-        sx, sy = row_x, row_y
-        for col in range(cols):
-            if col:
-                sx -= x2
-                sy -= y2
-            if 0 <= sx < b1 and 0 <= sy < b2:
-                hits.append((sx, sy))
-    hits.sort()
-    return hits, pairs
 
 
 def truncate_decimal(value: Fraction) -> str:

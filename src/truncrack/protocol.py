@@ -19,6 +19,7 @@ multiple threads.
 
 # No `from __future__ import annotations`: typing would compile each
 # NamedTuple field's annotation string whenever the module is imported.
+import contextlib
 import random
 import re
 from typing import NamedTuple
@@ -227,10 +228,19 @@ def dump_params(params: ProtocolParams) -> str:
     return "".join(f"{key}={getattr(params, key)}\n" for key in PARAM_KEYS)
 
 
+def decimal_int(text: str) -> int:
+    """The value of a decimal digit string; ValueError, the text shown by
+    echo_text, for any other and for one past CPython's digit limit."""
+    if re.fullmatch(r"[0-9]+", text):
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise ValueError(f"expected a decimal integer, got {echo_text(text)}")
+
+
 def parse_params(text: str) -> ProtocolParams:
-    """Parse the key=value format: decimal values, no spaces, keys exactly
-    l,m,p,q,r,z each once.  Unknown keys are rejected, and the parameters
-    must pass validate_params (ConstraintViolated otherwise)."""
+    """Parse the key=value format: decimal values (decimal_int), no spaces,
+    keys exactly l,m,p,q,r,z each once.  Unknown keys are rejected, and the
+    parameters must pass validate_params (ConstraintViolated otherwise)."""
     values: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         match = _PARAM_LINE.match(line)
@@ -241,7 +251,10 @@ def parse_params(text: str) -> ProtocolParams:
             raise ValueError(f"line {lineno}: unknown key {echo_text(key)}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = int(value)
+        try:
+            values[key] = decimal_int(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     missing = [key for key in PARAM_KEYS if key not in values]
     if missing:
         raise ValueError(f"missing keys: {', '.join(missing)}")

@@ -40,9 +40,10 @@ from truncrack.lattice2d import (
     euclid_basis,
     gauss_reduce,
 )
-from truncrack.paper import is_reduced, rect_search, solution_basis
+from truncrack.paper import is_reduced, solution_basis
 from truncrack.protocol import check_observables, check_shape, check_token
 from test_acceptance import rect_weights
+from test_lattice2d import _reference_rect_search
 
 # The worked deployment (z, p, q, m), and its token as the paper gives it,
 # 2^q*u = 708192.
@@ -166,12 +167,19 @@ def _frame_modulo(z, modulus, q, m):
     return box_frame(reduced, modulus, b1, b2, q), quotients + passes
 
 
+def _reference_walk(frame, q, u):
+    """The reference walk's hits and pair count over the rectangle of
+    box_frame's ``frame``, from the coset point (0, -2^q*u) in its basis."""
+    basis, _, b1, b2, _ = frame
+    return _reference_rect_search(basis, (0, -(u << q)), b1, b2)
+
+
 def _walk_then_filter(attacker, u):
-    """The attack by the reference walk: the hits of rect_search over the
-    Attacker's frame at u mod 2^(k-q) whose token map is u, and the box's
+    """The attack by the reference walk: the hits of the walk over the
+    Attacker's basis at u mod 2^(k-q) whose token map is u, and the box's
     pair count, what attack(u) gives as candidates and searched."""
     z, p, q, k = attacker.z, attacker.p, attacker.q, attacker.k
-    hits, pairs = rect_search(attacker.frame, u & ((1 << (k - q)) - 1))
+    hits, pairs = _reference_walk(attacker.frame, q, u & ((1 << (k - q)) - 1))
     kept = tuple((x, y) for x, y in hits if ((x * z) & ((1 << p) - 1)) >> q == u)
     return kept, pairs
 
@@ -255,7 +263,7 @@ class TestRecoverPreimages:
         frame = box_frame(reduced, p, b1, b2, q)
         lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
         assert (hi1 - lo1 + 1, hi2 - lo2 + 1) == (0, 2)
-        assert rect_search(frame, u) == ([], 0)
+        assert _reference_walk(frame, q, u) == ([], 0)
         result = Attacker(z, p, q, m).attack(u)
         assert (result.candidates, result.searched) == ((), 0)
         assert brute_force_preimages(z, p, q, u, m) == []
@@ -555,7 +563,7 @@ class TestModulusBelowP:
                 assert k == m + q + SPARE_BITS < p
             result = attacker.attack(u)
             assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
-            hits, searched = rect_search(attacker.frame, u & ((1 << (k - q)) - 1))
+            hits, searched = _reference_walk(attacker.frame, q, u & ((1 << (k - q)) - 1))
             assert searched == result.searched
             assert set(result.candidates) <= set(hits)
             assert (result.candidates, result.searched) == _walk_then_filter(attacker, u)
@@ -578,7 +586,7 @@ class TestModulusBelowP:
                 result = attacker.attack(u)
                 assert list(result.candidates) == _oracle_pairs(z, p, q, m, u)
                 assert result == Attacker(z, p, q, m).attack(u)
-                hits, _ = rect_search(attacker.frame, u & ((1 << (k - q)) - 1))
+                hits, _ = _reference_walk(attacker.frame, q, u & ((1 << (k - q)) - 1))
                 assert (result.candidates, result.searched) == _walk_then_filter(attacker, u)
                 dropped += len(hits) - len(result.candidates)
             if z & ((1 << k) - 1) == 0:
@@ -604,7 +612,7 @@ class TestModulusBelowP:
         honest = [((x * z) & ((1 << p) - 1)) >> q for x in secrets]
         uniform = [rng.randint(0, (1 << (p - q)) - 1) for _ in range(20)]
         for u in honest + uniform:
-            hits, _ = rect_search(reference, u)
+            hits, _ = _reference_walk(reference, q, u)
             result = attacker.attack(u)
             assert list(result.candidates) == hits
             assert (result.candidates, result.searched) == _walk_then_filter(attacker, u)
@@ -642,7 +650,7 @@ class TestModulusBelowP:
         honest = [((x * z) & ((1 << p) - 1)) >> q for x in secrets]
         uniform = [rng.randint(0, (1 << (p - q)) - 1) for _ in range(10)]
         for u in honest + uniform:
-            assert list(attacker.attack(u).candidates) == rect_search(frames[1], u)[0]
+            assert list(attacker.attack(u).candidates) == _reference_walk(frames[1], q, u)[0]
         for x, u in zip(secrets, honest):
             assert x in [c for c, _ in attacker.attack(u).candidates]
 
@@ -676,8 +684,10 @@ class TestModulusBelowP:
 
 class TestFusedWalk:
     """Attacker.attack walks the frame's box itself and filters each hit
-    as it comes; paper.rect_search is the reference walk it must
-    match (see also TestModulusBelowP, which compares the two too)."""
+    as it comes; test_lattice2d._reference_rect_search, which multiplies
+    each point out of an independently built box, is the reference walk
+    it must match (see also TestModulusBelowP, which compares the two
+    too)."""
 
     def test_matches_walk_then_filter(self):
         seen = set()
@@ -699,13 +709,13 @@ class TestFusedWalk:
 
     def test_box_over_cap_refused_before_walk(self, tmp_path, monkeypatch):
         # m = 38 on the worked deployment: k = p = 22, and the box holds
-        # about 2^(m+q-p) = 2^21 pairs, past BOX_CAP = 2^20.  The Attacker
-        # refuses it with rect_search's message, and before its walk: the
-        # walk's loops would call range, patched here to fail.
+        # about 2^(m+q-p) = 2^21 pairs, past BOX_CAP = 2^20, as the
+        # reference walk counts them too.  The Attacker refuses it before
+        # its walk: the walk's loops would call range, patched here to fail.
         attacker = Attacker(6173, 22, 5, 38)
         assert attacker.k == 22
-        with pytest.raises(SearchSpaceExceeded) as reference:
-            rect_search(attacker.frame, 22131)
+        with pytest.raises(SearchSpaceExceeded):
+            _reference_walk(attacker.frame, 5, 22131)
 
         def stopped(*args):
             raise AssertionError("the walk started")
@@ -713,7 +723,6 @@ class TestFusedWalk:
         monkeypatch.setattr(truncrack.attack, "range", stopped, raising=False)
         with pytest.raises(SearchSpaceExceeded) as fused:
             attacker.attack(22131)
-        assert str(fused.value) == str(reference.value)
         assert str(fused.value) == f"coefficient box holds about 2^21 pairs (cap {BOX_CAP})"
         path = tmp_path / "toy.params"
         path.write_text("l=13\nm=14\np=22\nq=5\nr=2\nz=6173\n")
@@ -749,7 +758,7 @@ class TestWalkBound:
         rng = random.Random(v)
         for u in [secret] + [rng.randint(0, (1 << (p - q)) - 1) for _ in range(5)]:
             result = attacker.attack(u)
-            assert list(result.candidates) == rect_search(pframe, u)[0]
+            assert list(result.candidates) == _reference_walk(pframe, q, u)[0]
             assert (result.candidates, result.searched) == _walk_then_filter(attacker, u)
         assert attacker.attack(secret).searched == searched
         assert x in [c for c, _ in attacker.attack(secret).candidates]

@@ -456,8 +456,12 @@ class TestArgumentEcho:
             ("x" * 40, f"malformed parameter line {'x' * 40!r}"),
             ("l = " + "1" * 4996,
              f"malformed parameter line {'l = ' + '1' * 16!r}... (5000 characters)"),
+            # past CPython's limit on int-from-str conversion
+            ("p=" + "1" * 5000,
+             f"expected a decimal integer, got {'1' * 20!r}... (5000 characters)"),
         ],
-        ids=["key", "key-40", "key-41", "key-5000", "line", "line-40", "line-5000"],
+        ids=["key", "key-40", "key-41", "key-5000", "line", "line-40", "line-5000",
+             "value-5000"],
     )
     def test_params_line_echo(self, tmp_path, capsys, line, message):
         # Up to 40 characters exactly as before; past that, short.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import truncrack.lattice2d
 from truncrack import Attacker, DegenerateInput, IterationCapExceeded, SearchSpaceExceeded
 from truncrack.lattice2d import (
     box_bound,
@@ -18,7 +19,6 @@ from truncrack.lattice2d import (
 from truncrack.paper import (
     is_reduced,
     nearest_lattice_point,
-    rect_search,
     solution_basis,
     solve_coeffs,
     truncate_decimal,
@@ -435,9 +435,8 @@ def _assert_euclid_start_matches(z, p, q, m, u):
     assert is_reduced(ours, wx, wy)
     norms = lambda b: sorted(_norm(v, wx, wy) for v in (b[:2], b[2:]))
     assert norms(ours) == norms(theirs)
-    assert rect_search(box_frame(ours, p, b1, b2, q), u) == rect_search(
-        box_frame(theirs, p, b1, b2, q), u
-    )
+    v = _token_point(q, u)
+    assert _reference_rect_search(ours, v, b1, b2) == _reference_rect_search(theirs, v, b1, b2)
 
 
 def _reference_euclid_basis(z, p, b1, b2):
@@ -668,8 +667,9 @@ def _reference_coefficient_box(basis, v, b1, b2):
 
 
 def _reference_rect_search(basis, v, b1, b2, cap=1 << 20):
-    """The enumeration with every point multiplied out from v, its hits
-    stably sorted by x.  rect_search must return its hits and pair count."""
+    """The enumeration with every point multiplied out from v: its hits,
+    stably sorted by x, and the box's pair count.  It shares no code with
+    lattice2d, and Attacker.attack is tested against it."""
     if b1 < 1 or b2 < 1:
         raise ValueError("rectangle bounds must be at least 1")
     lo1, hi1, lo2, hi2 = _reference_coefficient_box(basis, v, b1, b2)
@@ -689,8 +689,8 @@ def _reference_rect_search(basis, v, b1, b2, cap=1 << 20):
 
 
 def _token_point(q, u):
-    """The coset point (0, -2^q*u) that coefficient_box and rect_search
-    search around."""
+    """The coset point (0, -2^q*u) that coefficient_box and
+    Attacker.attack search around."""
     return 0, -(u << q)
 
 
@@ -699,42 +699,47 @@ def _oriented(basis):
     return basis if _det(basis) > 0 else (-basis[0], -basis[1], *basis[2:])
 
 
-def _assert_rect_search_matches_reference(basis, p, q, u, b1, b2, cap=1 << 20):
-    """The folded box equals the reference box at (0, -2^q*u) in the
-    frame's basis, and rect_search gives the reference's hits and pair
-    count, or the same exception."""
+def _assert_matches_reference(z, basis, p, q, m, u, cap=1 << 20):
+    """For a basis of L and the rectangle [0, 2^m) x [0, 2^q): the folded
+    box equals the reference box at (0, -2^q*u) in the frame's basis, and
+    Attacker(z, p, q, m).attack(u) keeps the hits of the reference walk in
+    that basis, unless its box holds more than ``cap`` pairs."""
+    b1, b2 = 1 << m, 1 << q
     frame = box_frame(basis, p, b1, b2, q)
     v = _token_point(q, u)
     assert coefficient_box(frame, u) == _reference_coefficient_box(_oriented(basis), v, b1, b2)
     try:
-        expected = _reference_rect_search(basis, v, b1, b2, cap)
+        hits, _ = _reference_rect_search(basis, v, b1, b2, cap)
     except SearchSpaceExceeded:
-        with pytest.raises(SearchSpaceExceeded):
-            rect_search(frame, u, cap)
         return
-    assert rect_search(frame, u, cap) == expected
+    assert list(Attacker(z, p, q, m).attack(u).candidates) == hits
 
 
 class TestRectSearch:
     def test_worked_answer(self):
-        hits, _ = rect_search(box_frame(worked_reduced(), P, B1, B2, Q), U)
+        hits, pairs = _reference_rect_search(worked_reduced(), _token_point(Q, U), B1, B2)
         assert hits == [(12345, 21)]
+        result = Attacker(Z, P, Q, 14).attack(U)
+        assert (list(result.candidates), result.searched) == (hits, pairs)
 
     def test_zero_target(self):
-        hits, _ = rect_search(box_frame(worked_reduced(), P, B1, B2, Q), 0)
+        hits, _ = _reference_rect_search(worked_reduced(), _token_point(Q, 0), B1, B2)
         assert (0, 0) in hits
+        assert list(Attacker(Z, P, Q, 14).attack(0).candidates) == hits
 
     def test_rejects_bad_bounds(self):
         for b1, b2, q in ((0, 32, Q), (B1, 0, Q), (B1, B2, -1), (B1, B2, P)):
             with pytest.raises(ValueError):
                 box_frame(worked_reduced(), P, b1, b2, q)
 
-    def test_cap(self):
-        # the worked box is exact: one pair, so only cap=0 refuses it
-        frame = box_frame(worked_reduced(), P, B1, B2, Q)
-        assert rect_search(frame, U, cap=1)[1] == 1
+    def test_cap(self, monkeypatch):
+        # the worked box is exact: one pair, so only a cap of 0 refuses it
+        attacker = Attacker(Z, P, Q, 14)
+        monkeypatch.setattr(truncrack.lattice2d, "BOX_CAP", 1)
+        assert attacker.attack(U).searched == 1
+        monkeypatch.setattr(truncrack.lattice2d, "BOX_CAP", 0)
         with pytest.raises(SearchSpaceExceeded, match=r"about 2\^0 pairs \(cap 0\)"):
-            rect_search(frame, U, cap=0)
+            attacker.attack(U)
 
     @settings(max_examples=300, deadline=None)
     @given(case=euclid_cases(), swap=st.booleans(), mix=st.integers(-3, 3))
@@ -745,18 +750,19 @@ class TestRectSearch:
     @example(case=(6173 + (5 << 22), 22, 5, 14, 22131), swap=True, mix=-1)  # z >= 2^p
     @example(case=(6174, 22, 5, 14, 22131), swap=False, mix=1)  # even z
     def test_matches_reference_loop(self, case, swap, mix):
-        # The folded box and walk against the general-point references at
-        # (0, -2^q*u), for the reduced basis in either order (so det of
-        # either sign) and optionally skewed by a unimodular step (which
-        # only widens the box), u = 0 with m < q, q = 0, even z, z >= 2^p
-        # and empty boxes included.
+        # The folded box against the general-point reference at
+        # (0, -2^q*u), and the attack against the reference walk, for the
+        # reduced basis in either order (so det of either sign) and
+        # optionally skewed by a unimodular step (which only widens the
+        # box), u = 0 with m < q, q = 0, even z, z >= 2^p and empty boxes
+        # included.
         z, p, q, m, u = case
         b1, b2 = 1 << m, 1 << q
         _, basis = solution_basis(z, p, q, u)
         reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
         a, b = (reduced[2:], reduced[:2]) if swap else (reduced[:2], reduced[2:])
         basis = (*a, b[0] + mix * a[0], b[1] + mix * a[1])
-        _assert_rect_search_matches_reference(basis, p, q, u, b1, b2, cap=1 << 12)
+        _assert_matches_reference(z, basis, p, q, m, u, cap=1 << 12)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -783,7 +789,7 @@ class TestRectSearch:
             b1, b2 = 1 << m, 1 << q
             start, _ = euclid_basis(z, p, b1, b2)
             reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
-            _assert_rect_search_matches_reference(reduced, p, q, u, b1, b2)
+            _assert_matches_reference(z, reduced, p, q, m, u)
 
     def test_matches_membership_scan(self):
         rng = random.Random(404)
@@ -793,10 +799,8 @@ class TestRectSearch:
             q = rng.randint(1, p // 2)
             m = rng.randint(2, 8)
             u = rng.randint(0, (1 << (p - q)) - 1)
-            _, basis = solution_basis(z, p, q, u)
             b1, b2 = 1 << m, 1 << q
-            reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
-            hits, _ = rect_search(box_frame(reduced, p, b1, b2, q), u)
+            hits = list(Attacker(z, p, q, m).attack(u).candidates)
             vx, vy = _token_point(q, u)
             modulus = 1 << p
             expected = [
@@ -810,10 +814,8 @@ class TestRectSearch:
     def test_sorted_by_x(self):
         rng = random.Random(8)
         for _ in range(20):
-            z, p, q, u, basis = random_family(rng, max_p=10)
-            b1, b2 = 1 << 6, 1 << 4
-            reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
-            hits, _ = rect_search(box_frame(reduced, p, b1, b2, q), u)
+            z, p, q, u, _ = random_family(rng, max_p=10)
+            hits = Attacker(z, p, q, 6).attack(u).candidates
             assert [x for x, _ in hits] == sorted(x for x, _ in hits)
 
     def test_scaling_invariance(self):
@@ -827,8 +829,9 @@ class TestRectSearch:
             red_a, it_a = gauss_reduce(basis, wx, wy)
             red_b, it_b = gauss_reduce(basis, 7 * wx, 7 * wy)
             assert (red_a, it_a) == (red_b, it_b)
-            assert rect_search(box_frame(red_a, p, b1, b2, q), u) == rect_search(
-                box_frame(red_b, p, b1, b2, q), u
+            v = _token_point(q, u)
+            assert _reference_rect_search(red_a, v, b1, b2) == _reference_rect_search(
+                red_b, v, b1, b2
             )
             assert nearest_lattice_point(red_a, v0, wx, wy) == nearest_lattice_point(
                 red_b, v0, 7 * wx, 7 * wy
@@ -847,7 +850,7 @@ def _assert_box_matches_rationals(basis, p, q, u, b1, b2):
     for b in (basis, basis[2:] + basis[:2]):
         frame = box_frame(b, p, b1, b2, q)
         oriented = _oriented(b)
-        assert frame == (oriented, q, p - q, b1, b2, frame[5]) and _det(oriented) == 1 << p
+        assert frame == (oriented, p - q, b1, b2, frame[4]) and _det(oriented) == 1 << p
         a1s, a2s = zip(*(solve_coeffs(oriented, corner) for corner in corners))
         expected = (
             math.ceil(min(a1s)),
@@ -908,19 +911,24 @@ class TestCoefficientBox:
     def test_folded_box_matches_reference_full_scale(self, m, q):
         # One l=2048 deployment per (m, q), the skewed form included: on
         # 20 honest and 20 uniform tokens the attack's folded box is the
-        # reference box at (0, -2^q*u), and the walk finds its hits.
+        # reference box at (0, -2^q*u), and the attack keeps the reference
+        # walk's hits whose token map is u and searches as many pairs.
         rng = random.Random(m + q)
         l = 2048
         p = l + m - q
         b1, b2 = 1 << m, 1 << q
         z = (1 << (l - 1)) | rng.getrandbits(l - 1)
-        frame = Attacker(z, p, q, m).frame
+        attacker = Attacker(z, p, q, m)
+        frame = attacker.frame
         honest = [((rng.randint(1, b1 - 1) * z) & ((1 << p) - 1)) >> q for _ in range(20)]
         uniform = [rng.randint(0, (1 << (p - q)) - 1) for _ in range(20)]
         for u in honest + uniform:
             v = _token_point(q, u)
             assert coefficient_box(frame, u) == _reference_coefficient_box(frame[0], v, b1, b2)
-            assert rect_search(frame, u) == _reference_rect_search(frame[0], v, b1, b2)
+            hits, pairs = _reference_rect_search(frame[0], v, b1, b2)
+            kept = [(x, y) for x, y in hits if ((x * z) & ((1 << p) - 1)) >> q == u]
+            result = attacker.attack(u)
+            assert (list(result.candidates), result.searched) == (kept, pairs)
 
     @pytest.mark.parametrize(
         "u1, u2, modulus_exp",
@@ -935,20 +943,6 @@ class TestCoefficientBox:
         basis = (*u1, *u2)
         with pytest.raises(DegenerateInput):
             box_frame(basis, modulus_exp, 4, 4, 0)
-
-    def test_rect_search_reports_box_size(self):
-        rng = random.Random(12)
-        cases = [(worked_reduced(), P, Q, U, B1, B2)]
-        for _ in range(30):
-            z, p, q, u, basis = random_family(rng, max_p=12)
-            b1, b2 = 1 << rng.randint(1, 8), 1 << rng.randint(1, 5)
-            reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
-            cases.append((reduced, p, q, u, b1, b2))
-        for basis, p, q, u, b1, b2 in cases:
-            frame = box_frame(basis, p, b1, b2, q)
-            lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
-            _, pairs = rect_search(frame, u)
-            assert pairs == (hi1 - lo1 + 1) * (hi2 - lo2 + 1)
 
 
 class TestDecimalFormatting:

@@ -8,21 +8,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from truncrack import (
+    Attacker,
     ConstraintViolated,
     ProtocolParams,
+    TrialConfig,
+    brute_force_preimages,
     classify,
     derive_key,
     dump_params,
     exchange,
     gen_params,
     parse_params,
+    run_trials,
     shared_key,
     trunc_f,
     validate_params,
 )
 import truncrack
 from truncrack.errors import ToolkitError
-from truncrack.protocol import MAX_BITS, check_observables, check_shape
+from truncrack.protocol import MAX_BITS, PARAM_KEYS, check_observables, check_shape
 
 TOY = ProtocolParams(l=13, m=14, p=22, q=5, r=2, z=6173)
 
@@ -266,12 +270,35 @@ class TestParamFile:
 # due: past every size bound, negative, and at MAX_BITS and one past it.
 HOSTILE_INTS = (0, 1, -1, 1 << 70, -(1 << 70), 1 << 20000, -(1 << 20000), MAX_BITS, MAX_BITS + 1)
 
+
+def _param_text(values):
+    """The parameter file of six ints in PARAM_KEYS order, written with
+    CPython's digit limit lifted, so that parse_params meets a value like
+    2^20000 (6,021 digits) as a file would hold it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return "".join(f"{key}={value}\n" for key, value in zip(PARAM_KEYS, values))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # Each root callable with its ints taken, in order, from eight drawn ones.
+# run_trials takes at most 2 trials, so a valid shape runs a short batch.
 HOSTILE_CALLS = {
     "trunc_f": lambda a: trunc_f(a[0], ProtocolParams(*a[1:7])),
     "derive_key": lambda a: derive_key(*a[:6]),
     "shared_key": lambda a: shared_key(a[0], a[1], ProtocolParams(*a[2:])),
     "dump_params": lambda a: dump_params(ProtocolParams(*a[:6])),
+    "parse_params": lambda a: parse_params(_param_text(a[:6])),
+    "Attacker": lambda a: Attacker(*a[:4]),
+    "Attacker.attack": lambda a: Attacker(*a[:4]).attack(a[4]),
+    "exchange": lambda a: exchange(a[0], ProtocolParams(*a[1:7])),
+    "gen_params": lambda a: gen_params(*a[:5]),
+    "validate_params": lambda a: validate_params(ProtocolParams(*a[:6])),
+    "classify": lambda a: classify(ProtocolParams(*a[:6])),
+    "brute_force_preimages": lambda a: brute_force_preimages(*a[:5]),
+    "run_trials": lambda a: run_trials(TrialConfig(a[0], min(a[1], 2), *a[2:6])),
 }
 
 PACKAGE = Path(truncrack.__file__).parent
@@ -285,7 +312,7 @@ def _raised_by_package(exc: BaseException) -> bool:
 
 
 class TestHostileInts:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=600, deadline=None, derandomize=True)
     @given(
         name=st.sampled_from(sorted(HOSTILE_CALLS)),
         args=st.lists(st.sampled_from(HOSTILE_INTS), min_size=8, max_size=8),
@@ -294,8 +321,13 @@ class TestHostileInts:
     @example(name="trunc_f", args=[1, 0, 0, 1, -1, 0, 1, 0])
     @example(name="derive_key", args=[1, 1, 1, 0, -1, 0, 0, 0])
     @example(name="shared_key", args=[1, 1, 0, -1, 1, 0, 0, 0])
-    # an unvalidated field past CPython's digit limit
+    # an unvalidated field past CPython's digit limit, and one in a file
     @example(name="dump_params", args=[1 << 20000, 1, 1, 1, 1, 1, 0, 0])
+    @example(name="parse_params", args=[1 << 20000, 1, 1, 1, 1, 1, 0, 0])
+    # valid shapes at the size bound, which the draws above rarely make
+    @example(name="Attacker.attack", args=[MAX_BITS + 1, MAX_BITS, 1, MAX_BITS, 1 << 70, 0, 0, 0])
+    @example(name="gen_params", args=[1 << 20000, MAX_BITS, 1, 1, 1, 0, 0, 0])
+    @example(name="run_trials", args=[0, 2, MAX_BITS, 1, 1, 1, 0, 0])
     def test_returns_or_raises_a_named_error(self, name, args):
         try:
             HOSTILE_CALLS[name](args)
