@@ -60,11 +60,12 @@ SPARE_BITS = 3
 
 # Past this many pairs in box_bound of the frame modulo 2^k, the Attacker
 # reduces modulo 2^p as well.  A generic z stays far below it: box_bound
-# was at most 28 over 1,000 seeded deployments at l = 2048, m = q = 512,
-# and at most 64 over 3,000 toy ones.  A z far from generic modulo 2^k
-# can put 2^19 pairs in the box, almost all of them hits that cost a
-# product x*z each; 256 such hits cost a token about what the reduction
-# modulo 2^p costs a deployment at l = 2048.
+# was at most 20 for gen_params(s, 2048, 512, 512, 129), s = 1..1000, and
+# at most 32 for gen_params(s, l, m, q, r), s = 1..3000, at a toy shape
+# drawn by random.Random(s) as in acceptance criterion 2.  A z far from
+# generic modulo 2^k can put 2^19 pairs in the box, almost all of them
+# hits that cost a product x*z each; 256 such hits cost a token about
+# what the reduction modulo 2^p costs a deployment at l = 2048.
 WALK_BOUND = 256
 
 

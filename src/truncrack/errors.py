@@ -29,15 +29,13 @@ class ToolkitError(Exception):
 class ConstraintViolated(ToolkitError):
     """A protocol parameter constraint does not hold.
 
-    ``name`` identifies the violated inequality, e.g. ``"p>m+q+r"``.
+    ``name`` identifies the violated inequality, e.g. ``"p>m+q+r"``, and
+    ``detail`` the values that break it, e.g. ``"21 <= 14+5+2"``.
     """
 
-    def __init__(self, name: str, detail: str = ""):
+    def __init__(self, name: str, detail: str):
         self.name = name
-        msg = f"constraint violated: {name}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"constraint violated: {name} ({detail})")
 
 
 class DegenerateInput(ToolkitError):

@@ -36,8 +36,6 @@ are pure.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from .errors import DegenerateInput, IterationCapExceeded, SearchSpaceExceeded, int_text
 
 # box_frame's result: the basis with det = +2^p, p - q, b1, b2 and the
@@ -141,18 +139,14 @@ def round_half_to_zero(num: int, den: int) -> int:
 
 
 def gauss_reduce(
-    basis: tuple[int, int, int, int],
-    wx: int,
-    wy: int,
-    *,
-    on_step: Optional[Callable[[str, int, tuple[int, int, int, int]], None]] = None,
+    basis: tuple[int, int, int, int], wx: int, wy: int
 ) -> tuple[tuple[int, int, int, int], int]:
     """Lagrange-reduce the basis (x1, y1, x2, y2) under the form
     <a, b> = wx*ax*bx + wy*ay*by.
 
     Alternately replaces u1 <- u1 - c1*u2 and u2 <- u2 - c2*u1 with
-    c = Round(<ui, uj> / <uj, uj>) (halves toward zero) until a pass leaves
-    both coefficients zero.  On exit |<u1,u2>| <= min(|u1|^2, |u2|^2) / 2.
+    c = round_half_to_zero(<ui, uj>, <uj, uj>) until a pass leaves both
+    coefficients zero.  On exit |<u1,u2>| <= min(|u1|^2, |u2|^2) / 2.
 
     A common factor of wx and wy changes no quotient or comparison, so
     the caller may divide it out first, as the attack does.  The inner
@@ -164,14 +158,12 @@ def gauss_reduce(
     Returns the reduced basis as (x1, y1, x2, y2) and the number of
     passes, counting the final all-zero pass.  Each half-step with
     c != 0 strictly shrinks the replaced vector's norm and preserves the
-    determinant; both facts are asserted after it.  ``on_step`` (if given) is
-    called after every half-step as on_step(target, c, (x1, y1, x2, y2)),
-    where target ("u1" or "u2") names the vector just replaced by c.  The
-    pass count is capped at 64 * max(bits(|det|) - 1, 1) as a safety net,
-    64 * p for a basis of L modulo 2^p; reduction converges orders of
-    magnitude faster, and from euclid_basis's start it takes a pass or
-    two.  Raises ValueError for a weight below 1 and DegenerateInput for a
-    basis of determinant 0.
+    determinant; both facts are asserted after it.  The pass count is
+    capped at 64 * max(bits(|det|) - 1, 1) as a safety net, 64 * p for a
+    basis of L modulo 2^p; reduction converges orders of magnitude
+    faster, and from euclid_basis's start it takes a pass or two.  Raises
+    ValueError for a weight below 1 and DegenerateInput for a basis of
+    determinant 0.
     """
     if wx <= 0 or wy <= 0:
         raise ValueError("form weights must be positive")
@@ -197,8 +189,6 @@ def gauss_reduce(
             n1 = shrunk
             assert abs(x1 * y2 - y1 * x2) == det
             d = wx * x1 * x2 + wy * y1 * y2
-        if on_step is not None:
-            on_step("u1", c1, (x1, y1, x2, y2))
 
         c2 = round_half_to_zero(d, n1)
         if c2:
@@ -209,8 +199,6 @@ def gauss_reduce(
             n2 = shrunk
             assert abs(x1 * y2 - y1 * x2) == det
             d = wx * x1 * x2 + wy * y1 * y2
-        if on_step is not None:
-            on_step("u2", c2, (x1, y1, x2, y2))
 
         if c1 == 0 and c2 == 0:
             break

@@ -193,6 +193,9 @@ SIZE_LADDER = [
 
 
 def test_criterion_4_reduction_invariants():
+    # Imported here: test_lattice2d imports this module at its top.
+    from test_lattice2d import _reduce_with_steps
+
     clean = 0
     total = 1000
     t0 = time.perf_counter()
@@ -210,20 +213,17 @@ def test_criterion_4_reduction_invariants():
             return wx * x * x + wy * y * y
 
         target_det = 1 << p
-        state = [basis]
         violations = []
-
-        def watch(target, c, step, state=state, norm_sq=norm_sq, target_det=target_det,
-                  violations=violations):
+        (reduced, passes), steps = _reduce_with_steps(basis, wx, wy)
+        before = basis
+        for target, c, step in steps:
             x1, y1, x2, y2 = step
             if abs(x1 * y2 - y1 * x2) != target_det:
                 violations.append("det")
             at = 0 if target == "u1" else 2
-            if c != 0 and not norm_sq(*step[at:at + 2]) < norm_sq(*state[0][at:at + 2]):
+            if c != 0 and not norm_sq(*step[at:at + 2]) < norm_sq(*before[at:at + 2]):
                 violations.append("norm")
-            state[0] = step
-
-        reduced, passes = gauss_reduce(basis, wx, wy, on_step=watch)
+            before = step
         x1, y1, x2, y2 = reduced
         cross = abs(wx * x1 * x2 + wy * y1 * y2)
         if 2 * cross > min(norm_sq(x1, y1), norm_sq(x2, y2)):

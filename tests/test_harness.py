@@ -9,7 +9,9 @@ from truncrack import (
     format_csv,
     run_trials,
 )
+from truncrack import harness
 from truncrack.harness import CSV_COLUMNS
+from truncrack.protocol import exchange, gen_params
 
 TOY_CFG = dict(l=13, m=14, q=5, r=2)
 
@@ -82,6 +84,35 @@ class TestRunTrials:
         records = run_trials(cfg)
         assert len(records) == 2  # the batch never aborts
         assert all("OracleTooLarge" in rec.error for rec in records)
+
+    def test_oracle_check_mismatch_keeps_attack_columns(self, monkeypatch):
+        # An attack that answers x = 1 and 2 whatever the token: the oracle
+        # disagrees, the error column says how, and the record keeps the
+        # columns of the attack it checked.
+        class Wrong(harness.Attacker):
+            def attack(self, u):
+                return super().attack(u)._replace(candidates=((1, 0), (2, 0)))
+
+        cfg = TrialConfig(seed_base=0, trials=6, mode="oracle-check", **TOY_CFG)
+        honest = run_trials(cfg)
+        monkeypatch.setattr(harness, "Attacker", Wrong)
+        records = run_trials(cfg)
+        lines = format_csv(records).splitlines()
+        assert len(lines) == 1 + len(records)
+        for rec, ref, line in zip(records, honest, lines[1:]):
+            params = gen_params(rec.seed, rec.l, rec.m, rec.q, rec.r)
+            transcript = exchange(rec.seed, params)
+            expected = brute_force_preimages(params.z, params.p, params.q, transcript.u, params.m)
+            assert ref.error == "" and ref.preimage_found
+            assert rec.error == f"oracle mismatch: got [1, 2] expected {expected}"
+            assert (rec.secret_recovered, rec.preimage_found) == (transcript.x in (1, 2), True)
+            assert (rec.candidate_count, rec.reduce_iterations) == (2, ref.reduce_iterations)
+            assert rec.reduce_time_ns > 0 and rec.search_time_ns > 0 and rec.total_time_ns > 0
+            assert rec.agree == ref.agree
+            cells = line.split(",")
+            assert len(cells) == len(CSV_COLUMNS)
+            assert cells[CSV_COLUMNS.index("error")] == rec.error.replace(",", ";")
+            assert cells[CSV_COLUMNS.index("error")].startswith("oracle mismatch: got [1; 2] expected [")
 
     def test_exchange_mode_skips_attack(self):
         records = run_trials(TrialConfig(seed_base=0, trials=10, mode="exchange", **TOY_CFG))

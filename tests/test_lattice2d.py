@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -202,14 +204,14 @@ class TestGaussReduce:
             z, p, _, _, basis = random_family(rng)
             wx, wy = rng.randint(1, 9), rng.randint(1, 9)
             target_det = abs(_det(basis))
-            state = [basis]
-            def check(target, c, step, state=state, wx=wx, wy=wy, target_det=target_det):
+            (reduced, passes), steps = _reduce_with_steps(basis, wx, wy)
+            before = basis
+            for target, c, step in steps:
                 assert abs(_det(step)) == target_det
                 i = 0 if target == "u1" else 2
                 if c != 0:
-                    assert _norm(step[i:i + 2], wx, wy) < _norm(state[0][i:i + 2], wx, wy)
-                state[0] = step
-            reduced, passes = gauss_reduce(basis, wx, wy, on_step=check)
+                    assert _norm(step[i:i + 2], wx, wy) < _norm(before[i:i + 2], wx, wy)
+                before = step
             assert passes <= 64 * p
             x1, y1, x2, y2 = reduced
             cross = abs(wx * x1 * x2 + wy * y1 * y2)
@@ -231,6 +233,37 @@ class TestGaussReduce:
             for g in (basis[:2], basis[2:]):
                 a1, a2 = solve_coeffs(reduced, g)
                 assert a1.denominator == 1 and a2.denominator == 1
+
+
+def _reduce_with_steps(basis, wx, wy):
+    """gauss_reduce(basis, wx, wy) and its half-steps, each as
+    (target, c, basis after it), target naming the vector replaced by c.
+
+    The quotients are recorded from gauss_reduce's calls of
+    round_half_to_zero, two per pass, and replayed from ``basis``: a
+    half-step is fixed by the basis before it and its quotient.  The
+    replay must end at the basis gauss_reduce returns."""
+    quotients = []
+
+    def recording(num, den):
+        quotients.append(round_half_to_zero(num, den))
+        return quotients[-1]
+
+    # The context manager, not the fixture: Hypothesis tests call this.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(truncrack.lattice2d, "round_half_to_zero", recording)
+        reduced, passes = gauss_reduce(basis, wx, wy)
+    assert len(quotients) == 2 * passes
+    x1, y1, x2, y2 = basis
+    steps = []
+    for i, c in enumerate(quotients):
+        if i % 2:
+            x2, y2 = x2 - c * x1, y2 - c * y1
+        else:
+            x1, y1 = x1 - c * x2, y1 - c * y2
+        steps.append(("u2" if i % 2 else "u1", c, (x1, y1, x2, y2)))
+    assert (x1, y1, x2, y2) == reduced
+    return (reduced, passes), steps
 
 
 def _textbook_gauss_reduce(basis, wx, wy, *, on_step=None):
@@ -275,12 +308,11 @@ def _textbook_gauss_reduce(basis, wx, wy, *, on_step=None):
 
 def _assert_matches_textbook(basis, wx, wy):
     """gauss_reduce gives the textbook loop's basis, pass count and steps."""
-    fast_steps, ref_steps = [], []
-    fast = gauss_reduce(basis, wx, wy, on_step=lambda *step: fast_steps.append(step))
+    ref_steps = []
+    fast, fast_steps = _reduce_with_steps(basis, wx, wy)
     ref = _textbook_gauss_reduce(basis, wx, wy, on_step=lambda *step: ref_steps.append(step))
     assert fast == ref
     assert fast_steps == ref_steps
-    assert gauss_reduce(basis, wx, wy) == ref  # no hook: same result
 
 
 class TestMatchesTextbookLoop:
@@ -373,8 +405,7 @@ class TestLargeEntries:
     def test_exact_tie_rounds_toward_zero(self, u1, u2, c1):
         scale = 1 << 300
         basis = (u1[0] * scale, u1[1] * scale, u2[0] * scale, u2[1] * scale)
-        steps = []
-        gauss_reduce(basis, 1, 1, on_step=lambda *step: steps.append(step))
+        _, steps = _reduce_with_steps(basis, 1, 1)
         assert steps[0][:2] == ("u1", c1)  # halves toward zero
         _assert_matches_textbook(basis, 1, 1)
 
@@ -958,3 +989,22 @@ class TestDecimalFormatting:
     )
     def test_truncates_toward_zero(self, value, expected):
         assert truncate_decimal(value) == expected
+
+
+class TestModuleNames:
+    def test_defines_what_attacker_calls_and_nothing_else(self):
+        # The module's own top-level names, its imports left out: what
+        # attack.Attacker calls, and the constant and type those use.
+        names = set()
+        for node in ast.parse(inspect.getsource(truncrack.lattice2d)).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom, ast.Expr)):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            else:
+                assert isinstance(node, ast.Assign)
+                names.update(target.id for target in node.targets)
+        assert names == {
+            "euclid_basis", "round_half_to_zero", "gauss_reduce", "box_frame",
+            "coefficient_box", "box_bound", "check_box", "BOX_CAP", "Frame",
+        }
