@@ -135,7 +135,7 @@ class Attacker:
         for k in (min(p, m + q + SPARE_BITS), p):
             start, quotients = euclid_basis(z, k, b1, b2)
             reduced, passes = gauss_reduce(start, wx, wy)
-            frame = box_frame(reduced, k, b1, b2, q)
+            frame = box_frame(reduced, k, m, q)
             iterations += quotients + passes
             if k == p or box_bound(frame) <= WALK_BOUND:
                 break

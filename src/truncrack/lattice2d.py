@@ -13,9 +13,10 @@ coset.  Reducing L is the continued-fraction expansion of z / 2^p
 (Vallée, "Gauss' algorithm revisited", 1991), so the attack starts from
 euclid_basis, which runs Euclid on the remainders alone and rebuilds the
 two cofactors at its stop from one 2-adic inverse, and gauss_reduce
-finishes the job.  attack.Attacker reduces modulo a power 2^k <= 2^p
-whose lattice contains L (see there); every function here works for
-whatever modulus exponent it is given.
+finishes the job, updating the form's norms and inner product exactly
+rather than recomputing them.  attack.Attacker reduces modulo a power
+2^k <= 2^p whose lattice contains L (see there); every function here
+works for whatever modulus exponent it is given.
 
 Everything is exact, with no floating point, and every function takes
 and returns plain ints: a basis is the tuple (x1, y1, x2, y2) of
@@ -24,19 +25,21 @@ positive weights (wx, wy), <a, b> = wx*ax*bx + wy*ay*by.  For the
 rectangle [0, b1) x [0, b2) the weights are (b2^2, b1^2), which make it
 square; a common factor of the weights changes no quotient, rounding or
 comparison.  A frame, from box_frame, is what the coefficient box of the
-token coset (0, -2^q*u) + L needs beside u: (basis, p - q, b1, b2,
-offsets), made once per basis and rectangle, with 2^q folded into the
-offsets (see box_frame), so that a token's box costs the two products
-x2*u and x1*u.  coefficient_box reads it, and attack.Attacker.attack
-walks the box itself, filtering each hit as it comes.  This module holds
-what attack.Attacker calls and nothing else; the paper's own path, with
-its exact rational coefficients, is in truncrack.paper.  All functions
-are pure.
+token coset (0, -2^q*u) + L needs beside u, for the attack's rectangle
+b1 = 2^m, b2 = 2^q: (basis, p - q, b1, b2, offsets), made once per basis
+and rectangle with shifts, 2^q folded into the offsets (see box_frame),
+so that a token's box costs the two products x2*u and x1*u.
+coefficient_box reads it, and attack.Attacker.attack walks the box
+itself, filtering each hit as it comes.  This module holds what
+attack.Attacker calls and nothing else; the paper's own path, with its
+exact rational coefficients, is in truncrack.paper.  All functions are
+pure.
 """
 
 from __future__ import annotations
 
 from .errors import DegenerateInput, IterationCapExceeded, SearchSpaceExceeded, int_text
+from .protocol import MAX_BITS
 
 # box_frame's result: the basis with det = +2^p, p - q, b1, b2 and the
 # four offsets shifted by q.
@@ -77,9 +80,10 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int,
     because r0 >= 2^k.  That fixes x modulo 2^e, and the sign picks its one
     value in [1, 2^e] or [-2^e, -1]: a residue of 0 means +-2^e, which only
     x_(j+1) reaches, at r0 = 2^k and r1 = 0.  j = 0 leaves the start pair,
-    x_0 = 0 and x_1 = 1.  odd^-1 modulo 2^e comes from one Hensel lift:
-    (3*odd) XOR 2 is the inverse modulo 2^5, and each step doubles the
-    bits that are right.
+    x_0 = 0 and x_1 = 1.  odd^-1 modulo 2^e comes from Newton's 2-adic
+    iteration inv <- inv*(2 - odd*inv): (3*odd) XOR 2 is the inverse
+    modulo 2^5, and each step doubles the bits that are right, since
+    1 - odd*inv is squared.
 
     Asserted on exit, since the loop no longer builds the vectors step by
     step: both lie in L ((x*z - r) mod 2^p == 0, on z mod 2^p, the same
@@ -104,10 +108,8 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int,
     odd = low >> k & emask
     inv, bits = (3 * odd ^ 2) & 31, 5
     while bits < e:
-        # odd*inv = 1 + 2^bits*c; adding 2^bits*(-inv*c mod 2^bits) cancels c.
-        mask = (1 << bits) - 1
-        inv |= (-inv * (odd * inv >> bits) & mask) << bits
         bits *= 2
+        inv = inv * (2 - odd * inv) & ((1 << bits) - 1)
     x0 = (r0 >> k) * inv & emask
     x1 = (r1 >> k) * inv & emask
     if quotients & 1:
@@ -149,16 +151,21 @@ def gauss_reduce(
     coefficients zero.  On exit |<u1,u2>| <= min(|u1|^2, |u2|^2) / 2.
 
     A common factor of wx and wy changes no quotient or comparison, so
-    the caller may divide it out first, as the attack does.  The inner
-    product <u1, u2> is computed fresh from the coordinates at the start
-    and after each half-step with c != 0, and so is the norm of the
-    replaced vector; a half-step with c = 0 changes no coordinate, so
-    its values stand.  The exit bound is asserted on those values.
+    the caller may divide it out first, as the attack does.  The norms
+    and the inner product d = <u1, u2> are computed from the coordinates
+    once, at the start, and then updated exactly: after u1 <- u1 - c*u2,
+    with t = c*|u2|^2, the new |u1|^2 is |u1|^2 - c*(2d - t) and the new
+    d is d - t, and the same with the roles swapped for u2.  These are
+    integer identities, so every quotient is the one a recomputation
+    would give, and no coordinate is multiplied out again.  A half-step
+    with c = 0 changes nothing.  The exit bound is asserted on the
+    updated values.
 
     Returns the reduced basis as (x1, y1, x2, y2) and the number of
     passes, counting the final all-zero pass.  Each half-step with
     c != 0 strictly shrinks the replaced vector's norm and preserves the
-    determinant; both facts are asserted after it.  The pass count is
+    determinant; both facts are asserted after it, the norm's on its
+    updated value and |det| from the coordinates.  The pass count is
     capped at 64 * max(bits(|det|) - 1, 1) as a safety net, 64 * p for a
     basis of L modulo 2^p; reduction converges orders of magnitude
     faster, and from euclid_basis's start it takes a pass or two.  Raises
@@ -184,21 +191,23 @@ def gauss_reduce(
         if c1:
             x1 -= c1 * x2
             y1 -= c1 * y2
-            shrunk = wx * x1 * x1 + wy * y1 * y1
+            t = c1 * n2
+            shrunk = n1 - c1 * (2 * d - t)
             assert shrunk < n1
             n1 = shrunk
+            d -= t
             assert abs(x1 * y2 - y1 * x2) == det
-            d = wx * x1 * x2 + wy * y1 * y2
 
         c2 = round_half_to_zero(d, n1)
         if c2:
             x2 -= c2 * x1
             y2 -= c2 * y1
-            shrunk = wx * x2 * x2 + wy * y2 * y2
+            t = c2 * n1
+            shrunk = n2 - c2 * (2 * d - t)
             assert shrunk < n2
             n2 = shrunk
+            d -= t
             assert abs(x1 * y2 - y1 * x2) == det
-            d = wx * x1 * x2 + wy * y1 * y2
 
         if c1 == 0 and c2 == 0:
             break
@@ -206,10 +215,10 @@ def gauss_reduce(
     return (x1, y1, x2, y2), passes
 
 
-def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int, q: int) -> Frame:
-    """The part of the coefficient box of [0, b1) x [0, b2) around the
-    token coset (0, -2^q*u) + L that does not depend on u:
-    (basis, shift, b1, b2, offsets), which coefficient_box reads.
+def box_frame(basis: tuple[int, int, int, int], p: int, m: int, q: int) -> Frame:
+    """The part of the coefficient box of [0, b1) x [0, b2), b1 = 2^m and
+    b2 = 2^q, around the token coset (0, -2^q*u) + L that does not depend
+    on u: (basis, shift, b1, b2, offsets), which coefficient_box reads.
 
     The box runs from the ceiling of the smallest to the floor of the
     largest coefficient of the corners of the closed rectangle
@@ -217,9 +226,9 @@ def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int, q: int
     map takes its extremes over a parallelogram at its corners, so no
     point s = v - a1*u1 - a2*u2 inside is lost.  Moving the corner by b1-1
     in x or b2-1 in y adds (1-b1)*y2 or (b2-1)*x2 to the Cramer numerator
-    of a1 and (b1-1)*y1 or (1-b2)*x1 to that of a2, so the smallest corner
-    numerator adds the negative moves d_lo <= 0 and the largest the
-    positive ones d_hi >= 0.
+    of a1 and (b1-1)*y1 or (1-b2)*x1 to that of a2, each a shift and a
+    subtraction, so the smallest corner numerator adds the negative moves
+    d_lo <= 0 and the largest the positive ones d_hi >= 0.
 
     At v = (0, -2^q*u) the two numerators are 2^q times A = x2*u and
     A = -x1*u, and det = 2^p, so each bound is a floor of
@@ -233,12 +242,12 @@ def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int, q: int
     The basis (x1, y1, x2, y2) must have |det| = 2^p, as every basis of L
     does.  When det < 0, u1 is negated, which negates det: the frame's
     basis, in which the box is counted and the walk steps, has det = +2^p.
-    Raises DegenerateInput for any other determinant, 0 included, since a
-    shift by the wrong p would give a wrong box, and ValueError for a
-    bound below 1 or q outside [0, p).
+    Raises ValueError for m outside [0, MAX_BITS], before any shift by it,
+    or q outside [0, p), and DegenerateInput for any determinant but
+    +-2^p, 0 included, since a shift by the wrong p would give a wrong box.
     """
-    if b1 < 1 or b2 < 1:
-        raise ValueError("rectangle bounds must be at least 1")
+    if not 0 <= m <= MAX_BITS:
+        raise ValueError(f"m must be in [0, {MAX_BITS}], got m={int_text(m)}")
     if not 0 <= q < p:
         raise ValueError(f"q must be in [0, p), got q={int_text(q)} p={int_text(p)}")
     x1, y1, x2, y2 = basis
@@ -249,8 +258,8 @@ def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int, q: int
         )
     if det < 0:
         x1, y1 = -x1, -y1
-    dx1, dy1 = (1 - b1) * y2, (b2 - 1) * x2
-    dx2, dy2 = (b1 - 1) * y1, (1 - b2) * x1
+    dx1, dy1 = y2 - (y2 << m), (x2 << q) - x2
+    dx2, dy2 = (y1 << m) - y1, x1 - (x1 << q)
     # Conditional expressions, not min(d, 0) and max(d, 0): a builtin call
     # costs about as much as the rest of a toy-size frame.
     dlo1 = (dx1 if dx1 < 0 else 0) + (dy1 if dy1 < 0 else 0)
@@ -259,7 +268,7 @@ def box_frame(basis: tuple[int, int, int, int], p: int, b1: int, b2: int, q: int
     dhi2 = (dx2 if dx2 > 0 else 0) + (dy2 if dy2 > 0 else 0)
     round_up = (1 << p) - 1
     offsets = ((dlo1 + round_up) >> q, dhi1 >> q, (dlo2 + round_up) >> q, dhi2 >> q)
-    return (x1, y1, x2, y2), p - q, b1, b2, offsets
+    return (x1, y1, x2, y2), p - q, 1 << m, 1 << q, offsets
 
 
 def coefficient_box(frame: Frame, u: int) -> tuple[int, int, int, int]:

@@ -41,7 +41,7 @@ from truncrack.lattice2d import (
     gauss_reduce,
 )
 from truncrack.paper import is_reduced, solution_basis
-from truncrack.protocol import check_observables, check_shape, check_token
+from truncrack.protocol import MAX_BITS, check_observables, check_shape, check_token
 from test_acceptance import rect_weights
 from test_lattice2d import _reference_rect_search
 
@@ -164,7 +164,7 @@ def _frame_modulo(z, modulus, q, m):
     b1, b2 = 1 << m, 1 << q
     start, quotients = euclid_basis(z, modulus, b1, b2)
     reduced, passes = gauss_reduce(start, *rect_weights(b1, b2))
-    return box_frame(reduced, modulus, b1, b2, q), quotients + passes
+    return box_frame(reduced, modulus, m, q), quotients + passes
 
 
 def _reference_walk(frame, q, u):
@@ -260,7 +260,7 @@ class TestRecoverPreimages:
         b1, b2 = 1 << m, 1 << q
         start, _ = euclid_basis(z, p, b1, b2)
         reduced, _ = gauss_reduce(start, 1, 1 << 2 * (m - q))
-        frame = box_frame(reduced, p, b1, b2, q)
+        frame = box_frame(reduced, p, m, q)
         lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
         assert (hi1 - lo1 + 1, hi2 - lo2 + 1) == (0, 2)
         assert _reference_walk(frame, q, u) == ([], 0)
@@ -486,7 +486,7 @@ class TestAttacker:
         start, _ = euclid_basis(6173, 22, 1 << 14, 1 << 5)
         reduced, _ = gauss_reduce(start, 1, 1 << 18)
         attacker = Attacker(6173, 22, 5, 14)
-        assert attacker.frame == box_frame(reduced, 22, 1 << 14, 1 << 5, 5)
+        assert attacker.frame == box_frame(reduced, 22, 14, 5)
 
 
 # Toy deployments (z, p, q, m) with m + q + SPARE_BITS < p, each attacked
@@ -607,7 +607,7 @@ class TestModulusBelowP:
         assert attacker.k == m + q + SPARE_BITS < p
         start, _ = euclid_basis(z, p, b1, b2)
         reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
-        reference = box_frame(reduced, p, b1, b2, q)
+        reference = box_frame(reduced, p, m, q)
         secrets = [rng.randint(1, b1 - 1) for _ in range(20)]
         honest = [((x * z) & ((1 << p) - 1)) >> q for x in secrets]
         uniform = [rng.randint(0, (1 << (p - q)) - 1) for _ in range(20)]
@@ -641,7 +641,7 @@ class TestModulusBelowP:
             start, quotients = euclid_basis(z, modulus, b1, b2)
             reduced, passes = gauss_reduce(start, wx, wy)
             counts.append(quotients + passes)
-            frames.append(box_frame(reduced, modulus, b1, b2, q))
+            frames.append(box_frame(reduced, modulus, m, q))
         assert box_bound(frames[0]) > BOX_CAP
         attacker = Attacker(z, p, q, m)
         assert attacker.k == p and attacker.reduce_iterations == sum(counts)
@@ -819,11 +819,17 @@ class TestMessageSizes:
     def test_box_frame_determinant(self, sign):
         text = f"a {'negative ' if sign < 0 else ''}20001-bit integer"
         with pytest.raises(DegenerateInput) as info:
-            box_frame((sign * (1 << 20000), 0, 0, 1), 22, 1 << 14, 1 << 5, 5)
+            box_frame((sign * (1 << 20000), 0, 0, 1), 22, 14, 5)
         assert str(info.value) == f"cannot bound coefficients: determinant {text} is not +-2^22"
         with pytest.raises(ValueError) as info:
-            box_frame((1, 0, 0, 1 << 22), 22, 1 << 14, 1 << 5, sign * (1 << 20000))
+            box_frame((1, 0, 0, 1 << 22), 22, 14, sign * (1 << 20000))
         assert str(info.value) == f"q must be in [0, p), got q={text} p=22"
+        # m is refused before the shifts by it, which at 2^20000 could not
+        # be made
+        with pytest.raises(ValueError) as info:
+            box_frame((1, 0, 0, 1 << 22), 22, sign * (1 << 20000), 5)
+        assert str(info.value) == f"m must be in [0, {MAX_BITS}], got m={text}"
+        assert len(str(info.value).encode()) < 200
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_validate_params(self, sign):

@@ -25,7 +25,7 @@ from truncrack.paper import (
     solve_coeffs,
     truncate_decimal,
 )
-from truncrack.protocol import check_shape
+from truncrack.protocol import MAX_BITS, check_shape
 from test_acceptance import SIZE_LADDER, rect_weights
 
 # The worked toy instance used throughout: z=6173, p=22, q=5, u=22131.
@@ -736,7 +736,7 @@ def _assert_matches_reference(z, basis, p, q, m, u, cap=1 << 20):
     Attacker(z, p, q, m).attack(u) keeps the hits of the reference walk in
     that basis, unless its box holds more than ``cap`` pairs."""
     b1, b2 = 1 << m, 1 << q
-    frame = box_frame(basis, p, b1, b2, q)
+    frame = box_frame(basis, p, m, q)
     v = _token_point(q, u)
     assert coefficient_box(frame, u) == _reference_coefficient_box(_oriented(basis), v, b1, b2)
     try:
@@ -759,9 +759,9 @@ class TestRectSearch:
         assert list(Attacker(Z, P, Q, 14).attack(0).candidates) == hits
 
     def test_rejects_bad_bounds(self):
-        for b1, b2, q in ((0, 32, Q), (B1, 0, Q), (B1, B2, -1), (B1, B2, P)):
+        for m, q in ((-1, Q), (MAX_BITS + 1, Q), (14, -1), (14, P)):
             with pytest.raises(ValueError):
-                box_frame(worked_reduced(), P, b1, b2, q)
+                box_frame(worked_reduced(), P, m, q)
 
     def test_cap(self, monkeypatch):
         # the worked box is exact: one pair, so only a cap of 0 refuses it
@@ -809,7 +809,7 @@ class TestRectSearch:
         _, basis = solution_basis(z, p, q, u)
         reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
         a, b = (reduced[2:], reduced[:2]) if swap else (reduced[:2], reduced[2:])
-        frame = box_frame((*a, b[0] + mix * a[0], b[1] + mix * a[1]), p, b1, b2, q)
+        frame = box_frame((*a, b[0] + mix * a[0], b[1] + mix * a[1]), p, m, q)
         bound = box_bound(frame)
         for token in (u, 0, *others):
             lo1, hi1, lo2, hi2 = coefficient_box(frame, token)
@@ -869,17 +869,18 @@ class TestRectSearch:
             )
 
 
-def _assert_box_matches_rationals(basis, p, q, u, b1, b2):
+def _assert_box_matches_rationals(basis, p, q, u, m):
     """coefficient_box equals the exact corner box of solve_coeffs' exact
     rationals over the closed rectangle [0, b1-1] x [0, b2-1] around
-    (0, -2^q*u), for the basis and for its swap, whose det has the other
-    sign.  The box counts in the frame's basis: the given one, with u1
-    negated when det < 0."""
+    (0, -2^q*u), b1 = 2^m and b2 = 2^q, for the basis and for its swap,
+    whose det has the other sign.  The box counts in the frame's basis:
+    the given one, with u1 negated when det < 0."""
     assert abs(_det(basis)) == 1 << p
+    b1, b2 = 1 << m, 1 << q
     vx, vy = _token_point(q, u)
     corners = [(vx, vy), (vx - (b1 - 1), vy), (vx, vy - (b2 - 1)), (vx - (b1 - 1), vy - (b2 - 1))]
     for b in (basis, basis[2:] + basis[:2]):
-        frame = box_frame(b, p, b1, b2, q)
+        frame = box_frame(b, p, m, q)
         oriented = _oriented(b)
         assert frame == (oriented, p - q, b1, b2, frame[4]) and _det(oriented) == 1 << p
         a1s, a2s = zip(*(solve_coeffs(oriented, corner) for corner in corners))
@@ -894,7 +895,7 @@ def _assert_box_matches_rationals(basis, p, q, u, b1, b2):
 
 class TestCoefficientBox:
     def test_contains_winning_pair(self):
-        frame = box_frame(worked_reduced(), P, B1, B2, Q)
+        frame = box_frame(worked_reduced(), P, 14, Q)
         lo1, hi1, lo2, hi2 = coefficient_box(frame, U)
         a1, a2 = nearest_lattice_point(frame[0], _token_point(Q, U), WX, WY)
         assert lo1 <= a1 <= hi1 and lo2 <= a2 <= hi2
@@ -906,14 +907,14 @@ class TestCoefficientBox:
         q=st.integers(0, 63),
         steps=st.lists(st.tuples(st.booleans(), st.integers(-(1 << 20), 1 << 20)), max_size=6),
         u=st.integers(-(1 << 80), 1 << 80),
-        b1=st.integers(1, 1 << 40),
-        b2=st.integers(1, 1 << 40),
+        m=st.integers(0, 40),
     )
-    def test_matches_exact_rational_box(self, z, p, q, steps, u, b1, b2):
+    def test_matches_exact_rational_box(self, z, p, q, steps, u, m):
         # A basis of L (|det| = 2^p, as coefficient_box requires) mixed by
         # random unimodular steps.  The floor identity behind the folded
         # box holds for every integer u, so u ranges past the token map's
-        # image and below 0.
+        # image and below 0.  The rectangle is [0, 2^m) x [0, 2^q), the
+        # only shape box_frame takes.
         assume(q < p)
         x1, y1, x2, y2 = 0, 1 << p, 1, z % (1 << p)
         for on_u1, k in steps:
@@ -921,7 +922,7 @@ class TestCoefficientBox:
                 x1, y1 = x1 - k * x2, y1 - k * y2
             else:
                 x2, y2 = x2 - k * x1, y2 - k * y1
-        _assert_box_matches_rationals((x1, y1, x2, y2), p, q, u, b1, b2)
+        _assert_box_matches_rationals((x1, y1, x2, y2), p, q, u, m)
 
     def test_matches_exact_rational_box_full_scale(self):
         rng = random.Random(2048)
@@ -936,7 +937,7 @@ class TestCoefficientBox:
             start, _ = euclid_basis(z, p, b1, b2)
             reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
             for b in (start, reduced, basis):
-                _assert_box_matches_rationals(b, p, q, u, b1, b2)
+                _assert_box_matches_rationals(b, p, q, u, m)
 
     @pytest.mark.parametrize("m, q", [(512, 512), (1024, 16)])
     def test_folded_box_matches_reference_full_scale(self, m, q):
@@ -973,7 +974,7 @@ class TestCoefficientBox:
     def test_determinant_off_contract_raises(self, u1, u2, modulus_exp):
         basis = (*u1, *u2)
         with pytest.raises(DegenerateInput):
-            box_frame(basis, modulus_exp, 4, 4, 0)
+            box_frame(basis, modulus_exp, 2, 0)
 
 
 class TestDecimalFormatting:
