@@ -49,7 +49,6 @@ of the command line, which decodes it before it calls in.
 import functools
 from typing import NamedTuple
 
-from .errors import NoCandidates
 from .lattice2d import box_bound, box_frame, check_box, coefficient_box, euclid_basis, gauss_reduce
 from .protocol import check_observables, check_token, derive_key
 
@@ -129,11 +128,10 @@ class Attacker:
 
     def __init__(self, z: int, p: int, q: int, m: int):
         check_observables(z, p, q, m)
-        b1, b2 = 1 << m, 1 << q
         wx, wy = (1 << 2 * (q - m), 1) if q > m else (1, 1 << 2 * (m - q))
         iterations = 0
         for k in (min(p, m + q + SPARE_BITS), p):
-            start, quotients = euclid_basis(z, k, b1, b2)
+            start, quotients = euclid_basis(z, k, m, q)
             reduced, passes = gauss_reduce(start, wx, wy)
             frame = box_frame(reduced, k, m, q)
             iterations += quotients + passes
@@ -220,17 +218,14 @@ def recover_shared_key(
     recover_preimages output for ``inp``.
 
     ``inp.m`` feeds both the search and the key map (derive_key's
-    2^(r+m)).  Returns (candidate x, key) pairs in candidate order;
-    distinct candidates can collapse to the same key.  Raises
-    DegenerateInput when check_observables rejects the observables or
-    check_token ``other_token``, and NoCandidates when the candidate list
-    is empty.
+    2^(r+m)).  Returns (candidate x, key) pairs in candidate order, []
+    for a result without candidates; distinct candidates can collapse to
+    the same key.  Raises DegenerateInput when check_observables rejects
+    the observables or check_token ``other_token``.
     """
     z, p, q, m, _ = inp
     check_observables(z, p, q, m)
     check_token(other_token, p, q, "peer token")
-    if not result.candidates:
-        raise NoCandidates("no preimage candidates to derive a key from")
     # A loop, not a list comprehension: on CPython 3.11 a comprehension is
     # a nested function, and its call cost a cold benchmark token about
     # 5% of its time.

@@ -50,9 +50,5 @@ class SearchSpaceExceeded(ToolkitError):
     """The rectangle search coefficient box holds more pairs than the cap allows."""
 
 
-class NoCandidates(ToolkitError):
-    """Key recovery was asked for, but the preimage candidate list is empty."""
-
-
 class OracleTooLarge(ToolkitError):
     """The brute-force oracle was asked to scan a range beyond its guard."""

@@ -24,16 +24,16 @@ u1 = (x1, y1) and u2 = (x2, y2), a point is (x, y), and a form is its two
 positive weights (wx, wy), <a, b> = wx*ax*bx + wy*ay*by.  For the
 rectangle [0, b1) x [0, b2) the weights are (b2^2, b1^2), which make it
 square; a common factor of the weights changes no quotient, rounding or
-comparison.  A frame, from box_frame, is what the coefficient box of the
-token coset (0, -2^q*u) + L needs beside u, for the attack's rectangle
-b1 = 2^m, b2 = 2^q: (basis, p - q, b1, b2, offsets), made once per basis
-and rectangle with shifts, 2^q folded into the offsets (see box_frame),
-so that a token's box costs the two products x2*u and x1*u.
-coefficient_box reads it, and attack.Attacker.attack walks the box
-itself, filtering each hit as it comes.  This module holds what
-attack.Attacker calls and nothing else; the paper's own path, with its
-exact rational coefficients, is in truncrack.paper.  All functions are
-pure.
+comparison.  euclid_basis and box_frame take the attack's rectangle
+b1 = 2^m, b2 = 2^q by its exponents (m, q).  A frame, from box_frame, is
+what the coefficient box of the token coset (0, -2^q*u) + L needs beside
+u: (basis, p - q, b1, b2, offsets), made once per basis and rectangle
+with shifts, 2^q folded into the offsets (see box_frame), so that a
+token's box costs the two products x2*u and x1*u.  coefficient_box
+reads it, and attack.Attacker.attack walks the box itself, filtering
+each hit as it comes.  This module holds what attack.Attacker calls and
+nothing else; the paper's own path, with its exact rational
+coefficients, is in truncrack.paper.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ Frame = tuple[tuple[int, int, int, int], int, int, int, tuple[int, int, int, int
 BOX_CAP = 1 << 20
 
 
-def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int, int], int]:
+def euclid_basis(z: int, p: int, m: int, q: int) -> tuple[tuple[int, int, int, int], int]:
     """A basis (x1, y1, x2, y2) of L nearly reduced for the rectangle
-    [0, b1) x [0, b2), and the number of Euclid quotients taken to reach it.
+    [0, 2^m) x [0, 2^q), and the number of Euclid quotients taken to reach it.
 
     Runs Euclid's algorithm on the remainders (2^p, z mod 2^p) of the
     basis (0, 2^p), (1, z mod 2^p) of L.  Each step maps the pair
@@ -62,10 +62,10 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int,
     two vectors (x, r) at the stop are rebuilt afterwards, as below.
 
     It stops at the first remainder below the floor 2^f, with
-    f = max((p + 1 - shift) // 2, 0) and shift = bits(b1) - bits(b2), or
-    at r1 == 0.  The floor marks where the rectangle-weighted cofactor and
-    remainder meet: the cofactors satisfy |x1|*r0 + |x0|*r1 = 2^p, so
-    |x1| is about 2^p / r, and b2*|x1| reaches b1*r1 as r1 falls through
+    f = max((p + 1 - shift) // 2, 0) and shift = m - q, or at r1 == 0.
+    The floor marks where the rectangle-weighted cofactor and remainder
+    meet: the cofactors satisfy |x1|*r0 + |x0|*r1 = 2^p, so |x1| is
+    about 2^p / r, and 2^q*|x1| reaches 2^m*r1 as r1 falls through
     2^((p - shift) / 2).  The remainders strictly decrease, so it
     terminates.
 
@@ -89,9 +89,13 @@ def euclid_basis(z: int, p: int, b1: int, b2: int) -> tuple[tuple[int, int, int,
     step: both lie in L ((x*z - r) mod 2^p == 0, on z mod 2^p, the same
     congruence with a shorter product) and |det| = 2^p, so they
     are a basis of L; and Lamé's bound (n quotients need
-    z mod 2^p >= F(n+1), so n - 1 < 13/9 * bits(z mod 2^p)).
+    z mod 2^p >= F(n+1), so n - 1 < 13/9 * bits(z mod 2^p)).  Raises
+    ValueError for p, m or q outside [0, MAX_BITS], before any shift.
     """
-    shift = b1.bit_length() - b2.bit_length()
+    if not (0 <= p <= MAX_BITS and 0 <= m <= MAX_BITS and 0 <= q <= MAX_BITS):
+        got = f"p={int_text(p)} m={int_text(m)} q={int_text(q)}"
+        raise ValueError(f"p, m and q must be in [0, {MAX_BITS}], got {got}")
+    shift = m - q
     modmask = (1 << p) - 1
     first = z & modmask
     floor = 1 << max((p + 1 - shift) // 2, 0)
@@ -242,12 +246,15 @@ def box_frame(basis: tuple[int, int, int, int], p: int, m: int, q: int) -> Frame
     The basis (x1, y1, x2, y2) must have |det| = 2^p, as every basis of L
     does.  When det < 0, u1 is negated, which negates det: the frame's
     basis, in which the box is counted and the walk steps, has det = +2^p.
-    Raises ValueError for m outside [0, MAX_BITS], before any shift by it,
-    or q outside [0, p), and DegenerateInput for any determinant but
-    +-2^p, 0 included, since a shift by the wrong p would give a wrong box.
+    Raises ValueError for m outside [0, MAX_BITS], p past MAX_BITS or q
+    outside [0, p), before any shift, and DegenerateInput for any
+    determinant but +-2^p, 0 included, since a shift by the wrong p would
+    give a wrong box.
     """
     if not 0 <= m <= MAX_BITS:
         raise ValueError(f"m must be in [0, {MAX_BITS}], got m={int_text(m)}")
+    if p > MAX_BITS:
+        raise ValueError(f"p must be at most {MAX_BITS}, got p={int_text(p)}")
     if not 0 <= q < p:
         raise ValueError(f"q must be in [0, p), got q={int_text(q)} p={int_text(p)}")
     x1, y1, x2, y2 = basis

@@ -30,7 +30,6 @@ from truncrack import (
 )
 from truncrack.attack import SPARE_BITS, WALK_BOUND
 from truncrack.cli import main as cli_main
-from truncrack.errors import NoCandidates
 from truncrack.harness import brute_force_preimages
 from truncrack.lattice2d import (
     BOX_CAP,
@@ -161,9 +160,8 @@ def _frame_modulo(z, modulus, q, m):
     """The box frame of the lattice modulo 2^modulus for the rectangle
     [0, 2^m) x [0, 2^q), reduced here from euclid_basis and gauss_reduce,
     and the Euclid quotients plus Gauss passes it took."""
-    b1, b2 = 1 << m, 1 << q
-    start, quotients = euclid_basis(z, modulus, b1, b2)
-    reduced, passes = gauss_reduce(start, *rect_weights(b1, b2))
+    start, quotients = euclid_basis(z, modulus, m, q)
+    reduced, passes = gauss_reduce(start, *rect_weights(1 << m, 1 << q))
     return box_frame(reduced, modulus, m, q), quotients + passes
 
 
@@ -257,8 +255,7 @@ class TestRecoverPreimages:
         # walk visits no pair, and the attack returns no candidate.
         z, p, q, m, u = 11, 5, 2, 3, 1
         assert (z, p, q, m, u) in _small_instances()
-        b1, b2 = 1 << m, 1 << q
-        start, _ = euclid_basis(z, p, b1, b2)
+        start, _ = euclid_basis(z, p, m, q)
         reduced, _ = gauss_reduce(start, 1, 1 << 2 * (m - q))
         frame = box_frame(reduced, p, m, q)
         lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
@@ -483,7 +480,7 @@ class TestAttacker:
 
     def test_frame_is_the_reduced_basis_frame(self):
         # (q, m) = (5, 14): the form (2^10, 2^28) over its gcd is (1, 2^18)
-        start, _ = euclid_basis(6173, 22, 1 << 14, 1 << 5)
+        start, _ = euclid_basis(6173, 22, 14, 5)
         reduced, _ = gauss_reduce(start, 1, 1 << 18)
         attacker = Attacker(6173, 22, 5, 14)
         assert attacker.frame == box_frame(reduced, 22, 14, 5)
@@ -605,7 +602,7 @@ class TestModulusBelowP:
         z = (1 << (l - 1)) | rng.getrandbits(l - 1)
         attacker = Attacker(z, p, q, m)
         assert attacker.k == m + q + SPARE_BITS < p
-        start, _ = euclid_basis(z, p, b1, b2)
+        start, _ = euclid_basis(z, p, m, q)
         reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
         reference = box_frame(reduced, p, m, q)
         secrets = [rng.randint(1, b1 - 1) for _ in range(20)]
@@ -638,7 +635,7 @@ class TestModulusBelowP:
         counts = []
         frames = []
         for modulus in (k, p):
-            start, quotients = euclid_basis(z, modulus, b1, b2)
+            start, quotients = euclid_basis(z, modulus, m, q)
             reduced, passes = gauss_reduce(start, wx, wy)
             counts.append(quotients + passes)
             frames.append(box_frame(reduced, modulus, m, q))
@@ -663,8 +660,8 @@ class TestModulusBelowP:
         # stayed within 1.8% (l = 512) to 0.6% (l = 4096) of it.
         counts = []
 
-        def counted(z, k, b1, b2):
-            start, quotients = euclid_basis(z, k, b1, b2)
+        def counted(z, k, m, q):
+            start, quotients = euclid_basis(z, k, m, q)
             counts.append((k, quotients))
             return start, quotients
 
@@ -1093,8 +1090,9 @@ class TestAttackerMemo:
 
     def test_no_candidates(self):
         inp = truncrack.attack.AttackInput(z=677, p=15, q=3, m=8, token=1)
-        with pytest.raises(NoCandidates):
-            truncrack.attack.recover_shared_key(inp, 5, 1, result=truncrack.attack.recover_preimages(inp))
+        result = truncrack.attack.recover_preimages(inp)
+        assert result.candidates == ()
+        assert truncrack.attack.recover_shared_key(inp, 5, 1, result=result) == []
 
     @pytest.mark.parametrize("other_token", [1 << 17, 99999999999, -1])
     def test_rejects_peer_token_outside_image(self, other_token):
@@ -1103,7 +1101,7 @@ class TestAttackerMemo:
         golden = truncrack.attack.AttackInput(*GOLDEN, GOLDEN_TOKEN)
         with pytest.raises(DegenerateInput):
             recover_shared_key(golden, other_token, 2, result=self.recover(*GOLDEN, GOLDEN_TOKEN))
-        # checked before the candidates, so not NoCandidates on an empty result
+        # checked on an empty result too, which would otherwise give []
         empty = truncrack.attack.AttackInput(z=677, p=15, q=3, m=8, token=1)
         with pytest.raises(DegenerateInput):
             recover_shared_key(empty, other_token, 1, result=self.recover(677, 15, 3, 8, 1))

@@ -458,7 +458,7 @@ def _assert_euclid_start_matches(z, p, q, m, u):
     b1, b2 = 1 << m, 1 << q
     wx, wy = rect_weights(b1, b2)
     _, basis = solution_basis(z, p, q, u)
-    start, _ = euclid_basis(z, p, b1, b2)
+    start, _ = euclid_basis(z, p, m, q)
     assert _in_lattice(start[:2], z, p) and _in_lattice(start[2:], z, p)
     assert abs(_det(start)) == 1 << p
     ours, _ = gauss_reduce(start, wx, wy)
@@ -470,11 +470,11 @@ def _assert_euclid_start_matches(z, p, q, m, u):
     assert _reference_rect_search(ours, v, b1, b2) == _reference_rect_search(theirs, v, b1, b2)
 
 
-def _reference_euclid_basis(z, p, b1, b2):
+def _reference_euclid_basis(z, p, m, q):
     """The plain extended-Euclid loop, divmod for every quotient, stopping
-    at the first remainder below 2^max((p + 1 - shift) // 2, 0).
-    euclid_basis must return its pair and quotient count."""
-    shift = b1.bit_length() - b2.bit_length()
+    at the first remainder below 2^max((p + 1 - shift) // 2, 0), with
+    shift = m - q.  euclid_basis must return its pair and quotient count."""
+    shift = m - q
     floor = 1 << max((p + 1 - shift) // 2, 0)
     x0, r0, x1, r1 = 0, 1 << p, 1, z % (1 << p)
     quotients = 0
@@ -487,9 +487,9 @@ def _reference_euclid_basis(z, p, b1, b2):
 
 @st.composite
 def euclid_loop_cases(draw):
-    """(z, p, b1, b2) for euclid_basis alone: p in [1, 80]; z arbitrary,
-    a multiple of 2^p, at least 2^p, or even; b1 and b2 independent, so
-    shift = bits(b1) - bits(b2) runs from negative to above p."""
+    """(z, p, m, q) for euclid_basis alone: p in [1, 80]; z arbitrary,
+    a multiple of 2^p, at least 2^p, or even; m and q independent, so
+    shift = m - q runs from negative to above p."""
     p = draw(st.integers(1, 80))
     z = draw(
         st.integers(1, (1 << p) - 1)
@@ -497,9 +497,9 @@ def euclid_loop_cases(draw):
         | st.integers(1 << p, 1 << (p + 8))
         | st.integers(1, 1 << p).map(lambda k: 2 * k)
     )
-    b1 = draw(st.integers(1, 1 << draw(st.integers(0, p + 4))))
-    b2 = draw(st.integers(1, 1 << draw(st.integers(0, p + 4))))
-    return z, p, b1, b2
+    m = draw(st.integers(0, p + 4))
+    q = draw(st.integers(0, p + 4))
+    return z, p, m, q
 
 
 class TestEuclidBasis:
@@ -527,23 +527,23 @@ class TestEuclidBasis:
 
     def test_matches_reference_loop_size_ladder(self):
         for z, p, q, m, u in _ladder_tokens(random.Random(6060)):
-            args = (z, p, 1 << m, 1 << q)
+            args = (z, p, m, q)
             assert euclid_basis(*args) == _reference_euclid_basis(*args)
 
     def test_exhaustive_small_sweep(self):
         # Every z in [1, 2^(p+1)) for p <= 7, so even z, z = 0 mod 2^p and
-        # z >= 2^p all occur; b1 = 2^e for e in [0, p+1] and several b2, so
-        # the floor runs down to 1, where the loop runs until r1 == 0.
+        # z >= 2^p all occur; m in [0, p+1] and several q, so the floor
+        # runs down to 1, where the loop runs until r1 == 0.
         reached = {"r1 == 0": 0, "floor 1": 0, "k > 0": 0}
         for p in range(1, 8):
             for z in range(1, 1 << (p + 1)):
-                for e in range(p + 2):
-                    for b2 in (1, 3, 1 << (p // 2), 1 << p, 1 << (p + 1)):
-                        args = (z, p, 1 << e, b2)
+                for m in range(p + 2):
+                    for q in (0, 1, p // 2, p, p + 1):
+                        args = (z, p, m, q)
                         got = euclid_basis(*args)
                         assert got == _reference_euclid_basis(*args), args
                         reached["r1 == 0"] += got[0][3] == 0
-                        reached["floor 1"] += e + 1 - b2.bit_length() >= p
+                        reached["floor 1"] += m - q >= p
                         reached["k > 0"] += z % 2 == 0 and z % (1 << p) != 0
         assert all(reached.values()), reached
 
@@ -556,18 +556,31 @@ class TestEuclidBasis:
         rng = random.Random(7070 + l)
         m = q = l // 4
         p = l + m - q
-        b1 = b2 = 1 << m
         f = (p + 1) // 2
         for k in (0, 1, f - 2, f - 1, f, f + 1, p - 1):
             odd = (1 << (l - k - 1)) | rng.getrandbits(l - k - 1) | 1
             z = odd << k
-            got = euclid_basis(z, p, b1, b2)
-            assert got == _reference_euclid_basis(z, p, b1, b2), k
+            got = euclid_basis(z, p, m, q)
+            assert got == _reference_euclid_basis(z, p, m, q), k
             if k >= f:
                 assert got[0][3] == 0 and got[0][1] == 1 << k
 
+    def test_rejects_bad_bounds(self):
+        # refused with the package's message before any shift, where a
+        # negative exponent would raise a bare "negative shift count" and
+        # 1 << p at p = 2^70 an OverflowError, which pytest.raises(ValueError)
+        # does not catch
+        cases = [(p, 14, Q) for p in (-3, -1, MAX_BITS + 1, 1 << 70)]
+        cases += [(P, m, Q) for m in (-1, MAX_BITS + 1)]
+        cases += [(P, 14, q) for q in (-1, MAX_BITS + 1)]
+        message = rf"^p, m and q must be in \[0, {MAX_BITS}\], got "
+        for p, m, q in cases:
+            with pytest.raises(ValueError, match=message) as info:
+                euclid_basis(Z, p, m, q)
+            assert len(str(info.value).encode()) < 200
+
     def test_zero_remainder_stops_at_once(self):
-        start, quotients = euclid_basis(4096, 11, 1 << 3, 1 << 3)
+        start, quotients = euclid_basis(4096, 11, 3, 3)
         assert quotients == 0
         assert start == (0, 1 << 11, 1, 0)
 
@@ -759,9 +772,14 @@ class TestRectSearch:
         assert list(Attacker(Z, P, Q, 14).attack(0).candidates) == hits
 
     def test_rejects_bad_bounds(self):
-        for m, q in ((-1, Q), (MAX_BITS + 1, Q), (14, -1), (14, P)):
-            with pytest.raises(ValueError):
-                box_frame(worked_reduced(), P, m, q)
+        # refused by name before any shift: 1 << p at p = 2^70 would raise
+        # OverflowError, which pytest.raises(ValueError) does not catch
+        cases = [("m", P, -1, Q), ("m", P, MAX_BITS + 1, Q), ("q", P, 14, -1), ("q", P, 14, P)]
+        cases += [("p", MAX_BITS + 1, 14, Q), ("p", 1 << 70, 14, Q)]
+        for name, p, m, q in cases:
+            with pytest.raises(ValueError, match=f"^{name} must be ") as info:
+                box_frame(worked_reduced(), p, m, q)
+            assert len(str(info.value).encode()) < 200
 
     def test_cap(self, monkeypatch):
         # the worked box is exact: one pair, so only a cap of 0 refuses it
@@ -818,7 +836,7 @@ class TestRectSearch:
     def test_matches_reference_loop_size_ladder(self):
         for z, p, q, m, u in _ladder_tokens(random.Random(7070)):
             b1, b2 = 1 << m, 1 << q
-            start, _ = euclid_basis(z, p, b1, b2)
+            start, _ = euclid_basis(z, p, m, q)
             reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
             _assert_matches_reference(z, reduced, p, q, m, u)
 
@@ -934,7 +952,7 @@ class TestCoefficientBox:
             u = ((x * z) & ((1 << p) - 1)) >> q
             b1, b2 = 1 << m, 1 << q
             _, basis = solution_basis(z, p, q, u)
-            start, _ = euclid_basis(z, p, b1, b2)
+            start, _ = euclid_basis(z, p, m, q)
             reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
             for b in (start, reduced, basis):
                 _assert_box_matches_rationals(b, p, q, u, m)
