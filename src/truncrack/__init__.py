@@ -8,7 +8,6 @@ from .attack import Attacker, AttackResult
 from .errors import (
     ConstraintViolated,
     DegenerateInput,
-    IterationCapExceeded,
     OracleTooLarge,
     SearchSpaceExceeded,
     ToolkitError,

@@ -90,9 +90,8 @@ class AttackResult(NamedTuple):
     """The outcome of one token, a value: equal deployments and tokens
     give ``==`` results, and no field holds a time.
     ``reduce_iterations`` is the deployment's: euclid_basis's quotients
-    plus the finishing passes of gauss_reduce (its final all-zero pass
-    included) for the lattice modulo 2^k (Attacker), the same on every
-    token.
+    plus gauss_reduce's passes, 1 when its one pass changes nothing and
+    2 otherwise, for the lattice modulo 2^k (Attacker), on every token.
     ``searched`` is the number of coefficient pairs of the token's box in
     that lattice, so the filter's dropped hits are among them."""
 
@@ -107,8 +106,8 @@ class Attacker:
 
     The constructor checks the observables (check_observables), reduces
     the congruence lattice modulo 2^k, k = min(p, m + q + SPARE_BITS), for
-    the rectangle [0, 2^m) x [0, 2^q), whose form (b2^2, b1^2) over its
-    gcd is (2^(2(q-m)), 1) or (1, 2^(2(m-q))), and fixes the box's frame
+    the rectangle [0, 2^m) x [0, 2^q) (euclid_basis, then gauss_reduce's
+    one pass, both given m and q), and fixes the box's frame
     (lattice2d.box_frame: the |det| = 2^k check, DegenerateInput otherwise,
     the sign and the corner offsets shifted by q), whose basis
     ``frame[0]`` is the reduced basis up to the sign of u1.  Every
@@ -117,8 +116,8 @@ class Attacker:
     k < p but lattice2d.box_bound puts the frame's box over WALK_BOUND
     pairs for some token, the lattice modulo 2^p is reduced and framed
     too, and ``k`` is p; a generic z never gets there.
-    ``reduce_iterations`` is the Euclid quotients plus the Gauss passes of
-    every reduction made.  The masks 2^(k-q) - 1, 2^k - 1 and 2^p - 1
+    ``reduce_iterations`` is the Euclid quotients plus the Gauss passes (1
+    or 2) of every reduction made.  The masks 2^(k-q) - 1, 2^k - 1 and 2^p - 1
     that a token needs are made here too.  An Attacker reads no clock and
     never changes after construction, so one serves any number of tokens
     and callers, with ``==`` results.
@@ -128,11 +127,10 @@ class Attacker:
 
     def __init__(self, z: int, p: int, q: int, m: int):
         check_observables(z, p, q, m)
-        wx, wy = (1 << 2 * (q - m), 1) if q > m else (1, 1 << 2 * (m - q))
         iterations = 0
         for k in (min(p, m + q + SPARE_BITS), p):
             start, quotients = euclid_basis(z, k, m, q)
-            reduced, passes = gauss_reduce(start, wx, wy)
+            reduced, passes = gauss_reduce(start, m, q)
             frame = box_frame(reduced, k, m, q)
             iterations += quotients + passes
             if k == p or box_bound(frame) <= WALK_BOUND:

@@ -42,10 +42,6 @@ class DegenerateInput(ToolkitError):
     """An input that leaves the lattice problem undefined (e.g. z = 0)."""
 
 
-class IterationCapExceeded(ToolkitError):
-    """Reduction ran past its iteration safety cap (diagnostic, never expected)."""
-
-
 class SearchSpaceExceeded(ToolkitError):
     """The rectangle search coefficient box holds more pairs than the cap allows."""
 

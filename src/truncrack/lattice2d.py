@@ -13,8 +13,8 @@ coset.  Reducing L is the continued-fraction expansion of z / 2^p
 (Vallée, "Gauss' algorithm revisited", 1991), so the attack starts from
 euclid_basis, which runs Euclid on the remainders alone and rebuilds the
 two cofactors at its stop from one 2-adic inverse, and gauss_reduce
-finishes the job, updating the form's norms and inner product exactly
-rather than recomputing them.  attack.Attacker reduces modulo a power
+finishes the job with one Lagrange pass, which its docstring proves is
+all that Euclid's stop leaves.  attack.Attacker reduces modulo a power
 2^k <= 2^p whose lattice contains L (see there); every function here
 works for whatever modulus exponent it is given.
 
@@ -24,8 +24,8 @@ u1 = (x1, y1) and u2 = (x2, y2), a point is (x, y), and a form is its two
 positive weights (wx, wy), <a, b> = wx*ax*bx + wy*ay*by.  For the
 rectangle [0, b1) x [0, b2) the weights are (b2^2, b1^2), which make it
 square; a common factor of the weights changes no quotient, rounding or
-comparison.  euclid_basis and box_frame take the attack's rectangle
-b1 = 2^m, b2 = 2^q by its exponents (m, q).  A frame, from box_frame, is
+comparison.  euclid_basis, gauss_reduce and box_frame take the attack's
+rectangle b1 = 2^m, b2 = 2^q by its exponents (m, q).  A frame is
 what the coefficient box of the token coset (0, -2^q*u) + L needs beside
 u: (basis, p - q, b1, b2, offsets), made once per basis and rectangle
 with shifts, 2^q folded into the offsets (see box_frame), so that a
@@ -38,7 +38,7 @@ coefficients, is in truncrack.paper.  All functions are pure.
 
 from __future__ import annotations
 
-from .errors import DegenerateInput, IterationCapExceeded, SearchSpaceExceeded, int_text
+from .errors import DegenerateInput, SearchSpaceExceeded, int_text
 from .protocol import MAX_BITS
 
 # box_frame's result: the basis with det = +2^p, p - q, b1, b2 and the
@@ -145,78 +145,69 @@ def round_half_to_zero(num: int, den: int) -> int:
 
 
 def gauss_reduce(
-    basis: tuple[int, int, int, int], wx: int, wy: int
+    basis: tuple[int, int, int, int], m: int, q: int
 ) -> tuple[tuple[int, int, int, int], int]:
-    """Lagrange-reduce the basis (x1, y1, x2, y2) under the form
-    <a, b> = wx*ax*bx + wy*ay*by.
+    """Finish the Lagrange (Gauss) reduction of euclid_basis(z, p, m, q)'s
+    basis (x1, y1, x2, y2) for the rectangle [0, 2^m) x [0, 2^q), under its
+    form (1, 4^s) or (4^-s, 1), s = m - q: one pass, and no loop.
 
-    Alternately replaces u1 <- u1 - c1*u2 and u2 <- u2 - c2*u1 with
-    c = round_half_to_zero(<ui, uj>, <uj, uj>) until a pass leaves both
-    coefficients zero.  On exit |<u1,u2>| <= min(|u1|^2, |u2|^2) / 2.
+    The pass is the textbook loop's first: u1 <- u1 - c1*u2, then
+    u2 <- u2 - c2*u1, each c = round_half_to_zero(<ui, uj>, <uj, uj>).  The
+    norms n1, n2 and d = <u1, u2> are computed once and updated exactly:
+    after u1 <- u1 - c*u2, with t = c*n2, n1 becomes n1 - c*(2d - t) and d
+    becomes d - t, and the same with the roles swapped for u2.
 
-    A common factor of wx and wy changes no quotient or comparison, so
-    the caller may divide it out first, as the attack does.  The norms
-    and the inner product d = <u1, u2> are computed from the coordinates
-    once, at the start, and then updated exactly: after u1 <- u1 - c*u2,
-    with t = c*|u2|^2, the new |u1|^2 is |u1|^2 - c*(2d - t) and the new
-    d is d - t, and the same with the roles swapped for u2.  These are
-    integer identities, so every quotient is the one a recomputation
-    would give, and no coordinate is multiplied out again.  A half-step
-    with c = 0 changes nothing.  The exit bound is asserted on the
-    updated values.
+    Why the pass reduces the basis.  Take the form as x^2 + 4^s*y^2 (a
+    common factor changes no quotient), so n1*n2 - d^2 = D^2 with
+    D = 2^(p+s), as |det| = 2^p.  Euclid stops at u2 = (x, r) with r < 2^f,
+    f = max((p + 1 - s) // 2, 0), so 2f <= p + 1 - s or r = 0, and
+    4^s*r^2 < 2D.  Unless s < -p, u1's remainder is at least 2^f, so
+    |x| <= 2^(p-f) (see euclid_basis) and x^2 <= D, as 2f >= p - s: then
+    n2 < 3D.  The c1 half-step keeps n2 and leaves 2|d| <= n2, and
+    |c2| >= 2 would need |d| > 3*n1/2, so D^2 = n1*n2 - d^2 <
+    |d|*(2*n2/3 - |d|) <= n2^2/9, and n2 > 3D.  So |c2| <= 1.  When s < -p,
+    Euclid takes no quotient: u1 = (0, 2^p), u2 = (1, r) with r < 2^p, and
+    1 + 4^s*r^2 >= 2^(s+1)*r gives |d| <= 2^(p+s-1)*n2 < n2/2, so c1 = 0
+    and c2 = round(r / 2^p) is 0 or 1.  If c2 = 0, 2|d| <= n1 as well.  If
+    c2 = 1 (-1 is its mirror), n1/2 < d <= 3*n1/2, so the new d - n1 has
+    2|d - n1| <= n1, and against the new n2 - 2d + n1 it needs
+    4d <= n2 + 3*n1 when d >= n1 (from 2d <= n2 and 2d <= 3*n1) and
+    n1 <= n2 when d < n1 (from n1 < 2d <= n2).  So 2|d| <= min(n1, n2) on
+    exit: a second pass would leave both quotients zero.
 
-    Returns the reduced basis as (x1, y1, x2, y2) and the number of
-    passes, counting the final all-zero pass.  Each half-step with
-    c != 0 strictly shrinks the replaced vector's norm and preserves the
-    determinant; both facts are asserted after it, the norm's on its
-    updated value and |det| from the coordinates.  The pass count is
-    capped at 64 * max(bits(|det|) - 1, 1) as a safety net, 64 * p for a
-    basis of L modulo 2^p; reduction converges orders of magnitude
-    faster, and from euclid_basis's start it takes a pass or two.  Raises
-    ValueError for a weight below 1 and DegenerateInput for a basis of
+    Asserted: each half-step that changes the basis strictly shrinks the
+    norm it updates, |det| holds from the coordinates, and the exit bound.
+    A basis that one pass does not reduce fails the last.  Returns the
+    basis and the loop's pass count, its all-zero pass included: 1 when
+    c1 = c2 = 0, else 2.  Raises ValueError for m or q outside
+    [0, MAX_BITS], before any shift, and DegenerateInput for a basis of
     determinant 0.
     """
-    if wx <= 0 or wy <= 0:
-        raise ValueError("form weights must be positive")
+    if not (0 <= m <= MAX_BITS and 0 <= q <= MAX_BITS):
+        raise ValueError(f"m and q must be in [0, {MAX_BITS}], got m={int_text(m)} q={int_text(q)}")
     x1, y1, x2, y2 = basis
     det = abs(x1 * y2 - y1 * x2)
     if det == 0:
         raise DegenerateInput("basis is degenerate (determinant 0)")
-    n1 = wx * x1 * x1 + wy * y1 * y1
-    n2 = wx * x2 * x2 + wy * y2 * y2
-    d = wx * x1 * x2 + wy * y1 * y2
-    cap = 64 * max(det.bit_length() - 1, 1)
-    passes = 0
-    while True:
-        passes += 1
-        if passes > cap:
-            raise IterationCapExceeded(f"reduction exceeded {cap} passes")
-        c1 = round_half_to_zero(d, n2)
-        if c1:
-            x1 -= c1 * x2
-            y1 -= c1 * y2
-            t = c1 * n2
-            shrunk = n1 - c1 * (2 * d - t)
-            assert shrunk < n1
-            n1 = shrunk
-            d -= t
-            assert abs(x1 * y2 - y1 * x2) == det
-
-        c2 = round_half_to_zero(d, n1)
-        if c2:
-            x2 -= c2 * x1
-            y2 -= c2 * y1
-            t = c2 * n1
-            shrunk = n2 - c2 * (2 * d - t)
-            assert shrunk < n2
-            n2 = shrunk
-            d -= t
-            assert abs(x1 * y2 - y1 * x2) == det
-
-        if c1 == 0 and c2 == 0:
-            break
-    assert 2 * abs(d) <= min(n1, n2)
-    return (x1, y1, x2, y2), passes
+    sx, sy = max(q - m, 0), max(m - q, 0)
+    a1, b1, a2, b2 = x1 << sx, y1 << sy, x2 << sx, y2 << sy
+    n1, n2, d = a1 * a1 + b1 * b1, a2 * a2 + b2 * b2, a1 * a2 + b1 * b2
+    c1 = round_half_to_zero(d, n2)
+    if c1:
+        x1, y1 = x1 - c1 * x2, y1 - c1 * y2
+        t = c1 * n2
+        shrunk = n1 - c1 * (2 * d - t)
+        assert shrunk < n1
+        n1, d = shrunk, d - t
+    c2 = round_half_to_zero(d, n1)
+    if c2:
+        x2, y2 = x2 - c2 * x1, y2 - c2 * y1
+        t = c2 * n1
+        shrunk = n2 - c2 * (2 * d - t)
+        assert shrunk < n2
+        n2, d = shrunk, d - t
+    assert abs(x1 * y2 - y1 * x2) == det and 2 * abs(d) <= min(n1, n2)
+    return (x1, y1, x2, y2), 2 if c1 or c2 else 1
 
 
 def box_frame(basis: tuple[int, int, int, int], p: int, m: int, q: int) -> Frame:

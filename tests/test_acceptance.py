@@ -9,9 +9,10 @@ import statistics
 import time
 from fractions import Fraction
 
-from truncrack import Attacker, TrialConfig, brute_force_preimages, run_trials
-from truncrack.lattice2d import gauss_reduce
+from truncrack import Attacker, DegenerateInput, TrialConfig, brute_force_preimages, run_trials
+from truncrack.lattice2d import euclid_basis, gauss_reduce, round_half_to_zero
 from truncrack.paper import (
+    is_reduced,
     nearest_lattice_point,
     solution_basis,
     solve_coeffs,
@@ -30,6 +31,47 @@ def rect_weights(b1: int, b2: int) -> tuple[int, int]:
     return b2 * b2, b1 * b1
 
 
+def _textbook_gauss_reduce(basis, wx, wy, *, on_step=None):
+    """The textbook Lagrange loop, the tests' one general reduction: every
+    half-step recomputes the norms and the inner product under the form
+    (wx, wy), and the loop stops after a pass whose two quotients are 0.
+    Each half-step that changes the basis strictly shrinks a positive
+    integer norm, so the loop ends.  Returns the reduced basis and the
+    passes, the all-zero one included; on_step(target, c, basis) sees
+    each half-step.  gauss_reduce, from Euclid's stop, must match it."""
+    def inner(a, b):
+        return wx * a[0] * b[0] + wy * a[1] * b[1]
+
+    u1, u2 = basis[:2], basis[2:]
+    det = abs(basis[0] * basis[3] - basis[1] * basis[2])
+    if det == 0:
+        raise DegenerateInput("basis is degenerate (determinant 0)")
+    passes = 0
+    while True:
+        passes += 1
+        old_norm1 = inner(u1, u1)
+        c1 = round_half_to_zero(inner(u1, u2), inner(u2, u2))
+        u1 = (u1[0] - c1 * u2[0], u1[1] - c1 * u2[1])
+        assert abs(u1[0] * u2[1] - u1[1] * u2[0]) == det
+        assert c1 == 0 or inner(u1, u1) < old_norm1
+        if on_step is not None:
+            on_step("u1", c1, (*u1, *u2))
+
+        old_norm2 = inner(u2, u2)
+        c2 = round_half_to_zero(inner(u1, u2), inner(u1, u1))
+        u2 = (u2[0] - c2 * u1[0], u2[1] - c2 * u1[1])
+        assert abs(u1[0] * u2[1] - u1[1] * u2[0]) == det
+        assert c2 == 0 or inner(u2, u2) < old_norm2
+        if on_step is not None:
+            on_step("u2", c2, (*u1, *u2))
+
+        if c1 == 0 and c2 == 0:
+            break
+    reduced = (*u1, *u2)
+    assert is_reduced(reduced, wx, wy)
+    return reduced, passes
+
+
 def test_criterion_1_golden_example():
     failures = []
     # The rectangle of solutions [0, 2^m) x [0, 2^q) with m=14, q=5.
@@ -37,7 +79,7 @@ def test_criterion_1_golden_example():
 
     t0 = time.perf_counter_ns()
     v0, basis = solution_basis(6173, 22, 5, 22131)
-    reduced, _ = gauss_reduce(basis, *rect_weights(B1, B2))
+    reduced, _ = _textbook_gauss_reduce(basis, *rect_weights(B1, B2))
     # The CVP: the lattice point nearest v0, whose difference from v0 is
     # the coset's shortest point under the rectangle's form.
     a1, a2 = nearest_lattice_point(reduced, v0, *rect_weights(B1, B2))
@@ -93,6 +135,11 @@ def test_criterion_1_golden_example():
     if answer != (12345, 21):
         failures.append(f"final answer {answer}")
 
+    # The attack's own reduction: Euclid's stop, then gauss_reduce's pass.
+    finished = gauss_reduce(euclid_basis(6173, 22, 14, 5)[0], 14, 5)
+    if finished != ((33973, 129, -25140, 28), 2):
+        failures.append(f"attack's reduction {finished}")
+
     result = Attacker(6173, 22, 5, 14).attack(708192 >> 5)
     if result.candidates != ((12345, 21),) or not result.unique:
         failures.append(f"attack result {result.candidates}")
@@ -144,7 +191,7 @@ def test_criterion_3_cvp_optimality():
         u = rng.randint(0, (1 << max(1, p - q)) - 1)
         _, basis = solution_basis(z, p, q, u)
         wx, wy = rng.randint(1, 4) ** 2, rng.randint(1, 4) ** 2
-        reduced, _ = gauss_reduce(basis, wx, wy)
+        reduced, _ = _textbook_gauss_reduce(basis, wx, wy)
         u1x, u1y, u2x, u2y = reduced
         a1t, a2t = rng.randint(-30, 30), rng.randint(-30, 30)
         ex, ey = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -204,9 +251,7 @@ def test_criterion_4_reduction_invariants():
         p = l + m - q
         rng = random.Random(10_000 + i)
         z = (1 << (l - 1)) | rng.getrandbits(l - 1)
-        x = rng.randint(1, (1 << m) - 1)
-        u = ((x * z) & ((1 << p) - 1)) >> q
-        _, basis = solution_basis(z, p, q, u)
+        start, _ = euclid_basis(z, p, m, q)
         wx, wy = rect_weights(1 << m, 1 << q)
 
         def norm_sq(x, y, wx=wx, wy=wy):
@@ -214,8 +259,8 @@ def test_criterion_4_reduction_invariants():
 
         target_det = 1 << p
         violations = []
-        (reduced, passes), steps = _reduce_with_steps(basis, wx, wy)
-        before = basis
+        (reduced, passes), steps = _reduce_with_steps(start, m, q)
+        before = start
         for target, c, step in steps:
             x1, y1, x2, y2 = step
             if abs(x1 * y2 - y1 * x2) != target_det:
@@ -228,13 +273,13 @@ def test_criterion_4_reduction_invariants():
         cross = abs(wx * x1 * x2 + wy * y1 * y2)
         if 2 * cross > min(norm_sq(x1, y1), norm_sq(x2, y2)):
             violations.append("exit-bound")
-        if passes > 64 * p:
-            violations.append("iteration-cap")
+        if passes > 2:
+            violations.append("passes")
         clean += not violations
     elapsed = time.perf_counter() - t0
     ok = clean == total
-    _report(4, ok, f"reduction invariants {clean}/{total} across sizes up to l=2048 "
-            f"in {elapsed:.1f}s")
+    _report(4, ok, f"reduction invariants {clean}/{total} from Euclid's stop across sizes "
+            f"up to l=2048 in {elapsed:.1f}s")
     assert ok
 
 
@@ -278,9 +323,6 @@ def test_criterion_6_protocol_agreement():
 
 
 def test_criterion_7_scaling_invariance():
-    # Imported here: test_lattice2d imports this module at its top.
-    from test_lattice2d import _reference_rect_search
-
     rng = random.Random(1007)
     identical = 0
     total = 100
@@ -290,18 +332,19 @@ def test_criterion_7_scaling_invariance():
         z = (1 << (l - 1)) | rng.getrandbits(l - 1)
         x = rng.randint(1, (1 << m) - 1)
         u = ((x * z) & ((1 << p) - 1)) >> q
-        v0, start = solution_basis(z, p, q, u)
-        b1, b2 = 1 << m, 1 << q
-        wx, wy = rect_weights(b1, b2)
-        red_a, it_a = gauss_reduce(start, wx, wy)
-        red_b, it_b = gauss_reduce(start, 7 * wx, 7 * wy)
-        hits_a = _reference_rect_search(red_a, (0, -(u << q)), b1, b2)
-        hits_b = _reference_rect_search(red_b, (0, -(u << q)), b1, b2)
+        v0, _ = solution_basis(z, p, q, u)
+        start, _ = euclid_basis(z, p, m, q)
+        wx, wy = rect_weights(1 << m, 1 << q)
+        # The attack's reduction takes the rectangle by (m, q); the
+        # reference loop gives its basis and passes under the form and
+        # under 7 times the form.
+        reduced, passes = gauss_reduce(start, m, q)
         identical += (
-            (red_a, it_a) == (red_b, it_b)
-            and hits_a == hits_b
-            and nearest_lattice_point(red_a, v0, wx, wy)
-            == nearest_lattice_point(red_b, v0, 7 * wx, 7 * wy)
+            _textbook_gauss_reduce(start, wx, wy)
+            == (reduced, passes)
+            == _textbook_gauss_reduce(start, 7 * wx, 7 * wy)
+            and nearest_lattice_point(reduced, v0, wx, wy)
+            == nearest_lattice_point(reduced, v0, 7 * wx, 7 * wy)
         )
     ok = identical == total
     _report(7, ok, f"weight scaling changes nothing: {identical}/{total}")

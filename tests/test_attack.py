@@ -41,7 +41,7 @@ from truncrack.lattice2d import (
 )
 from truncrack.paper import is_reduced, solution_basis
 from truncrack.protocol import MAX_BITS, check_observables, check_shape, check_token
-from test_acceptance import rect_weights
+from test_acceptance import _textbook_gauss_reduce, rect_weights
 from test_lattice2d import _reference_rect_search
 
 # The worked deployment (z, p, q, m), and its token as the paper gives it,
@@ -161,7 +161,7 @@ def _frame_modulo(z, modulus, q, m):
     [0, 2^m) x [0, 2^q), reduced here from euclid_basis and gauss_reduce,
     and the Euclid quotients plus Gauss passes it took."""
     start, quotients = euclid_basis(z, modulus, m, q)
-    reduced, passes = gauss_reduce(start, *rect_weights(1 << m, 1 << q))
+    reduced, passes = gauss_reduce(start, m, q)
     return box_frame(reduced, modulus, m, q), quotients + passes
 
 
@@ -187,10 +187,10 @@ def _count_reductions(monkeypatch):
     log2 |det| of its basis, the modulus k, to the list returned."""
     calls = []
 
-    def counted(basis, wx, wy):
+    def counted(basis, m, q):
         x1, y1, x2, y2 = basis
         calls.append(abs(x1 * y2 - y1 * x2).bit_length() - 1)
-        return gauss_reduce(basis, wx, wy)
+        return gauss_reduce(basis, m, q)
 
     monkeypatch.setattr(truncrack.attack, "gauss_reduce", counted)
     return calls
@@ -256,7 +256,7 @@ class TestRecoverPreimages:
         z, p, q, m, u = 11, 5, 2, 3, 1
         assert (z, p, q, m, u) in _small_instances()
         start, _ = euclid_basis(z, p, m, q)
-        reduced, _ = gauss_reduce(start, 1, 1 << 2 * (m - q))
+        reduced, _ = gauss_reduce(start, m, q)
         frame = box_frame(reduced, p, m, q)
         lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
         assert (hi1 - lo1 + 1, hi2 - lo2 + 1) == (0, 2)
@@ -382,7 +382,7 @@ class TestRecoverPreimages:
             k = min(p, m + q + SPARE_BITS)
             wx, wy = rect_weights(1 << m, 1 << q)
             _, basis = solution_basis(z, k, q, u)
-            theirs, _ = gauss_reduce(basis, wx, wy)
+            theirs, _ = _textbook_gauss_reduce(basis, wx, wy)
             _assert_same_reduced_basis(attacker.frame[0], theirs, wx, wy)
 
     @settings(max_examples=300, deadline=None)
@@ -479,9 +479,8 @@ class TestAttacker:
             Attacker(**kwargs)
 
     def test_frame_is_the_reduced_basis_frame(self):
-        # (q, m) = (5, 14): the form (2^10, 2^28) over its gcd is (1, 2^18)
         start, _ = euclid_basis(6173, 22, 14, 5)
-        reduced, _ = gauss_reduce(start, 1, 1 << 18)
+        reduced, _ = gauss_reduce(start, 14, 5)
         attacker = Attacker(6173, 22, 5, 14)
         assert attacker.frame == box_frame(reduced, 22, 14, 5)
 
@@ -603,7 +602,7 @@ class TestModulusBelowP:
         attacker = Attacker(z, p, q, m)
         assert attacker.k == m + q + SPARE_BITS < p
         start, _ = euclid_basis(z, p, m, q)
-        reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
+        reduced, _ = gauss_reduce(start, m, q)
         reference = box_frame(reduced, p, m, q)
         secrets = [rng.randint(1, b1 - 1) for _ in range(20)]
         honest = [((x * z) & ((1 << p) - 1)) >> q for x in secrets]
@@ -631,12 +630,11 @@ class TestModulusBelowP:
         z = (1 << (l - 1)) | rng.getrandbits(l - 1 - k) << k | low
         if low == 0:
             z |= 1 << k
-        wx, wy = rect_weights(b1, b2)
         counts = []
         frames = []
         for modulus in (k, p):
             start, quotients = euclid_basis(z, modulus, m, q)
-            reduced, passes = gauss_reduce(start, wx, wy)
+            reduced, passes = gauss_reduce(start, m, q)
             counts.append(quotients + passes)
             frames.append(box_frame(reduced, modulus, m, q))
         assert box_bound(frames[0]) > BOX_CAP
@@ -915,10 +913,10 @@ class TestPackageRoot:
             "trunc_f", "validate_params",
             "TrialConfig", "TrialRecord", "brute_force_preimages", "format_csv", "run_trials",
             "write_csv",
-            "ToolkitError", "ConstraintViolated", "DegenerateInput", "IterationCapExceeded",
-            "SearchSpaceExceeded", "OracleTooLarge",
+            "ToolkitError", "ConstraintViolated", "DegenerateInput", "SearchSpaceExceeded",
+            "OracleTooLarge",
         }
-        assert len(names) == 27
+        assert len(names) == 26
 
 
 class TestRecoverSharedKey:

@@ -204,9 +204,10 @@ class TestCsv:
     def test_full_scale_golden_rows(self):
         # timings zeroed, these rows pin the full-scale CSV bytes: a change
         # in the reduction's path shows in reduce_iterations, which counts
-        # the Euclid quotients of euclid_basis plus gauss_reduce's finishing
-        # passes for the lattice modulo 2^k, k = m + q + 3 = 1027 here, not
-        # p = 2048 (316+2, 305+2, 329+1, 291+2, 295+2)
+        # the Euclid quotients of euclid_basis plus gauss_reduce's passes, 1
+        # when its one pass changes nothing and 2 otherwise, for the lattice
+        # modulo 2^k, k = m + q + 3 = 1027 here, not p = 2048 (316+2, 305+2,
+        # 329+1, 291+2, 295+2)
         cfg = TrialConfig(seed_base=1, trials=5, l=2048, m=512, q=512, r=129)
         rows = _zero_timings(format_csv(run_trials(cfg))).splitlines()[1:]
         assert rows == [

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import truncrack.lattice2d
-from truncrack import Attacker, DegenerateInput, IterationCapExceeded, SearchSpaceExceeded
+from truncrack import Attacker, DegenerateInput, SearchSpaceExceeded
 from truncrack.lattice2d import (
     box_bound,
     box_frame,
@@ -26,7 +26,7 @@ from truncrack.paper import (
     truncate_decimal,
 )
 from truncrack.protocol import MAX_BITS, check_shape
-from test_acceptance import SIZE_LADDER, rect_weights
+from test_acceptance import SIZE_LADDER, _textbook_gauss_reduce, rect_weights
 
 # The worked toy instance used throughout: z=6173, p=22, q=5, u=22131.
 Z, P, Q, U = 6173, 22, 5, 22131
@@ -64,7 +64,7 @@ def _in_lattice(v, z, p):
 
 def worked_reduced():
     _, basis = solution_basis(Z, P, Q, U)
-    reduced, _ = gauss_reduce(basis, WX, WY)
+    reduced, _ = _textbook_gauss_reduce(basis, WX, WY)
     return reduced
 
 
@@ -147,72 +147,86 @@ class TestGaussReduce:
 
     def test_fixed_point(self):
         reduced = worked_reduced()
-        again, passes = gauss_reduce(reduced, WX, WY)
+        again, passes = gauss_reduce(reduced, 14, Q)
         assert again == reduced
         assert passes == 1
 
     def test_orthogonal_basis_unchanged(self):
         basis = (1, 0, 0, 1 << 8)
-        reduced, passes = gauss_reduce(basis, 1, 1)
+        reduced, passes = gauss_reduce(basis, 0, 0)
         assert reduced == basis
         assert passes == 1
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInput):
-            gauss_reduce((2, 4, 1, 2), 1, 1)
+            gauss_reduce((2, 4, 1, 2), 0, 0)
 
     @pytest.mark.parametrize("wx, wy", [(0, 1), (1, 0), (-1, 4)])
     def test_nonpositive_weights_rejected(self, wx, wy):
         with pytest.raises(ValueError):
-            gauss_reduce((1, 0, 0, 1 << 8), wx, wy)
-        with pytest.raises(ValueError):
             nearest_lattice_point((1, 0, 0, 1 << 8), (3, 5), wx, wy)
 
-    def test_iteration_cap(self):
-        # A Fibonacci-skewed basis needs ~one pass per index; it is
-        # unimodular (|det| = 1), so the cap is 64 passes, far too few on
-        # purpose.
+    def test_rejects_bad_bounds(self):
+        # refused with the package's message before any shift, where a
+        # negative exponent would raise a bare "negative shift count" and
+        # a shift by 2^70 an OverflowError or MemoryError
+        message = rf"^m and q must be in \[0, {MAX_BITS}\], got m="
+        for bad in (-1, MAX_BITS + 1, 1 << 70, -(1 << 70)):
+            for m, q in ((bad, Q), (14, bad)):
+                with pytest.raises(ValueError, match=message) as info:
+                    gauss_reduce(ORIENTED, m, q)
+                assert len(str(info.value).encode()) < 200
+        # determinant 0 would otherwise reach divmod(d, 0)
+        with pytest.raises(DegenerateInput) as info:
+            gauss_reduce((1, 0, 0, 0), 14, Q)
+        assert len(str(info.value).encode()) < 200
+
+    def test_asserts_the_exit_bound(self):
+        # A Fibonacci-skewed basis needs many passes; the one pass leaves it
+        # unreduced, which the exit assertion refuses.  Under python -O the
+        # assertion is stripped and the unreduced basis comes back.
         a, b = 1, 1
-        for _ in range(400):
+        for _ in range(40):
             a, b = b, a + b
-        with pytest.raises(IterationCapExceeded):
-            gauss_reduce((b, a, a, b - a), 1, 1)
+        basis = (b, a, a, b - a)
+        if __debug__:
+            with pytest.raises(AssertionError):
+                gauss_reduce(basis, 0, 0)
+        else:
+            assert not is_reduced(gauss_reduce(basis, 0, 0)[0], 1, 1)
 
-    @pytest.mark.parametrize("p", [0, 1, 2, 5])
-    def test_cap_is_64p_for_det_2p(self, p):
-        # A Fibonacci-skewed basis of n steps takes (n + 9) / 4 passes.
-        # With y scaled by 2^p under the weights (2^(2p), 1), the form is
-        # the unit one times 2^(2p), so it takes the same passes with
-        # |det| = 2^p.  The cap is 64*p passes (64 at p = 0): a basis that
-        # needs exactly the cap reduces, and one that needs one more stops.
-        cap = 64 * max(p, 1)
-
-        def skewed(n):
-            a, b = 1, 1
-            for _ in range(n):
-                a, b = b, a + b
-            assert abs(b * (b - a) - a * a) == 1
-            return (b, a << p, a, (b - a) << p)
-
-        assert gauss_reduce(skewed(4 * cap - 9), 1 << 2 * p, 1)[1] == cap
-        with pytest.raises(IterationCapExceeded, match=rf"^reduction exceeded {cap} passes$"):
-            gauss_reduce(skewed(4 * cap - 5), 1 << 2 * p, 1)
+    def test_exhaustive_small_matches_textbook_loop(self):
+        # Every z in [0, 2^p) for p <= 9 and every m, q in [0, p + 2]: from
+        # Euclid's stop the one pass is the textbook loop's basis and
+        # passes, and the loop's first pass takes |c2| <= 1.
+        for p in range(10):
+            for z in range(1 << p):
+                for m in range(p + 3):
+                    for q in range(p + 3):
+                        start, _ = euclid_basis(z, p, m, q)
+                        steps = []
+                        ref = _textbook_gauss_reduce(
+                            start, *rect_weights(1 << m, 1 << q), on_step=lambda *s: steps.append(s)
+                        )
+                        assert gauss_reduce(start, m, q) == ref, (z, p, m, q)
+                        assert abs(steps[1][1]) <= 1
 
     def test_per_step_invariants_random(self):
         rng = random.Random(99)
         for _ in range(60):
-            z, p, _, _, basis = random_family(rng)
-            wx, wy = rng.randint(1, 9), rng.randint(1, 9)
-            target_det = abs(_det(basis))
-            (reduced, passes), steps = _reduce_with_steps(basis, wx, wy)
-            before = basis
+            z, p, _, _, _ = random_family(rng)
+            m, q = rng.randint(0, p + 2), rng.randint(0, p + 2)
+            wx, wy = rect_weights(1 << m, 1 << q)
+            start, _ = euclid_basis(z, p, m, q)
+            (reduced, passes), steps = _reduce_with_steps(start, m, q)
+            before = start
             for target, c, step in steps:
-                assert abs(_det(step)) == target_det
+                assert abs(_det(step)) == 1 << p
                 i = 0 if target == "u1" else 2
                 if c != 0:
                     assert _norm(step[i:i + 2], wx, wy) < _norm(before[i:i + 2], wx, wy)
                 before = step
-            assert passes <= 64 * p
+            assert passes <= 2
             x1, y1, x2, y2 = reduced
             cross = abs(wx * x1 * x2 + wy * y1 * y2)
             assert 2 * cross <= min(_norm(reduced[:2], wx, wy), _norm(reduced[2:], wx, wy))
@@ -225,24 +239,26 @@ class TestGaussReduce:
             assert _in_lattice(_combo(reduced, a1, a2), Z, P)
 
     def test_span_preserved(self):
-        # Original generators must be integer combinations of the output.
+        # solution_basis's generators must be integer combinations of the
+        # reduced basis from Euclid's stop.
         rng = random.Random(31)
         for _ in range(40):
             z, p, _, _, basis = random_family(rng)
-            reduced, _ = gauss_reduce(basis, 1, rng.randint(1, 16))
+            m, q = rng.randint(0, p + 2), rng.randint(0, p + 2)
+            reduced, _ = gauss_reduce(euclid_basis(z, p, m, q)[0], m, q)
             for g in (basis[:2], basis[2:]):
                 a1, a2 = solve_coeffs(reduced, g)
                 assert a1.denominator == 1 and a2.denominator == 1
 
 
-def _reduce_with_steps(basis, wx, wy):
-    """gauss_reduce(basis, wx, wy) and its half-steps, each as
+def _reduce_with_steps(basis, m, q):
+    """gauss_reduce(basis, m, q) and its two half-steps, each as
     (target, c, basis after it), target naming the vector replaced by c.
 
-    The quotients are recorded from gauss_reduce's calls of
-    round_half_to_zero, two per pass, and replayed from ``basis``: a
-    half-step is fixed by the basis before it and its quotient.  The
-    replay must end at the basis gauss_reduce returns."""
+    The two quotients are recorded from gauss_reduce's calls of
+    round_half_to_zero and replayed from ``basis``: a half-step is fixed
+    by the basis before it and its quotient.  The replay must end at the
+    basis gauss_reduce returns."""
     quotients = []
 
     def recording(num, den):
@@ -252,105 +268,65 @@ def _reduce_with_steps(basis, wx, wy):
     # The context manager, not the fixture: Hypothesis tests call this.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(truncrack.lattice2d, "round_half_to_zero", recording)
-        reduced, passes = gauss_reduce(basis, wx, wy)
-    assert len(quotients) == 2 * passes
+        reduced, passes = gauss_reduce(basis, m, q)
+    assert len(quotients) == 2
     x1, y1, x2, y2 = basis
-    steps = []
-    for i, c in enumerate(quotients):
-        if i % 2:
-            x2, y2 = x2 - c * x1, y2 - c * y1
-        else:
-            x1, y1 = x1 - c * x2, y1 - c * y2
-        steps.append(("u2" if i % 2 else "u1", c, (x1, y1, x2, y2)))
+    c1, c2 = quotients
+    x1, y1 = x1 - c1 * x2, y1 - c1 * y2
+    steps = [("u1", c1, (x1, y1, x2, y2))]
+    x2, y2 = x2 - c2 * x1, y2 - c2 * y1
+    steps.append(("u2", c2, (x1, y1, x2, y2)))
     assert (x1, y1, x2, y2) == reduced
     return (reduced, passes), steps
 
 
-def _textbook_gauss_reduce(basis, wx, wy, *, on_step=None):
-    """The textbook loop: every half-step recomputes the norms and the inner
-    product under the unscaled form.  gauss_reduce must match it step for
-    step."""
-    def inner(a, b):
-        return wx * a[0] * b[0] + wy * a[1] * b[1]
-
-    u1, u2 = basis[:2], basis[2:]
-    det = _det(basis)
-    if det == 0:
-        raise DegenerateInput("basis is degenerate (determinant 0)")
-    cap = 64 * max(abs(det).bit_length() - 1, 1)
-    passes = 0
-    while True:
-        passes += 1
-        if passes > cap:
-            raise IterationCapExceeded(f"reduction exceeded {cap} passes")
-        old_norm1 = inner(u1, u1)
-        c1 = round_half_to_zero(inner(u1, u2), inner(u2, u2))
-        u1 = (u1[0] - c1 * u2[0], u1[1] - c1 * u2[1])
-        assert abs(_det((*u1, *u2))) == abs(det)
-        assert c1 == 0 or inner(u1, u1) < old_norm1
-        if on_step is not None:
-            on_step("u1", c1, (*u1, *u2))
-
-        old_norm2 = inner(u2, u2)
-        c2 = round_half_to_zero(inner(u1, u2), inner(u1, u1))
-        u2 = (u2[0] - c2 * u1[0], u2[1] - c2 * u1[1])
-        assert abs(_det((*u1, *u2))) == abs(det)
-        assert c2 == 0 or inner(u2, u2) < old_norm2
-        if on_step is not None:
-            on_step("u2", c2, (*u1, *u2))
-
-        if c1 == 0 and c2 == 0:
-            break
-    reduced = (*u1, *u2)
-    assert is_reduced(reduced, wx, wy)
-    return reduced, passes
-
-
-def _assert_matches_textbook(basis, wx, wy):
-    """gauss_reduce gives the textbook loop's basis, pass count and steps."""
+def _assert_matches_textbook(basis, m, q, scale=1):
+    """gauss_reduce(basis, m, q) gives the textbook loop's basis and pass
+    count under the rectangle's form times ``scale``, and its two
+    half-steps are the loop's first pass."""
+    wx, wy = rect_weights(1 << m, 1 << q)
     ref_steps = []
-    fast, fast_steps = _reduce_with_steps(basis, wx, wy)
-    ref = _textbook_gauss_reduce(basis, wx, wy, on_step=lambda *step: ref_steps.append(step))
+    ref = _textbook_gauss_reduce(
+        basis, scale * wx, scale * wy, on_step=lambda *step: ref_steps.append(step)
+    )
+    fast, fast_steps = _reduce_with_steps(basis, m, q)
     assert fast == ref
-    assert fast_steps == ref_steps
+    assert fast_steps == ref_steps[:2]
 
 
 class TestMatchesTextbookLoop:
+    # The one pass from Euclid's stop against the textbook loop from the
+    # same stop.
     def test_size_ladder_plain_and_scaled_forms(self):
+        # At both moduli the attack may reduce at, k and p.
         rng = random.Random(4040)
         for l, m, q, r in SIZE_LADDER:
             p = l + m - q
-            for k in range(4):
+            for e in (min(p, m + q + 3), p) * 2:
                 z = (1 << (l - 1)) | rng.getrandbits(l - 1)
-                if k < 3:
-                    x = rng.randint(1, (1 << m) - 1)
-                    u = ((x * z) & ((1 << p) - 1)) >> q
-                else:
-                    u = rng.randint(0, (1 << (p - q)) - 1)
-                _, basis = solution_basis(z, p, q, u)
-                wx, wy = rect_weights(1 << m, 1 << q)
-                _assert_matches_textbook(basis, wx, wy)
-                _assert_matches_textbook(basis, 7 * wx, 7 * wy)
+                start, _ = euclid_basis(z, e, m, q)
+                _assert_matches_textbook(start, m, q)
+                _assert_matches_textbook(start, m, q, 7)
 
     def test_corner_case_bounds(self):
-        # u = 0 with m < q, where 2^m - 2^q*u lies in (0, 2^q): the
-        # rectangle is still [0, 2^m) x [0, 2^q), under the skew form.
+        # m < q, where the form is (4^(q-m), 1).
         rng = random.Random(4141)
         for l, m, q, r in [(13, 3, 5, 1), (40, 6, 12, 4), (160, 32, 48, 16), (2048, 256, 512, 129)]:
             p = check_shape(l, m, q, r)
             assert 0 < (1 << m) < 1 << q
-            wx, wy = rect_weights(1 << m, 1 << q)
             for _ in range(5):
                 z = (1 << (l - 1)) | rng.getrandbits(l - 1)
-                _assert_matches_textbook(solution_basis(z, p, q, 0)[1], wx, wy)
+                _assert_matches_textbook(euclid_basis(z, p, m, q)[0], m, q)
 
     def test_non_square_and_common_factor_weights(self):
+        # Rectangles of every shape, m - q from -(p + 2) to p + 2, under the
+        # form times a common factor.
         rng = random.Random(4242)
         for i in range(400):
-            z, p, _, _, basis = random_family(rng, max_p=24 if i % 2 else 12)
-            wx, wy = rng.randint(1, 10**6), rng.randint(1, 10**6)
+            z, p, _, _, _ = random_family(rng, max_p=24 if i % 2 else 12)
+            m, q = rng.randint(0, p + 2), rng.randint(0, p + 2)
             k = rng.choice([1, 7, 2**20, 3 * 5 * 11])
-            _assert_matches_textbook(basis, k * wx, k * wy)
+            _assert_matches_textbook(euclid_basis(z, p, m, q)[0], m, q, k)
 
 
 # Gram entries above this many bits exercise gauss_reduce on big ints.
@@ -359,9 +335,9 @@ _LARGE_ENTRY_BITS = 256
 
 @st.composite
 def large_entry_cases(draw):
-    """A congruence basis with l in [128, 2048] under a rectangle form, the
-    same form times 7, or arbitrary positive weights, whose Gram entries
-    exceed _LARGE_ENTRY_BITS, as (basis, wx, wy)."""
+    """(z, p, q, m, scale) of a congruence with l in [128, 2048] whose
+    solution_basis generators have Gram entries past _LARGE_ENTRY_BITS
+    under the rectangle's form, scale 1 or 7 for that form times 7."""
     l = draw(st.sampled_from([128, 256, 512, 1024, 2048]) | st.integers(128, 2048))
     m = draw(st.integers(1, l // 2))
     q = draw(st.integers(1, m))
@@ -373,26 +349,54 @@ def large_entry_cases(draw):
     else:
         u = draw(st.integers(0, (1 << (p - q)) - 1))
     _, basis = solution_basis(z, p, q, u)
-    rect = rect_weights(1 << m, 1 << q)
-    kind = draw(st.sampled_from(["rectangle", "rectangle x 7", "arbitrary"]))
-    if kind == "rectangle":
-        wx, wy = rect
-    elif kind == "rectangle x 7":
-        wx, wy = 7 * rect[0], 7 * rect[1]
-    else:
-        weights = st.integers(1, 1 << draw(st.integers(1, 2 * l)))
-        wx, wy = draw(weights), draw(weights)
+    wx, wy = rect_weights(1 << m, 1 << q)
     g = math.gcd(wx, wy)
     norms = [_norm(v, wx // g, wy // g) for v in (basis[:2], basis[2:])]
     assume(max(norms).bit_length() > _LARGE_ENTRY_BITS)
-    return basis, wx, wy
+    return z, p, q, m, u, draw(st.sampled_from([1, 7]))
+
+
+@st.composite
+def structured_finish_cases(draw):
+    """(z, e, m, q) of honest shapes up to l = 4096, with the modulus
+    exponent e either k = min(p, m + q + 3) or p, and z uniform,
+    odd*2^v, or 0 or 3 mod 2^k."""
+    l = draw(st.sampled_from([64, 1024, 2048, 4096]) | st.integers(2, 4096))
+    m = draw(st.integers(1, max(1, l // 2)))
+    q = draw(st.integers(0, l // 2))
+    p = l + m - q
+    k = min(p, m + q + 3)
+    kind = draw(st.sampled_from(["uniform", "odd*2^v", "0 mod 2^k", "3 mod 2^k"]))
+    if kind == "uniform":
+        z = draw(st.integers(1 << (l - 1), (1 << l) - 1))
+    elif kind == "odd*2^v":
+        z = (2 * draw(st.integers(0, 1 << l)) + 1) << draw(st.integers(0, p))
+    else:
+        z = draw(st.integers(0, 1 << l)) << k | (3 if kind == "3 mod 2^k" else 0)
+    return z, draw(st.sampled_from([k, p])), m, q
 
 
 class TestLargeEntries:
     @settings(max_examples=60, deadline=None)
     @given(case=large_entry_cases())
     def test_matches_textbook_loop(self, case):
-        _assert_matches_textbook(*case)
+        # The one pass from Euclid's stop is the textbook loop from there,
+        # under the form or 7 times it, and reduces the lattice that the
+        # textbook loop reduces from solution_basis's generators: the two
+        # reduced bases have the same norms.
+        z, p, q, m, u, scale = case
+        start, _ = euclid_basis(z, p, m, q)
+        _assert_matches_textbook(start, m, q, scale)
+        wx, wy = rect_weights(1 << m, 1 << q)
+        theirs, _ = _textbook_gauss_reduce(solution_basis(z, p, q, u)[1], wx, wy)
+        norms = lambda b: sorted(_norm(v, wx, wy) for v in (b[:2], b[2:]))
+        assert norms(gauss_reduce(start, m, q)[0]) == norms(theirs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=structured_finish_cases())
+    def test_structured_z_matches_textbook_loop(self, case):
+        z, e, m, q = case
+        _assert_matches_textbook(euclid_basis(z, e, m, q)[0], m, q)
 
     @pytest.mark.parametrize(
         "u1, u2, c1",
@@ -405,9 +409,9 @@ class TestLargeEntries:
     def test_exact_tie_rounds_toward_zero(self, u1, u2, c1):
         scale = 1 << 300
         basis = (u1[0] * scale, u1[1] * scale, u2[0] * scale, u2[1] * scale)
-        _, steps = _reduce_with_steps(basis, 1, 1)
+        _, steps = _reduce_with_steps(basis, 0, 0)
         assert steps[0][:2] == ("u1", c1)  # halves toward zero
-        _assert_matches_textbook(basis, 1, 1)
+        _assert_matches_textbook(basis, 0, 0)
 
 
 @st.composite
@@ -461,8 +465,8 @@ def _assert_euclid_start_matches(z, p, q, m, u):
     start, _ = euclid_basis(z, p, m, q)
     assert _in_lattice(start[:2], z, p) and _in_lattice(start[2:], z, p)
     assert abs(_det(start)) == 1 << p
-    ours, _ = gauss_reduce(start, wx, wy)
-    theirs, _ = gauss_reduce(basis, wx, wy)
+    ours, _ = gauss_reduce(start, m, q)
+    theirs, _ = _textbook_gauss_reduce(basis, wx, wy)
     assert is_reduced(ours, wx, wy)
     norms = lambda b: sorted(_norm(v, wx, wy) for v in (b[:2], b[2:]))
     assert norms(ours) == norms(theirs)
@@ -676,7 +680,7 @@ class TestNearestPoint:
         for _ in range(60):
             z, p, _, _, basis = random_family(rng, max_p=8)
             wx, wy = rng.randint(1, 4) ** 2, rng.randint(1, 4) ** 2
-            reduced, _ = gauss_reduce(basis, wx, wy)
+            reduced, _ = _textbook_gauss_reduce(basis, wx, wy)
             a1t, a2t = rng.randint(-30, 30), rng.randint(-30, 30)
             cx, cy = _combo(reduced, a1t, a2t)
             v = (cx + rng.randint(-3, 3), cy + rng.randint(-3, 3))
@@ -808,7 +812,7 @@ class TestRectSearch:
         z, p, q, m, u = case
         b1, b2 = 1 << m, 1 << q
         _, basis = solution_basis(z, p, q, u)
-        reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
+        reduced, _ = _textbook_gauss_reduce(basis, *rect_weights(b1, b2))
         a, b = (reduced[2:], reduced[:2]) if swap else (reduced[:2], reduced[2:])
         basis = (*a, b[0] + mix * a[0], b[1] + mix * a[1])
         _assert_matches_reference(z, basis, p, q, m, u, cap=1 << 12)
@@ -825,7 +829,7 @@ class TestRectSearch:
         z, p, q, m, u = case
         b1, b2 = 1 << m, 1 << q
         _, basis = solution_basis(z, p, q, u)
-        reduced, _ = gauss_reduce(basis, *rect_weights(b1, b2))
+        reduced, _ = _textbook_gauss_reduce(basis, *rect_weights(b1, b2))
         a, b = (reduced[2:], reduced[:2]) if swap else (reduced[:2], reduced[2:])
         frame = box_frame((*a, b[0] + mix * a[0], b[1] + mix * a[1]), p, m, q)
         bound = box_bound(frame)
@@ -837,7 +841,7 @@ class TestRectSearch:
         for z, p, q, m, u in _ladder_tokens(random.Random(7070)):
             b1, b2 = 1 << m, 1 << q
             start, _ = euclid_basis(z, p, m, q)
-            reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
+            reduced, _ = gauss_reduce(start, m, q)
             _assert_matches_reference(z, reduced, p, q, m, u)
 
     def test_matches_membership_scan(self):
@@ -868,6 +872,9 @@ class TestRectSearch:
             assert [x for x, _ in hits] == sorted(x for x, _ in hits)
 
     def test_scaling_invariance(self):
+        # The textbook loop from solution_basis's generators, under the
+        # rectangle's form and 7 times it, gives one basis, one walk and
+        # one nearest point.
         rng = random.Random(70)
         for _ in range(25):
             z, p, q, u, basis = random_family(rng)
@@ -875,8 +882,8 @@ class TestRectSearch:
             b1 = 1 << rng.randint(2, 8)
             b2 = 1 << rng.randint(1, 5)
             wx, wy = rect_weights(b1, b2)
-            red_a, it_a = gauss_reduce(basis, wx, wy)
-            red_b, it_b = gauss_reduce(basis, 7 * wx, 7 * wy)
+            red_a, it_a = _textbook_gauss_reduce(basis, wx, wy)
+            red_b, it_b = _textbook_gauss_reduce(basis, 7 * wx, 7 * wy)
             assert (red_a, it_a) == (red_b, it_b)
             v = _token_point(q, u)
             assert _reference_rect_search(red_a, v, b1, b2) == _reference_rect_search(
@@ -953,7 +960,7 @@ class TestCoefficientBox:
             b1, b2 = 1 << m, 1 << q
             _, basis = solution_basis(z, p, q, u)
             start, _ = euclid_basis(z, p, m, q)
-            reduced, _ = gauss_reduce(start, *rect_weights(b1, b2))
+            reduced, _ = gauss_reduce(start, m, q)
             for b in (start, reduced, basis):
                 _assert_box_matches_rationals(b, p, q, u, m)
 
