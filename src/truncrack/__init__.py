@@ -7,7 +7,7 @@ they raise; the lattice machinery is imported from truncrack.lattice2d."""
 from .attack import Attacker, AttackResult
 from .errors import (
     ConstraintViolated,
-    DegenerateInput,
+    InvalidArgument,
     OracleTooLarge,
     SearchSpaceExceeded,
     ToolkitError,

@@ -108,7 +108,7 @@ class Attacker:
     the congruence lattice modulo 2^k, k = min(p, m + q + SPARE_BITS), for
     the rectangle [0, 2^m) x [0, 2^q) (euclid_basis, then gauss_reduce's
     one pass, both given m and q), and fixes the box's frame
-    (lattice2d.box_frame: the |det| = 2^k check, DegenerateInput otherwise,
+    (lattice2d.box_frame: the |det| = 2^k check, InvalidArgument otherwise,
     the sign and the corner offsets shifted by q), whose basis
     ``frame[0]`` is the reduced basis up to the sign of u1.  Every
     assertion of euclid_basis and gauss_reduce runs here, at k.  When
@@ -155,7 +155,7 @@ class Attacker:
         preimages, with y the low q bits of x*z; when k = p the filter
         drops nothing.  The kept pairs are sorted, and ``unique`` is set
         when there is exactly one.  Candidates with x = 0 are kept (x = 0
-        is never a valid secret).  Raises DegenerateInput for u outside
+        is never a valid secret).  Raises InvalidArgument for u outside
         [0, 2^(p-q)) (check_token), and SearchSpaceExceeded, before the
         walk, for a box of more than lattice2d.BOX_CAP pairs (check_box).
         """
@@ -202,7 +202,7 @@ def recover_preimages(inp: AttackInput) -> AttackResult:
 
     The memo holds one immutable Attacker made from every public input
     but the token, so a hit's result ``==`` that of a fresh Attacker.
-    Raises DegenerateInput for what check_observables and check_token
+    Raises InvalidArgument for what check_observables and check_token
     reject; a constructor that raises leaves the memo as it was.
     """
     z, p, q, m, u = inp
@@ -218,7 +218,7 @@ def recover_shared_key(
     ``inp.m`` feeds both the search and the key map (derive_key's
     2^(r+m)).  Returns (candidate x, key) pairs in candidate order, []
     for a result without candidates; distinct candidates can collapse to
-    the same key.  Raises DegenerateInput when check_observables rejects
+    the same key.  Raises InvalidArgument when check_observables rejects
     the observables or check_token ``other_token``.
     """
     z, p, q, m, _ = inp

@@ -3,6 +3,8 @@
 Subcommands: params, exchange, attack, oracle, bench.  All integers on the
 command line and in files are decimal strings.  Exit codes: 0 success,
 1 attack found nothing, 2 usage/validation error, 3 resource cap hit.
+Any other exception is a bug, and main lets it through: CPython prints
+its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from . import attack as attack_mod
 from . import harness, protocol
 from .errors import (
     ConstraintViolated,
-    DegenerateInput,
+    InvalidArgument,
     SearchSpaceExceeded,
     ToolkitError,
     echo_text,
@@ -31,7 +33,7 @@ EXIT_RESOURCE_CAP = 3
 def decimal_int(text: str) -> int:
     try:
         return protocol.decimal_int(text)
-    except ValueError as exc:
+    except InvalidArgument as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -119,6 +121,8 @@ def _cmd_params(args) -> int:
 
 def _cmd_exchange(args) -> int:
     params = protocol.load_params(args.params)
+    # p > m + q + r puts the secrets below 2^(p-q), beside the tokens and keys
+    protocol.check_printable((1 << (params.p - params.q)) - 1, "secrets and tokens")
     transcript = protocol.exchange(args.seed, params)
     print(f"x={transcript.x}")
     print(f"y={transcript.y}")
@@ -136,12 +140,15 @@ def _cmd_attack(args) -> int:
     # Each input checked once before any stdout: the deployment (here),
     # the peer token, ours (in attack); the key map is the file's.
     attacker = attack_mod.Attacker(params.z, params.p, params.q, m)
+    # candidates are below 2^m and 2^q, keys below 2^(p-q)
+    bits = max(m, params.q, params.p - params.q)
+    protocol.check_printable((1 << bits) - 1, "candidates and keys")
     if args.other_token is not None:
         protocol.check_token(args.other_token, params.p, params.q, "peer token")
     token = args.token
     if args.token_scaled:
         if token & ((1 << params.q) - 1):
-            raise DegenerateInput(
+            raise InvalidArgument(
                 f"scaled token {int_text(token)} is not a multiple of 2^q (q={params.q})"
             )
         token >>= params.q
@@ -212,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             f"[Errno {exc.errno}] {exc.strerror}: {echo_text(exc.filename)}")
         print(f"error: {detail}", file=sys.stderr)
         return EXIT_USAGE
-    except (ToolkitError, ValueError) as exc:
+    except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

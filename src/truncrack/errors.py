@@ -38,8 +38,11 @@ class ConstraintViolated(ToolkitError):
         super().__init__(f"constraint violated: {name} ({detail})")
 
 
-class DegenerateInput(ToolkitError):
-    """An input that leaves the lattice problem undefined (e.g. z = 0)."""
+class InvalidArgument(ToolkitError, ValueError):
+    """Any argument the package refuses: one that leaves the lattice
+    problem undefined (z = 0, say), is out of range or malformed, or
+    could not be printed.  A ValueError too, so argparse and callers
+    that catch ValueError keep working."""
 
 
 class SearchSpaceExceeded(ToolkitError):

@@ -11,13 +11,14 @@ attack(u), and ``total_time_ns`` both and key derivation (0 if not run).
 
 # No `from __future__ import annotations`: typing would compile each
 # NamedTuple field's annotation string whenever the module is imported.
-import sys
 import time
 from typing import NamedTuple
 
 from .attack import Attacker
-from .errors import OracleTooLarge, ToolkitError, echo_text, int_text
-from .protocol import check_observables, check_shape, exchange, gen_params, shared_key
+from .errors import InvalidArgument, OracleTooLarge, ToolkitError, echo_text, int_text
+from .protocol import (
+    check_observables, check_printable, check_shape, exchange, gen_params, shared_key,
+)
 
 MODES = ("attack", "exchange", "oracle-check")
 
@@ -67,7 +68,7 @@ CSV_COLUMNS = TrialRecord._fields
 def check_oracle(z: int, p: int, q: int, m: int) -> None:
     """Refuse what brute_force_preimages refuses, before its scan:
     m > ORACLE_MAX_BITS with OracleTooLarge first, then what the attack
-    rejects, with DegenerateInput (check_observables)."""
+    rejects, with InvalidArgument (check_observables)."""
     if m > ORACLE_MAX_BITS:
         raise OracleTooLarge(f"oracle limited to m <= {ORACLE_MAX_BITS}, got m={int_text(m)}")
     check_observables(z, p, q, m)
@@ -88,13 +89,11 @@ def brute_force_preimages(z: int, p: int, q: int, u: int, m: int) -> list[int]:
 def _validate_config(cfg: TrialConfig) -> int:
     """Check the config, each seed printable by CPython in the CSV; return p = l + m - q."""
     if cfg.trials < 1:
-        raise ValueError(f"trials must be at least 1, got {int_text(cfg.trials)}")
+        raise InvalidArgument(f"trials must be at least 1, got {int_text(cfg.trials)}")
     if cfg.mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {echo_text(cfg.mode)}")
-    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        raise InvalidArgument(f"mode must be one of {MODES}, got {echo_text(cfg.mode)}")
     for seed in (cfg.seed_base, cfg.seed_base + cfg.trials - 1):
-        if digits and abs(seed) >= 10**digits:
-            raise ValueError(f"seeds must have at most {digits} digits, got {int_text(seed)}")
+        check_printable(seed, "seeds")
     return check_shape(cfg.l, cfg.m, cfg.q, cfg.r)
 
 

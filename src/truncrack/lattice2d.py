@@ -38,7 +38,7 @@ coefficients, is in truncrack.paper.  All functions are pure.
 
 from __future__ import annotations
 
-from .errors import DegenerateInput, SearchSpaceExceeded, int_text
+from .errors import InvalidArgument, SearchSpaceExceeded, int_text
 from .protocol import MAX_BITS
 
 # box_frame's result: the basis with det = +2^p, p - q, b1, b2 and the
@@ -90,11 +90,11 @@ def euclid_basis(z: int, p: int, m: int, q: int) -> tuple[tuple[int, int, int, i
     congruence with a shorter product) and |det| = 2^p, so they
     are a basis of L; and Lamé's bound (n quotients need
     z mod 2^p >= F(n+1), so n - 1 < 13/9 * bits(z mod 2^p)).  Raises
-    ValueError for p, m or q outside [0, MAX_BITS], before any shift.
+    InvalidArgument for p, m or q outside [0, MAX_BITS], before any shift.
     """
     if not (0 <= p <= MAX_BITS and 0 <= m <= MAX_BITS and 0 <= q <= MAX_BITS):
         got = f"p={int_text(p)} m={int_text(m)} q={int_text(q)}"
-        raise ValueError(f"p, m and q must be in [0, {MAX_BITS}], got {got}")
+        raise InvalidArgument(f"p, m and q must be in [0, {MAX_BITS}], got {got}")
     shift = m - q
     modmask = (1 << p) - 1
     first = z & modmask
@@ -179,16 +179,16 @@ def gauss_reduce(
     norm it updates, |det| holds from the coordinates, and the exit bound.
     A basis that one pass does not reduce fails the last.  Returns the
     basis and the loop's pass count, its all-zero pass included: 1 when
-    c1 = c2 = 0, else 2.  Raises ValueError for m or q outside
-    [0, MAX_BITS], before any shift, and DegenerateInput for a basis of
-    determinant 0.
+    c1 = c2 = 0, else 2.  Raises InvalidArgument for m or q outside
+    [0, MAX_BITS], before any shift, and for a basis of determinant 0.
     """
     if not (0 <= m <= MAX_BITS and 0 <= q <= MAX_BITS):
-        raise ValueError(f"m and q must be in [0, {MAX_BITS}], got m={int_text(m)} q={int_text(q)}")
+        got = f"m={int_text(m)} q={int_text(q)}"
+        raise InvalidArgument(f"m and q must be in [0, {MAX_BITS}], got {got}")
     x1, y1, x2, y2 = basis
     det = abs(x1 * y2 - y1 * x2)
     if det == 0:
-        raise DegenerateInput("basis is degenerate (determinant 0)")
+        raise InvalidArgument("basis is degenerate (determinant 0)")
     sx, sy = max(q - m, 0), max(m - q, 0)
     a1, b1, a2, b2 = x1 << sx, y1 << sy, x2 << sx, y2 << sy
     n1, n2, d = a1 * a1 + b1 * b1, a2 * a2 + b2 * b2, a1 * a2 + b1 * b2
@@ -237,21 +237,21 @@ def box_frame(basis: tuple[int, int, int, int], p: int, m: int, q: int) -> Frame
     The basis (x1, y1, x2, y2) must have |det| = 2^p, as every basis of L
     does.  When det < 0, u1 is negated, which negates det: the frame's
     basis, in which the box is counted and the walk steps, has det = +2^p.
-    Raises ValueError for m outside [0, MAX_BITS], p past MAX_BITS or q
-    outside [0, p), before any shift, and DegenerateInput for any
-    determinant but +-2^p, 0 included, since a shift by the wrong p would
-    give a wrong box.
+    Raises InvalidArgument for m outside [0, MAX_BITS], p past MAX_BITS or
+    q outside [0, p), before any shift, and for any determinant but
+    +-2^p, 0 included, since a shift by the wrong p would give a wrong
+    box.
     """
     if not 0 <= m <= MAX_BITS:
-        raise ValueError(f"m must be in [0, {MAX_BITS}], got m={int_text(m)}")
+        raise InvalidArgument(f"m must be in [0, {MAX_BITS}], got m={int_text(m)}")
     if p > MAX_BITS:
-        raise ValueError(f"p must be at most {MAX_BITS}, got p={int_text(p)}")
+        raise InvalidArgument(f"p must be at most {MAX_BITS}, got p={int_text(p)}")
     if not 0 <= q < p:
-        raise ValueError(f"q must be in [0, p), got q={int_text(q)} p={int_text(p)}")
+        raise InvalidArgument(f"q must be in [0, p), got q={int_text(q)} p={int_text(p)}")
     x1, y1, x2, y2 = basis
     det = x1 * y2 - y1 * x2
     if abs(det) != 1 << p:
-        raise DegenerateInput(
+        raise InvalidArgument(
             f"cannot bound coefficients: determinant {int_text(det)} is not +-2^{p}"
         )
     if det < 0:

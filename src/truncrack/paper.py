@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegenerateInput, int_text
+from .errors import InvalidArgument, int_text
 from .lattice2d import round_half_to_zero
 
 
@@ -37,11 +37,11 @@ def solution_basis(
     of L, with t = floor(2^q*u / z).  Returns (v0, (x1, y1, x2, y2)).
     """
     if z <= 0:
-        raise DegenerateInput(f"z must be positive, got {int_text(z)}")
+        raise InvalidArgument(f"z must be positive, got {int_text(z)}")
     if p < 1:
-        raise DegenerateInput(f"p must be at least 1, got {int_text(p)}")
+        raise InvalidArgument(f"p must be at least 1, got {int_text(p)}")
     if u < 0:
-        raise DegenerateInput(f"u must be nonnegative, got {int_text(u)}")
+        raise InvalidArgument(f"u must be nonnegative, got {int_text(u)}")
     shifted = u << q
     x0 = -(-shifted // z)
     anchor = shifted // z
@@ -62,13 +62,13 @@ def solve_coeffs(
     """Exact rationals (a1, a2) with a1*u1 + a2*u2 = v (Cramer's rule).
 
     Denominators divide |det|, which is 2^p for a basis of L.  Raises
-    DegenerateInput for a basis of determinant 0.
+    InvalidArgument for a basis of determinant 0.
     """
     x1, y1, x2, y2 = basis
     vx, vy = v
     det = x1 * y2 - y1 * x2
     if det == 0:
-        raise DegenerateInput("cannot solve coefficients: determinant is 0")
+        raise InvalidArgument("cannot solve coefficients: determinant is 0")
     return Fraction(vx * y2 - x2 * vy, det), Fraction(x1 * vy - vx * y1, det)
 
 
@@ -90,10 +90,10 @@ def nearest_lattice_point(
     neighbourhood of the rounded pair is scanned and the best kept.  For a
     reduced basis the true closest point always lies in that
     neighbourhood, so the result attains the exact minimum of the form
-    norm over the coset v + L.  Raises ValueError for a weight below 1.
+    norm over the coset v + L.  Raises InvalidArgument for a weight below 1.
     """
     if wx <= 0 or wy <= 0:
-        raise ValueError("form weights must be positive")
+        raise InvalidArgument("form weights must be positive")
     a1, a2 = solve_coeffs(basis, v)
     r1 = round_half_to_zero(a1.numerator, a1.denominator)
     r2 = round_half_to_zero(a2.numerator, a2.denominator)

@@ -22,9 +22,10 @@ multiple threads.
 import contextlib
 import random
 import re
+import sys
 from typing import NamedTuple
 
-from .errors import ConstraintViolated, DegenerateInput, echo_text, int_text
+from .errors import ConstraintViolated, InvalidArgument, echo_text, int_text
 
 # r above this guard width counts as a deployment-grade ("full") setup.
 TOY_GUARD_BITS = 128
@@ -97,7 +98,7 @@ def _check_exponents(l: int, m: int, p: int, q: int, r: int) -> None:
 def check_observables(z: int, p: int, q: int, m: int) -> None:
     """Reject a deployment that no exchange can produce.
 
-    Raises DegenerateInput for z < 1, for q < 0 (no truncation), for
+    Raises InvalidArgument for z < 1, for q < 0 (no truncation), for
     p <= q (every x would be a preimage of the only token, 0), for m < 1
     (no secret space) and for p or m past MAX_BITS, before any shift by
     them.  Valid parameters pass: p <= MAX_BITS puts m below p.  The
@@ -105,26 +106,26 @@ def check_observables(z: int, p: int, q: int, m: int) -> None:
     length.  Tokens are checked by check_token.
     """
     if z < 1:
-        raise DegenerateInput(f"z must be positive, got {int_text(z)}")
+        raise InvalidArgument(f"z must be positive, got {int_text(z)}")
     if q < 0:
-        raise DegenerateInput(f"q must be nonnegative, got {int_text(q)}")
+        raise InvalidArgument(f"q must be nonnegative, got {int_text(q)}")
     if p <= q:
-        raise DegenerateInput(f"p must exceed q, got p={int_text(p)} q={int_text(q)}")
+        raise InvalidArgument(f"p must exceed q, got p={int_text(p)} q={int_text(q)}")
     if p > MAX_BITS:
-        raise DegenerateInput(f"p must be at most {MAX_BITS}, got {int_text(p)}")
+        raise InvalidArgument(f"p must be at most {MAX_BITS}, got {int_text(p)}")
     if m < 1:
-        raise DegenerateInput(f"m must be at least 1, got {int_text(m)}")
+        raise InvalidArgument(f"m must be at least 1, got {int_text(m)}")
     if m > MAX_BITS:
-        raise DegenerateInput(f"m must be at most {MAX_BITS}, got {int_text(m)}")
+        raise InvalidArgument(f"m must be at most {MAX_BITS}, got {int_text(m)}")
 
 
 def check_token(token: int, p: int, q: int, name: str = "token") -> None:
-    """Raise DegenerateInput for a token outside [0, 2^(p-q)), the range
+    """Raise InvalidArgument for a token outside [0, 2^(p-q)), the range
     of the token map; ``name`` names it in the message, and int_text
     gives its value.  The range is compared by bit length, so no p makes
     a shift."""
     if token < 0 or token.bit_length() > p - q:
-        raise DegenerateInput(
+        raise InvalidArgument(
             f"{name} must be in [0, 2^(p-q)) (p-q={int_text(p - q)}), got {int_text(token)}"
         )
 
@@ -166,10 +167,10 @@ def gen_params(seed: int, l: int, m: int, q: int, r: int) -> ProtocolParams:
 
 def trunc_f(x: int, params: ProtocolParams) -> int:
     """The public token map F(x) = floor((x*z mod 2^p) / 2^q), for
-    nonnegative x (ValueError otherwise); ConstraintViolated for p outside
-    [0, MAX_BITS] or q < 0, before the shifts by them."""
+    nonnegative x (InvalidArgument otherwise); ConstraintViolated for p
+    outside [0, MAX_BITS] or q < 0, before the shifts by them."""
     if x < 0:
-        raise ValueError("x must be nonnegative")
+        raise InvalidArgument("x must be nonnegative")
     p, q = params.p, params.q
     if not 0 <= p <= MAX_BITS:
         raise ConstraintViolated(f"0<=p<={MAX_BITS}", f"p={int_text(p)}")
@@ -221,20 +222,35 @@ def exchange(seed: int, params: ProtocolParams) -> ExchangeTranscript:
     return ExchangeTranscript(x=x, y=y, u=u, v=v, w_a=w_a, w_b=w_b, agree=w_a == w_b)
 
 
+def check_printable(largest: int, what: str) -> None:
+    """Raise InvalidArgument, naming ``what``, when ``largest`` has more
+    decimal digits than CPython's int-to-str limit in force (none on
+    early 3.10 releases), so that a caller refuses before any output a
+    value it could not print.  The default limit prints every value
+    below 2^MAX_BITS; a user can set a lower one."""
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    # 10^digits > 2^(3.3*digits), so a shorter value needs no power of 10
+    if digits and 10 * largest.bit_length() > 33 * digits and abs(largest) >= 10**digits:
+        raise InvalidArgument(f"{what} must have at most {digits} digits, got {int_text(largest)}")
+
+
 def dump_params(params: ProtocolParams) -> str:
     """Serialize to the key=value parameter file format; the parameters
-    must pass validate_params first (ConstraintViolated otherwise)."""
+    must pass validate_params first (ConstraintViolated otherwise), and z
+    must print (check_printable)."""
     validate_params(params)
+    check_printable(params.z, "z")
     return "".join(f"{key}={getattr(params, key)}\n" for key in PARAM_KEYS)
 
 
 def decimal_int(text: str) -> int:
-    """The value of a decimal digit string; ValueError, the text shown by
-    echo_text, for any other and for one past CPython's digit limit."""
+    """The value of a decimal digit string; InvalidArgument, the text
+    shown by echo_text, for any other and for one past CPython's digit
+    limit."""
     if re.fullmatch(r"[0-9]+", text):
         with contextlib.suppress(ValueError):
             return int(text)
-    raise ValueError(f"expected a decimal integer, got {echo_text(text)}")
+    raise InvalidArgument(f"expected a decimal integer, got {echo_text(text)}")
 
 
 def parse_params(text: str) -> ProtocolParams:
@@ -245,19 +261,19 @@ def parse_params(text: str) -> ProtocolParams:
     for lineno, line in enumerate(text.splitlines(), start=1):
         match = _PARAM_LINE.match(line)
         if not match:
-            raise ValueError(f"line {lineno}: malformed parameter line {echo_text(line)}")
+            raise InvalidArgument(f"line {lineno}: malformed parameter line {echo_text(line)}")
         key, value = match.group(1), match.group(2)
         if key not in PARAM_KEYS:
-            raise ValueError(f"line {lineno}: unknown key {echo_text(key)}")
+            raise InvalidArgument(f"line {lineno}: unknown key {echo_text(key)}")
         if key in values:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            raise InvalidArgument(f"line {lineno}: duplicate key {key!r}")
         try:
             values[key] = decimal_int(value)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        except InvalidArgument as exc:
+            raise InvalidArgument(f"line {lineno}: {exc}") from None
     missing = [key for key in PARAM_KEYS if key not in values]
     if missing:
-        raise ValueError(f"missing keys: {', '.join(missing)}")
+        raise InvalidArgument(f"missing keys: {', '.join(missing)}")
     params = ProtocolParams(**values)
     validate_params(params)
     return params
@@ -270,5 +286,13 @@ def save_params(params: ProtocolParams, path: str) -> None:
 
 
 def load_params(path: str) -> ProtocolParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_params(fh.read())
+    """parse_params on the file's text; InvalidArgument, naming the offset
+    of the first bad byte, for a file that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        detail = f"byte {exc.start} ({exc.reason})"
+        raise InvalidArgument(f"parameter file is not UTF-8: {detail}") from None
+    return parse_params(text)

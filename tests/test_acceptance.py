@@ -9,7 +9,7 @@ import statistics
 import time
 from fractions import Fraction
 
-from truncrack import Attacker, DegenerateInput, TrialConfig, brute_force_preimages, run_trials
+from truncrack import Attacker, InvalidArgument, TrialConfig, brute_force_preimages, run_trials
 from truncrack.lattice2d import euclid_basis, gauss_reduce, round_half_to_zero
 from truncrack.paper import (
     is_reduced,
@@ -45,7 +45,7 @@ def _textbook_gauss_reduce(basis, wx, wy, *, on_step=None):
     u1, u2 = basis[:2], basis[2:]
     det = abs(basis[0] * basis[3] - basis[1] * basis[2])
     if det == 0:
-        raise DegenerateInput("basis is degenerate (determinant 0)")
+        raise InvalidArgument("basis is degenerate (determinant 0)")
     passes = 0
     while True:
         passes += 1

@@ -17,7 +17,7 @@ from truncrack import (
     Attacker,
     AttackResult,
     ConstraintViolated,
-    DegenerateInput,
+    InvalidArgument,
     ProtocolParams,
     SearchSpaceExceeded,
     TrialConfig,
@@ -285,18 +285,18 @@ class TestRecoverPreimages:
         ],
     )
     def test_rejects_degenerate(self, kwargs):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             Attacker(kwargs["z"], kwargs["p"], kwargs["q"], kwargs["m"]).attack(kwargs["token"])
 
     def test_rejects_empty_secret_space(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             Attacker(6173, 22, 5, 0).attack(22131)
 
     def test_rejects_negative_q(self):
         # q < 0 used to reach a shift by q and raise a bare ValueError
-        with pytest.raises(DegenerateInput, match="q must be nonnegative"):
+        with pytest.raises(InvalidArgument, match="q must be nonnegative"):
             Attacker(6173, 22, -1, 14)
-        with pytest.raises(DegenerateInput, match="q must be nonnegative"):
+        with pytest.raises(InvalidArgument, match="q must be nonnegative"):
             brute_force_preimages(6173, 22, -1, 0, 3)
 
     def test_accepts_zero_q(self):
@@ -322,7 +322,7 @@ class TestRecoverPreimages:
         ],
     )
     def test_rejects_token_outside_image(self, kwargs):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             Attacker(*GOLDEN).attack(kwargs["token"])
 
     def test_loads_no_fractions_or_paper(self):
@@ -446,7 +446,7 @@ class TestAttacker:
         before = {name: getattr(attacker, name) for name in Attacker.__slots__}
         for u in (22131, 0, 192, (1 << 17) - 1):
             attacker.attack(u)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             attacker.attack(1 << 17)
         assert {name: getattr(attacker, name) for name in Attacker.__slots__} == before
         with pytest.raises(AttributeError):
@@ -475,7 +475,7 @@ class TestAttacker:
         ],
     )
     def test_rejects_degenerate_deployment(self, kwargs):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             Attacker(**kwargs)
 
     def test_frame_is_the_reduced_basis_frame(self):
@@ -787,7 +787,7 @@ class TestMessageSizes:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_check_token(self, sign):
-        with pytest.raises(DegenerateInput) as info:
+        with pytest.raises(InvalidArgument) as info:
             check_token(sign * (1 << 20000), 22, 5)
         negative = "negative " if sign < 0 else ""
         assert str(info.value) == (
@@ -806,22 +806,22 @@ class TestMessageSizes:
             ((6173, 22, 5, huge), "m must be at least 1, got " + text) if sign < 0 else None,
         ]
         for args, message in filter(None, cases):
-            with pytest.raises(DegenerateInput) as info:
+            with pytest.raises(InvalidArgument) as info:
                 check_observables(*args)
             assert str(info.value) == message
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_box_frame_determinant(self, sign):
         text = f"a {'negative ' if sign < 0 else ''}20001-bit integer"
-        with pytest.raises(DegenerateInput) as info:
+        with pytest.raises(InvalidArgument) as info:
             box_frame((sign * (1 << 20000), 0, 0, 1), 22, 14, 5)
         assert str(info.value) == f"cannot bound coefficients: determinant {text} is not +-2^22"
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(InvalidArgument) as info:
             box_frame((1, 0, 0, 1 << 22), 22, 14, sign * (1 << 20000))
         assert str(info.value) == f"q must be in [0, p), got q={text} p=22"
         # m is refused before the shifts by it, which at 2^20000 could not
         # be made
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(InvalidArgument) as info:
             box_frame((1, 0, 0, 1 << 22), 22, sign * (1 << 20000), 5)
         assert str(info.value) == f"m must be in [0, {MAX_BITS}], got m={text}"
         assert len(str(info.value).encode()) < 200
@@ -851,14 +851,14 @@ class TestMessageSizes:
             ((6173, 22, 5, huge), "u must be nonnegative, got " + text),
         ]
         for args, message in cases:
-            with pytest.raises(DegenerateInput) as info:
+            with pytest.raises(InvalidArgument) as info:
                 solution_basis(*args)
             assert str(info.value) == message
 
     def test_short_values_print_in_full(self):
-        with pytest.raises(DegenerateInput, match=r"got -18446744073709551615$"):
+        with pytest.raises(InvalidArgument, match=r"got -18446744073709551615$"):
             check_token(-(1 << 64) + 1, 22, 5)
-        with pytest.raises(DegenerateInput, match=r"got 131072$"):
+        with pytest.raises(InvalidArgument, match=r"got 131072$"):
             check_token(1 << 17, 22, 5)
 
     @pytest.mark.parametrize(
@@ -892,7 +892,7 @@ class TestMessageSizes:
     )
     def test_trial_config(self, change, message):
         cfg = dict(seed_base=0, trials=1, l=13, m=14, q=5, r=2)
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(InvalidArgument) as info:
             run_trials(TrialConfig(**{**cfg, **change}))
         assert str(info.value) == message
 
@@ -913,10 +913,16 @@ class TestPackageRoot:
             "trunc_f", "validate_params",
             "TrialConfig", "TrialRecord", "brute_force_preimages", "format_csv", "run_trials",
             "write_csv",
-            "ToolkitError", "ConstraintViolated", "DegenerateInput", "SearchSpaceExceeded",
+            "ToolkitError", "ConstraintViolated", "InvalidArgument", "SearchSpaceExceeded",
             "OracleTooLarge",
         }
         assert len(names) == 26
+
+    def test_invalid_argument_is_a_value_error(self):
+        # one class for every refused argument, which callers that catch
+        # ValueError (argparse among them) still catch
+        assert issubclass(InvalidArgument, truncrack.ToolkitError)
+        assert issubclass(InvalidArgument, ValueError)
 
 
 class TestRecoverSharedKey:
@@ -995,7 +1001,7 @@ class TestAttackerMemo:
         memo = truncrack.attack._attacker
         memo.cache_clear()
         self.recover(*GOLDEN, GOLDEN_TOKEN)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             self.recover(**kwargs)
         info = memo.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 0, 1)
@@ -1012,7 +1018,7 @@ class TestAttackerMemo:
     def test_bad_token_on_cached_deployment_rejected(self, kwargs):
         truncrack.attack._attacker.cache_clear()
         self.recover(*GOLDEN, GOLDEN_TOKEN)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             self.recover(*GOLDEN, **kwargs)
         assert truncrack.attack._attacker.cache_info().currsize == 1
 
@@ -1097,11 +1103,11 @@ class TestAttackerMemo:
         # the peer's token must lie in [0, 2^(p-q)) = [0, 2^17), like ours
         recover_shared_key = truncrack.attack.recover_shared_key
         golden = truncrack.attack.AttackInput(*GOLDEN, GOLDEN_TOKEN)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             recover_shared_key(golden, other_token, 2, result=self.recover(*GOLDEN, GOLDEN_TOKEN))
         # checked on an empty result too, which would otherwise give []
         empty = truncrack.attack.AttackInput(z=677, p=15, q=3, m=8, token=1)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             recover_shared_key(empty, other_token, 1, result=self.recover(677, 15, 3, 8, 1))
 
     def test_reuses_precomputed_result(self):

@@ -11,11 +11,22 @@ from hypothesis import strategies as st
 
 import truncrack.attack
 import truncrack.protocol
+from truncrack import cli
 from truncrack.cli import _build_parser, main
 from truncrack.errors import echo_text
 from truncrack.harness import MODES
 from truncrack.protocol import MAX_BITS as MAX
 from truncrack.protocol import load_params, shared_key
+
+
+@pytest.fixture
+def digit_limit_640():
+    """CPython's limit on int-to-str conversion lowered, around a test, to
+    its least value: 640 digits, which 2^2126 - 1 has and 2^2127 - 1 passes."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture
@@ -61,21 +72,17 @@ class TestParamsCommand:
         assert rc == 2
         assert "--seed" in capsys.readouterr().err
 
-    def test_serialise_failure_keeps_out_file(self, tmp_path, capsys):
-        # Under the default limit every valid z prints (TestSizeBound), so
-        # the limit is lowered to its least value, 640 digits: a 14284-bit
-        # z has 4,300, and serialising fails before the file is opened.
+    def test_serialise_failure_keeps_out_file(self, tmp_path, capsys, digit_limit_640):
+        # Under the default limit every valid z prints (TestSizeBound); at
+        # 640 digits a 14284-bit z, of 4,300, is refused before the file
+        # is opened, or stdout written when there is no file.
         path = tmp_path / "big.params"
         path.write_text("keep me\n")
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            rc = main(["params", "--l", str(MAX), "--m", "512", "--q", "512", "--r", "129",
-                       "--seed", "1", "--out", str(path)])
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        shape = ["params", "--l", str(MAX), "--m", "512", "--q", "512", "--r", "129", "--seed", "1"]
+        message = f"error: z must have at most 640 digits, got a {MAX}-bit integer\n"
+        for out in (["--out", str(path)], []):
+            assert main([*shape, *out]) == 2
+            assert capsys.readouterr() == ("", message)
         assert path.read_text() == "keep me\n"
 
     def test_hex_rejected(self, capsys):
@@ -101,6 +108,47 @@ class TestExchangeCommand:
 
     def test_missing_file(self, capsys):
         assert main(["exchange", "--params", "/nonexistent", "--seed", "1"]) == 2
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.params"
+        path.write_bytes(b"l=13\n\xff\n")
+        assert main(["exchange", "--params", str(path), "--seed", "1"]) == 2
+        message = "error: parameter file is not UTF-8: byte 5 (invalid start byte)\n"
+        assert capsys.readouterr() == ("", message)
+        assert len(message.encode()) < 200
+
+
+class TestDigitLimit:
+    """A limit on int-to-str conversion that the user lowers: a command
+    refuses, before any stdout, a deployment whose values it could not
+    print.  The exchange prints values below 2^(p-q), here 2^(l+m-2q)."""
+
+    @staticmethod
+    def _params(tmp_path, m):
+        path = tmp_path / f"m{m}.params"
+        assert main(["params", "--l", "100", "--m", str(m), "--q", "10", "--r", "2",
+                     "--seed", "1", "--out", str(path)]) == 0
+        return str(path)
+
+    def test_exchange_at_and_past_the_limit(self, tmp_path, capsys, digit_limit_640):
+        at, past = self._params(tmp_path, 2046), self._params(tmp_path, 2047)
+        capsys.readouterr()
+        assert main(["exchange", "--params", at, "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["exchange", "--params", past, "--seed", "1"]) == 2
+        message = "error: secrets and tokens must have at most 640 digits, got a 2127-bit integer\n"
+        assert capsys.readouterr() == ("", message)
+        assert len(message.encode()) < 200
+
+    @pytest.mark.parametrize("m, extra", [(2047, []), (14, ["--m", "2127"])],
+                             ids=["file", "option-m"])
+    def test_attack_past_the_limit(self, tmp_path, capsys, digit_limit_640, m, extra):
+        path = self._params(tmp_path, m)
+        capsys.readouterr()
+        assert main(["attack", "--params", path, "--token", "0", *extra]) == 2
+        message = "error: candidates and keys must have at most 640 digits, got a 2127-bit integer\n"
+        assert capsys.readouterr() == ("", message)
+        assert len(message.encode()) < 200
 
 
 def _main_without_digit_limit(args):
@@ -397,6 +445,16 @@ class TestUsage:
 
     def test_no_subcommand(self):
         assert main([]) == 2
+
+    def test_other_exceptions_are_not_caught(self, monkeypatch, toy_params_file):
+        # an exception the package does not raise is a bug: a traceback,
+        # not a usage error
+        def broken(args):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "exchange", broken)
+        with pytest.raises(ValueError, match="^boom$"):
+            main(["exchange", "--params", toy_params_file, "--seed", "1"])
 
     def test_parser_built_once(self, tmp_path, capsys):
         # One parser serves every call; an option given to one call does

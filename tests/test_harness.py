@@ -2,7 +2,7 @@ import pytest
 
 from truncrack import (
     ConstraintViolated,
-    DegenerateInput,
+    InvalidArgument,
     OracleTooLarge,
     TrialConfig,
     brute_force_preimages,
@@ -46,7 +46,7 @@ class TestBruteForceOracle:
         ],
     )
     def test_rejects_what_the_attack_rejects(self, z, p, q, m):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             brute_force_preimages(z, p, q, 0, m)
 
     def test_ascending(self):
@@ -151,9 +151,9 @@ class TestRunTrials:
     def test_invalid_config_rejected_upfront(self):
         with pytest.raises(ConstraintViolated):
             run_trials(TrialConfig(seed_base=0, trials=1, l=16, m=16, q=14, r=4))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             run_trials(TrialConfig(seed_base=0, trials=0, **TOY_CFG))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             run_trials(TrialConfig(seed_base=0, trials=1, mode="nope", **TOY_CFG))
 
     def test_seed_at_the_digit_limit_runs_and_prints(self):

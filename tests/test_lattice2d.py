@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import truncrack.lattice2d
-from truncrack import Attacker, DegenerateInput, SearchSpaceExceeded
+from truncrack import Attacker, InvalidArgument, SearchSpaceExceeded
 from truncrack.lattice2d import (
     box_bound,
     box_frame,
@@ -94,7 +94,7 @@ class TestSolutionBasis:
         assert basis == (0, -(1 << 10), 1, 97 - (1 << 10))
 
     def test_zero_multiplier_rejected(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             solution_basis(0, 10, 3, 5)
 
     def test_vectors_satisfy_congruences(self):
@@ -158,12 +158,12 @@ class TestGaussReduce:
         assert passes == 1
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             gauss_reduce((2, 4, 1, 2), 0, 0)
 
     @pytest.mark.parametrize("wx, wy", [(0, 1), (1, 0), (-1, 4)])
     def test_nonpositive_weights_rejected(self, wx, wy):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             nearest_lattice_point((1, 0, 0, 1 << 8), (3, 5), wx, wy)
 
     def test_rejects_bad_bounds(self):
@@ -173,11 +173,11 @@ class TestGaussReduce:
         message = rf"^m and q must be in \[0, {MAX_BITS}\], got m="
         for bad in (-1, MAX_BITS + 1, 1 << 70, -(1 << 70)):
             for m, q in ((bad, Q), (14, bad)):
-                with pytest.raises(ValueError, match=message) as info:
+                with pytest.raises(InvalidArgument, match=message) as info:
                     gauss_reduce(ORIENTED, m, q)
                 assert len(str(info.value).encode()) < 200
         # determinant 0 would otherwise reach divmod(d, 0)
-        with pytest.raises(DegenerateInput) as info:
+        with pytest.raises(InvalidArgument) as info:
             gauss_reduce((1, 0, 0, 0), 14, Q)
         assert len(str(info.value).encode()) < 200
 
@@ -572,14 +572,13 @@ class TestEuclidBasis:
     def test_rejects_bad_bounds(self):
         # refused with the package's message before any shift, where a
         # negative exponent would raise a bare "negative shift count" and
-        # 1 << p at p = 2^70 an OverflowError, which pytest.raises(ValueError)
-        # does not catch
+        # 1 << p at p = 2^70 an OverflowError
         cases = [(p, 14, Q) for p in (-3, -1, MAX_BITS + 1, 1 << 70)]
         cases += [(P, m, Q) for m in (-1, MAX_BITS + 1)]
         cases += [(P, 14, q) for q in (-1, MAX_BITS + 1)]
         message = rf"^p, m and q must be in \[0, {MAX_BITS}\], got "
         for p, m, q in cases:
-            with pytest.raises(ValueError, match=message) as info:
+            with pytest.raises(InvalidArgument, match=message) as info:
                 euclid_basis(Z, p, m, q)
             assert len(str(info.value).encode()) < 200
 
@@ -634,7 +633,7 @@ class TestSolveCoeffs:
             assert ((1 << 22) % a1.denominator) == 0
 
     def test_singular(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             solve_coeffs((2, 4, 1, 2), (1, 1))
 
 
@@ -702,7 +701,7 @@ def _reference_coefficient_box(basis, v, b1, b2):
     vx, vy = v
     det = x1 * y2 - y1 * x2
     if det == 0:
-        raise DegenerateInput("cannot bound coefficients: determinant is 0")
+        raise InvalidArgument("cannot bound coefficients: determinant is 0")
     corners = [(x, y) for x in (vx, vx - (b1 - 1)) for y in (vy, vy - (b2 - 1))]
     nums1 = [x * y2 - x2 * y for x, y in corners]
     nums2 = [x1 * y - x * y1 for x, y in corners]
@@ -777,11 +776,11 @@ class TestRectSearch:
 
     def test_rejects_bad_bounds(self):
         # refused by name before any shift: 1 << p at p = 2^70 would raise
-        # OverflowError, which pytest.raises(ValueError) does not catch
+        # OverflowError
         cases = [("m", P, -1, Q), ("m", P, MAX_BITS + 1, Q), ("q", P, 14, -1), ("q", P, 14, P)]
         cases += [("p", MAX_BITS + 1, 14, Q), ("p", 1 << 70, 14, Q)]
         for name, p, m, q in cases:
-            with pytest.raises(ValueError, match=f"^{name} must be ") as info:
+            with pytest.raises(InvalidArgument, match=f"^{name} must be ") as info:
                 box_frame(worked_reduced(), p, m, q)
             assert len(str(info.value).encode()) < 200
 
@@ -998,7 +997,7 @@ class TestCoefficientBox:
     )
     def test_determinant_off_contract_raises(self, u1, u2, modulus_exp):
         basis = (*u1, *u2)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidArgument):
             box_frame(basis, modulus_exp, 2, 0)
 
 

@@ -1,7 +1,5 @@
 import random
 import sys
-import traceback
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +8,7 @@ from hypothesis import strategies as st
 from truncrack import (
     Attacker,
     ConstraintViolated,
+    InvalidArgument,
     ProtocolParams,
     TrialConfig,
     brute_force_preimages,
@@ -24,8 +23,8 @@ from truncrack import (
     trunc_f,
     validate_params,
 )
-import truncrack
 from truncrack.errors import ToolkitError
+from truncrack.lattice2d import box_frame, euclid_basis
 from truncrack.protocol import MAX_BITS, PARAM_KEYS, check_observables, check_shape
 
 TOY = ProtocolParams(l=13, m=14, p=22, q=5, r=2, z=6173)
@@ -149,7 +148,7 @@ class TestTruncMap:
         assert str(exc.value) == f"constraint violated: 0<=p<={MAX_BITS} (p=a 67-bit integer)"
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             trunc_f(-1, TOY)
 
     def test_remainder_split(self):
@@ -262,7 +261,7 @@ class TestParamFile:
         ],
     )
     def test_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             parse_params(text)
 
 
@@ -283,8 +282,10 @@ def _param_text(values):
         sys.set_int_max_str_digits(limit)
 
 
-# Each root callable with its ints taken, in order, from eight drawn ones.
-# run_trials takes at most 2 trials, so a valid shape runs a short batch.
+# Each root callable, and the lattice functions that take exponents, with
+# its ints taken, in order, from eight drawn ones.  run_trials takes at most
+# 2 trials, so a valid shape runs a short batch.  gauss_reduce is left out:
+# its exit assertion is its answer to a basis that one pass does not reduce.
 HOSTILE_CALLS = {
     "trunc_f": lambda a: trunc_f(a[0], ProtocolParams(*a[1:7])),
     "derive_key": lambda a: derive_key(*a[:6]),
@@ -299,16 +300,9 @@ HOSTILE_CALLS = {
     "classify": lambda a: classify(ProtocolParams(*a[:6])),
     "brute_force_preimages": lambda a: brute_force_preimages(*a[:5]),
     "run_trials": lambda a: run_trials(TrialConfig(a[0], min(a[1], 2), *a[2:6])),
+    "euclid_basis": lambda a: euclid_basis(*a[:4]),
+    "box_frame": lambda a: box_frame(tuple(a[:4]), *a[4:7]),
 }
-
-PACKAGE = Path(truncrack.__file__).parent
-
-
-def _raised_by_package(exc: BaseException) -> bool:
-    """Whether exc comes from a raise statement of the package, not from an
-    operation that CPython refused (a negative shift, a digit limit)."""
-    frame = traceback.extract_tb(exc.__traceback__)[-1]
-    return Path(frame.filename).parent == PACKAGE and frame.line.startswith("raise ")
 
 
 class TestHostileInts:
@@ -331,6 +325,5 @@ class TestHostileInts:
     def test_returns_or_raises_a_named_error(self, name, args):
         try:
             HOSTILE_CALLS[name](args)
-        except (ToolkitError, ValueError) as exc:
-            assert isinstance(exc, ToolkitError) or _raised_by_package(exc), repr(exc)
+        except ToolkitError as exc:
             assert len(str(exc).encode()) < 200
