@@ -37,6 +37,15 @@ def decimal_int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def file_path(text: str) -> str:
+    """text, refused when it holds a NUL byte, which no file name can."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(
+            f"expected a path without NUL bytes, got {echo_text(text)}"
+        )
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, with the user text of its own two messages that
     echo it, an invalid choice and unrecognized arguments, shown by
@@ -71,14 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser("params", parents=[shape],
                               help="generate and validate a parameter file")
     p_params.add_argument("--seed", type=decimal_int)
-    p_params.add_argument("--out", help="write the parameter file here (default: stdout)")
+    p_params.add_argument("--out", type=file_path,
+                          help="write the parameter file here (default: stdout)")
 
     p_exchange = sub.add_parser("exchange", help="run one seeded honest exchange")
-    p_exchange.add_argument("--params", required=True)
+    p_exchange.add_argument("--params", type=file_path, required=True)
     p_exchange.add_argument("--seed", type=decimal_int, required=True)
 
     p_attack = sub.add_parser("attack", help="recover token preimages and keys")
-    p_attack.add_argument("--params", required=True)
+    p_attack.add_argument("--params", type=file_path, required=True)
     p_attack.add_argument("--token", type=decimal_int, required=True)
     p_attack.add_argument("--token-scaled", action="store_true",
                           help="the token is the pre-division value 2^q*u")
@@ -97,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", parents=[shape], help="run seeded trials and write a CSV")
     p_bench.add_argument("--trials", type=decimal_int, required=True)
     p_bench.add_argument("--seed", type=decimal_int, required=True)
-    p_bench.add_argument("--out", required=True)
+    p_bench.add_argument("--out", type=file_path, required=True)
     p_bench.add_argument("--mode", choices=harness.MODES, default="attack")
 
     return parser

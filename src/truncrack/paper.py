@@ -7,21 +7,21 @@ that basis with exact rational coefficients, takes the lattice point
 nearest v0 (a CVP), and searches the box the corners span.  This module
 keeps those steps as they read: solution_basis, is_reduced, solve_coeffs,
 nearest_lattice_point and truncate_decimal, which prints a coefficient
-as the paper does.  The box and its search are the attack's own:
-lattice2d.coefficient_box on a frame at p, and attack.Attacker.attack,
-whose candidates are exactly the coset points in the rectangle.  The
-attack calls none of the functions here, and nothing that
-`import truncrack` loads imports this module, so Fraction is built here
-and only here.  Apart from those Fractions, values are plain ints and
-tuples, as in lattice2d; all functions are pure.
+as the paper does.  A coefficient is held as its Cramer numerator over
+d = |det| (2^p for a basis of L), the form box_frame uses, so values are
+plain ints and tuples, as in lattice2d.  The box and its search are the
+attack's own: lattice2d.coefficient_box on a frame at p, and
+attack.Attacker.attack, whose candidates are exactly the coset points in
+the rectangle.  The attack calls none of the functions here, and nothing
+that `import truncrack` loads imports this module.  All functions are
+pure.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InvalidArgument, int_text
 from .lattice2d import round_half_to_zero
+from .protocol import MAX_BITS, check_printable
 
 
 def solution_basis(
@@ -35,11 +35,17 @@ def solution_basis(
     g_i = (t + i, z*(t + i) - 2^p) for i in {0, 1}, which both satisfy the
     homogeneous congruence and span a determinant-2^p sublattice, i.e. all
     of L, with t = floor(2^q*u / z).  Returns (v0, (x1, y1, x2, y2)).
+    Raises InvalidArgument for z < 1, for p outside [1, MAX_BITS], for q
+    outside [0, MAX_BITS] and for u < 0, before any shift.
     """
     if z <= 0:
         raise InvalidArgument(f"z must be positive, got {int_text(z)}")
     if p < 1:
         raise InvalidArgument(f"p must be at least 1, got {int_text(p)}")
+    if p > MAX_BITS:
+        raise InvalidArgument(f"p must be at most {MAX_BITS}, got {int_text(p)}")
+    if not 0 <= q <= MAX_BITS:
+        raise InvalidArgument(f"q must be in [0, {MAX_BITS}], got {int_text(q)}")
     if u < 0:
         raise InvalidArgument(f"u must be nonnegative, got {int_text(u)}")
     shifted = u << q
@@ -58,18 +64,22 @@ def is_reduced(basis: tuple[int, int, int, int], wx: int, wy: int) -> bool:
 
 def solve_coeffs(
     basis: tuple[int, int, int, int], v: tuple[int, int]
-) -> tuple[Fraction, Fraction]:
-    """Exact rationals (a1, a2) with a1*u1 + a2*u2 = v (Cramer's rule).
-
-    Denominators divide |det|, which is 2^p for a basis of L.  Raises
-    InvalidArgument for a basis of determinant 0.
+) -> tuple[int, int, int]:
+    """The exact coefficients of v in the basis by Cramer's rule, as
+    (n1, n2, d) with d = |det| > 0: a1 = n1/d and a2 = n2/d, and
+    a1*u1 + a2*u2 = v.  All three are negated when det < 0, as box_frame
+    negates u1.  d is 2^p for a basis of L.  Raises InvalidArgument for a
+    basis of determinant 0.
     """
     x1, y1, x2, y2 = basis
     vx, vy = v
     det = x1 * y2 - y1 * x2
     if det == 0:
         raise InvalidArgument("cannot solve coefficients: determinant is 0")
-    return Fraction(vx * y2 - x2 * vy, det), Fraction(x1 * vy - vx * y1, det)
+    n1, n2 = vx * y2 - x2 * vy, x1 * vy - vx * y1
+    if det < 0:
+        return -n1, -n2, -det
+    return n1, n2, det
 
 
 # Probe order for the local minimality fix-up: the rounded pair first,
@@ -94,9 +104,8 @@ def nearest_lattice_point(
     """
     if wx <= 0 or wy <= 0:
         raise InvalidArgument("form weights must be positive")
-    a1, a2 = solve_coeffs(basis, v)
-    r1 = round_half_to_zero(a1.numerator, a1.denominator)
-    r2 = round_half_to_zero(a2.numerator, a2.denominator)
+    n1, n2, d = solve_coeffs(basis, v)
+    r1, r2 = round_half_to_zero(n1, d), round_half_to_zero(n2, d)
     x1, y1, x2, y2 = basis
     vx, vy = v
     best = None
@@ -111,10 +120,13 @@ def nearest_lattice_point(
     return best
 
 
-def truncate_decimal(value: Fraction) -> str:
-    """Format an exact rational as a decimal truncated toward zero to three places."""
-    sign = "-" if value < 0 else ""
-    magnitude = -value if value < 0 else value
-    scaled = magnitude * 1000
-    whole, frac = divmod(scaled.numerator // scaled.denominator, 1000)
-    return f"{sign}{whole}.{frac:03d}"
+def truncate_decimal(num: int, den: int) -> str:
+    """num/den as a decimal truncated toward zero to three places, as the
+    paper prints a coefficient; a negative value above -0.001 prints as
+    "-0.000".  Raises InvalidArgument for den < 1 and, through
+    protocol.check_printable, for a whole part too long to print."""
+    if den < 1:
+        raise InvalidArgument(f"den must be at least 1, got {int_text(den)}")
+    whole, frac = divmod(abs(num) * 1000 // den, 1000)
+    check_printable(whole, "the whole part")
+    return f"{'-' if num < 0 else ''}{whole}.{frac:03d}"

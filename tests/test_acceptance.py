@@ -118,19 +118,18 @@ def test_criterion_1_golden_example():
     ]
     tol = Fraction(1, 1000)
     for corner, expected in zip(corners, expected_corners):
-        a1, a2 = solve_coeffs(oriented, corner)
+        n1, n2, d = solve_coeffs(oriented, corner)
+        a1, a2 = Fraction(n1, d), Fraction(n2, d)
         rebuilt = (
             a1 * oriented[0] + a2 * oriented[2],
             a1 * oriented[1] + a2 * oriented[3],
         )
         if rebuilt != corner:
             failures.append(f"corner {corner[0]},{corner[1]}: rebuilt as {rebuilt}")
-        for value, want in zip((a1, a2), expected):
-            truncated = Fraction(truncate_decimal(value))
-            if abs(truncated - Fraction(want)) > tol:
-                failures.append(
-                    f"corner {corner[0]},{corner[1]}: got {truncate_decimal(value)} want {want}"
-                )
+        for num, want in zip((n1, n2), expected):
+            truncated = truncate_decimal(num, d)
+            if abs(Fraction(truncated) - Fraction(want)) > tol:
+                failures.append(f"corner {corner[0]},{corner[1]}: got {truncated} want {want}")
 
     if answer != (12345, 21):
         failures.append(f"final answer {answer}")

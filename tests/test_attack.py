@@ -328,7 +328,8 @@ class TestRecoverPreimages:
     def test_loads_no_fractions_or_paper(self):
         # In a fresh interpreter, since pytest itself may import fractions:
         # the command line and a golden attack load neither fractions nor
-        # the paper's path, so no Fraction can be built on the attack path.
+        # the paper's path, so no Fraction can be built on the attack path;
+        # and a fresh import of the paper's path loads no fractions either.
         code = (
             "import sys, truncrack.cli\n"
             "from truncrack import Attacker\n"
@@ -346,6 +347,15 @@ class TestRecoverPreimages:
         )
         # the exact box holds the one winning pair
         assert done.stdout == "((12345, 21),) 1\n\n"
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             "import sys, truncrack.paper\nprint('fractions' in sys.modules)\n"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "False\n"
 
     def test_full_scale_token(self):
         params = gen_params(9, 2048, 512, 512, 129)
@@ -848,6 +858,9 @@ class TestMessageSizes:
         cases = [
             ((huge, 22, 5, 0), "z must be positive, got " + text),
             ((6173, huge, 5, 0), "p must be at least 1, got " + text),
+            ((6173, -huge, 5, 0), f"p must be at most {MAX_BITS}, got a 20001-bit integer"),
+            ((6173, 22, huge, 0), f"q must be in [0, {MAX_BITS}], got " + text),
+            ((6173, 22, -huge, 0), f"q must be in [0, {MAX_BITS}], got a 20001-bit integer"),
             ((6173, 22, 5, huge), "u must be nonnegative, got " + text),
         ]
         for args, message in cases:

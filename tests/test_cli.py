@@ -633,6 +633,34 @@ def _shape(l, m, q, r):
     return ["--l", str(l), "--m", str(m), "--q", str(q), "--r", str(r)]
 
 
+class TestNulInPath:
+    """A path that holds a NUL byte, which only an in-process caller can
+    pass (argv cannot hold one), is refused at parsing like a bad number:
+    exit 2, the text shown by echo_text, before any trial or file write."""
+
+    @pytest.mark.parametrize(
+        "argv, option, work",
+        [
+            (["exchange", "--params", "a\0b", "--seed", "1"], "--params", None),
+            (["attack", "--params", "a\0b", "--token", "1"], "--params", None),
+            (["params", *_shape(13, 14, 5, 2), "--seed", "1", "--out", "a\0b"], "--out",
+             (truncrack.protocol, "save_params")),
+            (["bench", *_shape(13, 14, 5, 2), "--trials", "5", "--seed", "1", "--out", "a\0b"],
+             "--out", (cli.harness, "run_trials")),
+        ],
+        ids=["exchange", "attack", "params", "bench"],
+    )
+    def test_refused_at_parsing(self, monkeypatch, capsys, argv, option, work):
+        calls = _counted(monkeypatch, *work) if work else []
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {option}: expected a path without NUL bytes, got 'a\\x00b'\n"
+        )
+        assert calls == []
+
+
 class TestSizeBound:
     """Each option that names a size at its bound and one past it.  The
     bound of a shape is on l and p = l + m - q, so the bound of m, q and r

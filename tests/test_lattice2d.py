@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -247,8 +248,8 @@ class TestGaussReduce:
             m, q = rng.randint(0, p + 2), rng.randint(0, p + 2)
             reduced, _ = gauss_reduce(euclid_basis(z, p, m, q)[0], m, q)
             for g in (basis[:2], basis[2:]):
-                a1, a2 = solve_coeffs(reduced, g)
-                assert a1.denominator == 1 and a2.denominator == 1
+                n1, n2, d = solve_coeffs(reduced, g)
+                assert n1 % d == 0 and n2 % d == 0
 
 
 def _reduce_with_steps(basis, m, q):
@@ -592,14 +593,29 @@ class TestEuclidBasis:
             _assert_euclid_start_matches(*case)
 
 
+def _rational_coeffs(basis, v):
+    """solve_coeffs' (n1, n2, d) as the two Fractions n1/d and n2/d."""
+    n1, n2, d = solve_coeffs(basis, v)
+    return Fraction(n1, d), Fraction(n2, d)
+
+
+def _fraction_truncate(value):
+    """The reference for truncate_decimal: the Fraction value truncated
+    toward zero to three places, by Fraction arithmetic."""
+    sign = "-" if value < 0 else ""
+    magnitude = -value if value < 0 else value
+    scaled = magnitude * 1000
+    whole, frac = divmod(scaled.numerator // scaled.denominator, 1000)
+    return f"{sign}{whole}.{frac:03d}"
+
+
 class TestSolveCoeffs:
     def test_worked_coefficients(self):
         # In the orientation with u1=(-25140,28), u2=(-33973,-129).
-        a1, a2 = solve_coeffs(ORIENTED, (115, 1703))
-        assert a1 == Fraction(57841184, 1 << 22)
-        assert a2 == Fraction(-42816640, 1 << 22)
-        assert truncate_decimal(a1) == "13.790"
-        assert truncate_decimal(a2) == "-10.208"
+        n1, n2, d = solve_coeffs(ORIENTED, (115, 1703))
+        assert (n1, n2, d) == (57841184, -42816640, 1 << 22)
+        assert truncate_decimal(n1, d) == "13.790"
+        assert truncate_decimal(n2, d) == "-10.208"
 
     def test_worked_corner_coefficients(self):
         # Exact Cramer solve of the four rectangle corners, truncated at
@@ -613,24 +629,46 @@ class TestSolveCoeffs:
             ("14.035", "-9.907"),
         ]
         for corner, (want1, want2) in zip(corners, expected):
-            a1, a2 = solve_coeffs(ORIENTED, corner)
-            assert (truncate_decimal(a1), truncate_decimal(a2)) == (want1, want2)
+            n1, n2, d = solve_coeffs(ORIENTED, corner)
+            assert (truncate_decimal(n1, d), truncate_decimal(n2, d)) == (want1, want2)
 
     def test_identity_cases(self):
         basis = worked_reduced()
-        assert solve_coeffs(basis, basis[:2]) == (1, 0)
-        assert solve_coeffs(basis, (0, 0)) == (0, 0)
+        assert _rational_coeffs(basis, basis[:2]) == (1, 0)
+        assert _rational_coeffs(basis, (0, 0)) == (0, 0)
 
     def test_reconstruction(self):
         rng = random.Random(17)
         basis = worked_reduced()
         for _ in range(50):
             v = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
-            a1, a2 = solve_coeffs(basis, v)
+            a1, a2 = _rational_coeffs(basis, v)
             x = a1 * basis[0] + a2 * basis[2]
             y = a1 * basis[1] + a2 * basis[3]
             assert (x, y) == v
             assert ((1 << 22) % a1.denominator) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        basis=st.tuples(*[st.integers(-(1 << 80), 1 << 80)] * 4),
+        v=st.tuples(st.integers(-(1 << 80), 1 << 80), st.integers(-(1 << 80), 1 << 80)),
+    )
+    # the worked basis (det = 2^22) and its swap (det = -2^22)
+    @example(basis=ORIENTED, v=(115, 1703))
+    @example(basis=ORIENTED[2:] + ORIENTED[:2], v=(115, 1703))
+    def test_matches_rational_cramer(self, basis, v):
+        # Either sign of det: d = |det| > 0, and n1/d, n2/d are the exact
+        # coefficients, solved here with Fractions and checked by rebuilding v.
+        x1, y1, x2, y2 = basis
+        vx, vy = v
+        det = x1 * y2 - y1 * x2
+        assume(det != 0)
+        a1 = Fraction(vx * y2 - x2 * vy) / det
+        a2 = Fraction(x1 * vy - vx * y1) / det
+        n1, n2, d = solve_coeffs(basis, v)
+        assert d == abs(det)
+        assert (Fraction(n1, d), Fraction(n2, d)) == (a1, a2)
+        assert (a1 * x1 + a2 * x2, a1 * y1 + a2 * y2) == v
 
     def test_singular(self):
         with pytest.raises(InvalidArgument):
@@ -661,12 +699,9 @@ class TestNearestPoint:
         wx, wy = 1, 9
         assert is_reduced(basis, wx, wy)
         v = (-5, 3)
-        a1, a2 = solve_coeffs(basis, v)
-        assert (a1, a2) == (Fraction(7, 16), Fraction(-3, 2))
-        plain = (
-            round_half_to_zero(a1.numerator, a1.denominator),
-            round_half_to_zero(a2.numerator, a2.denominator),
-        )
+        n1, n2, d = solve_coeffs(basis, v)
+        assert (Fraction(n1, d), Fraction(n2, d)) == (Fraction(7, 16), Fraction(-3, 2))
+        plain = (round_half_to_zero(n1, d), round_half_to_zero(n2, d))
         assert plain == (0, -1)
         plain_norm = _norm(_residual(basis, v, 0, -1), wx, wy)
         assert plain_norm == 25
@@ -907,7 +942,7 @@ def _assert_box_matches_rationals(basis, p, q, u, m):
         frame = box_frame(b, p, m, q)
         oriented = _oriented(b)
         assert frame == (oriented, p - q, b1, b2, frame[4]) and _det(oriented) == 1 << p
-        a1s, a2s = zip(*(solve_coeffs(oriented, corner) for corner in corners))
+        a1s, a2s = zip(*(_rational_coeffs(oriented, corner) for corner in corners))
         expected = (
             math.ceil(min(a1s)),
             math.floor(max(a1s)),
@@ -1005,15 +1040,38 @@ class TestDecimalFormatting:
     @pytest.mark.parametrize(
         "value,expected",
         [
-            (Fraction(57841184, 1 << 22), "13.790"),
-            (Fraction(-42816640, 1 << 22), "-10.208"),
-            (Fraction(0), "0.000"),
-            (Fraction(-1, 2), "-0.500"),
-            (Fraction(1999, 1000), "1.999"),
+            ((57841184, 1 << 22), "13.790"),
+            ((-42816640, 1 << 22), "-10.208"),
+            ((0, 1), "0.000"),
+            ((-1, 2), "-0.500"),
+            ((1999, 1000), "1.999"),
+            ((-3, 6), "-0.500"),
+            ((-1, 2000), "-0.000"),
         ],
     )
     def test_truncates_toward_zero(self, value, expected):
-        assert truncate_decimal(value) == expected
+        # value is (numerator, denominator)
+        assert truncate_decimal(*value) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(num=st.integers(-(1 << 80), 1 << 80), den=st.integers(1, 1 << 80))
+    @example(num=-1, den=2000)  # above -0.001: "-0.000"
+    @example(num=-1999, den=1000)
+    def test_matches_fraction_formula(self, num, den):
+        assert truncate_decimal(num, den) == _fraction_truncate(Fraction(num, den))
+
+    @pytest.mark.parametrize("den", [0, -1, -(1 << 20000)], ids=["0", "-1", "-2^20000"])
+    def test_refuses_denominator_below_1(self, den):
+        with pytest.raises(InvalidArgument, match="^den must be at least 1, got "):
+            truncate_decimal(1, den)
+
+    def test_refuses_whole_part_past_digit_limit(self):
+        with pytest.raises(InvalidArgument) as info:
+            truncate_decimal(-(1 << 20000), 1)
+        assert str(info.value) == (
+            f"the whole part must have at most {sys.get_int_max_str_digits()} digits, "
+            "got a 20001-bit integer"
+        )
 
 
 class TestModuleNames:

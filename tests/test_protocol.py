@@ -25,6 +25,7 @@ from truncrack import (
 )
 from truncrack.errors import ToolkitError
 from truncrack.lattice2d import box_frame, euclid_basis
+from truncrack.paper import nearest_lattice_point, solution_basis, solve_coeffs, truncate_decimal
 from truncrack.protocol import MAX_BITS, PARAM_KEYS, check_observables, check_shape
 
 TOY = ProtocolParams(l=13, m=14, p=22, q=5, r=2, z=6173)
@@ -282,10 +283,11 @@ def _param_text(values):
         sys.set_int_max_str_digits(limit)
 
 
-# Each root callable, and the lattice functions that take exponents, with
-# its ints taken, in order, from eight drawn ones.  run_trials takes at most
-# 2 trials, so a valid shape runs a short batch.  gauss_reduce is left out:
-# its exit assertion is its answer to a basis that one pass does not reduce.
+# Each root callable, the lattice functions that take exponents, and the
+# paper's functions that take ints, with its ints taken, in order, from
+# eight drawn ones.  run_trials takes at most 2 trials, so a valid shape
+# runs a short batch.  gauss_reduce is left out: its exit assertion is its
+# answer to a basis that one pass does not reduce.
 HOSTILE_CALLS = {
     "trunc_f": lambda a: trunc_f(a[0], ProtocolParams(*a[1:7])),
     "derive_key": lambda a: derive_key(*a[:6]),
@@ -302,6 +304,10 @@ HOSTILE_CALLS = {
     "run_trials": lambda a: run_trials(TrialConfig(a[0], min(a[1], 2), *a[2:6])),
     "euclid_basis": lambda a: euclid_basis(*a[:4]),
     "box_frame": lambda a: box_frame(tuple(a[:4]), *a[4:7]),
+    "solution_basis": lambda a: solution_basis(*a[:4]),
+    "solve_coeffs": lambda a: solve_coeffs(tuple(a[:4]), tuple(a[4:6])),
+    "nearest_lattice_point": lambda a: nearest_lattice_point(tuple(a[:4]), tuple(a[4:6]), *a[6:8]),
+    "truncate_decimal": lambda a: truncate_decimal(*a[:2]),
 }
 
 
@@ -322,6 +328,13 @@ class TestHostileInts:
     @example(name="Attacker.attack", args=[MAX_BITS + 1, MAX_BITS, 1, MAX_BITS, 1 << 70, 0, 0, 0])
     @example(name="gen_params", args=[1 << 20000, MAX_BITS, 1, 1, 1, 0, 0, 0])
     @example(name="run_trials", args=[0, 2, MAX_BITS, 1, 1, 1, 0, 0])
+    # a shift by a negative q, and by a p or q of 71 bits
+    @example(name="solution_basis", args=[5, 10, -1, 3, 0, 0, 0, 0])
+    @example(name="solution_basis", args=[5, 1 << 70, 1, 3, 0, 0, 0, 0])
+    @example(name="solution_basis", args=[5, 10, 1 << 70, 3, 0, 0, 0, 0])
+    # a whole part past CPython's digit limit, and a zero denominator
+    @example(name="truncate_decimal", args=[1 << 20000, 1, 0, 0, 0, 0, 0, 0])
+    @example(name="truncate_decimal", args=[1, 0, 0, 0, 0, 0, 0, 0])
     def test_returns_or_raises_a_named_error(self, name, args):
         try:
             HOSTILE_CALLS[name](args)
