@@ -49,7 +49,7 @@ of the command line, which decodes it before it calls in.
 import functools
 from typing import NamedTuple
 
-from .lattice2d import box_bound, box_frame, check_box, coefficient_box, euclid_basis, gauss_reduce
+from .lattice2d import box_bound, box_frame, check_box, coefficient_box, gauss_reduce
 from .protocol import check_observables, check_token, derive_key
 
 # The reduction modulus exceeds the rectangle's area 2^(m+q) by this many
@@ -89,8 +89,8 @@ class AttackInput(NamedTuple):
 class AttackResult(NamedTuple):
     """The outcome of one token, a value: equal deployments and tokens
     give ``==`` results, and no field holds a time.
-    ``reduce_iterations`` is the deployment's: euclid_basis's quotients
-    plus gauss_reduce's passes, 1 when its one pass changes nothing and
+    ``reduce_iterations`` is the deployment's: gauss_reduce's Euclid
+    quotients plus its passes, 1 when its one pass changes nothing and
     2 otherwise, for the lattice modulo 2^k (Attacker), on every token.
     ``searched`` is the number of coefficient pairs of the token's box in
     that lattice, so the filter's dropped hits are among them."""
@@ -106,13 +106,13 @@ class Attacker:
 
     The constructor checks the observables (check_observables), reduces
     the congruence lattice modulo 2^k, k = min(p, m + q + SPARE_BITS), for
-    the rectangle [0, 2^m) x [0, 2^q) (euclid_basis, then gauss_reduce's
-    one pass, both given m and q), and fixes the box's frame
+    the rectangle [0, 2^m) x [0, 2^q) (one gauss_reduce call, given m and
+    q: euclid_basis, then one pass), and fixes the box's frame
     (lattice2d.box_frame: the |det| = 2^k check, InvalidArgument otherwise,
     the sign and the corner offsets shifted by q), whose basis
     ``frame[0]`` is the reduced basis up to the sign of u1.  Every
-    assertion of euclid_basis and gauss_reduce runs here, at k.  When
-    p <= m + q + SPARE_BITS, k is p and the lattice is the paper's.  When
+    assertion of gauss_reduce, euclid_basis's included, runs here, at k.
+    When p <= m + q + SPARE_BITS, k is p and the lattice is the paper's.  When
     k < p but lattice2d.box_bound puts the frame's box over WALK_BOUND
     pairs for some token, the lattice modulo 2^p is reduced and framed
     too, and ``k`` is p; a generic z never gets there.
@@ -129,8 +129,7 @@ class Attacker:
         check_observables(z, p, q, m)
         iterations = 0
         for k in (min(p, m + q + SPARE_BITS), p):
-            start, quotients = euclid_basis(z, k, m, q)
-            reduced, passes = gauss_reduce(start, m, q)
+            reduced, quotients, passes = gauss_reduce(z, k, m, q)
             frame = box_frame(reduced, k, m, q)
             iterations += quotients + passes
             if k == p or box_bound(frame) <= WALK_BOUND:

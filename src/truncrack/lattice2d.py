@@ -10,11 +10,13 @@ x*z = 2^q*u + y (mod 2^p) inside a small rectangle, which this module
 does with a weighted Lagrange (Gauss) reduction of a basis of L and a
 walk over the rectangle's exact coefficient box from a point of the
 coset.  Reducing L is the continued-fraction expansion of z / 2^p
-(Vallée, "Gauss' algorithm revisited", 1991), so the attack starts from
-euclid_basis, which runs Euclid on the remainders alone and rebuilds the
-two cofactors at its stop from one 2-adic inverse, and gauss_reduce
-finishes the job with one Lagrange pass, which its docstring proves is
-all that Euclid's stop leaves.  attack.Attacker reduces modulo a power
+(Vallée, "Gauss' algorithm revisited", 1991), so gauss_reduce, the
+attack's one reduction call, starts with euclid_basis, which runs Euclid
+on the remainders alone and rebuilds the two cofactors at its stop from
+one 2-adic inverse, and finishes with one Lagrange pass, which its
+docstring proves is all that Euclid's stop leaves; it takes the
+deployment, not a basis, so no basis reaches the pass that the pass
+cannot finish.  attack.Attacker reduces modulo a power
 2^k <= 2^p whose lattice contains L (see there); every function here
 works for whatever modulus exponent it is given.
 
@@ -129,10 +131,14 @@ def euclid_basis(z: int, p: int, m: int, q: int) -> tuple[tuple[int, int, int, i
 
 
 def round_half_to_zero(num: int, den: int) -> int:
-    """Nearest integer to num/den (den > 0); exact halves go toward zero.
+    """Nearest integer to num/den; exact halves go toward zero.
 
-    +-1/2 -> 0,  3/2 -> 1,  -3/2 -> -1.  Integer arithmetic only.
+    +-1/2 -> 0,  3/2 -> 1,  -3/2 -> -1.  Integer arithmetic only.  Raises
+    InvalidArgument for den < 1; gauss_reduce divides only by the norm
+    of a nonzero vector.
     """
+    if den < 1:
+        raise InvalidArgument(f"den must be at least 1, got {int_text(den)}")
     quot, rem = divmod(num, den)
     doubled = 2 * rem
     if doubled > den:
@@ -144,12 +150,10 @@ def round_half_to_zero(num: int, den: int) -> int:
     return quot if quot >= 0 else quot + 1
 
 
-def gauss_reduce(
-    basis: tuple[int, int, int, int], m: int, q: int
-) -> tuple[tuple[int, int, int, int], int]:
-    """Finish the Lagrange (Gauss) reduction of euclid_basis(z, p, m, q)'s
-    basis (x1, y1, x2, y2) for the rectangle [0, 2^m) x [0, 2^q), under its
-    form (1, 4^s) or (4^-s, 1), s = m - q: one pass, and no loop.
+def gauss_reduce(z: int, p: int, m: int, q: int) -> tuple[tuple[int, int, int, int], int, int]:
+    """The Lagrange (Gauss) reduction of L for the rectangle
+    [0, 2^m) x [0, 2^q), under its form (1, 4^s) or (4^-s, 1), s = m - q:
+    euclid_basis(z, p, m, q), then one pass from Euclid's stop, and no loop.
 
     The pass is the textbook loop's first: u1 <- u1 - c1*u2, then
     u2 <- u2 - c2*u1, each c = round_half_to_zero(<ui, uj>, <uj, uj>).  The
@@ -176,19 +180,13 @@ def gauss_reduce(
     exit: a second pass would leave both quotients zero.
 
     Asserted: each half-step that changes the basis strictly shrinks the
-    norm it updates, |det| holds from the coordinates, and the exit bound.
-    A basis that one pass does not reduce fails the last.  Returns the
-    basis and the loop's pass count, its all-zero pass included: 1 when
-    c1 = c2 = 0, else 2.  Raises InvalidArgument for m or q outside
-    [0, MAX_BITS], before any shift, and for a basis of determinant 0.
+    norm it updates, |det| = 2^p from the coordinates, and the exit bound.
+    Returns the reduced basis, euclid_basis's quotient count, and the
+    loop's pass count, its all-zero pass included: 1 when c1 = c2 = 0,
+    else 2.  Raises InvalidArgument for p, m or q outside [0, MAX_BITS]
+    (euclid_basis), before any shift.
     """
-    if not (0 <= m <= MAX_BITS and 0 <= q <= MAX_BITS):
-        got = f"m={int_text(m)} q={int_text(q)}"
-        raise InvalidArgument(f"m and q must be in [0, {MAX_BITS}], got {got}")
-    x1, y1, x2, y2 = basis
-    det = abs(x1 * y2 - y1 * x2)
-    if det == 0:
-        raise InvalidArgument("basis is degenerate (determinant 0)")
+    (x1, y1, x2, y2), quotients = euclid_basis(z, p, m, q)
     sx, sy = max(q - m, 0), max(m - q, 0)
     a1, b1, a2, b2 = x1 << sx, y1 << sy, x2 << sx, y2 << sy
     n1, n2, d = a1 * a1 + b1 * b1, a2 * a2 + b2 * b2, a1 * a2 + b1 * b2
@@ -206,8 +204,8 @@ def gauss_reduce(
         shrunk = n2 - c2 * (2 * d - t)
         assert shrunk < n2
         n2, d = shrunk, d - t
-    assert abs(x1 * y2 - y1 * x2) == det and 2 * abs(d) <= min(n1, n2)
-    return (x1, y1, x2, y2), 2 if c1 or c2 else 1
+    assert abs(x1 * y2 - y1 * x2) == 1 << p and 2 * abs(d) <= min(n1, n2)
+    return (x1, y1, x2, y2), quotients, 2 if c1 or c2 else 1
 
 
 def box_frame(basis: tuple[int, int, int, int], p: int, m: int, q: int) -> Frame:

@@ -100,10 +100,13 @@ def nearest_lattice_point(
     neighbourhood of the rounded pair is scanned and the best kept.  For a
     reduced basis the true closest point always lies in that
     neighbourhood, so the result attains the exact minimum of the form
-    norm over the coset v + L.  Raises InvalidArgument for a weight below 1.
+    norm over the coset v + L.  Raises InvalidArgument for a weight below
+    1 and for a basis that is_reduced rejects, where the scan can miss it.
     """
     if wx <= 0 or wy <= 0:
         raise InvalidArgument("form weights must be positive")
+    if not is_reduced(basis, wx, wy):
+        raise InvalidArgument("basis is not reduced under the form")
     n1, n2, d = solve_coeffs(basis, v)
     r1, r2 = round_half_to_zero(n1, d), round_half_to_zero(n2, d)
     x1, y1, x2, y2 = basis

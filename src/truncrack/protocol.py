@@ -41,6 +41,11 @@ MAX_BITS = 14284
 
 PARAM_KEYS = ("l", "m", "p", "q", "r", "z")
 
+# load_params reads at most this many bytes of a parameter file.  The
+# longest valid one, six lines with a 4,300-digit z and five 5-digit
+# exponents, has 4,343.
+PARAMS_MAX_BYTES = 1 << 16
+
 _PARAM_LINE = re.compile(r"^([a-z]+)=([0-9]+)$")
 
 
@@ -286,10 +291,13 @@ def save_params(params: ProtocolParams, path: str) -> None:
 
 
 def load_params(path: str) -> ProtocolParams:
-    """parse_params on the file's text; InvalidArgument, naming the offset
-    of the first bad byte, for a file that is not UTF-8."""
+    """parse_params on the file's text; InvalidArgument for a file longer
+    than PARAMS_MAX_BYTES, which is not read past that, and, naming the
+    offset of the first bad byte, for a file that is not UTF-8."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(PARAMS_MAX_BYTES + 1)
+    if len(data) > PARAMS_MAX_BYTES:
+        raise InvalidArgument(f"parameter file is longer than {PARAMS_MAX_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

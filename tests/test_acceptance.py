@@ -135,8 +135,8 @@ def test_criterion_1_golden_example():
         failures.append(f"final answer {answer}")
 
     # The attack's own reduction: Euclid's stop, then gauss_reduce's pass.
-    finished = gauss_reduce(euclid_basis(6173, 22, 14, 5)[0], 14, 5)
-    if finished != ((33973, 129, -25140, 28), 2):
+    finished = gauss_reduce(6173, 22, 14, 5)
+    if finished != ((33973, 129, -25140, 28), euclid_basis(6173, 22, 14, 5)[1], 2):
         failures.append(f"attack's reduction {finished}")
 
     result = Attacker(6173, 22, 5, 14).attack(708192 >> 5)
@@ -258,7 +258,7 @@ def test_criterion_4_reduction_invariants():
 
         target_det = 1 << p
         violations = []
-        (reduced, passes), steps = _reduce_with_steps(start, m, q)
+        (reduced, passes), steps = _reduce_with_steps(z, p, m, q)
         before = start
         for target, c, step in steps:
             x1, y1, x2, y2 = step
@@ -335,9 +335,9 @@ def test_criterion_7_scaling_invariance():
         start, _ = euclid_basis(z, p, m, q)
         wx, wy = rect_weights(1 << m, 1 << q)
         # The attack's reduction takes the rectangle by (m, q); the
-        # reference loop gives its basis and passes under the form and
-        # under 7 times the form.
-        reduced, passes = gauss_reduce(start, m, q)
+        # reference loop from Euclid's stop gives its basis and passes
+        # under the form and under 7 times the form.
+        reduced, _, passes = gauss_reduce(z, p, m, q)
         identical += (
             _textbook_gauss_reduce(start, wx, wy)
             == (reduced, passes)

@@ -158,10 +158,9 @@ def _oracle_pairs(z, p, q, m, u):
 
 def _frame_modulo(z, modulus, q, m):
     """The box frame of the lattice modulo 2^modulus for the rectangle
-    [0, 2^m) x [0, 2^q), reduced here from euclid_basis and gauss_reduce,
-    and the Euclid quotients plus Gauss passes it took."""
-    start, quotients = euclid_basis(z, modulus, m, q)
-    reduced, passes = gauss_reduce(start, m, q)
+    [0, 2^m) x [0, 2^q), reduced here by gauss_reduce, and the Euclid
+    quotients plus Gauss passes it took."""
+    reduced, quotients, passes = gauss_reduce(z, modulus, m, q)
     return box_frame(reduced, modulus, m, q), quotients + passes
 
 
@@ -187,10 +186,11 @@ def _count_reductions(monkeypatch):
     log2 |det| of its basis, the modulus k, to the list returned."""
     calls = []
 
-    def counted(basis, m, q):
-        x1, y1, x2, y2 = basis
+    def counted(z, k, m, q):
+        result = gauss_reduce(z, k, m, q)
+        x1, y1, x2, y2 = result[0]
         calls.append(abs(x1 * y2 - y1 * x2).bit_length() - 1)
-        return gauss_reduce(basis, m, q)
+        return result
 
     monkeypatch.setattr(truncrack.attack, "gauss_reduce", counted)
     return calls
@@ -255,8 +255,7 @@ class TestRecoverPreimages:
         # walk visits no pair, and the attack returns no candidate.
         z, p, q, m, u = 11, 5, 2, 3, 1
         assert (z, p, q, m, u) in _small_instances()
-        start, _ = euclid_basis(z, p, m, q)
-        reduced, _ = gauss_reduce(start, m, q)
+        reduced, _, _ = gauss_reduce(z, p, m, q)
         frame = box_frame(reduced, p, m, q)
         lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
         assert (hi1 - lo1 + 1, hi2 - lo2 + 1) == (0, 2)
@@ -489,8 +488,7 @@ class TestAttacker:
             Attacker(**kwargs)
 
     def test_frame_is_the_reduced_basis_frame(self):
-        start, _ = euclid_basis(6173, 22, 14, 5)
-        reduced, _ = gauss_reduce(start, 14, 5)
+        reduced, _, _ = gauss_reduce(6173, 22, 14, 5)
         attacker = Attacker(6173, 22, 5, 14)
         assert attacker.frame == box_frame(reduced, 22, 14, 5)
 
@@ -603,7 +601,7 @@ class TestModulusBelowP:
         # One l=2048 deployment per (m, q), the skewed form and m < q
         # included: on 20 honest and 20 uniform tokens the candidates are
         # the hits of the walk over the lattice modulo 2^p, reduced and
-        # framed here from euclid_basis, gauss_reduce and box_frame at p.
+        # framed here by gauss_reduce and box_frame at p.
         rng = random.Random(3 * m + q)
         l = 2048
         p = l + m - q
@@ -611,8 +609,7 @@ class TestModulusBelowP:
         z = (1 << (l - 1)) | rng.getrandbits(l - 1)
         attacker = Attacker(z, p, q, m)
         assert attacker.k == m + q + SPARE_BITS < p
-        start, _ = euclid_basis(z, p, m, q)
-        reduced, _ = gauss_reduce(start, m, q)
+        reduced, _, _ = gauss_reduce(z, p, m, q)
         reference = box_frame(reduced, p, m, q)
         secrets = [rng.randint(1, b1 - 1) for _ in range(20)]
         honest = [((x * z) & ((1 << p) - 1)) >> q for x in secrets]
@@ -643,8 +640,7 @@ class TestModulusBelowP:
         counts = []
         frames = []
         for modulus in (k, p):
-            start, quotients = euclid_basis(z, modulus, m, q)
-            reduced, passes = gauss_reduce(start, m, q)
+            reduced, quotients, passes = gauss_reduce(z, modulus, m, q)
             counts.append(quotients + passes)
             frames.append(box_frame(reduced, modulus, m, q))
         assert box_bound(frames[0]) > BOX_CAP
@@ -673,7 +669,7 @@ class TestModulusBelowP:
             counts.append((k, quotients))
             return start, quotients
 
-        monkeypatch.setattr(truncrack.attack, "euclid_basis", counted)
+        monkeypatch.setattr(truncrack.lattice2d, "euclid_basis", counted)
         for l in (512, 1024, 2048, 4096):
             m = q = l // 4
             k = m + q + SPARE_BITS
@@ -1078,21 +1074,29 @@ class TestAttackerMemo:
         # AttackInput, recover_preimages, recover_shared_key with result=,
         # and the four output fields it reads.  Its tracer wraps the
         # attack's gauss_reduce and coefficient_box, so each must still be
-        # looked up there.
+        # looked up there, and the whole reduction, Euclid included, must
+        # run inside the gauss_reduce span.  Each call is recorded with
+        # the wrapped calls it runs inside.
         calls = []
+        stack = []
 
         def counted(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
+                calls.append((name, tuple(stack)))
+                stack.append(name)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    stack.pop()
 
             monkeypatch.setattr(module, name, wrapper)
 
         attack = truncrack.attack
         counted(attack, "gauss_reduce")
         counted(attack, "coefficient_box")
+        counted(truncrack.lattice2d, "euclid_basis")
         attack._attacker.cache_clear()
         params = gen_params(1, 13, 14, 5, 2)
         t = exchange(1, params)
@@ -1102,7 +1106,11 @@ class TestAttackerMemo:
         assert t.x in [x for x, _ in result.candidates] and (t.x, t.w_a) in keys
         assert result.unique == (len(result.candidates) == 1)
         assert result.reduce_iterations > 0 and result.searched >= len(result.candidates)
-        assert sorted(set(calls)) == ["coefficient_box", "gauss_reduce"]
+        assert sorted(set(calls)) == [
+            ("coefficient_box", ()),
+            ("euclid_basis", ("gauss_reduce",)),
+            ("gauss_reduce", ()),
+        ]
         attack._attacker.cache_clear()
 
     def test_no_candidates(self):

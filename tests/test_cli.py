@@ -118,6 +118,43 @@ class TestExchangeCommand:
         assert len(message.encode()) < 200
 
 
+class TestLongParamsFile:
+    """load_params reads at most PARAMS_MAX_BYTES + 1 bytes, so a file past
+    the cap, an endless one included, is refused without being read to
+    its end."""
+
+    COMMANDS = [["attack", "--token", "1"], ["exchange", "--seed", "1"]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_refused_one_byte_past_the_cap(self, tmp_path, capsys, command):
+        cap = truncrack.protocol.PARAMS_MAX_BYTES
+        at, past = tmp_path / "at.params", tmp_path / "past.params"
+        at.write_bytes(b"\n" * cap)
+        past.write_bytes(b"\n" * (cap + 1))
+        # at the cap the file is parsed, and its first line is malformed
+        assert main([*command, "--params", str(at)]) == 2
+        assert capsys.readouterr() == ("", "error: line 1: malformed parameter line ''\n")
+        assert main([*command, "--params", str(past)]) == 2
+        assert capsys.readouterr() == ("", f"error: parameter file is longer than {cap} bytes\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs /dev/zero and sh's ulimit -v")
+    def test_endless_file_refused(self):
+        # In a child whose address space is capped at about 600 MB, so that
+        # a read without a bound ends in its own MemoryError (exit 1), not
+        # in the host's memory.
+        cap = truncrack.protocol.PARAMS_MAX_BYTES
+        src = os.path.dirname(os.path.dirname(truncrack.protocol.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        command = 'ulimit -v 600000 && exec "$0" -m truncrack.cli attack --params /dev/zero --token 1'
+        done = subprocess.run(
+            ["/bin/sh", "-c", command, sys.executable],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        message = f"error: parameter file is longer than {cap} bytes\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+
+
 class TestDigitLimit:
     """A limit on int-to-str conversion that the user lowers: a command
     refuses, before any stdout, a deployment whose values it could not

@@ -126,6 +126,15 @@ class TestRounding:
     def test_examples(self, value, expected):
         assert round_half_to_zero(value.numerator, value.denominator) == expected
 
+    @pytest.mark.parametrize("num, den", [(1, -3), (5, -3), (1, 0), (0, -(1 << 70))])
+    def test_refuses_denominator_below_1(self, num, den):
+        # divmod would give a wrong answer for a negative den without an
+        # error ((1, -3) and (5, -3) give -1, where the nearest integers
+        # are 0 and -2), and a bare ZeroDivisionError for 0
+        with pytest.raises(InvalidArgument, match="^den must be at least 1, got ") as info:
+            round_half_to_zero(num, den)
+        assert len(str(info.value).encode()) < 200
+
     @given(value=st.fractions())
     def test_nearest_with_ties_toward_zero(self, value):
         result = round_half_to_zero(value.numerator, value.denominator)
@@ -146,55 +155,21 @@ class TestGaussReduce:
         assert abs(_det(reduced)) == 1 << 22
         assert is_reduced(reduced, WX, WY)
 
-    def test_fixed_point(self):
-        reduced = worked_reduced()
-        again, passes = gauss_reduce(reduced, 14, Q)
-        assert again == reduced
-        assert passes == 1
-
-    def test_orthogonal_basis_unchanged(self):
-        basis = (1, 0, 0, 1 << 8)
-        reduced, passes = gauss_reduce(basis, 0, 0)
-        assert reduced == basis
-        assert passes == 1
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(InvalidArgument):
-            gauss_reduce((2, 4, 1, 2), 0, 0)
-
     @pytest.mark.parametrize("wx, wy", [(0, 1), (1, 0), (-1, 4)])
     def test_nonpositive_weights_rejected(self, wx, wy):
         with pytest.raises(InvalidArgument):
             nearest_lattice_point((1, 0, 0, 1 << 8), (3, 5), wx, wy)
 
     def test_rejects_bad_bounds(self):
-        # refused with the package's message before any shift, where a
-        # negative exponent would raise a bare "negative shift count" and
-        # a shift by 2^70 an OverflowError or MemoryError
-        message = rf"^m and q must be in \[0, {MAX_BITS}\], got m="
+        # euclid_basis's one check, with its message, before any shift,
+        # where a negative exponent would raise a bare "negative shift
+        # count" and a shift by 2^70 an OverflowError or MemoryError
+        message = rf"^p, m and q must be in \[0, {MAX_BITS}\], got p="
         for bad in (-1, MAX_BITS + 1, 1 << 70, -(1 << 70)):
-            for m, q in ((bad, Q), (14, bad)):
+            for p, m, q in ((bad, 14, Q), (P, bad, Q), (P, 14, bad)):
                 with pytest.raises(InvalidArgument, match=message) as info:
-                    gauss_reduce(ORIENTED, m, q)
+                    gauss_reduce(Z, p, m, q)
                 assert len(str(info.value).encode()) < 200
-        # determinant 0 would otherwise reach divmod(d, 0)
-        with pytest.raises(InvalidArgument) as info:
-            gauss_reduce((1, 0, 0, 0), 14, Q)
-        assert len(str(info.value).encode()) < 200
-
-    def test_asserts_the_exit_bound(self):
-        # A Fibonacci-skewed basis needs many passes; the one pass leaves it
-        # unreduced, which the exit assertion refuses.  Under python -O the
-        # assertion is stripped and the unreduced basis comes back.
-        a, b = 1, 1
-        for _ in range(40):
-            a, b = b, a + b
-        basis = (b, a, a, b - a)
-        if __debug__:
-            with pytest.raises(AssertionError):
-                gauss_reduce(basis, 0, 0)
-        else:
-            assert not is_reduced(gauss_reduce(basis, 0, 0)[0], 1, 1)
 
     def test_exhaustive_small_matches_textbook_loop(self):
         # Every z in [0, 2^p) for p <= 9 and every m, q in [0, p + 2]: from
@@ -204,12 +179,13 @@ class TestGaussReduce:
             for z in range(1 << p):
                 for m in range(p + 3):
                     for q in range(p + 3):
-                        start, _ = euclid_basis(z, p, m, q)
+                        start, quotients = euclid_basis(z, p, m, q)
                         steps = []
-                        ref = _textbook_gauss_reduce(
+                        reduced, passes = _textbook_gauss_reduce(
                             start, *rect_weights(1 << m, 1 << q), on_step=lambda *s: steps.append(s)
                         )
-                        assert gauss_reduce(start, m, q) == ref, (z, p, m, q)
+                        got = gauss_reduce(z, p, m, q)
+                        assert got == (reduced, quotients, passes), (z, p, m, q)
                         assert abs(steps[1][1]) <= 1
 
     def test_per_step_invariants_random(self):
@@ -218,9 +194,8 @@ class TestGaussReduce:
             z, p, _, _, _ = random_family(rng)
             m, q = rng.randint(0, p + 2), rng.randint(0, p + 2)
             wx, wy = rect_weights(1 << m, 1 << q)
-            start, _ = euclid_basis(z, p, m, q)
-            (reduced, passes), steps = _reduce_with_steps(start, m, q)
-            before = start
+            (reduced, passes), steps = _reduce_with_steps(z, p, m, q)
+            before = euclid_basis(z, p, m, q)[0]
             for target, c, step in steps:
                 assert abs(_det(step)) == 1 << p
                 i = 0 if target == "u1" else 2
@@ -246,20 +221,22 @@ class TestGaussReduce:
         for _ in range(40):
             z, p, _, _, basis = random_family(rng)
             m, q = rng.randint(0, p + 2), rng.randint(0, p + 2)
-            reduced, _ = gauss_reduce(euclid_basis(z, p, m, q)[0], m, q)
+            reduced, _, _ = gauss_reduce(z, p, m, q)
             for g in (basis[:2], basis[2:]):
                 n1, n2, d = solve_coeffs(reduced, g)
                 assert n1 % d == 0 and n2 % d == 0
 
 
-def _reduce_with_steps(basis, m, q):
-    """gauss_reduce(basis, m, q) and its two half-steps, each as
-    (target, c, basis after it), target naming the vector replaced by c.
+def _reduce_with_steps(z, p, m, q):
+    """gauss_reduce(z, p, m, q)'s basis and passes, and its two
+    half-steps, each as (target, c, basis after it), target naming the
+    vector replaced by c.
 
     The two quotients are recorded from gauss_reduce's calls of
-    round_half_to_zero and replayed from ``basis``: a half-step is fixed
-    by the basis before it and its quotient.  The replay must end at the
-    basis gauss_reduce returns."""
+    round_half_to_zero and replayed from euclid_basis(z, p, m, q)'s
+    basis: a half-step is fixed by the basis before it and its quotient.
+    The replay must end at the basis gauss_reduce returns, and its Euclid
+    quotient count must be euclid_basis's."""
     quotients = []
 
     def recording(num, den):
@@ -269,9 +246,11 @@ def _reduce_with_steps(basis, m, q):
     # The context manager, not the fixture: Hypothesis tests call this.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(truncrack.lattice2d, "round_half_to_zero", recording)
-        reduced, passes = gauss_reduce(basis, m, q)
+        reduced, euclid_quotients, passes = gauss_reduce(z, p, m, q)
     assert len(quotients) == 2
-    x1, y1, x2, y2 = basis
+    start, expected_quotients = euclid_basis(z, p, m, q)
+    assert euclid_quotients == expected_quotients
+    x1, y1, x2, y2 = start
     c1, c2 = quotients
     x1, y1 = x1 - c1 * x2, y1 - c1 * y2
     steps = [("u1", c1, (x1, y1, x2, y2))]
@@ -281,16 +260,18 @@ def _reduce_with_steps(basis, m, q):
     return (reduced, passes), steps
 
 
-def _assert_matches_textbook(basis, m, q, scale=1):
-    """gauss_reduce(basis, m, q) gives the textbook loop's basis and pass
-    count under the rectangle's form times ``scale``, and its two
-    half-steps are the loop's first pass."""
+def _assert_matches_textbook(z, p, m, q, scale=1):
+    """gauss_reduce(z, p, m, q) gives the basis and pass count of the
+    textbook loop from euclid_basis(z, p, m, q)'s stop under the
+    rectangle's form times ``scale``, and its two half-steps are the
+    loop's first pass."""
     wx, wy = rect_weights(1 << m, 1 << q)
     ref_steps = []
+    start, _ = euclid_basis(z, p, m, q)
     ref = _textbook_gauss_reduce(
-        basis, scale * wx, scale * wy, on_step=lambda *step: ref_steps.append(step)
+        start, scale * wx, scale * wy, on_step=lambda *step: ref_steps.append(step)
     )
-    fast, fast_steps = _reduce_with_steps(basis, m, q)
+    fast, fast_steps = _reduce_with_steps(z, p, m, q)
     assert fast == ref
     assert fast_steps == ref_steps[:2]
 
@@ -305,9 +286,8 @@ class TestMatchesTextbookLoop:
             p = l + m - q
             for e in (min(p, m + q + 3), p) * 2:
                 z = (1 << (l - 1)) | rng.getrandbits(l - 1)
-                start, _ = euclid_basis(z, e, m, q)
-                _assert_matches_textbook(start, m, q)
-                _assert_matches_textbook(start, m, q, 7)
+                _assert_matches_textbook(z, e, m, q)
+                _assert_matches_textbook(z, e, m, q, 7)
 
     def test_corner_case_bounds(self):
         # m < q, where the form is (4^(q-m), 1).
@@ -317,7 +297,7 @@ class TestMatchesTextbookLoop:
             assert 0 < (1 << m) < 1 << q
             for _ in range(5):
                 z = (1 << (l - 1)) | rng.getrandbits(l - 1)
-                _assert_matches_textbook(euclid_basis(z, p, m, q)[0], m, q)
+                _assert_matches_textbook(z, p, m, q)
 
     def test_non_square_and_common_factor_weights(self):
         # Rectangles of every shape, m - q from -(p + 2) to p + 2, under the
@@ -327,7 +307,7 @@ class TestMatchesTextbookLoop:
             z, p, _, _, _ = random_family(rng, max_p=24 if i % 2 else 12)
             m, q = rng.randint(0, p + 2), rng.randint(0, p + 2)
             k = rng.choice([1, 7, 2**20, 3 * 5 * 11])
-            _assert_matches_textbook(euclid_basis(z, p, m, q)[0], m, q, k)
+            _assert_matches_textbook(z, p, m, q, k)
 
 
 # Gram entries above this many bits exercise gauss_reduce on big ints.
@@ -386,33 +366,35 @@ class TestLargeEntries:
         # textbook loop reduces from solution_basis's generators: the two
         # reduced bases have the same norms.
         z, p, q, m, u, scale = case
-        start, _ = euclid_basis(z, p, m, q)
-        _assert_matches_textbook(start, m, q, scale)
+        _assert_matches_textbook(z, p, m, q, scale)
         wx, wy = rect_weights(1 << m, 1 << q)
         theirs, _ = _textbook_gauss_reduce(solution_basis(z, p, q, u)[1], wx, wy)
         norms = lambda b: sorted(_norm(v, wx, wy) for v in (b[:2], b[2:]))
-        assert norms(gauss_reduce(start, m, q)[0]) == norms(theirs)
+        assert norms(gauss_reduce(z, p, m, q)[0]) == norms(theirs)
 
     @settings(max_examples=100, deadline=None)
     @given(case=structured_finish_cases())
     def test_structured_z_matches_textbook_loop(self, case):
-        z, e, m, q = case
-        _assert_matches_textbook(euclid_basis(z, e, m, q)[0], m, q)
+        _assert_matches_textbook(*case)
 
+    # Deployments whose Euclid stop puts d/n2 on an exact half.  For p <= 11
+    # every such tie is -1/2 or (2^j - 1)/2.  Multiplying z by 2^t and
+    # raising p and q by t multiplies every y of L and of Euclid's stop by
+    # 2^t and the form's y weight by 4^-t, so the same tie comes back,
+    # with Gram entries of about 600 bits at t = 300.
+    @pytest.mark.parametrize("t", [0, 300])
     @pytest.mark.parametrize(
-        "u1, u2, c1",
+        "z, p, m, q, c1",
         [
-            ((1, 1), (2, 0), 0),  # d/n2 = 1/2
-            ((-1, -1), (2, 0), 0),  # d/n2 = -1/2
-            ((3, 1), (2, 0), 1),  # d/n2 = 3/2
+            (1, 1, 1, 0, 0),  # d/n2 = -1/2
+            (7, 4, 0, 0, 1),  # d/n2 = 3/2
+            (15, 5, 0, 0, 3),  # d/n2 = 7/2
         ],
     )
-    def test_exact_tie_rounds_toward_zero(self, u1, u2, c1):
-        scale = 1 << 300
-        basis = (u1[0] * scale, u1[1] * scale, u2[0] * scale, u2[1] * scale)
-        _, steps = _reduce_with_steps(basis, 0, 0)
+    def test_exact_tie_rounds_toward_zero(self, z, p, m, q, c1, t):
+        _, steps = _reduce_with_steps(z << t, p + t, m, q + t)
         assert steps[0][:2] == ("u1", c1)  # halves toward zero
-        _assert_matches_textbook(basis, 0, 0)
+        _assert_matches_textbook(z << t, p + t, m, q + t)
 
 
 @st.composite
@@ -466,7 +448,7 @@ def _assert_euclid_start_matches(z, p, q, m, u):
     start, _ = euclid_basis(z, p, m, q)
     assert _in_lattice(start[:2], z, p) and _in_lattice(start[2:], z, p)
     assert abs(_det(start)) == 1 << p
-    ours, _ = gauss_reduce(start, m, q)
+    ours, _, _ = gauss_reduce(z, p, m, q)
     theirs, _ = _textbook_gauss_reduce(basis, wx, wy)
     assert is_reduced(ours, wx, wy)
     norms = lambda b: sorted(_norm(v, wx, wy) for v in (b[:2], b[2:]))
@@ -709,6 +691,18 @@ class TestNearestPoint:
         best_norm = _norm(_residual(basis, v, *best), wx, wy)
         assert best == (0, -2) and best_norm == 18
 
+    def test_refuses_an_unreduced_basis(self):
+        # The 3x3 scan is exact only for a reduced basis: on this one it
+        # would answer (57, -65) at norm 45, where the coset holds a point
+        # at norm 5, which the scan finds in a reduced basis of the same
+        # lattice.
+        basis, v = (22, -37, 20, -35), (-43, 160)
+        assert not is_reduced(basis, 1, 1)
+        with pytest.raises(InvalidArgument, match="^basis is not reduced under the form$"):
+            nearest_lattice_point(basis, v, 1, 1)
+        reduced, _ = _textbook_gauss_reduce(basis, 1, 1)
+        assert _norm(_residual(reduced, v, *nearest_lattice_point(reduced, v, 1, 1)), 1, 1) == 5
+
     def test_matches_exhaustive_small(self):
         rng = random.Random(2024)
         for _ in range(60):
@@ -873,9 +867,7 @@ class TestRectSearch:
 
     def test_matches_reference_loop_size_ladder(self):
         for z, p, q, m, u in _ladder_tokens(random.Random(7070)):
-            b1, b2 = 1 << m, 1 << q
-            start, _ = euclid_basis(z, p, m, q)
-            reduced, _ = gauss_reduce(start, m, q)
+            reduced, _, _ = gauss_reduce(z, p, m, q)
             _assert_matches_reference(z, reduced, p, q, m, u)
 
     def test_matches_membership_scan(self):
@@ -994,7 +986,7 @@ class TestCoefficientBox:
             b1, b2 = 1 << m, 1 << q
             _, basis = solution_basis(z, p, q, u)
             start, _ = euclid_basis(z, p, m, q)
-            reduced, _ = gauss_reduce(start, m, q)
+            reduced, _, _ = gauss_reduce(z, p, m, q)
             for b in (start, reduced, basis):
                 _assert_box_matches_rationals(b, p, q, u, m)
 

@@ -24,7 +24,7 @@ from truncrack import (
     validate_params,
 )
 from truncrack.errors import ToolkitError
-from truncrack.lattice2d import box_frame, euclid_basis
+from truncrack.lattice2d import box_frame, euclid_basis, gauss_reduce, round_half_to_zero
 from truncrack.paper import nearest_lattice_point, solution_basis, solve_coeffs, truncate_decimal
 from truncrack.protocol import MAX_BITS, PARAM_KEYS, check_observables, check_shape
 
@@ -286,8 +286,7 @@ def _param_text(values):
 # Each root callable, the lattice functions that take exponents, and the
 # paper's functions that take ints, with its ints taken, in order, from
 # eight drawn ones.  run_trials takes at most 2 trials, so a valid shape
-# runs a short batch.  gauss_reduce is left out: its exit assertion is its
-# answer to a basis that one pass does not reduce.
+# runs a short batch.
 HOSTILE_CALLS = {
     "trunc_f": lambda a: trunc_f(a[0], ProtocolParams(*a[1:7])),
     "derive_key": lambda a: derive_key(*a[:6]),
@@ -303,6 +302,8 @@ HOSTILE_CALLS = {
     "brute_force_preimages": lambda a: brute_force_preimages(*a[:5]),
     "run_trials": lambda a: run_trials(TrialConfig(a[0], min(a[1], 2), *a[2:6])),
     "euclid_basis": lambda a: euclid_basis(*a[:4]),
+    "gauss_reduce": lambda a: gauss_reduce(*a[:4]),
+    "round_half_to_zero": lambda a: round_half_to_zero(*a[:2]),
     "box_frame": lambda a: box_frame(tuple(a[:4]), *a[4:7]),
     "solution_basis": lambda a: solution_basis(*a[:4]),
     "solve_coeffs": lambda a: solve_coeffs(tuple(a[:4]), tuple(a[4:6])),
@@ -335,6 +336,14 @@ class TestHostileInts:
     # a whole part past CPython's digit limit, and a zero denominator
     @example(name="truncate_decimal", args=[1 << 20000, 1, 0, 0, 0, 0, 0, 0])
     @example(name="truncate_decimal", args=[1, 0, 0, 0, 0, 0, 0, 0])
+    # a zero and a negative denominator
+    @example(name="round_half_to_zero", args=[1, 0, 0, 0, 0, 0, 0, 0])
+    @example(name="round_half_to_zero", args=[1, -3, 0, 0, 0, 0, 0, 0])
+    # Euclid at the size bound: at s = m - q = 0, at s = p, where it runs
+    # to r1 == 0, and at s = -p, where it takes no quotient
+    @example(name="gauss_reduce", args=[3**9000, MAX_BITS, 0, 0, 0, 0, 0, 0])
+    @example(name="gauss_reduce", args=[3**9000, MAX_BITS, MAX_BITS, 0, 0, 0, 0, 0])
+    @example(name="gauss_reduce", args=[3**9000, MAX_BITS, 0, MAX_BITS, 0, 0, 0, 0])
     def test_returns_or_raises_a_named_error(self, name, args):
         try:
             HOSTILE_CALLS[name](args)
