@@ -28,9 +28,10 @@ paper does.
 Only the coset point depends on the token, so the work splits at the
 deployment: Attacker(z, p, q, m) reduces once and fixes the box's frame
 and the masks a token needs, and Attacker.attack(u) walks the box of one
-token, filtering each hit as it comes.  The frame folds 2^q in
-(lattice2d.box_frame), so a token's box costs the products of
-u mod 2^(k-q) with the two x-cofactors of the basis, not of 2^q*u.
+token, filtering each hit as it comes.  The frame, which the one
+reduction call lattice2d.gauss_reduce returns, folds 2^q in, so a
+token's box costs the products of u mod 2^(k-q) with the two
+x-cofactors of the basis, not of 2^q*u.
 Attacker is the way in: the command line and the trial harness build
 one per deployment, and derive keys with protocol.shared_key.
 recover_preimages and recover_shared_key are the benchmark's entry
@@ -49,7 +50,7 @@ of the command line, which decodes it before it calls in.
 import functools
 from typing import NamedTuple
 
-from .lattice2d import box_bound, box_frame, check_box, coefficient_box, gauss_reduce
+from .lattice2d import box_bound, check_box, coefficient_box, gauss_reduce
 from .protocol import check_observables, check_token, derive_key
 
 # The reduction modulus exceeds the rectangle's area 2^(m+q) by this many
@@ -106,12 +107,12 @@ class Attacker:
 
     The constructor checks the observables (check_observables), reduces
     the congruence lattice modulo 2^k, k = min(p, m + q + SPARE_BITS), for
-    the rectangle [0, 2^m) x [0, 2^q) (one gauss_reduce call, given m and
-    q: euclid_basis, then one pass), and fixes the box's frame
-    (lattice2d.box_frame: the |det| = 2^k check, InvalidArgument otherwise,
-    the sign and the corner offsets shifted by q), whose basis
-    ``frame[0]`` is the reduced basis up to the sign of u1.  Every
-    assertion of gauss_reduce, euclid_basis's included, runs here, at k.
+    the rectangle [0, 2^m) x [0, 2^q) and fixes the box's frame in one
+    gauss_reduce call, given m and q: euclid_basis, then one pass, then
+    the sign and the corner offsets shifted by q.  The frame's basis
+    ``frame[0]`` is the reduced basis up to the sign of u1, with
+    det = +2^k.  Every assertion of gauss_reduce, euclid_basis's
+    included, runs here, at k.
     When p <= m + q + SPARE_BITS, k is p and the lattice is the paper's.  When
     k < p but lattice2d.box_bound puts the frame's box over WALK_BOUND
     pairs for some token, the lattice modulo 2^p is reduced and framed
@@ -128,9 +129,9 @@ class Attacker:
     def __init__(self, z: int, p: int, q: int, m: int):
         check_observables(z, p, q, m)
         iterations = 0
-        for k in (min(p, m + q + SPARE_BITS), p):
-            reduced, quotients, passes = gauss_reduce(z, k, m, q)
-            frame = box_frame(reduced, k, m, q)
+        spare = m + q + SPARE_BITS
+        for k in (spare if spare < p else p, p):
+            frame, quotients, passes = gauss_reduce(z, k, m, q)
             iterations += quotients + passes
             if k == p or box_bound(frame) <= WALK_BOUND:
                 break

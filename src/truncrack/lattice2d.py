@@ -16,9 +16,10 @@ on the remainders alone and rebuilds the two cofactors at its stop from
 one 2-adic inverse, and finishes with one Lagrange pass, which its
 docstring proves is all that Euclid's stop leaves; it takes the
 deployment, not a basis, so no basis reaches the pass that the pass
-cannot finish.  attack.Attacker reduces modulo a power
-2^k <= 2^p whose lattice contains L (see there); every function here
-works for whatever modulus exponent it is given.
+cannot finish, and it returns the reduced basis as the box's frame.
+attack.Attacker reduces modulo a power 2^k <= 2^p whose lattice
+contains L (see there); every function here works for whatever modulus
+exponent it is given.
 
 Everything is exact, with no floating point, and every function takes
 and returns plain ints: a basis is the tuple (x1, y1, x2, y2) of
@@ -26,12 +27,12 @@ u1 = (x1, y1) and u2 = (x2, y2), a point is (x, y), and a form is its two
 positive weights (wx, wy), <a, b> = wx*ax*bx + wy*ay*by.  For the
 rectangle [0, b1) x [0, b2) the weights are (b2^2, b1^2), which make it
 square; a common factor of the weights changes no quotient, rounding or
-comparison.  euclid_basis, gauss_reduce and box_frame take the attack's
+comparison.  euclid_basis and gauss_reduce take the attack's
 rectangle b1 = 2^m, b2 = 2^q by its exponents (m, q).  A frame is
 what the coefficient box of the token coset (0, -2^q*u) + L needs beside
-u: (basis, p - q, b1, b2, offsets), made once per basis and rectangle
-with shifts, 2^q folded into the offsets (see box_frame), so that a
-token's box costs the two products x2*u and x1*u.  coefficient_box
+u: (basis, p - q, b1, b2, offsets), made by gauss_reduce once per
+deployment with shifts, 2^q folded into the offsets (see there), so that
+a token's box costs the two products x2*u and x1*u.  coefficient_box
 reads it, and attack.Attacker.attack walks the box itself, filtering
 each hit as it comes.  This module holds what attack.Attacker calls and
 nothing else; the paper's own path, with its exact rational
@@ -43,8 +44,8 @@ from __future__ import annotations
 from .errors import InvalidArgument, SearchSpaceExceeded, int_text
 from .protocol import MAX_BITS
 
-# box_frame's result: the basis with det = +2^p, p - q, b1, b2 and the
-# four offsets shifted by q.
+# gauss_reduce's frame: the reduced basis with det = +2^p, p - q, b1, b2
+# and the four offsets shifted by q.
 Frame = tuple[tuple[int, int, int, int], int, int, int, tuple[int, int, int, int]]
 
 # check_box's cap on the pairs of a coefficient box.
@@ -100,7 +101,8 @@ def euclid_basis(z: int, p: int, m: int, q: int) -> tuple[tuple[int, int, int, i
     shift = m - q
     modmask = (1 << p) - 1
     first = z & modmask
-    floor = 1 << max((p + 1 - shift) // 2, 0)
+    f = (p + 1 - shift) // 2
+    floor = 1 << f if f > 0 else 1
     r0, r1 = 1 << p, first
     quotients = 0
     while r1 >= floor:
@@ -150,10 +152,11 @@ def round_half_to_zero(num: int, den: int) -> int:
     return quot if quot >= 0 else quot + 1
 
 
-def gauss_reduce(z: int, p: int, m: int, q: int) -> tuple[tuple[int, int, int, int], int, int]:
+def gauss_reduce(z: int, p: int, m: int, q: int) -> tuple[Frame, int, int]:
     """The Lagrange (Gauss) reduction of L for the rectangle
-    [0, 2^m) x [0, 2^q), under its form (1, 4^s) or (4^-s, 1), s = m - q:
-    euclid_basis(z, p, m, q), then one pass from Euclid's stop, and no loop.
+    [0, 2^m) x [0, 2^q), under its form (1, 4^s) or (4^-s, 1), s = m - q,
+    and the frame of its coefficient box: euclid_basis(z, p, m, q), then
+    one pass from Euclid's stop, and no loop.
 
     The pass is the textbook loop's first: u1 <- u1 - c1*u2, then
     u2 <- u2 - c2*u1, each c = round_half_to_zero(<ui, uj>, <uj, uj>).  The
@@ -165,29 +168,54 @@ def gauss_reduce(z: int, p: int, m: int, q: int) -> tuple[tuple[int, int, int, i
     common factor changes no quotient), so n1*n2 - d^2 = D^2 with
     D = 2^(p+s), as |det| = 2^p.  Euclid stops at u2 = (x, r) with r < 2^f,
     f = max((p + 1 - s) // 2, 0), so 2f <= p + 1 - s or r = 0, and
-    4^s*r^2 < 2D.  Unless s < -p, u1's remainder is at least 2^f, so
-    |x| <= 2^(p-f) (see euclid_basis) and x^2 <= D, as 2f >= p - s: then
-    n2 < 3D.  The c1 half-step keeps n2 and leaves 2|d| <= n2, and
-    |c2| >= 2 would need |d| > 3*n1/2, so D^2 = n1*n2 - d^2 <
-    |d|*(2*n2/3 - |d|) <= n2^2/9, and n2 > 3D.  So |c2| <= 1.  When s < -p,
-    Euclid takes no quotient: u1 = (0, 2^p), u2 = (1, r) with r < 2^p, and
-    1 + 4^s*r^2 >= 2^(s+1)*r gives |d| <= 2^(p+s-1)*n2 < n2/2, so c1 = 0
-    and c2 = round(r / 2^p) is 0 or 1.  If c2 = 0, 2|d| <= n1 as well.  If
-    c2 = 1 (-1 is its mirror), n1/2 < d <= 3*n1/2, so the new d - n1 has
-    2|d - n1| <= n1, and against the new n2 - 2d + n1 it needs
-    4d <= n2 + 3*n1 when d >= n1 (from 2d <= n2 and 2d <= 3*n1) and
-    n1 <= n2 when d < n1 (from n1 < 2d <= n2).  So 2|d| <= min(n1, n2) on
-    exit: a second pass would leave both quotients zero.
+    4^s*r^2 < 2D.  Since q < p and m >= 0, s > -p, so u1's remainder is
+    at least 2^f, |x| <= 2^(p-f) (see euclid_basis) and x^2 <= D, as
+    2f >= p - s: then n2 < 3D.  The c1 half-step keeps n2 and leaves
+    2|d| <= n2, and |c2| >= 2 would need |d| > 3*n1/2, so
+    D^2 = n1*n2 - d^2 < |d|*(2*n2/3 - |d|) <= n2^2/9, and n2 > 3D.  So
+    |c2| <= 1.  If c2 = 0, 2|d| <= n1 as well.  If c2 = 1 (-1 is its
+    mirror), n1/2 < d <= 3*n1/2, so the new d - n1 has 2|d - n1| <= n1,
+    and against the new n2 - 2d + n1 it needs 4d <= n2 + 3*n1 when
+    d >= n1 (from 2d <= n2 and 2d <= 3*n1) and n1 <= n2 when d < n1
+    (from n1 < 2d <= n2).  So 2|d| <= min(n1, n2) on exit: a second pass
+    would leave both quotients zero.
+
+    The frame is what the coefficient box of [0, b1) x [0, b2),
+    b1 = 2^m and b2 = 2^q, around the token coset (0, -2^q*u) + L needs
+    beside u: (basis, shift, b1, b2, offsets), which coefficient_box
+    reads.  The box runs from the ceiling of the smallest to the floor of
+    the largest coefficient of the corners of the closed rectangle
+    [0, b1-1] x [0, b2-1], which holds the same integer points; a linear
+    map takes its extremes over a parallelogram at its corners, so no
+    point s = v - a1*u1 - a2*u2 inside is lost.  Moving the corner by b1-1
+    in x or b2-1 in y adds (1-b1)*y2 or (b2-1)*x2 to the Cramer numerator
+    of a1 and (b1-1)*y1 or (1-b2)*x1 to that of a2, each a shift and a
+    subtraction, so the smallest corner numerator adds the negative moves
+    d_lo <= 0 and the largest the positive ones d_hi >= 0.
+
+    At v = (0, -2^q*u) the two numerators are 2^q times A = x2*u and
+    A = -x1*u, and det = 2^p, so each bound is a floor of
+    (A*2^q + d) / 2^p, with d = d_hi for a floor and d = d_lo + 2^p - 1
+    for a ceiling.  That floor is floor((A + floor(d / 2^q)) / 2^(p-q))
+    for every integer A and 0 <= q < p: the shift by p is a shift by q of
+    the offset, made here once, and one by p-q of the sum.  The offsets
+    are stored that way, floor(d / 2^q) for the low and the high bound of
+    a1, then of a2, and ``shift`` is p - q.  The determinant is computed
+    once, outside any assert, and u1 is negated when it is negative, so
+    the frame's basis, in which the box is counted and the walk steps,
+    has det = +2^p; the reduced basis is that basis up to the sign of u1.
 
     Asserted: each half-step that changes the basis strictly shrinks the
-    norm it updates, |det| = 2^p from the coordinates, and the exit bound.
-    Returns the reduced basis, euclid_basis's quotient count, and the
-    loop's pass count, its all-zero pass included: 1 when c1 = c2 = 0,
-    else 2.  Raises InvalidArgument for p, m or q outside [0, MAX_BITS]
+    norm it updates, |det| = 2^p, and the exit bound.  Returns the frame,
+    euclid_basis's quotient count, and the loop's pass count, its
+    all-zero pass included: 1 when c1 = c2 = 0, else 2.  Raises
+    InvalidArgument for q >= p, then for p, m or q outside [0, MAX_BITS]
     (euclid_basis), before any shift.
     """
+    if q >= p:
+        raise InvalidArgument(f"q must be below p, got q={int_text(q)} p={int_text(p)}")
     (x1, y1, x2, y2), quotients = euclid_basis(z, p, m, q)
-    sx, sy = max(q - m, 0), max(m - q, 0)
+    sx, sy = (0, m - q) if m > q else (q - m, 0)
     a1, b1, a2, b2 = x1 << sx, y1 << sy, x2 << sx, y2 << sy
     n1, n2, d = a1 * a1 + b1 * b1, a2 * a2 + b2 * b2, a1 * a2 + b1 * b2
     c1 = round_half_to_zero(d, n2)
@@ -204,54 +232,8 @@ def gauss_reduce(z: int, p: int, m: int, q: int) -> tuple[tuple[int, int, int, i
         shrunk = n2 - c2 * (2 * d - t)
         assert shrunk < n2
         n2, d = shrunk, d - t
-    assert abs(x1 * y2 - y1 * x2) == 1 << p and 2 * abs(d) <= min(n1, n2)
-    return (x1, y1, x2, y2), quotients, 2 if c1 or c2 else 1
-
-
-def box_frame(basis: tuple[int, int, int, int], p: int, m: int, q: int) -> Frame:
-    """The part of the coefficient box of [0, b1) x [0, b2), b1 = 2^m and
-    b2 = 2^q, around the token coset (0, -2^q*u) + L that does not depend
-    on u: (basis, shift, b1, b2, offsets), which coefficient_box reads.
-
-    The box runs from the ceiling of the smallest to the floor of the
-    largest coefficient of the corners of the closed rectangle
-    [0, b1-1] x [0, b2-1], which holds the same integer points; a linear
-    map takes its extremes over a parallelogram at its corners, so no
-    point s = v - a1*u1 - a2*u2 inside is lost.  Moving the corner by b1-1
-    in x or b2-1 in y adds (1-b1)*y2 or (b2-1)*x2 to the Cramer numerator
-    of a1 and (b1-1)*y1 or (1-b2)*x1 to that of a2, each a shift and a
-    subtraction, so the smallest corner numerator adds the negative moves
-    d_lo <= 0 and the largest the positive ones d_hi >= 0.
-
-    At v = (0, -2^q*u) the two numerators are 2^q times A = x2*u and
-    A = -x1*u, and det = 2^p, so each bound is a floor of
-    (A*2^q + d) / 2^p, with d = d_hi for a floor and d = d_lo + 2^p - 1
-    for a ceiling.  That floor is floor((A + floor(d / 2^q)) / 2^(p-q))
-    for every integer A and 0 <= q < p: the shift by p is a shift by q of
-    the offset, made here once, and one by p-q of the sum.  The offsets
-    are stored that way, floor(d / 2^q) for the low and the high bound of
-    a1, then of a2, and ``shift`` is p - q.
-
-    The basis (x1, y1, x2, y2) must have |det| = 2^p, as every basis of L
-    does.  When det < 0, u1 is negated, which negates det: the frame's
-    basis, in which the box is counted and the walk steps, has det = +2^p.
-    Raises InvalidArgument for m outside [0, MAX_BITS], p past MAX_BITS or
-    q outside [0, p), before any shift, and for any determinant but
-    +-2^p, 0 included, since a shift by the wrong p would give a wrong
-    box.
-    """
-    if not 0 <= m <= MAX_BITS:
-        raise InvalidArgument(f"m must be in [0, {MAX_BITS}], got m={int_text(m)}")
-    if p > MAX_BITS:
-        raise InvalidArgument(f"p must be at most {MAX_BITS}, got p={int_text(p)}")
-    if not 0 <= q < p:
-        raise InvalidArgument(f"q must be in [0, p), got q={int_text(q)} p={int_text(p)}")
-    x1, y1, x2, y2 = basis
     det = x1 * y2 - y1 * x2
-    if abs(det) != 1 << p:
-        raise InvalidArgument(
-            f"cannot bound coefficients: determinant {int_text(det)} is not +-2^{p}"
-        )
+    assert abs(det) == 1 << p and 2 * abs(d) <= (n1 if n1 < n2 else n2)
     if det < 0:
         x1, y1 = -x1, -y1
     dx1, dy1 = y2 - (y2 << m), (x2 << q) - x2
@@ -264,12 +246,13 @@ def box_frame(basis: tuple[int, int, int, int], p: int, m: int, q: int) -> Frame
     dhi2 = (dx2 if dx2 > 0 else 0) + (dy2 if dy2 > 0 else 0)
     round_up = (1 << p) - 1
     offsets = ((dlo1 + round_up) >> q, dhi1 >> q, (dlo2 + round_up) >> q, dhi2 >> q)
-    return (x1, y1, x2, y2), p - q, 1 << m, 1 << q, offsets
+    frame = (x1, y1, x2, y2), p - q, 1 << m, 1 << q, offsets
+    return frame, quotients, 2 if c1 or c2 else 1
 
 
 def coefficient_box(frame: Frame, u: int) -> tuple[int, int, int, int]:
     """Exact inclusive coefficient ranges (lo1, hi1, lo2, hi2) of the
-    rectangle of box_frame's ``frame`` around the token coset
+    rectangle of gauss_reduce's ``frame`` around the token coset
     (0, -2^q*u) + L.
 
     Each bound is the folded numerator, A = x2*u for a1 and -x1*u for

@@ -8,9 +8,10 @@ nearest v0 (a CVP), and searches the box the corners span.  This module
 keeps those steps as they read: solution_basis, is_reduced, solve_coeffs,
 nearest_lattice_point and truncate_decimal, which prints a coefficient
 as the paper does.  A coefficient is held as its Cramer numerator over
-d = |det| (2^p for a basis of L), the form box_frame uses, so values are
-plain ints and tuples, as in lattice2d.  The box and its search are the
-attack's own: lattice2d.coefficient_box on a frame at p, and
+d = |det| (2^p for a basis of L), the form lattice2d's frame uses, so
+values are plain ints and tuples, as in lattice2d.  The box and its
+search are the attack's own: lattice2d.coefficient_box on the frame that
+lattice2d.gauss_reduce(z, p, m, q) returns at p, and
 attack.Attacker.attack, whose candidates are exactly the coset points in
 the rectangle.  The attack calls none of the functions here, and nothing
 that `import truncrack` loads imports this module.  All functions are
@@ -67,9 +68,9 @@ def solve_coeffs(
 ) -> tuple[int, int, int]:
     """The exact coefficients of v in the basis by Cramer's rule, as
     (n1, n2, d) with d = |det| > 0: a1 = n1/d and a2 = n2/d, and
-    a1*u1 + a2*u2 = v.  All three are negated when det < 0, as box_frame
-    negates u1.  d is 2^p for a basis of L.  Raises InvalidArgument for a
-    basis of determinant 0.
+    a1*u1 + a2*u2 = v.  All three are negated when det < 0, as
+    gauss_reduce negates u1 in its frame.  d is 2^p for a basis of L.
+    Raises InvalidArgument for a basis of determinant 0.
     """
     x1, y1, x2, y2 = basis
     vx, vy = v

@@ -202,7 +202,11 @@ def shared_key(x: int, other_token: int, params: ProtocolParams) -> int:
 
 
 def sample_secret(rng: random.Random, m: int) -> int:
-    """Uniform draw from [1, 2^m) — an m-bit positive secret."""
+    """Uniform draw from [1, 2^m) — an m-bit positive secret.  Raises
+    InvalidArgument for m outside [1, MAX_BITS], before any draw: m = 0
+    leaves no secret to draw."""
+    if not 1 <= m <= MAX_BITS:
+        raise InvalidArgument(f"m must be in [1, {MAX_BITS}], got m={int_text(m)}")
     while True:
         x = rng.getrandbits(m)
         if x:

@@ -31,6 +31,13 @@ def rect_weights(b1: int, b2: int) -> tuple[int, int]:
     return b2 * b2, b1 * b1
 
 
+def _oriented(basis):
+    """The basis with u1 negated when det < 0: the orientation of the
+    basis in gauss_reduce's frame, whose det is positive."""
+    x1, y1, x2, y2 = basis
+    return basis if x1 * y2 - y1 * x2 > 0 else (-x1, -y1, x2, y2)
+
+
 def _textbook_gauss_reduce(basis, wx, wy, *, on_step=None):
     """The textbook Lagrange loop, the tests' one general reduction: every
     half-step recomputes the norms and the inner product under the form
@@ -134,10 +141,13 @@ def test_criterion_1_golden_example():
     if answer != (12345, 21):
         failures.append(f"final answer {answer}")
 
-    # The attack's own reduction: Euclid's stop, then gauss_reduce's pass.
-    finished = gauss_reduce(6173, 22, 14, 5)
-    if finished != ((33973, 129, -25140, 28), euclid_basis(6173, 22, 14, 5)[1], 2):
-        failures.append(f"attack's reduction {finished}")
+    # The attack's own reduction: Euclid's stop, then gauss_reduce's pass,
+    # whose basis has det = +2^22 in the frame it returns.
+    frame, quotients, passes = gauss_reduce(6173, 22, 14, 5)
+    if (frame[0], quotients, passes) != (
+        (33973, 129, -25140, 28), euclid_basis(6173, 22, 14, 5)[1], 2
+    ):
+        failures.append(f"attack's reduction {frame[0]}, {quotients}, {passes}")
 
     result = Attacker(6173, 22, 5, 14).attack(708192 >> 5)
     if result.candidates != ((12345, 21),) or not result.unique:
@@ -335,13 +345,13 @@ def test_criterion_7_scaling_invariance():
         start, _ = euclid_basis(z, p, m, q)
         wx, wy = rect_weights(1 << m, 1 << q)
         # The attack's reduction takes the rectangle by (m, q); the
-        # reference loop from Euclid's stop gives its basis and passes
-        # under the form and under 7 times the form.
-        reduced, _, passes = gauss_reduce(z, p, m, q)
+        # reference loop from Euclid's stop gives its basis, in the frame's
+        # orientation, and passes under the form and under 7 times the form.
+        frame, _, passes = gauss_reduce(z, p, m, q)
+        reduced, textbook_passes = _textbook_gauss_reduce(start, wx, wy)
         identical += (
-            _textbook_gauss_reduce(start, wx, wy)
-            == (reduced, passes)
-            == _textbook_gauss_reduce(start, 7 * wx, 7 * wy)
+            (frame[0], passes) == (_oriented(reduced), textbook_passes)
+            and (reduced, textbook_passes) == _textbook_gauss_reduce(start, 7 * wx, 7 * wy)
             and nearest_lattice_point(reduced, v0, wx, wy)
             == nearest_lattice_point(reduced, v0, 7 * wx, 7 * wy)
         )

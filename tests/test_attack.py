@@ -34,7 +34,6 @@ from truncrack.harness import brute_force_preimages
 from truncrack.lattice2d import (
     BOX_CAP,
     box_bound,
-    box_frame,
     coefficient_box,
     euclid_basis,
     gauss_reduce,
@@ -158,15 +157,16 @@ def _oracle_pairs(z, p, q, m, u):
 
 def _frame_modulo(z, modulus, q, m):
     """The box frame of the lattice modulo 2^modulus for the rectangle
-    [0, 2^m) x [0, 2^q), reduced here by gauss_reduce, and the Euclid
-    quotients plus Gauss passes it took."""
-    reduced, quotients, passes = gauss_reduce(z, modulus, m, q)
-    return box_frame(reduced, modulus, m, q), quotients + passes
+    [0, 2^m) x [0, 2^q), from gauss_reduce, and the Euclid quotients plus
+    Gauss passes it took."""
+    frame, quotients, passes = gauss_reduce(z, modulus, m, q)
+    return frame, quotients + passes
 
 
 def _reference_walk(frame, q, u):
     """The reference walk's hits and pair count over the rectangle of
-    box_frame's ``frame``, from the coset point (0, -2^q*u) in its basis."""
+    gauss_reduce's ``frame``, from the coset point (0, -2^q*u) in its
+    basis."""
     basis, _, b1, b2, _ = frame
     return _reference_rect_search(basis, (0, -(u << q)), b1, b2)
 
@@ -188,7 +188,7 @@ def _count_reductions(monkeypatch):
 
     def counted(z, k, m, q):
         result = gauss_reduce(z, k, m, q)
-        x1, y1, x2, y2 = result[0]
+        x1, y1, x2, y2 = result[0][0]
         calls.append(abs(x1 * y2 - y1 * x2).bit_length() - 1)
         return result
 
@@ -255,8 +255,7 @@ class TestRecoverPreimages:
         # walk visits no pair, and the attack returns no candidate.
         z, p, q, m, u = 11, 5, 2, 3, 1
         assert (z, p, q, m, u) in _small_instances()
-        reduced, _, _ = gauss_reduce(z, p, m, q)
-        frame = box_frame(reduced, p, m, q)
+        frame = gauss_reduce(z, p, m, q)[0]
         lo1, hi1, lo2, hi2 = coefficient_box(frame, u)
         assert (hi1 - lo1 + 1, hi2 - lo2 + 1) == (0, 2)
         assert _reference_walk(frame, q, u) == ([], 0)
@@ -488,9 +487,16 @@ class TestAttacker:
             Attacker(**kwargs)
 
     def test_frame_is_the_reduced_basis_frame(self):
-        reduced, _, _ = gauss_reduce(6173, 22, 14, 5)
         attacker = Attacker(6173, 22, 5, 14)
-        assert attacker.frame == box_frame(reduced, 22, 14, 5)
+        assert attacker.frame == gauss_reduce(6173, 22, 14, 5)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=small_deployments() | deployments_below_p() | structured_deployments())
+    def test_frame_is_gauss_reduce_frame_at_k(self, case):
+        # k = p and k < p, and the fallback to p past WALK_BOUND
+        (z, p, q, m), _ = case
+        attacker = Attacker(z, p, q, m)
+        assert attacker.frame == gauss_reduce(z, attacker.k, m, q)[0]
 
 
 # Toy deployments (z, p, q, m) with m + q + SPARE_BITS < p, each attacked
@@ -601,7 +607,7 @@ class TestModulusBelowP:
         # One l=2048 deployment per (m, q), the skewed form and m < q
         # included: on 20 honest and 20 uniform tokens the candidates are
         # the hits of the walk over the lattice modulo 2^p, reduced and
-        # framed here by gauss_reduce and box_frame at p.
+        # framed here by gauss_reduce at p.
         rng = random.Random(3 * m + q)
         l = 2048
         p = l + m - q
@@ -609,8 +615,7 @@ class TestModulusBelowP:
         z = (1 << (l - 1)) | rng.getrandbits(l - 1)
         attacker = Attacker(z, p, q, m)
         assert attacker.k == m + q + SPARE_BITS < p
-        reduced, _, _ = gauss_reduce(z, p, m, q)
-        reference = box_frame(reduced, p, m, q)
+        reference = gauss_reduce(z, p, m, q)[0]
         secrets = [rng.randint(1, b1 - 1) for _ in range(20)]
         honest = [((x * z) & ((1 << p) - 1)) >> q for x in secrets]
         uniform = [rng.randint(0, (1 << (p - q)) - 1) for _ in range(20)]
@@ -640,9 +645,9 @@ class TestModulusBelowP:
         counts = []
         frames = []
         for modulus in (k, p):
-            reduced, quotients, passes = gauss_reduce(z, modulus, m, q)
+            frame, quotients, passes = gauss_reduce(z, modulus, m, q)
             counts.append(quotients + passes)
-            frames.append(box_frame(reduced, modulus, m, q))
+            frames.append(frame)
         assert box_bound(frames[0]) > BOX_CAP
         attacker = Attacker(z, p, q, m)
         assert attacker.k == p and attacker.reduce_iterations == sum(counts)
@@ -817,19 +822,20 @@ class TestMessageSizes:
             assert str(info.value) == message
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_box_frame_determinant(self, sign):
+    def test_gauss_reduce_refusals(self, sign):
+        # q is refused before the shift by p - q, and m before the shifts
+        # by it, which at 2^20000 could not be made
         text = f"a {'negative ' if sign < 0 else ''}20001-bit integer"
+        in_range = f"p, m and q must be in [0, {MAX_BITS}], got p=22"
         with pytest.raises(InvalidArgument) as info:
-            box_frame((sign * (1 << 20000), 0, 0, 1), 22, 14, 5)
-        assert str(info.value) == f"cannot bound coefficients: determinant {text} is not +-2^22"
+            gauss_reduce(6173, 22, 14, sign * (1 << 20000))
+        if sign > 0:
+            assert str(info.value) == f"q must be below p, got q={text} p=22"
+        else:
+            assert str(info.value) == f"{in_range} m=14 q={text}"
         with pytest.raises(InvalidArgument) as info:
-            box_frame((1, 0, 0, 1 << 22), 22, 14, sign * (1 << 20000))
-        assert str(info.value) == f"q must be in [0, p), got q={text} p=22"
-        # m is refused before the shifts by it, which at 2^20000 could not
-        # be made
-        with pytest.raises(InvalidArgument) as info:
-            box_frame((1, 0, 0, 1 << 22), 22, sign * (1 << 20000), 5)
-        assert str(info.value) == f"m must be in [0, {MAX_BITS}], got m={text}"
+            gauss_reduce(6173, 22, sign * (1 << 20000), 5)
+        assert str(info.value) == f"{in_range} m={text} q=5"
         assert len(str(info.value).encode()) < 200
 
     @pytest.mark.parametrize("sign", [1, -1])

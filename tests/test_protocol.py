@@ -24,9 +24,9 @@ from truncrack import (
     validate_params,
 )
 from truncrack.errors import ToolkitError
-from truncrack.lattice2d import box_frame, euclid_basis, gauss_reduce, round_half_to_zero
+from truncrack.lattice2d import euclid_basis, gauss_reduce, round_half_to_zero
 from truncrack.paper import nearest_lattice_point, solution_basis, solve_coeffs, truncate_decimal
-from truncrack.protocol import MAX_BITS, PARAM_KEYS, check_observables, check_shape
+from truncrack.protocol import MAX_BITS, PARAM_KEYS, check_observables, check_shape, sample_secret
 
 TOY = ProtocolParams(l=13, m=14, p=22, q=5, r=2, z=6173)
 
@@ -236,6 +236,22 @@ class TestExchange:
         with pytest.raises(ConstraintViolated):
             exchange(1, ProtocolParams(l=13, m=14, p=22, q=5, r=5, z=6173))
 
+    @pytest.mark.parametrize(
+        "m, text",
+        [(0, "0"), (-1, "-1"), (MAX_BITS + 1, str(MAX_BITS + 1)), (1 << 70, "a 71-bit integer")],
+    )
+    def test_sample_secret_refuses_m_outside_range(self, m, text):
+        # m = 0 leaves no secret in [1, 2^m): refused before any draw,
+        # where the loop would draw 0 forever
+        with pytest.raises(InvalidArgument) as info:
+            sample_secret(random.Random(1), m)
+        assert str(info.value) == f"m must be in [1, {MAX_BITS}], got m={text}"
+
+    @pytest.mark.parametrize("m", [1, 2, MAX_BITS])
+    def test_sample_secret_range(self, m):
+        for seed in range(20):
+            assert 1 <= sample_secret(random.Random(seed), m) < 1 << m
+
 
 class TestParamFile:
     def test_round_trip(self):
@@ -283,10 +299,10 @@ def _param_text(values):
         sys.set_int_max_str_digits(limit)
 
 
-# Each root callable, the lattice functions that take exponents, and the
-# paper's functions that take ints, with its ints taken, in order, from
-# eight drawn ones.  run_trials takes at most 2 trials, so a valid shape
-# runs a short batch.
+# Each root callable, the lattice functions that take exponents,
+# protocol.sample_secret, and the paper's functions that take ints, with
+# its ints taken, in order, from eight drawn ones.  run_trials takes at
+# most 2 trials, so a valid shape runs a short batch.
 HOSTILE_CALLS = {
     "trunc_f": lambda a: trunc_f(a[0], ProtocolParams(*a[1:7])),
     "derive_key": lambda a: derive_key(*a[:6]),
@@ -304,7 +320,7 @@ HOSTILE_CALLS = {
     "euclid_basis": lambda a: euclid_basis(*a[:4]),
     "gauss_reduce": lambda a: gauss_reduce(*a[:4]),
     "round_half_to_zero": lambda a: round_half_to_zero(*a[:2]),
-    "box_frame": lambda a: box_frame(tuple(a[:4]), *a[4:7]),
+    "sample_secret": lambda a: sample_secret(random.Random(a[0]), a[1]),
     "solution_basis": lambda a: solution_basis(*a[:4]),
     "solve_coeffs": lambda a: solve_coeffs(tuple(a[:4]), tuple(a[4:6])),
     "nearest_lattice_point": lambda a: nearest_lattice_point(tuple(a[:4]), tuple(a[4:6]), *a[6:8]),
@@ -340,10 +356,13 @@ class TestHostileInts:
     @example(name="round_half_to_zero", args=[1, 0, 0, 0, 0, 0, 0, 0])
     @example(name="round_half_to_zero", args=[1, -3, 0, 0, 0, 0, 0, 0])
     # Euclid at the size bound: at s = m - q = 0, at s = p, where it runs
-    # to r1 == 0, and at s = -p, where it takes no quotient
+    # to r1 == 0, and at s = 1 - p, the lowest below q < p, where it takes
+    # no quotient
     @example(name="gauss_reduce", args=[3**9000, MAX_BITS, 0, 0, 0, 0, 0, 0])
     @example(name="gauss_reduce", args=[3**9000, MAX_BITS, MAX_BITS, 0, 0, 0, 0, 0])
-    @example(name="gauss_reduce", args=[3**9000, MAX_BITS, 0, MAX_BITS, 0, 0, 0, 0])
+    @example(name="gauss_reduce", args=[3**9000, MAX_BITS, 0, MAX_BITS - 1, 0, 0, 0, 0])
+    # no secret to draw: m = 0 would loop forever
+    @example(name="sample_secret", args=[1, 0, 0, 0, 0, 0, 0, 0])
     def test_returns_or_raises_a_named_error(self, name, args):
         try:
             HOSTILE_CALLS[name](args)
